@@ -11,11 +11,11 @@ Sections and keys:
     [solver.ed]      n_modes, dim_guard
     [solver.effpot]  source (tf | relaxed | <path>), n_eig
     [sweep]   parameter, values (comma list), pipeline (quench | breathing)
-    [output]  directory, formats (comma list of csv, json)
+    [output]  directory
 """
 
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 
 TIERS = ("meanfield", "effpot", "ed")
 SWEEP_PARAMETERS = ("g_bi_final", "g_bb", "n_bath", "n_modes")
+INTEGER_SWEEP_PARAMETERS = ("n_bath", "n_modes")
 
 
 @dataclass
@@ -56,12 +57,10 @@ class ExperimentConfig:
     sweep_pipeline: str = "quench"
     # output
     directory: str = "output"
-    formats: tuple = ("csv", "json")
 
     def echo(self):
         d = asdict(self)
         d["sweep_values"] = list(self.sweep_values)
-        d["formats"] = list(self.formats)
         return d
 
 
@@ -89,7 +88,6 @@ _SCHEMA = {
     ("sweep", "values"): ("sweep_values", "floats"),
     ("sweep", "pipeline"): ("sweep_pipeline", str),
     ("output", "directory"): ("directory", str),
-    ("output", "formats"): ("formats", "strings"),
 }
 
 _SECTIONS = sorted({sec for sec, _ in _SCHEMA})
@@ -105,8 +103,6 @@ def _parse_value(raw, kind, where, errors):
             return raw
         if kind == "floats":
             return tuple(float(tok) for tok in raw.split(",") if tok.strip())
-        if kind == "strings":
-            return tuple(tok.strip() for tok in raw.split(",") if tok.strip())
     except ValueError:
         errors.append(f"{where}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}")
     return None
@@ -191,9 +187,18 @@ def _semantic_checks(cfg, errors):
         errors.append(f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
     if cfg.sweep_pipeline not in ("quench", "breathing"):
         errors.append("sweep.pipeline must be 'quench' or 'breathing'")
-    for fmt in cfg.formats:
-        if fmt not in ("csv", "json"):
-            errors.append(f"output.formats entries must be csv or json, got {fmt!r}")
+    errors.extend(sweep_value_errors(cfg.sweep_parameter, cfg.sweep_values))
+
+
+def sweep_value_errors(parameter, values):
+    """Messages for sweep values an integer parameter cannot take exactly
+    (n_bath = 2.7 must not run as 2)."""
+    if parameter not in INTEGER_SWEEP_PARAMETERS:
+        return []
+    bad = [v for v in values if not float(v).is_integer()]
+    if not bad:
+        return []
+    return [f"sweep.values must be whole numbers for {parameter}, got {bad}"]
 
 
 def load_config(path):

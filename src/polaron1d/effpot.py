@@ -8,7 +8,6 @@ and effective-mass extraction all live here.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dst
 from scipy.linalg import eigh
 from scipy.optimize import least_squares
 
@@ -18,7 +17,7 @@ from .errors import (
     FitQualityError,
     UsageError,
 )
-from .grid import Field, box_wavenumbers, inner
+from .grid import Field, inner, kinetic_matrix
 from .meanfield import ThomasFermiProfile
 from .observables import TimeSeries, dominant_frequency
 
@@ -104,13 +103,6 @@ class PotentialSpectrum:
     potential: EffectivePotential = None
 
 
-def _kinetic_dense(grid, mass):
-    m = grid.n_points - 2
-    k = box_wavenumbers(grid)
-    s = dst(np.eye(m), type=1, norm="ortho", axis=0)
-    return s.T @ (k[:, None] ** 2 / (2.0 * mass) * s)
-
-
 def eigensolve(pot, n_eig=40):
     """Lowest n_eig eigenpairs of -(1/2m) d^2/dx^2 + V_eff under hard walls.
     States whose energy exceeds V_eff(+-0.9 x_max) are flagged as
@@ -118,7 +110,7 @@ def eigensolve(pot, n_eig=40):
     if n_eig > 60:
         raise ConfigurationError("n_eig must be <= 60")
     grid = pot.grid
-    h = _kinetic_dense(grid, pot.mass)
+    h = kinetic_matrix(grid, pot.mass)
     h = h + np.diag(pot.values[1:-1])
     energies, vecs = eigh(h, subset_by_index=[0, n_eig - 1])
     states = []
@@ -158,62 +150,59 @@ class EffpotContrast:
     energies: np.ndarray = field(repr=False, compare=False)
 
 
+def _expansion(spec, initial):
+    """Overlaps <psi_n|initial>, gated on a complete expansion."""
+    coeffs = np.array([inner(st, initial) for st in spec.states])
+    total = float(np.sum(np.abs(coeffs) ** 2))
+    if total < 0.999:
+        raise AnalysisError(
+            f"stationary-state expansion incomplete: sum of weights {total:.6f} "
+            f"< 0.999; increase n_eig (now {spec.n_eig})"
+        )
+    return coeffs
+
+
+def _sample_times(t_max, dt):
+    return dt * np.arange(int(round(t_max / dt)) + 1)
+
+
 def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05, e_reference=None):
     """Contrast from the stationary-state expansion:
     S(t) = sum_n |<psi_n|initial>|^2 exp(-i (E_n - E_ho) t), with E_ho the
     pre-quench impurity energy (omega/2 by default)."""
-    grid = spec.states[0].grid
     if initial is None:
-        initial = bare_ground_state(grid, mass=spec.potential.mass)
-    grid.require_same(initial.grid)
+        initial = bare_ground_state(spec.states[0].grid, mass=spec.potential.mass)
     if e_reference is None:
         e_reference = 0.5 * spec.potential.omega_trap
-    overlaps = np.array([inner(st, initial) for st in spec.states])
-    weights = np.abs(overlaps) ** 2
-    total = float(np.sum(weights))
-    if total < 0.999:
-        raise AnalysisError(
-            f"stationary-state expansion incomplete: sum of weights {total:.6f} "
-            f"< 0.999; increase n_eig"
-        )
-    n = int(round(t_max / dt)) + 1
-    t = dt * np.arange(n)
+    weights = np.abs(_expansion(spec, initial)) ** 2
+    t = _sample_times(t_max, dt)
     phases = np.exp(-1j * np.outer(t, spec.energies - e_reference))
     s_vals = phases @ weights
     series = TimeSeries(0.0, dt, s_vals, label="S(t)")
     return EffpotContrast(series=series, weights=weights, energies=spec.energies)
 
 
-def _moment_matrix(spec, values_on_grid):
-    """Matrix elements <psi_m| f(x) |psi_n> for a grid-sampled f."""
-    grid = spec.states[0].grid
-    mat = np.array(
-        [
-            [
-                float(
-                    np.real(
-                        np.sum(
-                            np.conj(a.values) * values_on_grid * b.values
-                        )
-                        * grid.dx
-                    )
-                )
-                for b in spec.states
-            ]
-            for a in spec.states
-        ]
-    )
-    return mat
-
-
-def _kinetic_matrix(spec):
-    from .grid import kinetic_apply
-
+def stationary_moments(spec, initial, t_max, dt):
+    """Evolve `initial` in the stationary states of `spec` and return the
+    <x>, <x^2> and <p^2> series (keys x_mean, x2, p2) plus the weights
+    |<psi_n|initial>|^2. The moment matrices are S^H diag(f) S dx over the
+    grid-sampled states S; <p^2> uses the sine-DVR kinetic matrix."""
+    coeffs = _expansion(spec, initial)
+    grid = initial.grid
     mass = spec.potential.mass
-    applied = [kinetic_apply(st, mass=mass) for st in spec.states]
-    return np.array(
-        [[float(np.real(inner(a, tb))) for tb in applied] for a in spec.states]
-    )
+    s = np.column_stack([st.values for st in spec.states])
+    t_s = kinetic_matrix(grid, mass) @ s[1:-1]
+    moments = {
+        "x_mean": ("<x>", s.conj().T @ (grid.x[:, None] * s)),
+        "x2": ("<x^2>", s.conj().T @ (grid.x[:, None] ** 2 * s)),
+        "p2": ("<p^2>", 2.0 * mass * (s[1:-1].conj().T @ t_s)),
+    }
+    phases = np.exp(-1j * np.outer(_sample_times(t_max, dt), spec.energies)) * coeffs
+    series = {}
+    for key, (label, mat) in moments.items():
+        vals = np.einsum("tm,mn,tn->t", np.conj(phases), np.real(mat) * grid.dx, phases)
+        series[key] = TimeSeries(0.0, dt, np.real(vals), label=label)
+    return series, np.abs(coeffs) ** 2
 
 
 @dataclass(frozen=True)
@@ -234,33 +223,13 @@ def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.
     """
     if omega_i_initial <= 0 or omega_i_final <= 0:
         raise ConfigurationError("trap frequencies must be > 0")
-    spec0 = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig)
-    initial = spec0.states[0]
+    initial = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig).states[0]
     spec1 = eigensolve(pot_builder(omega_i_final), n_eig=n_eig)
-    coeffs = np.array([inner(st, initial) for st in spec1.states])
-    total = float(np.sum(np.abs(coeffs) ** 2))
-    if total < 0.999:
-        raise AnalysisError(
-            f"post-quench expansion incomplete ({total:.6f}); increase n_eig"
-        )
-    grid = initial.grid
-    x_mat = _moment_matrix(spec1, grid.x)
-    x2_mat = _moment_matrix(spec1, grid.x**2)
-    p2_mat = 2.0 * spec1.potential.mass * _kinetic_matrix(spec1)
-    n = int(round(t_max / dt)) + 1
-    t = dt * np.arange(n)
-    phases = np.exp(-1j * np.outer(t, spec1.energies)) * coeffs
-    x_t = np.real(np.einsum("tm,mn,tn->t", np.conj(phases), x_mat, phases))
-    x2_t = np.real(np.einsum("tm,mn,tn->t", np.conj(phases), x2_mat, phases))
-    p2_t = np.real(np.einsum("tm,mn,tn->t", np.conj(phases), p2_mat, phases))
-    series = {
-        "x_mean": TimeSeries(0.0, dt, x_t, label="<x>"),
-        "x2": TimeSeries(0.0, dt, x2_t, label="<x^2>"),
-        "p2": TimeSeries(0.0, dt, p2_t, label="<p^2>"),
-    }
-    variance = TimeSeries(0.0, dt, x2_t - x_t**2, label="var(x)")
+    series, weights = stationary_moments(spec1, initial, t_max, dt)
+    x_t = series["x_mean"].values
+    variance = TimeSeries(0.0, dt, series["x2"].values - x_t**2, label="var(x)")
     omega_br, _ = dominant_frequency(variance)
-    return BreathingResult(series=series, omega_br=float(omega_br), weights=np.abs(coeffs) ** 2)
+    return BreathingResult(series=series, omega_br=float(omega_br), weights=weights)
 
 
 @dataclass(frozen=True)

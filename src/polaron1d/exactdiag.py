@@ -151,23 +151,12 @@ def contact_tensor(basis):
     return tensor
 
 
-def _x2_matrix(m):
-    mat = np.zeros((m, m))
+def _quadratic_matrix(m, sign):
+    """x^2 (sign = +1) or p^2 (sign = -1) in the first m oscillator modes."""
     n = np.arange(m)
-    mat[n, n] = n + 0.5
-    for i in range(m - 2):
-        off = 0.5 * np.sqrt((i + 1.0) * (i + 2.0))
-        mat[i, i + 2] = mat[i + 2, i] = off
-    return mat
-
-
-def _p2_matrix(m):
-    mat = np.zeros((m, m))
-    n = np.arange(m)
-    mat[n, n] = n + 0.5
-    for i in range(m - 2):
-        off = -0.5 * np.sqrt((i + 1.0) * (i + 2.0))
-        mat[i, i + 2] = mat[i + 2, i] = off
+    mat = np.diag(n + 0.5)
+    i = n[:-2]
+    mat[i, i + 2] = mat[i + 2, i] = sign * 0.5 * np.sqrt((i + 1.0) * (i + 2.0))
     return mat
 
 
@@ -178,14 +167,9 @@ class EDHamiltonian:
 
     fock: FockBasis
     basis: object
-    tensor: InteractionTensor
-    g_bb: float
-    g_bi: float
-    omega_i: float
     bath_onebody: np.ndarray
     bb_csr: object
     h_imp: np.ndarray
-    bi_csr: object
     bi_bsr: object
     transitions: dict
     t_imp: np.ndarray
@@ -232,8 +216,8 @@ class EDHamiltonian:
         h += np.kron(np.eye(s), self.h_imp)
         if self.bb_csr is not None:
             h += np.kron(self.bb_csr.toarray(), np.eye(m))
-        if self.bi_csr is not None:
-            h += self.bi_csr.toarray()
+        if self.bi_bsr is not None:
+            h += self.bi_bsr.toarray()
         return h
 
     def as_linear_operator(self):
@@ -242,19 +226,6 @@ class EDHamiltonian:
         )
 
     # --- expectation helpers -------------------------------------------------
-
-    def bath_rdm(self, v):
-        """One-body bath density matrix <a_i^+ a_l> of an amplitude vector."""
-        s, m = self.fock.bath_dim, self.fock.n_modes
-        vmat = np.asarray(v, dtype=np.complex128).reshape(s, m)
-        weights = np.sum(np.abs(vmat) ** 2, axis=1)
-        rdm = np.zeros((m, m), dtype=np.complex128)
-        rdm[np.diag_indices(m)] = self.fock.occupations.T @ weights
-        for (i, l), (src, dst, amp) in self.transitions.items():
-            val = np.sum(amp * np.sum(np.conj(vmat[dst]) * vmat[src], axis=1))
-            rdm[i, l] += val
-            rdm[l, i] += np.conj(val)
-        return rdm
 
     def impurity_rdm(self, v):
         s, m = self.fock.bath_dim, self.fock.n_modes
@@ -277,6 +248,21 @@ class EDHamiltonian:
         return float(
             np.real(np.vdot(v, self.bi_bsr @ v.real + 1j * (self.bi_bsr @ v.imag)))
         )
+
+
+def _bath_rdm(fock, transitions, v):
+    """One-body bath density matrix <a_i^+ a_l> of amplitudes indexed by bath
+    Fock state first: a full vector (bath x impurity) or a bath-only vector."""
+    m = fock.n_modes
+    vmat = np.asarray(v, dtype=np.complex128).reshape(fock.bath_dim, -1)
+    weights = np.sum(np.abs(vmat) ** 2, axis=1)
+    rdm = np.zeros((m, m), dtype=np.complex128)
+    rdm[np.diag_indices(m)] = fock.occupations.T @ weights
+    for (i, l), (src, dst, amp) in transitions.items():
+        val = np.sum(amp * np.sum(np.conj(vmat[dst]) * vmat[src], axis=1))
+        rdm[i, l] += val
+        rdm[l, i] += np.conj(val)
+    return rdm
 
 
 def _one_body_transitions(fock):
@@ -417,27 +403,21 @@ def build_hamiltonian(fock, tensor, g_bb, g_bi, omega_i=1.0, basis=None):
         raise UsageError("tensor and Fock basis mode counts differ")
     m = fock.n_modes
     bath_onebody = (fock.occupations @ (np.arange(m) + 0.5)).astype(np.float64)
-    t_imp = 0.5 * _p2_matrix(m)
-    v_imp = 0.5 * omega_i**2 * _x2_matrix(m)
+    t_imp = 0.5 * _quadratic_matrix(m, -1.0)
+    v_imp = 0.5 * omega_i**2 * _quadratic_matrix(m, 1.0)
     transitions = _one_body_transitions(fock)
     bb = _bath_interaction_csr(fock, tensor, g_bb) if g_bb > 0 else None
-    bi = (
-        _impurity_interaction_csr(fock, tensor, transitions, g_bi)
+    bi_bsr = (
+        _impurity_interaction_csr(fock, tensor, transitions, g_bi).tobsr(blocksize=(m, m))
         if g_bi > 0
         else None
     )
-    bi_bsr = bi.tobsr(blocksize=(m, m)) if bi is not None else None
     h = EDHamiltonian(
         fock=fock,
         basis=basis,
-        tensor=tensor,
-        g_bb=g_bb,
-        g_bi=g_bi,
-        omega_i=omega_i,
         bath_onebody=bath_onebody,
         bb_csr=bb,
         h_imp=t_imp + v_imp,
-        bi_csr=bi,
         bi_bsr=bi_bsr,
         transitions=transitions,
         t_imp=t_imp,
@@ -647,18 +627,6 @@ def entropy_and_populations(decomp):
     return {"s_vn": s_vn, "natural_populations": lam}
 
 
-def _bath_vector_rdm(fock, transitions, w):
-    m = fock.n_modes
-    rdm = np.zeros((m, m), dtype=np.complex128)
-    weights = np.abs(w) ** 2
-    rdm[np.diag_indices(m)] = fock.occupations.T @ weights
-    for (i, l), (src, dst, amp) in transitions.items():
-        val = np.sum(amp * np.conj(w[dst]) * w[src])
-        rdm[i, l] += val
-        rdm[l, i] += np.conj(val)
-    return rdm
-
-
 def schmidt_overlap_expansion(decomp, basis, transitions=None, n_keep=None):
     """Bath-impurity miscibility overlap expressed through the Schmidt modes.
 
@@ -679,7 +647,7 @@ def schmidt_overlap_expansion(decomp, basis, transitions=None, n_keep=None):
     rho_b = []
     rho_i = []
     for k in range(n_keep):
-        rdm = _bath_vector_rdm(fock, transitions, decomp.bath_vectors[:, k])
+        rdm = _bath_rdm(fock, transitions, decomp.bath_vectors[:, k])
         rho_b.append(np.real(np.einsum("il,ix,lx->x", rdm, modes, modes)))
         chi = decomp.impurity_vectors[k] @ modes
         rho_i.append(np.abs(chi) ** 2)
@@ -720,7 +688,7 @@ def one_body_density(h, v, species):
         raise UsageError("Hamiltonian carries no mode-function basis")
     amps = v.amplitudes if isinstance(v, ManyBodyVector) else np.asarray(v)
     if species == "bath":
-        rdm = h.bath_rdm(amps)
+        rdm = _bath_rdm(h.fock, h.transitions, amps)
     elif species == "impurity":
         rdm = h.impurity_rdm(amps)
     else:
@@ -733,11 +701,11 @@ def one_body_density(h, v, species):
 def energy_breakdown(v, h):
     """Operator expectations of the six Hamiltonian pieces."""
     amps = v.amplitudes if isinstance(v, ManyBodyVector) else np.asarray(v)
-    bath_rdm = h.bath_rdm(amps)
+    bath_rdm = _bath_rdm(h.fock, h.transitions, amps)
     imp_rdm = h.impurity_rdm(amps)
     m = h.fock.n_modes
-    t_b = 0.5 * _p2_matrix(m)
-    v_b = 0.5 * _x2_matrix(m)
+    t_b = 0.5 * _quadratic_matrix(m, -1.0)
+    v_b = 0.5 * _quadratic_matrix(m, 1.0)
     return EnergyBreakdown(
         kinetic_b=float(np.real(np.trace(t_b @ bath_rdm))),
         potential_b=float(np.real(np.trace(v_b @ bath_rdm))),

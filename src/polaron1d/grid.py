@@ -119,6 +119,15 @@ def kinetic_apply(f, mass=1.0):
     return Field(grid, out)
 
 
+def kinetic_matrix(grid, mass=1.0):
+    """Dense sine-DVR matrix of -(1/2 mass) d^2/dx^2 on the interior points:
+    kinetic_matrix(grid) @ f.values[1:-1] is kinetic_apply(f).values[1:-1]."""
+    m = grid.n_points - 2
+    k = box_wavenumbers(grid)
+    s = dst(np.eye(m), type=1, norm="ortho", axis=0)
+    return s.T @ (k[:, None] ** 2 / (2.0 * mass) * s)
+
+
 def kinetic_expectation(f, mass=1.0):
     return float(np.real(inner(f, kinetic_apply(f, mass=mass))))
 

@@ -20,12 +20,14 @@ from .errors import ConfigurationError, ConvergenceError, StepSizeError, UsageEr
 from .grid import (
     Field,
     SpinorImpurityState,
+    box_wavenumbers,
     expectation_p2,
     expectation_x,
     expectation_x2,
     inner,
     kinetic_apply,
     kinetic_expectation,
+    kinetic_matrix,
     kinetic_phase_factors,
 )
 from .observables import EnergyBreakdown, TimeSeries
@@ -255,13 +257,6 @@ def _initial_guess(sys, grid):
 RELAX_SCHEDULE = (2e-2, 4e-3, 1e-3)
 
 
-def _kinetic_dense_real(grid, mass):
-    m = grid.n_points - 2
-    k = np.arange(1, m + 1) * np.pi / (2.0 * grid.x_max)
-    s = dst(np.eye(m), type=1, norm="ortho", axis=0)
-    return s.T @ (k[:, None] ** 2 / (2.0 * mass) * s)
-
-
 def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
     """Newton iteration on the coupled stationarity equations for real,
     positive orbitals (interior points), with the norm constraints and the
@@ -270,8 +265,8 @@ def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
     dx = grid.dx
     n = sys.n_bath
     ni = grid.n_points - 2
-    t_b = _kinetic_dense_real(grid, sys.mass_b)
-    t_i = _kinetic_dense_real(grid, sys.mass_i) if sys.mass_i != sys.mass_b else t_b
+    t_b = kinetic_matrix(grid, sys.mass_b)
+    t_i = kinetic_matrix(grid, sys.mass_i) if sys.mass_i != sys.mass_b else t_b
     trap_b = _trap(grid, sys.mass_b, sys.omega_b)[1:-1]
     trap_i = _trap(grid, sys.mass_i, sys.omega_i)[1:-1]
 
@@ -365,7 +360,7 @@ def relax_ground_state(
     n = sys.n_bath
     trap_b = _trap(grid, sys.mass_b, sys.omega_b)
     trap_i = _trap(grid, sys.mass_i, sys.omega_i)
-    k2 = (np.pi * np.arange(1, grid.n_points - 1) / (2 * grid.x_max)) ** 2
+    k2 = box_wavenumbers(grid) ** 2
 
     def current_state():
         fb = Field(grid, b)

@@ -241,23 +241,6 @@ def miscibility_overlap(rho_a, rho_b):
     return float(cross**2 / (na * nb))
 
 
-def energy_breakdown(state, system=None):
-    """Six-term energy decomposition; dispatches on the state type."""
-    from . import meanfield as _mf
-
-    if isinstance(state, _mf.MeanFieldState):
-        if system is None:
-            raise UsageError("mean-field energy breakdown needs the MeanFieldSystem")
-        return _mf.energy_breakdown(state, system)
-    from . import exactdiag as _ed
-
-    if isinstance(state, _ed.ManyBodyVector):
-        if system is None:
-            raise UsageError("ED energy breakdown needs the EDHamiltonian")
-        return _ed.energy_breakdown(state, system)
-    raise UsageError(f"no energy breakdown for {type(state).__name__}")
-
-
 def virial_check(e):
     """Ground-state virial residual 2(T_B+T_I) - 2(V_B+V_I) + (E_BB+E_BI)."""
     return (

@@ -20,7 +20,7 @@ from . import effpot as ep
 from . import exactdiag as ed
 from . import meanfield as mf
 from . import observables as obs
-from .config import ExperimentConfig
+from .config import sweep_value_errors
 from .errors import ConfigurationError, PolaronError, UsageError
 from .grid import build_grid, ho_mode_basis
 
@@ -61,15 +61,27 @@ def _sha256(path):
 
 
 class OutputSet:
-    """Collects written files, then seals them into an atomic manifest."""
+    """Collects written files, then seals them into an atomic manifest.
+
+    As a context manager it writes the manifest on leaving the block: with
+    `status` when the block completes, "failed" when it raises.
+    """
 
     def __init__(self, directory, config):
         self.directory = directory
         self.config = config
         self.files = []
         self.diagnostics = {}
+        self.status = "ok"
         self.t_start = time.time()
         os.makedirs(directory, exist_ok=True)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        self.write_manifest("failed" if exc_type is not None else self.status)
+        return False
 
     def path(self, name):
         self.files.append(name)
@@ -181,8 +193,7 @@ def _contrast_files(out, s_series, cfg, alpha=None, beta=None):
 
 def run_relax(cfg, directory=None):
     """Ground-state preparation only; writes densities, energies, summary."""
-    out = OutputSet(directory or cfg.directory, cfg)
-    try:
+    with OutputSet(directory or cfg.directory, cfg) as out:
         grid = build_grid(cfg.n_points, cfg.x_max)
         sys_pre = _mf_system(cfg, cfg.g_bi_initial)
         state, res = mf.relax_ground_state(
@@ -225,11 +236,7 @@ def run_relax(cfg, directory=None):
                 "stationarity_residual": max(res.residual_bath, res.residual_impurity),
             }
         )
-        out.write_manifest("ok")
         return summary
-    except Exception:
-        out.write_manifest("failed")
-        raise
 
 
 def _run_quench_meanfield(cfg, out, grid):
@@ -398,8 +405,7 @@ def _run_quench_ed(cfg, out, grid):
 
 def run_quench(cfg, directory=None):
     """Relax -> quench -> propagate -> observables for the configured tier."""
-    out = OutputSet(directory or cfg.directory, cfg)
-    try:
+    with OutputSet(directory or cfg.directory, cfg) as out:
         grid = build_grid(cfg.n_points, cfg.x_max)
         if cfg.tier == "meanfield":
             summary = _run_quench_meanfield(cfg, out, grid)
@@ -419,11 +425,7 @@ def run_quench(cfg, directory=None):
             }
         )
         _write_json(out.path("summary.json"), _json_scrub(summary))
-        out.write_manifest("ok")
         return summary
-    except Exception:
-        out.write_manifest("failed")
-        raise
 
 
 def run_breathing(cfg, directory=None):
@@ -431,15 +433,14 @@ def run_breathing(cfg, directory=None):
 
     Writes variance.csv and omega_br.json. The effective-mass fit runs on an
     interaction-quench companion series (bare impurity released into the
-    effective potential) where the closed-form model applies; fit failures
-    are surfaced in the output, not raised.
+    effective potential built with the pre-quench trap) where the closed-form
+    model applies; fit failures are surfaced in the output, not raised.
     """
     if cfg.omega_i_initial == cfg.omega_i_final:
         raise ConfigurationError(
             "breathing run needs omega_i_initial != omega_i_final"
         )
-    out = OutputSet(directory or cfg.directory, cfg)
-    try:
+    with OutputSet(directory or cfg.directory, cfg) as out:
         grid = build_grid(cfg.n_points, cfg.x_max)
         payload = {
             "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -490,65 +491,47 @@ def run_breathing(cfg, directory=None):
              np.asarray(x2.values) - np.asarray(x_mean.values) ** 2],
         )
         payload["omega_br"] = float(omega_br)
-        fit_payload = {"fit_valid": False}
+        payload["fit_valid"] = False
         if cfg.tier == "effpot":
+            om = cfg.omega_i_initial
             try:
-                fit = effective_mass_run(cfg, grid, source)
-                fit_payload = {
-                    "fit_valid": True,
-                    "m_eff": fit.m_eff,
-                    "omega_eff": fit.omega_eff,
-                    "fit_residual": fit.residual,
-                }
+                spec = ep.eigensolve(builder(om), n_eig=cfg.n_eig)
+                moments, _ = ep.stationary_moments(
+                    spec, ep.bare_ground_state(grid, omega=om), t_max=80.0, dt=0.02
+                )
+                fit = ep.fit_effective_mass(
+                    moments["x2"], moments["p2"], {"x2_0": 1.0 / (2.0 * om), "p2_0": om / 2.0}
+                )
+                payload.update(
+                    {
+                        "fit_valid": True,
+                        "m_eff": fit.m_eff,
+                        "omega_eff": fit.omega_eff,
+                        "fit_residual": fit.residual,
+                    }
+                )
             except PolaronError as exc:
-                fit_payload = {"fit_valid": False, "fit_error": str(exc)}
-        payload.update(fit_payload)
+                payload["fit_error"] = str(exc)
         _write_json(out.path("omega_br.json"), _json_scrub(payload))
-        out.write_manifest("ok")
         return payload
-    except Exception:
-        out.write_manifest("failed")
-        raise
 
 
-def effective_mass_run(cfg, grid=None, source=None, t_max=80.0, dt=0.02):
-    """Interaction-quench series (bare impurity released into V_eff built with
-    the pre-quench trap) fitted with the harmonic closed forms."""
-    if grid is None:
-        grid = build_grid(cfg.n_points, cfg.x_max)
-    if source is None:
-        source, _ = _density_source(cfg, grid)
-    om = cfg.omega_i_initial
-    pot = ep.build_effective_potential(source, cfg.g_bi_final, grid=grid, omega_trap=om)
-    spec = ep.eigensolve(pot, n_eig=cfg.n_eig)
-    init = ep.bare_ground_state(grid, omega=om)
-    coeffs = np.array([ep.inner(st, init) for st in spec.states])
-    t = np.arange(0.0, t_max + 1e-12, dt)
-    x2_mat = ep._moment_matrix(spec, grid.x**2)
-    p2_mat = 2.0 * ep._kinetic_matrix(spec)
-    phases = np.exp(-1j * np.outer(t, spec.energies)) * coeffs
-    x2_t = np.real(np.einsum("tm,mn,tn->t", np.conj(phases), x2_mat, phases))
-    p2_t = np.real(np.einsum("tm,mn,tn->t", np.conj(phases), p2_mat, phases))
-    x2_series = obs.TimeSeries(0.0, dt, x2_t)
-    p2_series = obs.TimeSeries(0.0, dt, p2_t)
-    return ep.fit_effective_mass(
-        x2_series, p2_series, {"x2_0": 1.0 / (2.0 * om), "p2_0": om / 2.0}
-    )
-
-
-def _sweep_one(args):
-    cfg_dict, parameter, value, pipeline, directory = args
-    cfg = ExperimentConfig(**cfg_dict)
-    setattr(cfg, parameter, type(getattr(cfg, parameter))(value))
-    if pipeline == "breathing":
-        return value, run_breathing(cfg, directory=directory)
-    return value, run_quench(cfg, directory=directory)
+def _sweep_point(task):
+    """One sweep point: (summary, None), or (None, message) when it fails."""
+    cfg, parameter, value, pipeline, directory = task
+    run = run_breathing if pipeline == "breathing" else run_quench
+    try:
+        setattr(cfg, parameter, type(getattr(cfg, parameter))(value))
+        return run(cfg, directory=directory), None
+    except Exception as exc:  # noqa: BLE001 - record and continue
+        return None, str(exc)
 
 
 def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory=None):
     """Independent runs over a parameter list plus a deterministic aggregate.
 
-    Individual failures are recorded in the aggregate and the sweep continues.
+    Individual failures are recorded in the aggregate (manifest status
+    "partial") and the sweep continues.
     """
     parameter = parameter or cfg.sweep_parameter
     values = list(values if values is not None else cfg.sweep_values)
@@ -557,86 +540,75 @@ def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory
         raise ConfigurationError("sweep needs a parameter")
     if not values:
         raise ConfigurationError("sweep needs a non-empty value list")
+    problems = sweep_value_errors(parameter, values)
+    if problems:
+        raise ConfigurationError("; ".join(problems), errors=problems)
     base_dir = directory or cfg.directory
-    out = OutputSet(base_dir, cfg)
-    tasks = []
-    base = cfg.echo()
-    base.pop("sweep_values", None)
-    base["sweep_values"] = ()
-    for k, value in enumerate(values):
-        sub = os.path.join(base_dir, f"{parameter}_{k:03d}")
-        cfg_dict = dict(base)
-        cfg_dict["sweep_values"] = ()
-        cfg_dict["formats"] = tuple(cfg.formats)
-        tasks.append((cfg_dict, parameter, value, pipeline, sub))
-    results = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_sweep_one, t) for t in tasks]
-            for k, fut in enumerate(futures):
-                try:
-                    results.append((values[k], fut.result()[1], None))
-                except Exception as exc:  # noqa: BLE001 - record and continue
-                    results.append((values[k], None, str(exc)))
-    else:
-        for k, task in enumerate(tasks):
-            try:
-                results.append((values[k], _sweep_one(task)[1], None))
-            except Exception as exc:  # noqa: BLE001 - record and continue
-                results.append((values[k], None, str(exc)))
+    with OutputSet(base_dir, cfg) as out:
+        tasks = [
+            (replace(cfg, sweep_values=()), parameter, value, pipeline,
+             os.path.join(base_dir, f"{parameter}_{k:03d}"))
+            for k, value in enumerate(values)
+        ]
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(_sweep_point, tasks))
+        else:
+            outcomes = [_sweep_point(task) for task in tasks]
+        results = [(value, summary, err) for value, (summary, err) in zip(values, outcomes)]
 
-    header = [parameter, "status"]
-    if pipeline == "breathing":
-        header += ["omega_br", "m_eff", "omega_eff"]
-        rows = []
-        for value, summary, err in results:
-            if summary is None:
-                rows.append([value, 0.0, float("nan"), float("nan"), float("nan")])
-            else:
+        header = [parameter, "status"]
+        if pipeline == "breathing":
+            header += ["omega_br", "m_eff", "omega_eff"]
+            rows = []
+            for value, summary, err in results:
+                if summary is None:
+                    rows.append([value, 0.0, float("nan"), float("nan"), float("nan")])
+                else:
+                    rows.append([
+                        value, 1.0, summary.get("omega_br", float("nan")),
+                        summary.get("m_eff", float("nan")),
+                        summary.get("omega_eff", float("nan")),
+                    ])
+        else:
+            header += ["min_contrast", "region_code", "peak1_omega", "peak2_omega",
+                       "peak3_omega", "entropy_mean"]
+            region_codes = {"R_I": 1.0, "R_II": 2.0, "R_III": 3.0, "borderline": 1.5,
+                            "not-evaluated": 0.0}
+            rows = []
+            for value, summary, err in results:
+                if summary is None:
+                    rows.append([value, 0.0] + [float("nan")] * 6)
+                    continue
+                peaks = sorted(summary.get("peaks", []), key=lambda p: -p["height"])[:3]
+                peaks_om = sorted(p["omega"] for p in peaks)
+                while len(peaks_om) < 3:
+                    peaks_om.append(float("nan"))
                 rows.append([
-                    value, 1.0, summary.get("omega_br", float("nan")),
-                    summary.get("m_eff", float("nan")),
-                    summary.get("omega_eff", float("nan")),
+                    value, 1.0, summary.get("min_contrast", float("nan")),
+                    region_codes.get(summary["region"]["region"], 0.0),
+                    *peaks_om,
+                    summary.get("entropy_mean", float("nan")),
                 ])
-    else:
-        header += ["min_contrast", "region_code", "peak1_omega", "peak2_omega",
-                   "peak3_omega", "entropy_mean"]
-        region_codes = {"R_I": 1.0, "R_II": 2.0, "R_III": 3.0, "borderline": 1.5,
-                        "not-evaluated": 0.0}
-        rows = []
-        for value, summary, err in results:
-            if summary is None:
-                rows.append([value, 0.0] + [float("nan")] * 6)
-                continue
-            peaks = sorted(summary.get("peaks", []), key=lambda p: -p["height"])[:3]
-            peaks_om = sorted(p["omega"] for p in peaks)
-            while len(peaks_om) < 3:
-                peaks_om.append(float("nan"))
-            rows.append([
-                value, 1.0, summary.get("min_contrast", float("nan")),
-                region_codes.get(summary["region"]["region"], 0.0),
-                *peaks_om,
-                summary.get("entropy_mean", float("nan")),
-            ])
-    columns = [np.array([r[i] for r in rows]) for i in range(len(header))]
-    _write_csv(out.path("aggregate.csv"), header, columns)
-    failures = {str(v): e for v, _, e in results if e is not None}
-    agg = {
-        "schema_version": SUMMARY_SCHEMA_VERSION,
-        "pipeline": f"sweep-{pipeline}",
-        "parameter": parameter,
-        "values": values,
-        "failures": failures,
-    }
-    _write_json(out.path("sweep.json"), _json_scrub(agg))
-    out.write_manifest("ok" if not failures else "partial")
-    return agg, results
+        columns = [np.array([r[i] for r in rows]) for i in range(len(header))]
+        _write_csv(out.path("aggregate.csv"), header, columns)
+        failures = {str(v): e for v, _, e in results if e is not None}
+        agg = {
+            "schema_version": SUMMARY_SCHEMA_VERSION,
+            "pipeline": f"sweep-{pipeline}",
+            "parameter": parameter,
+            "values": values,
+            "failures": failures,
+        }
+        _write_json(out.path("sweep.json"), _json_scrub(agg))
+        if failures:
+            out.status = "partial"
+        return agg, results
 
 
 def run_analyze(contrast_csv, cfg, directory=None):
     """Re-run the observable layer on an existing contrast.csv."""
-    out = OutputSet(directory or cfg.directory, cfg)
-    try:
+    with OutputSet(directory or cfg.directory, cfg) as out:
         header, data = read_csv(contrast_csv)
         if header[:3] != ["t", "re_s", "im_s"]:
             raise UsageError(f"{contrast_csv}: expected columns t, re_s, im_s, ...")
@@ -657,8 +629,4 @@ def run_analyze(contrast_csv, cfg, directory=None):
             }
         )
         _write_json(out.path("summary.json"), _json_scrub(summary))
-        out.write_manifest("ok")
         return summary
-    except Exception:
-        out.write_manifest("failed")
-        raise

@@ -77,6 +77,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="duplicate"):
             validate_config("[system]\ng_bb = 0.5\ng_bb = 0.6\n")
 
+    def test_integer_sweep_values_rejected(self):
+        text = MINIMAL + "[sweep]\nparameter = n_bath\nvalues = 2, 2.7\n"
+        with pytest.raises(ConfigurationError, match="sweep.values"):
+            validate_config(text)
+
+    def test_formats_key_rejected(self):
+        with pytest.raises(ConfigurationError, match="line 2: unknown key 'formats'"):
+            validate_config("[output]\nformats = csv\n")
+
     def test_output_dir_env_override(self, monkeypatch):
         monkeypatch.setenv("OUTPUT_DIR", "/tmp/envdir")
         cfg = validate_config(MINIMAL)
@@ -279,6 +288,13 @@ class TestRunnerPipelines:
         with pytest.raises(ConfigurationError, match="value"):
             runner.run_sweep(cfg, parameter="g_bi_final", values=[])
 
+    def test_sweep_rejects_non_integral_values(self, tmp_path):
+        outdir = str(tmp_path / "swi")
+        cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
+        with pytest.raises(ConfigurationError, match="sweep.values"):
+            runner.run_sweep(cfg, parameter="n_bath", values=[2.0, 2.7])
+        assert not os.path.exists(os.path.join(outdir, "n_bath_000"))
+
     def test_sweep_parallel_jobs(self, tmp_path):
         outdir = str(tmp_path / "swp")
         cfg = validate_config(
@@ -329,12 +345,19 @@ class TestRunnerPipelines:
         b = max(re_summary["peaks"], key=lambda p: p["height"])["omega"]
         assert a == pytest.approx(b, abs=1e-12)
 
-    def test_failed_run_writes_failed_manifest(self, tmp_path):
+    @pytest.mark.parametrize("pipeline", ["relax", "quench", "breathing", "analyze"])
+    def test_failed_run_writes_failed_manifest(self, tmp_path, pipeline):
         outdir = str(tmp_path / "fail")
         cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
-        cfg.source = str(tmp_path / "missing.txt")
+        cfg.source = str(tmp_path / "missing.txt")  # quench, breathing: no density file
+        cfg.omega_i_final = 1.2  # a breathing run needs a trap change to start
+        if pipeline == "relax":
+            cfg.n_points = 8  # below the grid minimum
+        bad_csv = tmp_path / "contrast.csv"
+        bad_csv.write_text("t,abs_s\n0,1\n1,1\n")
+        args = (str(bad_csv), cfg) if pipeline == "analyze" else (cfg,)
         with pytest.raises(Exception):
-            runner.run_quench(cfg)
+            getattr(runner, f"run_{pipeline}")(*args)
         manifest = json.load(open(os.path.join(outdir, "manifest.json")))
         assert manifest["status"] == "failed"
 

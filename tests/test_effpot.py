@@ -4,7 +4,7 @@ import pytest
 from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
 from polaron1d.errors import AnalysisError, ConfigurationError, FitQualityError
-from polaron1d.grid import Field, inner
+from polaron1d.grid import Field, expectation_p2, expectation_x, expectation_x2, inner
 from polaron1d.observables import TimeSeries, find_peaks, spectral_function
 
 TF_MU = (3 * 100 * 0.5 / (4 * np.sqrt(2))) ** (2.0 / 3.0)
@@ -156,10 +156,28 @@ class TestContrast:
         out = ep.effpot_contrast(spec, t_max=5.0, dt=0.05)
         assert np.sum(out.weights) == pytest.approx(1.0, abs=1e-9)
 
-    def test_insufficient_levels_raise(self, tf_pot_strong):
+    def test_insufficient_levels_raise(self, grid, tf_pot_strong):
         spec = ep.eigensolve(tf_pot_strong, n_eig=4)
         with pytest.raises(AnalysisError, match="n_eig"):
             ep.effpot_contrast(spec, t_max=5.0, dt=0.05)
+        with pytest.raises(AnalysisError, match="n_eig"):
+            ep.stationary_moments(spec, ep.bare_ground_state(grid), t_max=1.0, dt=0.5)
+
+
+class TestStationaryMoments:
+    def test_moments_match_reconstructed_state(self, grid, tf_pot_strong):
+        spec = ep.eigensolve(tf_pot_strong, n_eig=40)
+        init = ep.bare_ground_state(grid, omega=0.9)
+        series, weights = ep.stationary_moments(spec, init, t_max=6.0, dt=0.5)
+        coeffs = np.array([inner(st, init) for st in spec.states])
+        assert np.allclose(weights, np.abs(coeffs) ** 2, rtol=0, atol=1e-15)
+        states = np.array([st.values for st in spec.states])
+        for k in (0, 3, 12):
+            t = series["x2"].times[k]
+            psi = Field(grid, (coeffs * np.exp(-1j * spec.energies * t)) @ states)
+            assert series["x_mean"].values[k] == pytest.approx(expectation_x(psi), abs=1e-10)
+            assert series["x2"].values[k] == pytest.approx(expectation_x2(psi), abs=1e-10)
+            assert series["p2"].values[k] == pytest.approx(expectation_p2(psi), abs=1e-10)
 
 
 class TestBreathing:
@@ -213,15 +231,9 @@ class TestEffectiveMassFit:
             pot = ep.build_effective_potential(relaxed_density, g, grid=grid, omega_trap=0.95)
             spec = ep.eigensolve(pot, n_eig=40)
             init = ep.bare_ground_state(grid, omega=0.95)
-            coeffs = np.array([inner(st, init) for st in spec.states])
-            t = np.arange(0.0, 80.0 + 1e-12, 0.02)
-            x2m = ep._moment_matrix(spec, grid.x**2)
-            p2m = 2.0 * ep._kinetic_matrix(spec)
-            ph = np.exp(-1j * np.outer(t, spec.energies)) * coeffs
-            x2 = TimeSeries(0.0, 0.02, np.real(np.einsum("tm,mn,tn->t", ph.conj(), x2m, ph)))
-            p2 = TimeSeries(0.0, 0.02, np.real(np.einsum("tm,mn,tn->t", ph.conj(), p2m, ph)))
+            series, _ = ep.stationary_moments(spec, init, t_max=80.0, dt=0.02)
             fit = ep.fit_effective_mass(
-                x2, p2, {"x2_0": 1.0 / (2 * 0.95), "p2_0": 0.95 / 2.0}
+                series["x2"], series["p2"], {"x2_0": 1.0 / (2 * 0.95), "p2_0": 0.95 / 2.0}
             )
             omegas[g] = fit.omega_eff
             assert fit.m_eff == pytest.approx(1.0, abs=0.02)

@@ -9,6 +9,7 @@ from polaron1d.grid import (
     inner,
     kinetic_apply,
     kinetic_expectation,
+    kinetic_matrix,
     mode_field,
 )
 
@@ -125,6 +126,14 @@ def test_kinetic_symmetric(grid, rng):
         assert inner(f, kinetic_apply(g)) == pytest.approx(
             np.conj(inner(g, kinetic_apply(f))), abs=1e-10
         )
+
+
+def test_kinetic_matrix_matches_kinetic_apply(grid):
+    rng = np.random.default_rng(11)  # local: the shared rng fixture feeds other tests
+    f = Field(grid, rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points))
+    ref = kinetic_apply(f, mass=0.7).values[1:-1]
+    out = kinetic_matrix(grid, mass=0.7) @ f.values[1:-1]
+    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 def test_mode_completeness_projection(grid):
