@@ -150,14 +150,15 @@ class EffpotContrast:
     energies: np.ndarray = field(repr=False, compare=False)
 
 
-def _expansion(spec, initial):
-    """Overlaps <psi_n|initial>, gated on a complete expansion."""
+def _expansion(spec, initial, tol=1e-3):
+    """Overlaps <psi_n|initial>, gated on a complete expansion: the weights
+    must sum to 1 within tol."""
     coeffs = np.array([inner(st, initial) for st in spec.states])
     total = float(np.sum(np.abs(coeffs) ** 2))
-    if total < 0.999:
+    if abs(1.0 - total) > tol:
         raise AnalysisError(
-            f"stationary-state expansion incomplete: sum of weights {total:.6f} "
-            f"< 0.999; increase n_eig (now {spec.n_eig})"
+            f"stationary-state expansion incomplete: sum of weights {total:.9f} "
+            f"is not 1 within {tol:g}; increase n_eig (now {spec.n_eig})"
         )
     return coeffs
 
@@ -169,12 +170,14 @@ def _sample_times(t_max, dt):
 def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05, e_reference=None):
     """Contrast from the stationary-state expansion:
     S(t) = sum_n |<psi_n|initial>|^2 exp(-i (E_n - E_ho) t), with E_ho the
-    pre-quench impurity energy (omega/2 by default)."""
+    pre-quench impurity energy (omega/2 by default). S(0) is the sum of the
+    weights, which must be 1 within 1e-6, the tolerance spectral_function
+    demands of S(0)."""
     if initial is None:
         initial = bare_ground_state(spec.states[0].grid, mass=spec.potential.mass)
     if e_reference is None:
         e_reference = 0.5 * spec.potential.omega_trap
-    weights = np.abs(_expansion(spec, initial)) ** 2
+    weights = np.abs(_expansion(spec, initial, tol=1e-6)) ** 2
     t = _sample_times(t_max, dt)
     phases = np.exp(-1j * np.outer(t, spec.energies - e_reference))
     s_vals = phases @ weights
@@ -210,6 +213,7 @@ class BreathingResult:
     series: dict
     omega_br: float
     weights: np.ndarray = field(repr=False, compare=False)
+    initial_spectrum: PotentialSpectrum = field(repr=False, compare=False)
 
 
 def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.02, n_eig=40):
@@ -219,17 +223,20 @@ def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.
     that frequency. The particle starts in the ground state of
     pot_builder(omega_i_initial) and evolves in pot_builder(omega_i_final);
     the breathing frequency is the dominant line of the position variance
-    (the center-of-mass record is kept alongside).
+    (the center-of-mass record is kept alongside). The spectrum of
+    pot_builder(omega_i_initial) is returned as `initial_spectrum`.
     """
     if omega_i_initial <= 0 or omega_i_final <= 0:
         raise ConfigurationError("trap frequencies must be > 0")
-    initial = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig).states[0]
+    spec0 = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig)
     spec1 = eigensolve(pot_builder(omega_i_final), n_eig=n_eig)
-    series, weights = stationary_moments(spec1, initial, t_max, dt)
+    series, weights = stationary_moments(spec1, spec0.states[0], t_max, dt)
     x_t = series["x_mean"].values
     variance = TimeSeries(0.0, dt, series["x2"].values - x_t**2, label="var(x)")
     omega_br, _ = dominant_frequency(variance)
-    return BreathingResult(series=series, omega_br=float(omega_br), weights=weights)
+    return BreathingResult(
+        series=series, omega_br=float(omega_br), weights=weights, initial_spectrum=spec0
+    )
 
 
 @dataclass(frozen=True)

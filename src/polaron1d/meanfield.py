@@ -14,7 +14,6 @@ so the energy bookkeeping refers to the spin-up branch.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.fft import dst, idst
 
 from .errors import ConfigurationError, ConvergenceError, StepSizeError, UsageError
 from .grid import (
@@ -29,6 +28,7 @@ from .grid import (
     kinetic_expectation,
     kinetic_matrix,
     kinetic_phase_factors,
+    sine_filter,
 )
 from .observables import EnergyBreakdown, TimeSeries
 
@@ -349,7 +349,9 @@ def relax_ground_state(
     Converged when the per-step relative energy change is below tol, the
     chemical-potential drift below 10*tol, and the GP stationarity residual
     has stopped improving on the finest imaginary step. The spin-down orbital
-    is the bare trap ground state. Returns (MeanFieldState, RelaxResult).
+    of the returned state is the relaxed spin-up orbital, which is the bare
+    trap ground state only when sys.g_bi = 0 (see ROADMAP item 5). Returns
+    (MeanFieldState, RelaxResult).
     """
     if tol <= 0:
         raise ConfigurationError("tol must be > 0")
@@ -360,7 +362,8 @@ def relax_ground_state(
     n = sys.n_bath
     trap_b = _trap(grid, sys.mass_b, sys.omega_b)
     trap_i = _trap(grid, sys.mass_i, sys.omega_i)
-    k2 = box_wavenumbers(grid) ** 2
+    k2 = box_wavenumbers(grid)[:, None] ** 2
+    masses = np.array([sys.mass_b, sys.mass_i])
 
     def current_state():
         fb = Field(grid, b)
@@ -372,9 +375,7 @@ def relax_ground_state(
     iterations = 0
     last_stage = len(RELAX_SCHEDULE) - 1
     for stage, tau in enumerate(RELAX_SCHEDULE):
-        kin_half = np.empty((grid.n_points - 2, 2))
-        kin_half[:, 0] = np.exp(-0.5 * tau * k2 / (2.0 * sys.mass_b))
-        kin_half[:, 1] = np.exp(-0.5 * tau * k2 / (2.0 * sys.mass_i))
+        kin_half = sine_filter(grid, np.exp(-0.5 * tau * k2 / (2.0 * masses)))
         # one check per ~0.6 units of imaginary time so the slowest O(1) mode
         # decays noticeably between residual checks at any tau
         stage_check = max(check_every, int(round(0.6 / tau)))
@@ -386,17 +387,12 @@ def relax_ground_state(
             for _ in range(stage_check):
                 cols[:, 0] = b
                 cols[:, 1] = u
-                interior = dst(cols[1:-1], type=1, norm="ortho", axis=0)
-                interior *= kin_half
-                cols[1:-1] = idst(interior, type=1, norm="ortho", axis=0)
-                b, u = cols[:, 0], cols[:, 1]
+                b, u = kin_half(cols).T
                 pot_b = trap_b + sys.g_bb * (n - 1) * np.abs(b) ** 2 + sys.g_bi * np.abs(u) ** 2
                 pot_i = trap_i + sys.g_bi * n * np.abs(b) ** 2
                 cols[:, 0] = b * np.exp(-tau * pot_b)
                 cols[:, 1] = u * np.exp(-tau * pot_i)
-                interior = dst(cols[1:-1], type=1, norm="ortho", axis=0)
-                interior *= kin_half
-                cols[1:-1] = idst(interior, type=1, norm="ortho", axis=0)
+                kin_half(cols)
                 b = cols[:, 0] / np.sqrt(np.sum(np.abs(cols[:, 0]) ** 2) * dx)
                 u = cols[:, 1] / np.sqrt(np.sum(np.abs(cols[:, 1]) ** 2) * dx)
             iterations += stage_check
@@ -464,11 +460,12 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     n = sys_post.n_bath
     trap_b = _trap(grid, sys_post.mass_b, sys_post.omega_b)
     trap_i = _trap(grid, sys_post.mass_i, sys_post.omega_i)
-    kin_half = np.empty((grid.n_points - 2, 3), dtype=np.complex128)
-    kin_half[:, 0] = kinetic_phase_factors(grid, 0.5 * dt, mass=sys_post.mass_b)
-    kin_half[:, 1] = kinetic_phase_factors(grid, 0.5 * dt, mass=sys_post.mass_i)
-    kin_half[:, 2] = kin_half[:, 1]
-    kin_full = kin_half**2
+    kin_phases = np.empty((grid.n_points - 2, 3), dtype=np.complex128)
+    kin_phases[:, 0] = kinetic_phase_factors(grid, 0.5 * dt, mass=sys_post.mass_b)
+    kin_phases[:, 1] = kinetic_phase_factors(grid, 0.5 * dt, mass=sys_post.mass_i)
+    kin_phases[:, 2] = kin_phases[:, 1]
+    kin_half = sine_filter(grid, kin_phases)
+    kin_full = sine_filter(grid, kin_phases**2)
 
     cols = np.empty((grid.n_points, 3), dtype=np.complex128)
     cols[:, 0] = state.bath.values
@@ -476,13 +473,6 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     cols[:, 2] = state.impurity.down.values
     alpha, beta = state.impurity.alpha, state.impurity.beta
     e_ref = state.energy_reference
-
-    def kin_apply(factors):
-        interior = dst(cols[1:-1], type=1, norm="ortho", axis=0)
-        interior *= factors
-        cols[1:-1] = idst(interior, type=1, norm="ortho", axis=0)
-        cols[0] = 0.0
-        cols[-1] = 0.0
 
     def make_state(t):
         spinor = SpinorImpurityState(
@@ -544,7 +534,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     phase = np.empty_like(cols)
     for _ in range(n_records):
         # merged Strang block: K/2 (V K)^{m-1} V K/2
-        kin_apply(kin_half)
+        kin_half(cols)
         for sub in range(record_every):
             dens_b = np.abs(cols[:, 0]) ** 2
             phase[:, 0] = np.exp(
@@ -556,8 +546,8 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
             phase[:, 2] = np.exp(-1j * dt * trap_i)
             cols *= phase
             if sub < record_every - 1:
-                kin_apply(kin_full)
-        kin_apply(kin_half)
+                kin_full(cols)
+        kin_half(cols)
         t += record_every * dt
         e_now = record(t)
         norm_drift = max(

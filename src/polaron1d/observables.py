@@ -5,7 +5,6 @@ check and dynamical-region classification."""
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft
 from scipy.optimize import least_squares
 from scipy.signal import find_peaks as _scipy_find_peaks
 from scipy.signal import peak_widths as _scipy_peak_widths
@@ -127,7 +126,7 @@ def spectral_function(s, window="none", pad_factor=8):
     padded = np.zeros(n_pad, dtype=np.complex128)
     padded[:n] = data
     # sum_n x_n e^{+i w_k t_n} = conj(fft(conj(x)))
-    transform = np.conj(fft(np.conj(padded))) * s.dt_sample
+    transform = np.conj(np.fft.fft(np.conj(padded))) * s.dt_sample
     a = np.real(transform) / np.pi
     omegas = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=s.dt_sample)
     order = np.argsort(omegas)

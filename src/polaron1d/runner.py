@@ -495,9 +495,9 @@ def run_breathing(cfg, directory=None):
         if cfg.tier == "effpot":
             om = cfg.omega_i_initial
             try:
-                spec = ep.eigensolve(builder(om), n_eig=cfg.n_eig)
                 moments, _ = ep.stationary_moments(
-                    spec, ep.bare_ground_state(grid, omega=om), t_max=80.0, dt=0.02
+                    br.initial_spectrum, ep.bare_ground_state(grid, omega=om),
+                    t_max=80.0, dt=0.02,
                 )
                 fit = ep.fit_effective_mass(
                     moments["x2"], moments["p2"], {"x2_0": 1.0 / (2.0 * om), "p2_0": om / 2.0}

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from polaron1d import cli, runner
+from polaron1d import effpot as ep
+from polaron1d import meanfield as mf
 from polaron1d.config import validate_config
 from polaron1d.errors import ConfigurationError
+from polaron1d.grid import build_grid
 
 MINIMAL = """
 [system]
@@ -27,6 +30,25 @@ tier = effpot
 [solver.effpot]
 source = tf
 n_eig = 40
+[output]
+directory = {outdir}
+"""
+
+
+BREATHING_TF = """
+[system]
+n_bath = 100
+g_bb = 0.5
+g_bi_final = {g_bi}
+omega_i_initial = 0.95
+omega_i_final = 1.0
+[time]
+dt = 0.02
+t_max = 60
+[solver]
+tier = effpot
+[solver.effpot]
+source = tf
 [output]
 directory = {outdir}
 """
@@ -215,31 +237,41 @@ class TestRunnerPipelines:
 
     def test_breathing_effpot(self, tmp_path):
         outdir = str(tmp_path / "br")
-        cfg = validate_config(
-            "\n".join(
-                [
-                    "[system]",
-                    "n_bath = 100",
-                    "g_bb = 0.5",
-                    "g_bi_final = 0.0",
-                    "omega_i_initial = 0.95",
-                    "omega_i_final = 1.0",
-                    "[time]",
-                    "dt = 0.02",
-                    "t_max = 60",
-                    "[solver]",
-                    "tier = effpot",
-                    "[solver.effpot]",
-                    "source = tf",
-                    "[output]",
-                    f"directory = {outdir}",
-                ]
-            )
-        )
+        cfg = validate_config(BREATHING_TF.format(g_bi=0.0, outdir=outdir))
         payload = runner.run_breathing(cfg)
         assert payload["omega_br"] == pytest.approx(2.0, rel=0.01)
         assert os.path.exists(os.path.join(outdir, "variance.csv"))
         assert os.path.exists(os.path.join(outdir, "omega_br.json"))
+
+    def test_breathing_effpot_solves_each_trap_once(self, tmp_path, monkeypatch):
+        solve = ep.eigensolve
+        traps = []
+
+        def counting(pot, n_eig=40):
+            traps.append(pot.omega_trap)
+            return solve(pot, n_eig=n_eig)
+
+        monkeypatch.setattr(ep, "eigensolve", counting)
+        outdir = str(tmp_path / "br")
+        cfg = validate_config(BREATHING_TF.format(g_bi=0.25, outdir=outdir))
+        runner.run_breathing(cfg)
+        assert traps == [0.95, 1.0]
+        # the effective-mass fit reuses the initial spectrum: same numbers as
+        # a fit on a fresh eigensolve of the initial trap
+        grid = build_grid(cfg.n_points, cfg.x_max)
+        tf = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
+        pot = ep.build_effective_potential(tf, 0.25, grid=grid, omega_trap=0.95)
+        moments, _ = ep.stationary_moments(
+            solve(pot, n_eig=cfg.n_eig), ep.bare_ground_state(grid, omega=0.95),
+            t_max=80.0, dt=0.02,
+        )
+        fit = ep.fit_effective_mass(
+            moments["x2"], moments["p2"], {"x2_0": 1.0 / 1.9, "p2_0": 0.475}
+        )
+        with open(os.path.join(outdir, "omega_br.json"), encoding="utf-8") as fh:
+            saved = json.load(fh)
+        assert saved["fit_valid"]
+        assert (saved["m_eff"], saved["omega_eff"]) == (fit.m_eff, fit.omega_eff)
 
     def test_relax_pipeline(self, tmp_path):
         outdir = str(tmp_path / "rx")

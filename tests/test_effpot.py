@@ -163,6 +163,17 @@ class TestContrast:
         with pytest.raises(AnalysisError, match="n_eig"):
             ep.stationary_moments(spec, ep.bare_ground_state(grid), t_max=1.0, dt=0.5)
 
+    def test_contrast_demands_the_spectral_completeness(self, grid, tf_profile):
+        # TF g_bi = 2.5: 40 states carry weight 1 - 1.6e-4, enough for the
+        # moment series but not for S(0) = 1 within 1e-6 (spectral_function)
+        pot = ep.build_effective_potential(tf_profile, 2.5, grid=grid)
+        spec = ep.eigensolve(pot, n_eig=40)
+        with pytest.raises(AnalysisError, match="n_eig"):
+            ep.effpot_contrast(spec, t_max=5.0, dt=0.05)
+        ep.stationary_moments(spec, ep.bare_ground_state(grid), t_max=1.0, dt=0.5)
+        out = ep.effpot_contrast(ep.eigensolve(pot, n_eig=60), t_max=5.0, dt=0.05)
+        spectral_function(out.series)
+
 
 class TestStationaryMoments:
     def test_moments_match_reconstructed_state(self, grid, tf_pot_strong):

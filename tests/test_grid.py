@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.fft import dst, idst
 
 from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import (
     Field,
+    box_wavenumbers,
     build_grid,
     ho_mode_basis,
     inner,
@@ -11,6 +13,7 @@ from polaron1d.grid import (
     kinetic_expectation,
     kinetic_matrix,
     mode_field,
+    sine_filter,
 )
 
 
@@ -134,6 +137,63 @@ def test_kinetic_matrix_matches_kinetic_apply(grid):
     ref = kinetic_apply(f, mass=0.7).values[1:-1]
     out = kinetic_matrix(grid, mass=0.7) @ f.values[1:-1]
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def _dst_pair(cols, symbol):
+    """Oracle: S diag(symbol) S on the interior rows by an explicit DST-I pair."""
+    out = np.zeros_like(cols)
+    coeff = dst(cols[1:-1], type=1, norm="ortho", axis=0) * symbol
+    out[1:-1] = idst(coeff, type=1, norm="ortho", axis=0)
+    return out
+
+
+def _filter_case(n_points, n_cols, kind):
+    """A random column block with zero walls and a per-column-mass symbol;
+    n_cols = 1 gives a single field and a 1-D symbol."""
+    grid = build_grid(n_points, 40.0)
+    masses = np.array([1.0, 0.7, 1.9])[:n_cols]
+    k2m = box_wavenumbers(grid)[:, None] ** 2 / (2.0 * masses)
+    symbol = {
+        "phase": np.exp(-1j * 5e-4 * k2m),
+        "decay": np.exp(-0.5 * 2e-2 * k2m),
+        "kinetic": k2m,
+    }[kind]
+    rng = np.random.default_rng(n_points * 10 + n_cols)
+    cols = rng.standard_normal((n_points, n_cols)) + 1j * rng.standard_normal((n_points, n_cols))
+    cols[0] = cols[-1] = 0.0
+    if n_cols == 1:
+        return grid, symbol[:, 0], cols[:, 0]
+    return grid, symbol, cols
+
+
+@pytest.mark.parametrize("kind", ["phase", "decay", "kinetic"])
+@pytest.mark.parametrize("n_cols", [1, 3])
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_sine_filter_matches_dst_pair(n_points, n_cols, kind):
+    grid, symbol, cols = _filter_case(n_points, n_cols, kind)
+    ref = _dst_pair(cols, symbol)
+    out = sine_filter(grid, symbol)(cols.copy())
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
+
+
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_sine_filter_phase_symbol_is_unitary(n_points):
+    grid, symbol, cols = _filter_case(n_points, 3, "phase")
+    apply = sine_filter(grid, symbol)
+    out = cols.copy()
+    for _ in range(5):
+        apply(out)
+    norms = np.linalg.norm(cols, axis=0)
+    assert np.max(np.abs(np.linalg.norm(out, axis=0) - norms) / norms) < 1e-13
+
+
+def test_sine_filter_keeps_real_blocks_real(grid):
+    _, symbol, cols = _filter_case(grid.n_points, 3, "decay")
+    out = sine_filter(grid, symbol)(cols.real.copy())
+    assert out.dtype == np.float64
+    ref = _dst_pair(cols.real, symbol)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_mode_completeness_projection(grid):
