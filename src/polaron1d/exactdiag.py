@@ -6,9 +6,31 @@ propagation, exact contrast, Schmidt decomposition and entanglement measures.
 The bath-bath contact term carries the conventional 1/2 prefactor,
 H_BB = (g_bb/2) int Psi+ Psi+ Psi Psi; the bath-impurity term has no such
 factor (distinguishable species). The spin-down impurity branch evolves with
-the pure phase exp(-i E0 t) and never enters the diagonalization.
+the pure phase exp(-i E0 t) and never enters the diagonalization; that is
+exact when the initial state is stationary for it (g_bi_initial = 0 and an
+unchanged trap), which the runner demands of an ED quench.
+
+The contact interaction is factorized. A product of four oscillator
+functions is a polynomial of degree <= 4(M - 1) times exp(-2x^2), so the
+Q = 2M - 1 point Gauss-Hermite rule for that weight gives every contact
+integral exactly, u_ijkl = sum_q W_q phi_i(x_q) phi_j(x_q) phi_k(x_q)
+phi_l(x_q). With the node densities n_q = sum_il phi_i(x_q) phi_l(x_q)
+a_i+ a_l (the diagonal i = l included) and c_q = sum_l phi_l(x_q)^2:
+
+    H_BI = g_bi sum_q W_q n_q (x) |phi(x_q)><phi(x_q)|
+    H_BB = (g_bb/2) sum_q W_q (n_q^2 - c_q n_q)
+
+H_BI is applied matrix-free, V Phi -> every n_q -> (g_bi W_q) Phi^T. Each
+n_q is psi_q^+ psi_q with psi_q = sum_l phi_l(x_q) a_l, so one sparse matrix,
+the stacked annihilators a_l (about 2 k nonzeros at N_B = 4, M = 10), lowers
+V once, two small dense products carry the node sums and A^T raises the
+result. H_BB is assembled by sparse products. The nodes come in pairs +-x_q
+with n_{+-q} = E_q +- O_q, the parts of n_q with i + l even and odd, so a
+pair contributes 2 W_q (E_q^2 + O_q^2 - c_q E_q) and no parity-forbidden
+entry is ever formed.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -25,7 +47,7 @@ from .errors import (
     StepSizeError,
     UsageError,
 )
-from .grid import Field
+from .grid import Field, hermite_functions
 from .observables import EnergyBreakdown, TimeSeries
 
 DIM_GUARD_DEFAULT = 5_000_000
@@ -34,12 +56,13 @@ DIM_GUARD_DEFAULT = 5_000_000
 @dataclass(frozen=True)
 class FockBasis:
     """Occupation-number basis (n_1..n_M), sum n = N_B, lexicographic order,
-    tensored with the impurity mode index."""
+    tensored with the impurity mode index. `binomials[r, k]` = C(r + k, k)
+    counts the ways to put r bosons into k + 1 modes."""
 
     n_bath: int
     n_modes: int
     occupations: np.ndarray = field(repr=False, compare=False)
-    index_map: dict = field(repr=False, compare=False)
+    binomials: np.ndarray = field(repr=False, compare=False)
 
     @property
     def bath_dim(self):
@@ -49,15 +72,37 @@ class FockBasis:
     def total_dim(self):
         return self.bath_dim * self.n_modes
 
+    def rank(self, occs):
+        """Basis index of each row of an array of valid occupations."""
+        return _rank(self.binomials, self.n_bath, occs)
+
     def index(self, occupation):
-        occ = np.asarray(occupation, dtype=np.int32)
-        key = occ.tobytes()
-        if key not in self.index_map:
+        occ = np.asarray(occupation)
+        valid = (
+            occ.shape == (self.n_modes,)
+            and (np.issubdtype(occ.dtype, np.integer) or np.issubdtype(occ.dtype, np.floating))
+            and bool(np.all(occ >= 0))
+            and bool(np.all(occ == np.floor(occ)))
+            and occ.sum() == self.n_bath
+        )
+        if not valid:
             raise UsageError(f"occupation {occupation} not in the basis")
-        return self.index_map[key]
+        return int(self.rank(occ))
 
     def state(self, index):
         return self.occupations[index]
+
+
+def _rank(binomials, n_bath, occs):
+    """Lexicographic index of each row of an array of occupations summing to
+    n_bath: per mode, the number of states that share the preceding
+    occupations and hold fewer bosons there, C(r + k, k) - C(r - n + k, k)
+    with r bosons left and k modes after it."""
+    occs = np.asarray(occs, dtype=np.int64)
+    n_modes = occs.shape[-1]
+    after = n_modes - 1 - np.arange(n_modes)
+    left = n_bath - np.cumsum(occs, axis=-1) + occs
+    return np.sum(binomials[left, after] - binomials[left - occs, after], axis=-1)
 
 
 def build_fock_basis(n_bath, n_modes, dim_guard=DIM_GUARD_DEFAULT):
@@ -70,85 +115,44 @@ def build_fock_basis(n_bath, n_modes, dim_guard=DIM_GUARD_DEFAULT):
             f"total dimension {total} exceeds the guard {dim_guard}",
             dimension=total,
         )
-    occs = np.zeros((bath_dim, n_modes), dtype=np.int32)
-    row = 0
-    work = np.zeros(n_modes, dtype=np.int32)
-
-    def fill(pos, remaining):
-        nonlocal row
-        if pos == n_modes - 1:
-            work[pos] = remaining
-            occs[row] = work
-            row += 1
-            return
-        for n in range(remaining + 1):
-            work[pos] = n
-            fill(pos + 1, remaining - n)
-        work[pos] = 0
-
-    fill(0, n_bath)
-    index_map = {occs[i].tobytes(): i for i in range(bath_dim)}
+    # stars and bars: the M - 1 bar positions among N_B + M - 1 slots, taken in
+    # lexicographic order, give the occupations in lexicographic order
+    slots = n_bath + n_modes - 1
+    bars = np.array(
+        list(itertools.combinations(range(slots), n_modes - 1)), dtype=np.int32
+    ).reshape(bath_dim, n_modes - 1)
+    edges = np.hstack([np.full((bath_dim, 1), -1), bars, np.full((bath_dim, 1), slots)])
+    occs = (np.diff(edges, axis=1) - 1).astype(np.int32)
+    binomials = np.array(
+        [[math.comb(r + k, k) for k in range(n_modes)] for r in range(n_bath + 1)],
+        dtype=np.int64,
+    )
     return FockBasis(
-        n_bath=n_bath, n_modes=n_modes, occupations=occs, index_map=index_map
+        n_bath=n_bath, n_modes=n_modes, occupations=occs, binomials=binomials
     )
 
 
-def _pair_index(m):
-    """tri(i, j) lookup for unordered pairs i <= j < m."""
-    tri = {}
-    count = 0
-    for i in range(m):
-        for j in range(i, m):
-            tri[(i, j)] = count
-            count += 1
-    return tri, count
-
-
-@dataclass(frozen=True)
-class InteractionTensor:
-    """Contact integrals u[i,j,k,l] = int phi_i phi_j phi_k phi_l dx for the
-    oscillator basis, stored per unordered index pair (full permutation
-    symmetry of the real product integrand)."""
-
-    n_modes: int
-    pair_gram: np.ndarray = field(repr=False, compare=False)
-    _tri: dict = field(repr=False, compare=False)
-
-    def value(self, i, j, k, l):
-        a = self._tri[(i, j) if i <= j else (j, i)]
-        b = self._tri[(k, l) if k <= l else (l, k)]
-        return float(self.pair_gram[a, b])
-
-    def dense(self):
-        m = self.n_modes
-        u = np.empty((m, m, m, m))
-        for (i, j), a in self._tri.items():
-            for (k, l), b in self._tri.items():
-                v = self.pair_gram[a, b]
-                u[i, j, k, l] = u[j, i, k, l] = u[i, j, l, k] = u[j, i, l, k] = v
-        return u
-
-
-def contact_tensor(basis):
-    """All mode-product contact integrals via grid quadrature, with a
-    closed-form self-check on the lowest Gaussian integrals."""
-    m = basis.n_modes
-    grid = basis.grid
-    tri, n_pairs = _pair_index(m)
-    pairs = np.empty((n_pairs, grid.n_points))
-    for (i, j), a in tri.items():
-        pairs[a] = basis.mode_functions[i] * basis.mode_functions[j]
-    gram = (pairs * grid.dx) @ pairs.T
-    tensor = InteractionTensor(n_modes=m, pair_gram=gram, _tri=tri)
+def contact_rule(n_modes):
+    """Nodes x_q, weights W_q and mode values phi[i, q] = phi_i(x_q) of the
+    Q = 2M - 1 point Gauss-Hermite rule for the weight exp(-2x^2), rescaled so
+    that u_ijkl = sum_q W_q phi_iq phi_jq phi_kq phi_lq exactly. The nodes are
+    made exactly symmetric (x_{Q-1-q} = -x_q, centre node 0). Self-checked on
+    the closed forms u_0000 = 1/sqrt(2 pi) and u_0011 = u_0000 / 2."""
+    y, w = np.polynomial.hermite.hermgauss(2 * n_modes - 1)
+    y = 0.5 * (y - y[::-1])
+    w = 0.5 * (w + w[::-1])
+    x = y / np.sqrt(2.0)
+    weights = w * np.exp(y**2) / np.sqrt(2.0)
+    phi = hermite_functions(x, n_modes)
     ref0 = 1.0 / np.sqrt(2.0 * np.pi)
-    if abs(tensor.value(0, 0, 0, 0) - ref0) > 1e-8:
+    u0000 = float(weights @ phi[0] ** 4)
+    if abs(u0000 - ref0) > 1e-12:
         raise AccuracyError(
-            f"quadrature self-check failed: u[0000] = {tensor.value(0, 0, 0, 0)!r}, "
-            f"expected {ref0!r}"
+            f"quadrature self-check failed: u[0000] = {u0000!r}, expected {ref0!r}"
         )
-    if m > 1 and abs(tensor.value(0, 0, 1, 1) - 0.5 * ref0) > 1e-8:
+    if n_modes > 1 and abs(weights @ (phi[0] * phi[1]) ** 2 - 0.5 * ref0) > 1e-12:
         raise AccuracyError("quadrature self-check failed on u[0011]")
-    return tensor
+    return x, weights, phi
 
 
 def _quadratic_matrix(m, sign):
@@ -163,14 +167,19 @@ def _quadratic_matrix(m, sign):
 @dataclass
 class EDHamiltonian:
     """Matrix-free action of the post-quench Hamiltonian on amplitude vectors
-    indexed as (bath Fock state) x (impurity mode)."""
+    indexed as (bath Fock state) x (impurity mode). H_BI acts through the
+    stacked annihilators a_l, the node products `node_pairs`[(l, k), q] =
+    phi_l(x_q) phi_k(x_q) and the weights `bi_weights` = g_bi W_q, with
+    n_q = psi_q^+ psi_q and psi_q = sum_l phi_l(x_q) a_l."""
 
     fock: FockBasis
     basis: object
     bath_onebody: np.ndarray
     bb_csr: object
     h_imp: np.ndarray
-    bi_bsr: object
+    annihilators: object
+    node_pairs: np.ndarray
+    bi_weights: np.ndarray
     transitions: dict
     t_imp: np.ndarray
     v_imp: np.ndarray
@@ -188,24 +197,33 @@ class EDHamiltonian:
         return np.complex128
 
     def _bath_block_apply(self, mat_csr, vmat):
-        flat = np.ascontiguousarray(vmat).view(np.float64).reshape(
-            vmat.shape[0], 2 * vmat.shape[1]
-        )
-        out = mat_csr @ flat
-        return out.view(np.complex128).reshape(vmat.shape)
+        """A real sparse matrix applied to the bath (row) index of a complex
+        amplitude matrix, on its float64 view (real and imaginary parts as
+        interleaved columns)."""
+        flat = np.ascontiguousarray(vmat).view(np.float64)
+        return (mat_csr @ flat).view(np.complex128)
+
+    def _bi_apply(self, vmat):
+        """H_BI on a (bath x impurity) amplitude matrix V. Row (b', l) of
+        A V is <b'|a_l V, so its (s', M^2) reshape contracted with the node
+        products is psi_q applied to column q of V Phi; after the weights,
+        the products again and A^T raise it back (psi_q^+, then Phi^T)."""
+        m = self.fock.n_modes
+        lowered = self._bath_block_apply(self.annihilators, vmat).reshape(-1, m * m)
+        psi = (lowered @ self.node_pairs) * self.bi_weights
+        raised = (psi @ self.node_pairs.T).reshape(-1, m)
+        return self._bath_block_apply(self.annihilators.T, raised)
 
     def matvec(self, v):
         v = np.asarray(v, dtype=np.complex128)
-        s, m = self.fock.bath_dim, self.fock.n_modes
-        vmat = v.reshape(s, m)
+        vmat = v.reshape(self.fock.bath_dim, self.fock.n_modes)
         out = self.bath_onebody[:, None] * vmat
-        out = out + vmat @ self.h_imp.T
+        out += vmat @ self.h_imp.T
         if self.bb_csr is not None:
-            out = out + self._bath_block_apply(self.bb_csr, vmat)
-        res = out.reshape(-1)
-        if self.bi_bsr is not None:
-            res = res + (self.bi_bsr @ v.real + 1j * (self.bi_bsr @ v.imag))
-        return res
+            out += self._bath_block_apply(self.bb_csr, vmat)
+        if self.annihilators is not None:
+            out += self._bi_apply(vmat)
+        return out.reshape(-1)
 
     def __matmul__(self, v):
         return self.matvec(v)
@@ -216,8 +234,12 @@ class EDHamiltonian:
         h += np.kron(np.eye(s), self.h_imp)
         if self.bb_csr is not None:
             h += np.kron(self.bb_csr.toarray(), np.eye(m))
-        if self.bi_bsr is not None:
-            h += self.bi_bsr.toarray()
+        if self.annihilators is not None:
+            lower = self.annihilators.toarray().reshape(-1, m, s)
+            for pair, w_q in zip(self.node_pairs.T, self.bi_weights):
+                pair = pair.reshape(m, m)
+                n_q = np.einsum("il,bis,blt->st", pair, lower, lower)
+                h += np.kron(n_q, w_q * pair)
         return h
 
     def as_linear_operator(self):
@@ -242,12 +264,11 @@ class EDHamiltonian:
         )
 
     def expect_bi(self, v):
-        if self.bi_bsr is None:
+        if self.annihilators is None:
             return 0.0
-        v = np.asarray(v, dtype=np.complex128)
-        return float(
-            np.real(np.vdot(v, self.bi_bsr @ v.real + 1j * (self.bi_bsr @ v.imag)))
-        )
+        s, m = self.fock.bath_dim, self.fock.n_modes
+        vmat = np.asarray(v, dtype=np.complex128).reshape(s, m)
+        return float(np.real(np.vdot(vmat, self._bi_apply(vmat))))
 
 
 def _bath_rdm(fock, transitions, v):
@@ -271,110 +292,65 @@ def _one_body_transitions(fock):
     m = fock.n_modes
     out = {}
     for l in range(m):
-        has = np.flatnonzero(occs[:, l] > 0)
+        src = np.flatnonzero(occs[:, l] > 0)
         for i in range(m):
             if i == l:
                 continue
-            src = has
             amp = np.sqrt(occs[src, l] * (occs[src, i] + 1.0))
             shifted = occs[src].copy()
             shifted[:, l] -= 1
             shifted[:, i] += 1
-            dst = np.fromiter(
-                (fock.index_map[row.tobytes()] for row in shifted),
-                dtype=np.int64,
-                count=src.size,
-            )
-            out[(i, l)] = (src.astype(np.int64), dst, amp)
+            out[(i, l)] = (src, fock.rank(shifted), amp)
     return out
 
 
-def _bath_interaction_csr(fock, tensor, g_bb):
-    """(g_bb/2) sum u[ijkl] a_i^+ a_j^+ a_k a_l on the bath Fock space."""
-    occs = fock.occupations
-    m = fock.n_modes
-    index_map = fock.index_map
-    rows, cols, vals = [], [], []
-    half_g = 0.5 * g_bb
-    for s in range(fock.bath_dim):
-        occ = occs[s]
-        occupied = np.flatnonzero(occ > 0)
-        ann = []
-        for a_i, k in enumerate(occupied):
-            for l in occupied[a_i:]:
-                if k == l:
-                    if occ[k] < 2:
-                        continue
-                    amp = np.sqrt(occ[k] * (occ[k] - 1.0))
-                    weight = 1.0
-                else:
-                    amp = np.sqrt(occ[k] * occ[l] * 1.0)
-                    weight = 2.0
-                mid = occ.copy()
-                mid[k] -= 1
-                mid[l] -= 1
-                ann.append((k, l, mid, amp * weight))
-        for k, l, mid, amp_ann in ann:
-            par_kl = (k + l) % 2
-            for i in range(m):
-                for j in range(i, m):
-                    if (i + j) % 2 != par_kl:
-                        continue
-                    tgt = mid.copy()
-                    tgt[i] += 1
-                    tgt[j] += 1
-                    if i == j:
-                        amp_cre = np.sqrt((mid[i] + 1.0) * (mid[i] + 2.0))
-                        weight = 1.0
-                    else:
-                        amp_cre = np.sqrt((mid[i] + 1.0) * (mid[j] + 1.0))
-                        weight = 2.0
-                    t = index_map[tgt.tobytes()]
-                    rows.append(t)
-                    cols.append(s)
-                    vals.append(
-                        half_g * weight * amp_ann * amp_cre * tensor.value(i, j, k, l)
-                    )
-    mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(fock.bath_dim, fock.bath_dim)
-    ).tocsr()
-    mat.sum_duplicates()
-    return mat
+def _annihilators(fock):
+    """The annihilators a_l of every mode as one CSR matrix of shape (s' M, s),
+    row b' M + l holding <b'|a_l, with s' states of N_B - 1 bosons."""
+    n, m = fock.n_bath, fock.n_modes
+    if n == 0:
+        return sp.csr_matrix((0, fock.bath_dim))
+    s_less = int(fock.binomials[n - 1, m - 1])
+    src, mode = np.nonzero(fock.occupations)
+    less = fock.occupations[src]
+    amp = np.sqrt(less[np.arange(src.size), mode].astype(np.float64))
+    less[np.arange(src.size), mode] -= 1
+    rows = m * _rank(fock.binomials, n - 1, less) + mode
+    return sp.csr_matrix((amp, (rows, src)), shape=(m * s_less, fock.bath_dim))
 
 
-def _impurity_interaction_csr(fock, tensor, transitions, g_bi):
-    """g_bi sum u[i,j,k,l] a_i^+ a_l (x) |j><k| on the full space."""
-    m = fock.n_modes
-    s_dim = fock.bath_dim
-    u = tensor.dense()
-    rows, cols, vals = [], [], []
-    # bath-diagonal part: sum_i n_i W_ii
-    occs = fock.occupations.astype(np.float64)
-    w_diag = np.stack([u[i, :, :, i] for i in range(m)])  # (m, m, m) -> [i][j][k]
-    diag_blocks = g_bi * np.tensordot(occs, w_diag, axes=(1, 0))  # (s, m, m)
-    jj, kk = np.nonzero(np.abs(w_diag).sum(axis=0) > 0)
-    base = np.arange(s_dim) * m
-    for j, k in zip(jj, kk):
-        rows.append(base + j)
-        cols.append(base + k)
-        vals.append(diag_blocks[:, j, k])
-    # bath-changing part
+def _one_body_stack(fock, transitions, coeffs):
+    """The operators sum_il coeffs[k, i, l] a_i^+ a_l, k = 0..K-1, stacked as
+    one (K s x s) CSR matrix with operator k in block row k, for s bath
+    states. A hop is stored only for the k whose coefficient is nonzero."""
+    s = fock.bath_dim
+    states = np.arange(s)
+    diag = np.diagonal(coeffs, axis1=1, axis2=2)
+    parts = [(np.arange(coeffs.shape[0]), states, states, diag @ fock.occupations.T)]
     for (i, l), (src, dst, amp) in transitions.items():
-        w = u[i, :, :, l]
-        jj, kk = np.nonzero(np.abs(w) > 0)
-        if jj.size == 0 or src.size == 0:
-            continue
-        block_vals = g_bi * np.outer(amp, w[jj, kk])
-        rows.append((dst[:, None] * m + jj[None, :]).ravel())
-        cols.append((src[:, None] * m + kk[None, :]).ravel())
-        vals.append(block_vals.ravel())
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    dim = s_dim * m
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-    mat.sum_duplicates()
-    return mat
+        ops = np.flatnonzero(coeffs[:, i, l])
+        parts.append((ops, dst, src, coeffs[ops, i, l, None] * amp))
+    rows = np.concatenate([(s * ops[:, None] + dst).ravel() for ops, dst, _, _ in parts])
+    cols = np.concatenate([np.tile(src, ops.size) for ops, _, src, _ in parts])
+    vals = np.concatenate([val.ravel() for _, _, _, val in parts])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(s * coeffs.shape[0], s))
+
+
+def _bath_contact_csr(fock, transitions, x, weights, phi, g_bb):
+    """(g_bb/2) sum_q W_q (n_q^2 - c_q n_q) on the bath Fock space, summed
+    over the node pairs +-x_q as 2 W_q (E_q^2 + O_q^2 - c_q E_q) (the centre
+    node once): one sparse product A^T A of the stacked sqrt(2 W_q) E_q and
+    sqrt(2 W_q) O_q, minus the one-body term sum_q W_q c_q n_q."""
+    m = phi.shape[0]
+    n = np.arange(m)
+    even = (n[:, None] + n[None, :]) % 2 == 0
+    half = x >= 0.0
+    scale = np.sqrt(np.where(x[half] > 0.0, 2.0, 1.0) * weights[half])
+    pair = np.einsum("q,iq,lq->qil", scale, phi[:, half], phi[:, half])
+    a = _one_body_stack(fock, transitions, np.concatenate([pair * even, pair * ~even]))
+    c = np.sum(phi**2, axis=0)
+    lin = _one_body_stack(fock, transitions, ((phi * (weights * c)) @ phi.T * even)[None])
+    return ((0.5 * g_bb) * (a.T @ a - lin)).tocsr()
 
 
 def _verify_hermitian(h):
@@ -394,31 +370,30 @@ def _verify_hermitian(h):
         )
 
 
-def build_hamiltonian(fock, tensor, g_bb, g_bi, omega_i=1.0, basis=None):
-    """Assemble the matrix action of H = H_B(0) + H_I(0) + H_BB + H_BI.
-    Hermiticity is self-checked on fixed dense probe vectors."""
+def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
+    """Assemble the matrix action of H = H_B(0) + H_I(0) + H_BB + H_BI on the
+    Gauss-Hermite factorization of the contact interaction. Hermiticity is
+    self-checked on fixed dense probe vectors."""
     if g_bb < 0 or g_bi < 0:
         raise ConfigurationError("couplings must be >= 0")
-    if tensor.n_modes != fock.n_modes:
-        raise UsageError("tensor and Fock basis mode counts differ")
+    if basis is not None and basis.n_modes != fock.n_modes:
+        raise UsageError("mode basis and Fock basis mode counts differ")
     m = fock.n_modes
     bath_onebody = (fock.occupations @ (np.arange(m) + 0.5)).astype(np.float64)
     t_imp = 0.5 * _quadratic_matrix(m, -1.0)
     v_imp = 0.5 * omega_i**2 * _quadratic_matrix(m, 1.0)
     transitions = _one_body_transitions(fock)
-    bb = _bath_interaction_csr(fock, tensor, g_bb) if g_bb > 0 else None
-    bi_bsr = (
-        _impurity_interaction_csr(fock, tensor, transitions, g_bi).tobsr(blocksize=(m, m))
-        if g_bi > 0
-        else None
-    )
+    x, weights, phi = contact_rule(m)
+    bb = _bath_contact_csr(fock, transitions, x, weights, phi, g_bb) if g_bb > 0 else None
     h = EDHamiltonian(
         fock=fock,
         basis=basis,
         bath_onebody=bath_onebody,
         bb_csr=bb,
         h_imp=t_imp + v_imp,
-        bi_bsr=bi_bsr,
+        annihilators=_annihilators(fock) if g_bi > 0 else None,
+        node_pairs=np.einsum("lq,kq->lkq", phi, phi).reshape(m * m, -1),
+        bi_weights=g_bi * weights,
         transitions=transitions,
         t_imp=t_imp,
         v_imp=v_imp,
@@ -498,7 +473,8 @@ def _lanczos_expm(matvec, v, dt, local_tol, max_dim):
     """One exp(-i dt H) v application in an adaptive Krylov space.
     Returns (w, dim_used) or (None, max_dim) when not converged."""
     alphas, betas = [], []
-    basis = [v]
+    basis = np.empty((max_dim, v.size), dtype=np.complex128)
+    basis[0] = v
     r = matvec(v)
     a = float(np.real(np.vdot(v, r)))
     alphas.append(a)
@@ -508,8 +484,8 @@ def _lanczos_expm(matvec, v, dt, local_tol, max_dim):
         w_eig, u = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
         y = u @ (np.exp(-1j * dt * w_eig) * u[0])
         # full reorthogonalization of the residual (cheap at these sizes)
-        vm = np.column_stack(basis)
-        r = r - vm @ (vm.conj().T @ r)
+        vm = basis[:m]
+        r = r - np.conj(vm @ np.conj(r)) @ vm
         b = float(np.linalg.norm(r))
         breakdown = b < 1e-13
         converged = False
@@ -517,14 +493,14 @@ def _lanczos_expm(matvec, v, dt, local_tol, max_dim):
             err = float(np.linalg.norm(y[:-1] - y_prev)) + abs(y[-1])
             converged = err < local_tol
         if converged or breakdown:
-            return vm @ y, m
+            return y @ vm, m
         y_prev = y
         if m == max_dim:
             return None, max_dim
         q = r / b
-        basis.append(q)
+        basis[m] = q
         betas.append(b)
-        r = matvec(q) - b * basis[-2]
+        r = matvec(q) - b * basis[m - 1]
         a = float(np.real(np.vdot(q, r)))
         alphas.append(a)
         r = r - a * q

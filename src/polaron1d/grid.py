@@ -223,7 +223,7 @@ class HOBasis:
     mode_energies: np.ndarray = field(repr=False, compare=False)
 
 
-def _hermite_functions(x, n_modes):
+def hermite_functions(x, n_modes):
     """Stable three-term recurrence on Hermite functions (not polynomials):
     h_{n+1} = sqrt(2/(n+1)) x h_n - sqrt(n/(n+1)) h_{n-1}."""
     out = np.zeros((n_modes, x.size))
@@ -240,7 +240,7 @@ def _hermite_functions(x, n_modes):
 def ho_mode_basis(grid, n_modes):
     if n_modes < 1 or n_modes > 40:
         raise ConfigurationError(f"n_modes must be in 1..40, got {n_modes}")
-    modes = _hermite_functions(grid.x, n_modes)
+    modes = hermite_functions(grid.x, n_modes)
     edge = max(abs(modes[n_modes - 1, 0]), abs(modes[n_modes - 1, -1]))
     if edge >= 1e-8:
         # classical turning point sqrt(2n+1) plus a heuristic decay margin

@@ -332,15 +332,28 @@ def _run_quench_effpot(cfg, out, grid):
 
 
 def _run_quench_ed(cfg, out, grid):
+    # the spin-down branch is evolved as the pure phase exp(-i E0 t), which
+    # holds only when the initial state is an eigenstate of the spin-down
+    # Hamiltonian: no initial bath-impurity coupling and no trap change
+    if cfg.g_bi_initial != 0.0:
+        raise ConfigurationError(
+            f"tier ed needs system.g_bi_initial = 0, got {cfg.g_bi_initial}: the "
+            "spin-down branch is evolved as the phase exp(-i E0 t)"
+        )
+    if cfg.omega_i_final != cfg.omega_i_initial:
+        raise ConfigurationError(
+            f"tier ed needs system.omega_i_final = omega_i_initial "
+            f"({cfg.omega_i_initial}), got {cfg.omega_i_final}: the spin-down "
+            "branch is evolved as the phase exp(-i E0 t)"
+        )
     basis = ho_mode_basis(grid, cfg.n_modes)
     fock = ed.build_fock_basis(cfg.n_bath, cfg.n_modes, dim_guard=cfg.dim_guard)
-    tensor = ed.contact_tensor(basis)
     h_pre = ed.build_hamiltonian(
-        fock, tensor, cfg.g_bb, cfg.g_bi_initial, omega_i=cfg.omega_i_initial, basis=basis
+        fock, cfg.g_bb, cfg.g_bi_initial, omega_i=cfg.omega_i_initial, basis=basis
     )
     v0, e0 = ed.ground_state(h_pre)
     h_post = ed.build_hamiltonian(
-        fock, tensor, cfg.g_bb, cfg.g_bi_final, omega_i=cfg.omega_i_final, basis=basis
+        fock, cfg.g_bb, cfg.g_bi_final, omega_i=cfg.omega_i_final, basis=basis
     )
     traj = ed.propagate_krylov(
         h_post, v0, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
@@ -441,6 +454,10 @@ def run_breathing(cfg, directory=None):
             "breathing run needs omega_i_initial != omega_i_final"
         )
     with OutputSet(directory or cfg.directory, cfg) as out:
+        if cfg.tier not in ("meanfield", "effpot"):
+            raise ConfigurationError(
+                f"breathing run supports solver.tier meanfield or effpot, got {cfg.tier!r}"
+            )
         grid = build_grid(cfg.n_points, cfg.x_max)
         payload = {
             "schema_version": SUMMARY_SCHEMA_VERSION,

@@ -39,10 +39,13 @@ def basis10(grid):
 
 
 @pytest.fixture(scope="session")
-def tensor10(basis10):
+def tensor10():
+    """Contact integrals u[i, j, k, l] of the first 10 oscillator modes from
+    the Gauss-Hermite rule the ED Hamiltonian is built on."""
     from polaron1d import exactdiag as ed
 
-    return ed.contact_tensor(basis10)
+    _, w, phi = ed.contact_rule(10)
+    return np.einsum("q,iq,jq,kq,lq->ijkl", w, phi, phi, phi, phi)
 
 
 @pytest.fixture(scope="session")

@@ -30,20 +30,20 @@ def effpot_spectrum_peaks(density, g_bi, threshold=0.05):
 
 
 @pytest.fixture(scope="module")
-def ed_setup(grid, basis10, tensor10):
+def ed_setup(grid, basis10):
     fock = ed.build_fock_basis(4, 10)
-    h0 = ed.build_hamiltonian(fock, tensor10, 0.5, 0.0, basis=basis10)
+    h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
     v0, e0 = ed.ground_state(h0)
     return fock, v0, e0
 
 
 @pytest.fixture(scope="module")
-def ed_quench_runs(ed_setup, basis10, tensor10):
+def ed_quench_runs(ed_setup, basis10):
     """Shared N_B=4, M=10 quench runs to t=50 for criteria 8 and 10."""
     fock, v0, e0 = ed_setup
     runs = {}
     for g in (0.2, 1.0, 3.0):
-        h1 = ed.build_hamiltonian(fock, tensor10, 0.5, g, basis=basis10)
+        h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
         traj = ed.propagate_krylov(h1, v0, dt=0.05, t_max=50.0, record_every=2)
         s = ed.ed_contrast(traj, v0, e0)
         svn = np.array(
@@ -182,9 +182,8 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
 
     # g_bi = 0 implies |S| == 1 (ED quench with unchanged Hamiltonian)
     basis6 = ho_mode_basis(grid, 6)
-    tensor6 = ed.contact_tensor(basis6)
     fock = ed.build_fock_basis(2, 6)
-    h0 = ed.build_hamiltonian(fock, tensor6, 0.5, 0.0, basis=basis6)
+    h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis6)
     v0, e0 = ed.ground_state(h0)
     traj = ed.propagate_krylov(h0, v0, dt=0.1, t_max=10.0, record_every=10)
     s_un = ed.ed_contrast(traj, v0, e0)
@@ -258,9 +257,8 @@ def test_criterion_9_ed_oracles(grid):
 
     # Krylov vs dense matrix exponential (dim 126)
     basis6 = ho_mode_basis(grid, 6)
-    tensor6 = ed.contact_tensor(basis6)
     fock6 = ed.build_fock_basis(2, 6)
-    h = ed.build_hamiltonian(fock6, tensor6, 0.5, 0.8, basis=basis6)
+    h = ed.build_hamiltonian(fock6, 0.5, 0.8, basis=basis6)
     hd = h.to_dense()
     w, vecs = np.linalg.eigh(hd)
     mix = vecs[:, 0] + 0.4 * vecs[:, 2] + 0.2 * vecs[:, 7]
@@ -272,9 +270,8 @@ def test_criterion_9_ed_oracles(grid):
 
     # Lanczos ground state vs dense diagonalization (dim 288)
     basis8 = ho_mode_basis(grid, 8)
-    tensor8 = ed.contact_tensor(basis8)
     fock8 = ed.build_fock_basis(2, 8)
-    h2 = ed.build_hamiltonian(fock8, tensor8, 0.5, 0.0, basis=basis8)
+    h2 = ed.build_hamiltonian(fock8, 0.5, 0.0, basis=basis8)
     v_g, e_g = ed.ground_state(h2, tol=1e-10)
     w2, vec2 = np.linalg.eigh(h2.to_dense())
     ground_err = abs(e_g - w2[0])
@@ -287,9 +284,8 @@ def test_criterion_9_ed_oracles(grid):
         return 1.0 + brentq(f, 1e-12, 1 - 1e-12, xtol=1e-14)
 
     basis14 = ho_mode_basis(grid, 14)
-    tensor14 = ed.contact_tensor(basis14)
     fock14 = ed.build_fock_basis(1, 14)
-    h3 = ed.build_hamiltonian(fock14, tensor14, 0.0, 1e3, basis=basis14)
+    h3 = ed.build_hamiltonian(fock14, 0.0, 1e3, basis=basis14)
     _, e3 = ed.ground_state(h3)
     exact = pair_energy(1e3)
     pair_rel = abs(e3 / exact - 1.0)

@@ -54,6 +54,24 @@ directory = {outdir}
 """
 
 
+ED_SMALL = """
+[system]
+n_bath = 2
+g_bb = 0.5
+g_bi_final = 1.0
+{extra}
+[time]
+dt = 0.1
+t_max = 2
+[solver]
+tier = ed
+[solver.ed]
+n_modes = 6
+[output]
+directory = {outdir}
+"""
+
+
 class TestValidateConfig:
     def test_minimal_defaults(self):
         cfg = validate_config(MINIMAL)
@@ -310,6 +328,29 @@ class TestRunnerPipelines:
         payload = runner.run_breathing(cfg)
         assert payload["omega_br"] == pytest.approx(2.0, rel=0.02)
 
+    def test_breathing_ed_tier_rejected(self, tmp_path):
+        outdir = str(tmp_path / "bred")
+        cfg = validate_config(
+            BREATHING_TF.format(g_bi=0.5, outdir=outdir).replace("tier = effpot", "tier = ed")
+        )
+        with pytest.raises(ConfigurationError, match="tier"):
+            runner.run_breathing(cfg)
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["status"] == "failed"
+        assert manifest["outputs"] == {}
+
+    @pytest.mark.parametrize(
+        "key, line",
+        [("g_bi_initial", "g_bi_initial = 0.3"), ("omega_i_final", "omega_i_final = 1.2")],
+    )
+    def test_ed_quench_needs_stationary_spin_down_branch(self, tmp_path, key, line):
+        outdir = str(tmp_path / "edq")
+        cfg = validate_config(ED_SMALL.format(extra=line, outdir=outdir))
+        with pytest.raises(ConfigurationError, match=key):
+            runner.run_quench(cfg)
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["status"] == "failed"
+
     def test_breathing_requires_frequency_change(self, tmp_path):
         cfg = validate_config(MINIMAL + f"[output]\ndirectory = {tmp_path}/x\n")
         with pytest.raises(ConfigurationError):
@@ -423,6 +464,13 @@ class TestCli:
         outdir2 = str(tmp_path / "re")
         assert cli.main(["analyze", "--config", path, "--output", outdir2, contrast]) == 0
         assert os.path.exists(os.path.join(outdir2, "summary.json"))
+
+    def test_tier_override_to_ed_checks_initial_coupling(self, tmp_path, capsys):
+        outdir = str(tmp_path / "out")
+        text = ED_SMALL.format(extra="g_bi_initial = 0.3", outdir=outdir)
+        path = self._write_cfg(tmp_path, text.replace("tier = ed", "tier = meanfield"))
+        assert cli.main(["quench", "--config", path, "--tier", "ed"]) == 2
+        assert "g_bi_initial" in capsys.readouterr().err
 
     def test_tier_override(self, tmp_path):
         outdir = str(tmp_path / "out")
