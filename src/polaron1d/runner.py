@@ -6,6 +6,7 @@ read-back reproduces the in-memory values exactly. The manifest is written
 atomically after all other files.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -31,12 +32,14 @@ SUMMARY_SCHEMA_VERSION = 1
 
 
 def _write_csv(path, header, columns):
-    columns = [np.asarray(c) for c in columns]
-    rows = len(columns[0])
+    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    lengths = [len(c) for c in columns]
+    if len(set(lengths)) > 1:
+        raise UsageError(f"{path}: columns differ in length {lengths}")
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(rows):
-            fh.write(",".join(f"{float(c[i]):.17g}" for c in columns) + "\n")
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def read_csv(path):
@@ -135,22 +138,42 @@ def _mf_system(cfg, g_bi, omega_i=None):
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _relaxed_density(system, grid):
+    """Relaxed bath density of `system` on `grid` (read-only), with the
+    relaxation's iteration count and final stationarity residual.
+
+    Cached on the hashable (system, grid) pair, so a sweep whose parameter
+    leaves both unchanged relaxes once per process.
+    """
+    state, res = mf.relax_ground_state(system, grid)
+    density = state.bath.density(system.n_bath)
+    density.values.flags.writeable = False
+    return density, res.iterations, max(res.residual_bath, res.residual_impurity)
+
+
 def _density_source(cfg, grid):
-    """Frozen bath density for the effpot tier per cfg.source."""
+    """Frozen bath density for the effpot tier per cfg.source.
+
+    Returns (density, tag, scale, diagnostics): a density file is always
+    rescaled to integrate to n_bath and `scale` is that factor (1.0 for the
+    other sources); `diagnostics` carries the relaxation telemetry of a
+    relaxed source.
+    """
     if cfg.source == "tf":
-        profile = mf.thomas_fermi(_mf_system(cfg, 0.0))
-        return profile, "TF-analytic"
+        return mf.thomas_fermi(_mf_system(cfg, 0.0)), "TF-analytic", 1.0, {}
     if cfg.source == "relaxed":
-        state, _ = mf.relax_ground_state(_mf_system(cfg, cfg.g_bi_initial), grid)
-        return state.bath.density(cfg.n_bath), "relaxed-MF-density"
+        density, iterations, residual = _relaxed_density(
+            _mf_system(cfg, cfg.g_bi_initial), grid
+        )
+        telemetry = {"relax_iterations": iterations, "relax_residual": residual}
+        return density, "relaxed-MF-density", 1.0, telemetry
     density = ep.load_density_file(cfg.source, grid)
     total = float(np.sum(np.real(density.values)) * grid.dx)
     if total <= 0:
         raise ConfigurationError(f"density file {cfg.source} integrates to zero")
     scale = cfg.n_bath / total
-    if abs(scale - 1.0) > 0.05:
-        density = type(density)(grid, density.values * scale)
-    return density, "externally-supplied"
+    return type(density)(grid, density.values * scale), "externally-supplied", scale, {}
 
 
 def _contrast_files(out, s_series, cfg, alpha=None, beta=None):
@@ -291,7 +314,8 @@ def _run_quench_meanfield(cfg, out, grid):
 
 
 def _run_quench_effpot(cfg, out, grid):
-    source, source_tag = _density_source(cfg, grid)
+    source, source_tag, scale, telemetry = _density_source(cfg, grid)
+    out.diagnostics.update(telemetry)
     pot = ep.build_effective_potential(
         source, cfg.g_bi_final, grid=grid, omega_trap=cfg.omega_i_initial
     )
@@ -323,6 +347,7 @@ def _run_quench_effpot(cfg, out, grid):
     summary.update(
         {
             "source": source_tag,
+            "density_scale": scale,
             "curvature_at_origin": pot.curvature_at_origin(),
             "well_minima": pot.well_minima(),
             "weights_sum": float(np.sum(contrast.weights)),
@@ -483,7 +508,8 @@ def run_breathing(cfg, directory=None):
             )
             omega_br, _ = obs.dominant_frequency(var)
         else:
-            source, source_tag = _density_source(cfg, grid)
+            source, source_tag, scale, telemetry = _density_source(cfg, grid)
+            out.diagnostics.update(telemetry)
 
             def builder(omega):
                 return ep.build_effective_potential(
@@ -501,6 +527,7 @@ def run_breathing(cfg, directory=None):
             x_mean, x2, p2 = br.series["x_mean"], br.series["x2"], br.series["p2"]
             omega_br = br.omega_br
             payload["source"] = source_tag
+            payload["density_scale"] = scale
         _write_csv(
             out.path("variance.csv"),
             ["t", "x_mean", "x2", "p2", "variance"],

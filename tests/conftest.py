@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from polaron1d import meanfield as mf
+from polaron1d import runner
 from polaron1d.grid import build_grid, ho_mode_basis
+
+
+@pytest.fixture(autouse=True)
+def fresh_relaxed_density():
+    """No test sees a bath relaxation cached by another test."""
+    runner._relaxed_density.cache_clear()
+    yield
+    runner._relaxed_density.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from polaron1d import cli, runner
 from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
 from polaron1d.config import validate_config
-from polaron1d.errors import ConfigurationError
+from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import build_grid
 
 MINIMAL = """
@@ -51,6 +51,31 @@ tier = effpot
 source = tf
 [output]
 directory = {outdir}
+"""
+
+
+RELAXED_SWEEP = """
+[system]
+n_bath = 20
+g_bb = 0.5
+g_bi_final = 0.25
+[grid]
+n_points = 225
+x_max = 20
+[time]
+dt = 0.05
+t_max = 40
+record_every = 1
+[solver]
+tier = effpot
+[solver.effpot]
+source = relaxed
+n_eig = 40
+[output]
+directory = {outdir}
+[sweep]
+parameter = g_bi_final
+values = 0.2, 0.6, 1.0
 """
 
 
@@ -144,6 +169,41 @@ class TestCsvRoundTrip:
         _, data = runner.read_csv(path)
         assert np.array_equal(data[:, 0], values)
 
+    @staticmethod
+    def _per_element_csv(path, header, columns):
+        # the row-by-row formatter the writer replaced: the byte-level oracle
+        columns = [np.asarray(c) for c in columns]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for i in range(len(columns[0])):
+                fh.write(",".join(f"{float(c[i]):.17g}" for c in columns) + "\n")
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [
+                np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308, 1.0 / 3.0]),
+                np.array([0, -1, 7, 2**53 + 1, -(2**40), 3, 12]),
+                np.array([True, False, True, True, False, False, True]),
+                [0.1, 2, -2.5e-300, 1e22, 4.0, -np.inf, 9007199254740993.0],
+            ],
+            [[1.0 / 3.0], np.array([2]), np.array([True])],
+            [np.array([]), np.array([], dtype=int)],
+        ],
+        ids=["special-values", "single-row", "zero-rows"],
+    )
+    def test_writer_bytes_match_per_element_formatter(self, tmp_path, columns):
+        header = [f"c{k}" for k in range(len(columns))]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        runner._write_csv(str(got), header, columns)
+        self._per_element_csv(str(want), header, columns)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_unequal_column_lengths_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(UsageError, match="differ in length"):
+            runner._write_csv(str(path), ["a", "b"], [np.arange(3.0), np.arange(2.0)])
+
 
 class TestRunnerPipelines:
     def test_effpot_quench_outputs(self, tmp_path):
@@ -155,6 +215,7 @@ class TestRunnerPipelines:
             assert os.path.exists(os.path.join(outdir, name)), name
         tallest = max(summary["peaks"], key=lambda p: p["height"])
         assert tallest["omega"] == pytest.approx(4.435, rel=0.05)
+        assert summary["density_scale"] == 1.0
         manifest = json.load(open(os.path.join(outdir, "manifest.json")))
         assert manifest["status"] == "ok"
         assert set(manifest["outputs"]) == {
@@ -258,6 +319,7 @@ class TestRunnerPipelines:
         cfg = validate_config(BREATHING_TF.format(g_bi=0.0, outdir=outdir))
         payload = runner.run_breathing(cfg)
         assert payload["omega_br"] == pytest.approx(2.0, rel=0.01)
+        assert payload["density_scale"] == 1.0
         assert os.path.exists(os.path.join(outdir, "variance.csv"))
         assert os.path.exists(os.path.join(outdir, "omega_br.json"))
 
@@ -406,6 +468,82 @@ class TestRunnerPipelines:
         assert summary["source"] == "externally-supplied"
         tallest = max(summary["peaks"], key=lambda p: p["height"])
         assert tallest["omega"] == pytest.approx(4.435, rel=0.05)
+
+    @pytest.mark.parametrize("off", [1.02, 1.10])
+    def test_effpot_file_density_always_rescaled(self, tmp_path, off):
+        grid = build_grid(450, 40.0)
+        profile = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
+        rho = profile.density_values(grid.x)
+        rho *= off * 100 / (np.sum(rho) * grid.dx)
+        sample = tmp_path / "bath_density.txt"
+        np.savetxt(sample, np.column_stack([grid.x, rho]))
+        outdir = str(tmp_path / "filerun")
+        cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
+        cfg.source = str(sample)
+        summary = runner.run_quench(cfg)
+        assert summary["density_scale"] == pytest.approx(1.0 / off, rel=1e-12)
+        header, data = runner.read_csv(os.path.join(outdir, "densities.csv"))
+        rho_bath = data[:, header.index("rho_bath")]
+        assert np.sum(rho_bath) * grid.dx == pytest.approx(100.0, rel=1e-12)
+        saved = json.load(open(os.path.join(outdir, "summary.json")))
+        assert saved["density_scale"] == summary["density_scale"]
+
+    def test_relaxed_source_reports_relaxation(self, tmp_path):
+        cfg = validate_config(RELAXED_SWEEP.format(outdir=str(tmp_path / "sw")))
+        runner.run_sweep(cfg)
+        system = mf.MeanFieldSystem(n_bath=20, g_bb=0.5, g_bi=0.0)
+        _, res = mf.relax_ground_state(system, build_grid(225, 20.0))
+        for k in range(3):
+            path = os.path.join(cfg.directory, f"g_bi_final_{k:03d}", "manifest.json")
+            diagnostics = json.load(open(path))["diagnostics"]
+            assert diagnostics["relax_iterations"] == res.iterations
+            assert diagnostics["relax_residual"] == max(
+                res.residual_bath, res.residual_impurity
+            )
+            summary = json.load(open(path.replace("manifest.json", "summary.json")))
+            assert summary["density_scale"] == 1.0
+
+    def test_relaxed_sweep_relaxes_once(self, tmp_path, monkeypatch):
+        relax = mf.relax_ground_state
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return relax(*args, **kwargs)
+
+        monkeypatch.setattr(mf, "relax_ground_state", counting)
+        serial = str(tmp_path / "serial")
+        cfg = validate_config(RELAXED_SWEEP.format(outdir=serial))
+        agg, _ = runner.run_sweep(cfg)
+        assert not agg["failures"]
+        assert len(calls) == 1
+
+        def outputs(directory):
+            with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
+                return json.load(fh)["outputs"]
+
+        points = [f"g_bi_final_{k:03d}" for k in range(3)]
+        for point, value in zip(points, cfg.sweep_values):
+            runner._relaxed_density.cache_clear()
+            alone = validate_config(RELAXED_SWEEP.format(outdir=str(tmp_path / point)))
+            alone.g_bi_final = value
+            runner.run_quench(alone)
+            assert outputs(os.path.join(serial, point)) == outputs(alone.directory)
+
+        system = mf.MeanFieldSystem(n_bath=20, g_bb=0.5, g_bi=0.0)
+        density, _, _ = runner._relaxed_density(system, build_grid(225, 20.0))
+        assert not density.values.flags.writeable
+        with pytest.raises(ValueError):
+            density.values[1] = 0.0
+
+        runner._relaxed_density.cache_clear()
+        parallel = str(tmp_path / "parallel")
+        cfg = validate_config(RELAXED_SWEEP.format(outdir=parallel))
+        agg, _ = runner.run_sweep(cfg, jobs=2)
+        assert not agg["failures"]
+        assert outputs(parallel)["aggregate.csv"] == outputs(serial)["aggregate.csv"]
+        for point in points:
+            assert outputs(os.path.join(parallel, point)) == outputs(os.path.join(serial, point))
 
     def test_analyze_round_trip(self, tmp_path):
         outdir = str(tmp_path / "run")
