@@ -93,16 +93,23 @@ _SCHEMA = {
 _SECTIONS = sorted({sec for sec, _ in _SCHEMA})
 
 
+def _finite(raw):
+    value = float(raw)
+    if not np.isfinite(value):
+        raise ValueError(f"non-finite value {raw!r}")
+    return value
+
+
 def _parse_value(raw, kind, where, errors):
     try:
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite(raw)
         if kind is str:
             return raw
         if kind == "floats":
-            return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+            return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
     except ValueError:
         errors.append(f"{where}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}")
     return None

@@ -1,8 +1,8 @@
 """Effective-potential tier: the impurity moves in the static potential
-V_eff(x) = (1/2) m omega^2 x^2 + g_bi * rho_bath(x) built from a frozen bath
+V_eff(x) = (1/2) omega^2 x^2 + g_bi * rho_bath(x) built from a frozen bath
 density (Thomas-Fermi closed form, a relaxed mean-field profile, or an
 externally supplied sample). Eigensolve, quench/breathing dynamics, contrast
-and effective-mass extraction all live here.
+and the m_eff fit all live here.
 """
 
 from dataclasses import dataclass, field
@@ -28,7 +28,6 @@ class EffectivePotential:
     values: np.ndarray = field(repr=False, compare=False)
     source: str = "externally-supplied"
     g_bi: float = 0.0
-    mass: float = 1.0
     omega_trap: float = 1.0
 
     def curvature_at_origin(self):
@@ -52,7 +51,7 @@ class EffectivePotential:
         return self.grid.x[1:-1][interior]
 
 
-def build_effective_potential(bath_density, g_bi, grid=None, mass=1.0, omega_trap=1.0):
+def build_effective_potential(bath_density, g_bi, grid=None, omega_trap=1.0):
     """V_eff = trap + g_bi * rho. `bath_density` is a Field (density normalized
     to the particle number) or a ThomasFermiProfile."""
     if g_bi < 0:
@@ -69,13 +68,12 @@ def build_effective_potential(bath_density, g_bi, grid=None, mass=1.0, omega_tra
         if np.min(rho) < -1e-10:
             raise UsageError("density has negative values")
         rho = np.clip(rho, 0.0, None)
-    values = 0.5 * mass * omega_trap**2 * grid.x**2 + g_bi * rho
+    values = 0.5 * omega_trap**2 * grid.x**2 + g_bi * rho
     return EffectivePotential(
         grid=grid,
         values=values,
         source=source,
         g_bi=g_bi,
-        mass=mass,
         omega_trap=omega_trap,
     )
 
@@ -86,6 +84,8 @@ def load_density_file(path, grid):
     if data.ndim != 2 or data.shape[1] < 2:
         raise ConfigurationError(f"{path}: expected two columns (x, rho)")
     x, rho = data[:, 0], data[:, 1]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(rho))):
+        raise ConfigurationError(f"{path}: non-finite value in the density sample")
     order = np.argsort(x)
     x, rho = x[order], rho[order]
     if np.min(rho) < -1e-10:
@@ -104,13 +104,13 @@ class PotentialSpectrum:
 
 
 def eigensolve(pot, n_eig=40):
-    """Lowest n_eig eigenpairs of -(1/2m) d^2/dx^2 + V_eff under hard walls.
+    """Lowest n_eig eigenpairs of -(1/2) d^2/dx^2 + V_eff under hard walls.
     States whose energy exceeds V_eff(+-0.9 x_max) are flagged as
     contaminated by box (wall) states."""
     if n_eig > 60:
         raise ConfigurationError("n_eig must be <= 60")
     grid = pot.grid
-    h = kinetic_matrix(grid, pot.mass)
+    h = kinetic_matrix(grid)
     h = h + np.diag(pot.values[1:-1])
     energies, vecs = eigh(h, subset_by_index=[0, n_eig - 1])
     states = []
@@ -137,9 +137,9 @@ def eigensolve(pot, n_eig=40):
     )
 
 
-def bare_ground_state(grid, mass=1.0, omega=1.0):
+def bare_ground_state(grid, omega=1.0):
     """Gaussian ground state of the bare trap (the pre-quench impurity)."""
-    vals = (mass * omega / np.pi) ** 0.25 * np.exp(-0.5 * mass * omega * grid.x**2)
+    vals = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * grid.x**2)
     return Field(grid, vals.astype(np.complex128)).normalized()
 
 
@@ -174,7 +174,7 @@ def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05, e_reference=None):
     weights, which must be 1 within 1e-6, the tolerance spectral_function
     demands of S(0)."""
     if initial is None:
-        initial = bare_ground_state(spec.states[0].grid, mass=spec.potential.mass)
+        initial = bare_ground_state(spec.states[0].grid)
     if e_reference is None:
         e_reference = 0.5 * spec.potential.omega_trap
     weights = np.abs(_expansion(spec, initial, tol=1e-6)) ** 2
@@ -192,13 +192,12 @@ def stationary_moments(spec, initial, t_max, dt):
     grid-sampled states S; <p^2> uses the sine-DVR kinetic matrix."""
     coeffs = _expansion(spec, initial)
     grid = initial.grid
-    mass = spec.potential.mass
     s = np.column_stack([st.values for st in spec.states])
-    t_s = kinetic_matrix(grid, mass) @ s[1:-1]
+    t_s = kinetic_matrix(grid) @ s[1:-1]
     moments = {
         "x_mean": ("<x>", s.conj().T @ (grid.x[:, None] * s)),
         "x2": ("<x^2>", s.conj().T @ (grid.x[:, None] ** 2 * s)),
-        "p2": ("<p^2>", 2.0 * mass * (s[1:-1].conj().T @ t_s)),
+        "p2": ("<p^2>", 2.0 * (s[1:-1].conj().T @ t_s)),
     }
     phases = np.exp(-1j * np.outer(_sample_times(t_max, dt), spec.energies)) * coeffs
     series = {}
@@ -223,7 +222,7 @@ def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.
     that frequency. The particle starts in the ground state of
     pot_builder(omega_i_initial) and evolves in pot_builder(omega_i_final);
     the breathing frequency is the dominant line of the position variance
-    (the center-of-mass record is kept alongside). The spectrum of
+    (the mean-position record is kept alongside). The spectrum of
     pot_builder(omega_i_initial) is returned as `initial_spectrum`.
     """
     if omega_i_initial <= 0 or omega_i_final <= 0:
@@ -246,16 +245,17 @@ class EffectiveMassFit:
     residual: float
 
 
-def fit_effective_mass(x2_series, p2_series, initial_moments, mass=1.0):
+def fit_effective_mass(x2_series, p2_series, initial_moments):
     """Joint least-squares fit of the harmonic-evolution closed forms
 
         <x^2>(t) = (p2_0 / (m w)^2) sin^2(wt) + x2_0 cos^2(wt)
         <p^2>(t) = p2_0 cos^2(wt) + (m w)^2 x2_0 sin^2(wt)
 
-    for the effective mass and trap frequency of the dressed impurity. The
-    polaron self-energy is a constant offset and is not extractable from
-    these series. Raises FitQualityError when the residual exceeds 5% of the
-    signal amplitude (model invalid, e.g. outside the miscible regime).
+    for the effective inertia m_eff and trap frequency of the dressed
+    impurity. The polaron self-energy is a constant offset and is not
+    extractable from these series. Raises FitQualityError when the residual
+    exceeds 5% of the signal amplitude (model invalid, e.g. outside the
+    miscible regime).
     """
     x2_0 = float(initial_moments["x2_0"])
     p2_0 = float(initial_moments["p2_0"])
@@ -283,7 +283,7 @@ def fit_effective_mass(x2_series, p2_series, initial_moments, mass=1.0):
         try:
             res = least_squares(
                 residuals,
-                x0=[mass, om0],
+                x0=[1.0, om0],
                 bounds=([1e-6, 1e-6], [np.inf, np.inf]),
             )
         except ValueError:
@@ -291,7 +291,7 @@ def fit_effective_mass(x2_series, p2_series, initial_moments, mass=1.0):
         if best is None or res.cost < best.cost:
             best = res
     if best is None:
-        raise AnalysisError("effective-mass fit failed to start")
+        raise AnalysisError("m_eff fit failed to start")
     m_eff, omega_eff = best.x
     amp = 0.5 * (np.max(x2) - np.min(x2)) + 0.5 * (np.max(p2) - np.min(p2))
     rms = float(np.sqrt(np.mean(residuals(best.x) ** 2)))

@@ -51,6 +51,10 @@ from .grid import Field, hermite_functions
 from .observables import EnergyBreakdown, TimeSeries
 
 DIM_GUARD_DEFAULT = 5_000_000
+# Krylov propagation: error target of one exp(-i dt H) step and the largest
+# Lanczos space tried before the step is halved
+KRYLOV_LOCAL_TOL = 1e-10
+KRYLOV_MAX_DIM = 30
 
 
 @dataclass(frozen=True)
@@ -169,8 +173,10 @@ class EDHamiltonian:
     """Matrix-free action of the post-quench Hamiltonian on amplitude vectors
     indexed as (bath Fock state) x (impurity mode). H_BI acts through the
     stacked annihilators a_l, the node products `node_pairs`[(l, k), q] =
-    phi_l(x_q) phi_k(x_q) and the weights `bi_weights` = g_bi W_q, with
-    n_q = psi_q^+ psi_q and psi_q = sum_l phi_l(x_q) a_l."""
+    phi_l(x_q) phi_k(x_q) and the weights `bi_weights` = g_bi W_q (None at
+    g_bi = 0), with n_q = psi_q^+ psi_q and psi_q = sum_l phi_l(x_q) a_l. The
+    annihilators also give the bath density matrix, so they are kept at every
+    g_bi."""
 
     fock: FockBasis
     basis: object
@@ -180,7 +186,6 @@ class EDHamiltonian:
     annihilators: object
     node_pairs: np.ndarray
     bi_weights: np.ndarray
-    transitions: dict
     t_imp: np.ndarray
     v_imp: np.ndarray
 
@@ -191,10 +196,6 @@ class EDHamiltonian:
     @property
     def shape(self):
         return (self.dim, self.dim)
-
-    @property
-    def dtype(self):
-        return np.complex128
 
     def _bath_block_apply(self, mat_csr, vmat):
         """A real sparse matrix applied to the bath (row) index of a complex
@@ -221,12 +222,9 @@ class EDHamiltonian:
         out += vmat @ self.h_imp.T
         if self.bb_csr is not None:
             out += self._bath_block_apply(self.bb_csr, vmat)
-        if self.annihilators is not None:
+        if self.bi_weights is not None:
             out += self._bi_apply(vmat)
         return out.reshape(-1)
-
-    def __matmul__(self, v):
-        return self.matvec(v)
 
     def to_dense(self):
         s, m = self.fock.bath_dim, self.fock.n_modes
@@ -234,7 +232,7 @@ class EDHamiltonian:
         h += np.kron(np.eye(s), self.h_imp)
         if self.bb_csr is not None:
             h += np.kron(self.bb_csr.toarray(), np.eye(m))
-        if self.annihilators is not None:
+        if self.bi_weights is not None:
             lower = self.annihilators.toarray().reshape(-1, m, s)
             for pair, w_q in zip(self.node_pairs.T, self.bi_weights):
                 pair = pair.reshape(m, m)
@@ -264,26 +262,21 @@ class EDHamiltonian:
         )
 
     def expect_bi(self, v):
-        if self.annihilators is None:
+        if self.bi_weights is None:
             return 0.0
         s, m = self.fock.bath_dim, self.fock.n_modes
         vmat = np.asarray(v, dtype=np.complex128).reshape(s, m)
         return float(np.real(np.vdot(vmat, self._bi_apply(vmat))))
 
 
-def _bath_rdm(fock, transitions, v):
-    """One-body bath density matrix <a_i^+ a_l> of amplitudes indexed by bath
+def _bath_rdm(annihilators, n_modes, v):
+    """One-body bath density matrix <a_i^+ a_l> = (a_i V)^+ (a_l V) from the
+    stacked annihilators of `_annihilators`, for amplitudes V indexed by bath
     Fock state first: a full vector (bath x impurity) or a bath-only vector."""
-    m = fock.n_modes
-    vmat = np.asarray(v, dtype=np.complex128).reshape(fock.bath_dim, -1)
-    weights = np.sum(np.abs(vmat) ** 2, axis=1)
-    rdm = np.zeros((m, m), dtype=np.complex128)
-    rdm[np.diag_indices(m)] = fock.occupations.T @ weights
-    for (i, l), (src, dst, amp) in transitions.items():
-        val = np.sum(amp * np.sum(np.conj(vmat[dst]) * vmat[src], axis=1))
-        rdm[i, l] += val
-        rdm[l, i] += np.conj(val)
-    return rdm
+    vmat = np.asarray(v, dtype=np.complex128).reshape(annihilators.shape[1], -1)
+    lowered = (annihilators @ vmat).reshape(-1, n_modes, vmat.shape[1])
+    lowered = lowered.transpose(1, 0, 2).reshape(n_modes, -1)
+    return lowered.conj() @ lowered.T
 
 
 def _one_body_transitions(fock):
@@ -336,13 +329,14 @@ def _one_body_stack(fock, transitions, coeffs):
     return sp.csr_matrix((vals, (rows, cols)), shape=(s * coeffs.shape[0], s))
 
 
-def _bath_contact_csr(fock, transitions, x, weights, phi, g_bb):
+def _bath_contact_csr(fock, x, weights, phi, g_bb):
     """(g_bb/2) sum_q W_q (n_q^2 - c_q n_q) on the bath Fock space, summed
     over the node pairs +-x_q as 2 W_q (E_q^2 + O_q^2 - c_q E_q) (the centre
     node once): one sparse product A^T A of the stacked sqrt(2 W_q) E_q and
     sqrt(2 W_q) O_q, minus the one-body term sum_q W_q c_q n_q."""
     m = phi.shape[0]
     n = np.arange(m)
+    transitions = _one_body_transitions(fock)
     even = (n[:, None] + n[None, :]) % 2 == 0
     half = x >= 0.0
     scale = np.sqrt(np.where(x[half] > 0.0, 2.0, 1.0) * weights[half])
@@ -382,19 +376,17 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
     bath_onebody = (fock.occupations @ (np.arange(m) + 0.5)).astype(np.float64)
     t_imp = 0.5 * _quadratic_matrix(m, -1.0)
     v_imp = 0.5 * omega_i**2 * _quadratic_matrix(m, 1.0)
-    transitions = _one_body_transitions(fock)
     x, weights, phi = contact_rule(m)
-    bb = _bath_contact_csr(fock, transitions, x, weights, phi, g_bb) if g_bb > 0 else None
+    bb = _bath_contact_csr(fock, x, weights, phi, g_bb) if g_bb > 0 else None
     h = EDHamiltonian(
         fock=fock,
         basis=basis,
         bath_onebody=bath_onebody,
         bb_csr=bb,
         h_imp=t_imp + v_imp,
-        annihilators=_annihilators(fock) if g_bi > 0 else None,
+        annihilators=_annihilators(fock),
         node_pairs=np.einsum("lq,kq->lkq", phi, phi).reshape(m * m, -1),
-        bi_weights=g_bi * weights,
-        transitions=transitions,
+        bi_weights=g_bi * weights if g_bi > 0 else None,
         t_imp=t_imp,
         v_imp=v_imp,
     )
@@ -469,9 +461,11 @@ class EDTrajectory:
         return ManyBodyVector(amplitudes=self.vectors[k], fock=self.fock)
 
 
-def _lanczos_expm(matvec, v, dt, local_tol, max_dim):
-    """One exp(-i dt H) v application in an adaptive Krylov space.
-    Returns (w, dim_used) or (None, max_dim) when not converged."""
+def _lanczos_expm(matvec, v, dt, local_tol):
+    """One exp(-i dt H) v application in an adaptive Krylov space of at most
+    KRYLOV_MAX_DIM vectors. Returns (w, dim_used), or (None, KRYLOV_MAX_DIM)
+    when not converged."""
+    max_dim = KRYLOV_MAX_DIM
     alphas, betas = [], []
     basis = np.empty((max_dim, v.size), dtype=np.complex128)
     basis[0] = v
@@ -507,8 +501,8 @@ def _lanczos_expm(matvec, v, dt, local_tol, max_dim):
     return None, max_dim
 
 
-def _expm_step(matvec, v, dt, local_tol, max_dim, depth=0):
-    w, used = _lanczos_expm(matvec, v, dt, local_tol, max_dim)
+def _expm_step(matvec, v, dt, local_tol, depth=0):
+    w, used = _lanczos_expm(matvec, v, dt, local_tol)
     if w is not None:
         return w, used
     if depth >= 6:
@@ -516,16 +510,17 @@ def _expm_step(matvec, v, dt, local_tol, max_dim, depth=0):
             f"Krylov step rejected down to dt={dt:.3e}; use a smaller step",
             suggested_dt=dt / 4.0,
         )
-    half, u1 = _expm_step(matvec, v, dt / 2.0, local_tol / 2.0, max_dim, depth + 1)
+    half, u1 = _expm_step(matvec, v, dt / 2.0, local_tol / 2.0, depth + 1)
     half /= np.linalg.norm(half)
-    out, u2 = _expm_step(matvec, half, dt / 2.0, local_tol / 2.0, max_dim, depth + 1)
+    out, u2 = _expm_step(matvec, half, dt / 2.0, local_tol / 2.0, depth + 1)
     return out, max(u1, u2)
 
 
-def propagate_krylov(h, v0, dt, t_max, record_every=1, local_tol=1e-10, max_dim=30):
+def propagate_krylov(h, v0, dt, t_max, record_every=1):
     """exp(-i H t) v0 by short-iterate Lanczos steps with adaptive Krylov
-    dimension <= max_dim and per-step error target local_tol. Unitarity is
-    enforced by renormalization; the accumulated drift is reported."""
+    dimension <= KRYLOV_MAX_DIM and per-step error target KRYLOV_LOCAL_TOL.
+    Unitarity is enforced by renormalization; the accumulated drift is
+    reported."""
     if dt <= 0 or t_max <= 0:
         raise ConfigurationError("dt and t_max must be > 0")
     amps = np.asarray(v0.amplitudes, dtype=np.complex128)
@@ -541,7 +536,7 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1, local_tol=1e-10, max_dim=
     max_used = 0
     t = 0.0
     for k in range(n_rec * record_every):
-        v, used = _expm_step(h.matvec, v, dt, local_tol, max_dim)
+        v, used = _expm_step(h.matvec, v, dt, KRYLOV_LOCAL_TOL)
         max_used = max(max_used, used)
         norm = np.linalg.norm(v)
         drift = max(drift, abs(norm - 1.0))
@@ -603,7 +598,7 @@ def entropy_and_populations(decomp):
     return {"s_vn": s_vn, "natural_populations": lam}
 
 
-def schmidt_overlap_expansion(decomp, basis, transitions=None, n_keep=None):
+def schmidt_overlap_expansion(decomp, basis):
     """Bath-impurity miscibility overlap expressed through the Schmidt modes.
 
     Returns the exact overlap built from all mode-density cross integrals
@@ -611,19 +606,16 @@ def schmidt_overlap_expansion(decomp, basis, transitions=None, n_keep=None):
     (valid for lambda_1 ~ 1); flags the truncation when lambda_1 < 0.5.
     """
     fock = decomp.fock
-    if transitions is None:
-        transitions = _one_body_transitions(fock)
+    annihilators = _annihilators(fock)
     grid = basis.grid
     modes = basis.mode_functions
     lam = decomp.lambdas
-    if n_keep is None:
-        n_keep = int(np.sum(lam > 1e-14))
-    n_keep = max(n_keep, 1)
+    n_keep = max(int(np.sum(lam > 1e-14)), 1)
     lam = lam[:n_keep]
     rho_b = []
     rho_i = []
     for k in range(n_keep):
-        rdm = _bath_rdm(fock, transitions, decomp.bath_vectors[:, k])
+        rdm = _bath_rdm(annihilators, fock.n_modes, decomp.bath_vectors[:, k])
         rho_b.append(np.real(np.einsum("il,ix,lx->x", rdm, modes, modes)))
         chi = decomp.impurity_vectors[k] @ modes
         rho_i.append(np.abs(chi) ** 2)
@@ -664,7 +656,7 @@ def one_body_density(h, v, species):
         raise UsageError("Hamiltonian carries no mode-function basis")
     amps = v.amplitudes if isinstance(v, ManyBodyVector) else np.asarray(v)
     if species == "bath":
-        rdm = _bath_rdm(h.fock, h.transitions, amps)
+        rdm = _bath_rdm(h.annihilators, h.fock.n_modes, amps)
     elif species == "impurity":
         rdm = h.impurity_rdm(amps)
     else:
@@ -677,7 +669,7 @@ def one_body_density(h, v, species):
 def energy_breakdown(v, h):
     """Operator expectations of the six Hamiltonian pieces."""
     amps = v.amplitudes if isinstance(v, ManyBodyVector) else np.asarray(v)
-    bath_rdm = _bath_rdm(h.fock, h.transitions, amps)
+    bath_rdm = _bath_rdm(h.annihilators, h.fock.n_modes, amps)
     imp_rdm = h.impurity_rdm(amps)
     m = h.fock.n_modes
     t_b = 0.5 * _quadratic_matrix(m, -1.0)

@@ -22,9 +22,6 @@ from scipy.fft import dct, fft, ifft, next_fast_len
 
 from .errors import ConfigurationError, UsageError
 
-REFERENCE_N_POINTS = 450
-REFERENCE_X_MAX = 40.0
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -34,11 +31,6 @@ class Grid:
     x_max: float
     x: np.ndarray = field(repr=False, compare=False)
     dx: float
-
-    @property
-    def is_reference_grid(self):
-        """True when the library's reference resolution (450 points, half-width 40) is in use."""
-        return self.n_points == REFERENCE_N_POINTS and self.x_max == REFERENCE_X_MAX
 
     def same_as(self, other):
         return self.n_points == other.n_points and self.x_max == other.x_max
@@ -133,7 +125,7 @@ def sine_filter(grid, symbol):
 
     `symbol` has shape (n_interior,) for a single field or
     (n_interior, n_cols) for an (n_points, n_cols) block, so each column can
-    carry its own mass. The kernel spectrum is built here, once; each call
+    carry its own symbol. The kernel spectrum is built here, once; each call
     is one forward and one inverse FFT of the odd extension.
     """
     symbol = np.asarray(symbol)
@@ -160,56 +152,49 @@ def sine_filter(grid, symbol):
     return apply
 
 
-def _kinetic_symbol(grid, mass):
-    return box_wavenumbers(grid) ** 2 / (2.0 * mass)
+def _kinetic_symbol(grid):
+    return box_wavenumbers(grid) ** 2 / 2.0
 
 
-def kinetic_apply(f, mass=1.0):
-    """-(1/2 mass) d^2/dx^2 under hard-wall (sine-spectral) semantics."""
-    values = sine_filter(f.grid, _kinetic_symbol(f.grid, mass))(f.values.copy())
+def kinetic_apply(f):
+    """-(1/2) d^2/dx^2 under hard-wall (sine-spectral) semantics."""
+    values = sine_filter(f.grid, _kinetic_symbol(f.grid))(f.values.copy())
     return Field(f.grid, values)
 
 
-def kinetic_matrix(grid, mass=1.0):
-    """Dense sine-DVR matrix of -(1/2 mass) d^2/dx^2 on the interior points:
+def kinetic_matrix(grid):
+    """Dense sine-DVR matrix of -(1/2) d^2/dx^2 on the interior points:
     kinetic_matrix(grid) @ f.values[1:-1] is kinetic_apply(f).values[1:-1]."""
     n = grid.n_points - 2
-    g = _sine_kernel(n, _kinetic_symbol(grid, mass))
+    g = _sine_kernel(n, _kinetic_symbol(grid))
     i = np.arange(1, n + 1)
     return g[np.abs(i[:, None] - i)] - g[i[:, None] + i]
 
 
-def kinetic_expectation(f, mass=1.0):
-    return float(np.real(inner(f, kinetic_apply(f, mass=mass))))
+def kinetic_expectation(f):
+    return float(np.real(inner(f, kinetic_apply(f))))
 
 
-def expectation_p2(f, mass=1.0):
-    """<p^2> = 2 m <T>."""
-    return 2.0 * mass * kinetic_expectation(f, mass=mass)
+def expectation_p2(f):
+    """<p^2> = 2 <T>."""
+    return 2.0 * kinetic_expectation(f)
 
 
-def kinetic_phase_factors(grid, dt, mass=1.0):
-    """exp(-i dt k^2 / 2 mass) on the interior sine modes (split-step use)."""
+def kinetic_phase_factors(grid, dt):
+    """exp(-i dt k^2 / 2) on the interior sine modes (split-step use)."""
     k = box_wavenumbers(grid)
-    return np.exp(-1j * dt * k**2 / (2.0 * mass))
+    return np.exp(-1j * dt * k**2 / 2.0)
 
 
 @dataclass(frozen=True)
 class SpinorImpurityState:
-    """Spin-up/down impurity orbitals with superposition weights alpha, beta."""
+    """Spin-up/down impurity orbitals."""
 
     up: Field
     down: Field
-    alpha: float
-    beta: float
 
     def __post_init__(self):
         self.up.grid.require_same(self.down.grid)
-        if abs(self.alpha**2 + self.beta**2 - 1.0) > 1e-10:
-            raise ConfigurationError(
-                f"spinor weights must satisfy alpha^2+beta^2=1, got "
-                f"{self.alpha**2 + self.beta**2}"
-            )
 
 
 @dataclass(frozen=True)

@@ -40,8 +40,6 @@ class MeanFieldSystem:
     g_bi: float
     omega_b: float = 1.0
     omega_i: float = 1.0
-    mass_b: float = 1.0
-    mass_i: float = 1.0
 
     def __post_init__(self):
         if self.g_bb < 0 or self.g_bi < 0:
@@ -60,8 +58,8 @@ class MeanFieldState:
     energy_reference: float
 
 
-def _trap(grid, mass, omega):
-    return 0.5 * mass * omega**2 * grid.x**2
+def _trap(grid, omega):
+    return 0.5 * omega**2 * grid.x**2
 
 
 def _quartic(values, dx):
@@ -78,14 +76,10 @@ def energy_breakdown(state, sys):
     dx = grid.dx
     n = sys.n_bath
     b, u = state.bath, state.impurity.up
-    kin_b = n * kinetic_expectation(b, mass=sys.mass_b)
-    pot_b = n * float(
-        np.sum(_trap(grid, sys.mass_b, sys.omega_b) * np.abs(b.values) ** 2) * dx
-    )
-    kin_i = kinetic_expectation(u, mass=sys.mass_i)
-    pot_i = float(
-        np.sum(_trap(grid, sys.mass_i, sys.omega_i) * np.abs(u.values) ** 2) * dx
-    )
+    kin_b = n * kinetic_expectation(b)
+    pot_b = n * float(np.sum(_trap(grid, sys.omega_b) * np.abs(b.values) ** 2) * dx)
+    kin_i = kinetic_expectation(u)
+    pot_i = float(np.sum(_trap(grid, sys.omega_i) * np.abs(u.values) ** 2) * dx)
     e_bb = 0.5 * sys.g_bb * n * (n - 1) * _quartic(b.values, dx)
     e_bi = sys.g_bi * n * _cross_density(b.values, u.values, dx)
     return EnergyBreakdown(kin_b, pot_b, kin_i, pot_i, e_bb, e_bi)
@@ -101,13 +95,13 @@ def chemical_potentials(state, sys):
     dx = grid.dx
     n = sys.n_bath
     b, u = state.bath.values, state.impurity.up.values
-    h_b = kinetic_apply(state.bath, mass=sys.mass_b).values + (
-        _trap(grid, sys.mass_b, sys.omega_b)
+    h_b = kinetic_apply(state.bath).values + (
+        _trap(grid, sys.omega_b)
         + sys.g_bb * (n - 1) * np.abs(b) ** 2
         + sys.g_bi * np.abs(u) ** 2
     ) * b
-    h_u = kinetic_apply(state.impurity.up, mass=sys.mass_i).values + (
-        _trap(grid, sys.mass_i, sys.omega_i) + sys.g_bi * n * np.abs(b) ** 2
+    h_u = kinetic_apply(state.impurity.up).values + (
+        _trap(grid, sys.omega_i) + sys.g_bi * n * np.abs(b) ** 2
     ) * u
     mu_b = float(np.real(np.sum(np.conj(b) * h_b)) * dx)
     mu_i = float(np.real(np.sum(np.conj(u) * h_u)) * dx)
@@ -121,14 +115,14 @@ def _stationarity_residual(state, sys):
     n = sys.n_bath
     b, u = state.bath.values, state.impurity.up.values
     mu_b, mu_i = chemical_potentials(state, sys)
-    r_b = kinetic_apply(state.bath, mass=sys.mass_b).values + (
-        _trap(grid, sys.mass_b, sys.omega_b)
+    r_b = kinetic_apply(state.bath).values + (
+        _trap(grid, sys.omega_b)
         + sys.g_bb * (n - 1) * np.abs(b) ** 2
         + sys.g_bi * np.abs(u) ** 2
         - mu_b
     ) * b
-    r_u = kinetic_apply(state.impurity.up, mass=sys.mass_i).values + (
-        _trap(grid, sys.mass_i, sys.omega_i) + sys.g_bi * n * np.abs(b) ** 2 - mu_i
+    r_u = kinetic_apply(state.impurity.up).values + (
+        _trap(grid, sys.omega_i) + sys.g_bi * n * np.abs(b) ** 2 - mu_i
     ) * u
     return (
         float(np.sqrt(np.sum(np.abs(r_b) ** 2) * dx)),
@@ -143,10 +137,9 @@ class ThomasFermiProfile:
     n_bath: int
     g_bb: float
     omega_b: float = 1.0
-    mass_b: float = 1.0
 
     def density_values(self, x):
-        rho = (self.mu - 0.5 * self.mass_b * self.omega_b**2 * x**2) / self.g_bb
+        rho = (self.mu - 0.5 * self.omega_b**2 * x**2) / self.g_bb
         return np.clip(rho, 0.0, None)
 
     def density(self, grid):
@@ -157,17 +150,14 @@ def thomas_fermi(sys):
     """Closed-form Thomas-Fermi chemical potential, radius and density."""
     if sys.g_bb <= 0:
         raise ConfigurationError("Thomas-Fermi limit undefined for g_bb = 0")
-    mu = 0.5 * (1.5 * sys.n_bath * sys.g_bb * sys.omega_b * np.sqrt(sys.mass_b)) ** (
-        2.0 / 3.0
-    )
-    radius = np.sqrt(2.0 * mu / (sys.mass_b * sys.omega_b**2))
+    mu = 0.5 * (1.5 * sys.n_bath * sys.g_bb * sys.omega_b) ** (2.0 / 3.0)
+    radius = np.sqrt(2.0 * mu / sys.omega_b**2)
     return ThomasFermiProfile(
         mu=float(mu),
         radius=float(radius),
         n_bath=sys.n_bath,
         g_bb=sys.g_bb,
         omega_b=sys.omega_b,
-        mass_b=sys.mass_b,
     )
 
 
@@ -190,7 +180,7 @@ def density_drop_radius(density):
 
 def sound_horizon(sys, bath_density, x_b, density_floor_frac=1e-12, return_info=False):
     """Time for sound to travel from the trap center to x_b:
-    T = int_0^{x_b} dx / c(x) with c = sqrt(g_bb rho / m).
+    T = int_0^{x_b} dx / c(x) with c = sqrt(g_bb rho).
 
     Trapezoid rule over the grid samples of 1/c. Points with rho below
     density_floor_frac * rho(0) are excluded (1/c diverges where the density
@@ -215,7 +205,7 @@ def sound_horizon(sys, bath_density, x_b, density_floor_frac=1e-12, return_info=
         raise UsageError("density below the floor everywhere on [0, x_b]")
     cutoff_x = float(xs[keep][-1])
     xs, vals = xs[keep], vals[keep]
-    c = np.sqrt(sys.g_bb * vals / sys.mass_b)
+    c = np.sqrt(sys.g_bb * vals)
     t_total = float(np.trapezoid(1.0 / c, xs))
     if return_info:
         return t_total, {"cutoff_x": cutoff_x, "floor": floor}
@@ -235,18 +225,14 @@ class RelaxResult:
 
 
 def _initial_guess(sys, grid):
-    gauss_b = (sys.mass_b * sys.omega_b / np.pi) ** 0.25 * np.exp(
-        -0.5 * sys.mass_b * sys.omega_b * grid.x**2
-    )
+    gauss_b = (sys.omega_b / np.pi) ** 0.25 * np.exp(-0.5 * sys.omega_b * grid.x**2)
     if sys.g_bb > 0 and sys.n_bath * sys.g_bb > 5.0:
         tf = thomas_fermi(sys)
         prof = np.sqrt(tf.density_values(grid.x) / sys.n_bath)
         bath = Field(grid, (prof + 1e-3 * gauss_b).astype(np.complex128)).normalized()
     else:
         bath = Field(grid, gauss_b.astype(np.complex128)).normalized()
-    gauss_i = (sys.mass_i * sys.omega_i / np.pi) ** 0.25 * np.exp(
-        -0.5 * sys.mass_i * sys.omega_i * grid.x**2
-    )
+    gauss_i = (sys.omega_i / np.pi) ** 0.25 * np.exp(-0.5 * sys.omega_i * grid.x**2)
     imp = Field(grid, gauss_i.astype(np.complex128)).normalized()
     return bath, imp
 
@@ -255,6 +241,8 @@ def _initial_guess(sys, grid):
 # coupled stationarity equations removes the residual O(tau^2) splitting bias
 # afterwards (energy criteria alone are quadratically blind to state error)
 RELAX_SCHEDULE = (2e-2, 4e-3, 1e-3)
+RELAX_MAX_ITERATIONS = 400_000
+RELAX_CHECK_EVERY = 100
 
 
 def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
@@ -265,17 +253,16 @@ def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
     dx = grid.dx
     n = sys.n_bath
     ni = grid.n_points - 2
-    t_b = kinetic_matrix(grid, sys.mass_b)
-    t_i = kinetic_matrix(grid, sys.mass_i) if sys.mass_i != sys.mass_b else t_b
-    trap_b = _trap(grid, sys.mass_b, sys.omega_b)[1:-1]
-    trap_i = _trap(grid, sys.mass_i, sys.omega_i)[1:-1]
+    t = kinetic_matrix(grid)
+    trap_b = _trap(grid, sys.omega_b)[1:-1]
+    trap_i = _trap(grid, sys.omega_i)[1:-1]
 
     def split(vec):
         return vec[:ni], vec[ni : 2 * ni], vec[2 * ni], vec[2 * ni + 1]
 
     def residual(pb, pu, mu_b, mu_i):
-        hb = t_b @ pb + (trap_b + sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2 - mu_b) * pb
-        hu = t_i @ pu + (trap_i + sys.g_bi * n * pb**2 - mu_i) * pu
+        hb = t @ pb + (trap_b + sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2 - mu_b) * pb
+        hu = t @ pu + (trap_i + sys.g_bi * n * pb**2 - mu_i) * pu
         cb = 0.5 * (np.sum(pb**2) * dx - 1.0)
         cu = 0.5 * (np.sum(pu**2) * dx - 1.0)
         return np.concatenate([hb, hu, [cb, cu]])
@@ -283,11 +270,11 @@ def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
     pb = np.real(b[1:-1]).copy()
     pu = np.real(u[1:-1]).copy()
     mu_b = float(
-        pb @ (t_b @ pb) * dx
+        pb @ (t @ pb) * dx
         + np.sum((trap_b + sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2) * pb**2) * dx
     )
     mu_i = float(
-        pu @ (t_i @ pu) * dx + np.sum((trap_i + sys.g_bi * n * pb**2) * pu**2) * dx
+        pu @ (t @ pu) * dx + np.sum((trap_i + sys.g_bi * n * pb**2) * pu**2) * dx
     )
     best = (pb.copy(), pu.copy(), np.linalg.norm(residual(pb, pu, mu_b, mu_i)[: 2 * ni]) * np.sqrt(dx))
     size = 2 * ni + 2
@@ -299,13 +286,13 @@ def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
             best = (pb.copy(), pu.copy(), rnorm)
         if rnorm < target:
             break
-        jac[:ni, :ni] = t_b + np.diag(
+        jac[:ni, :ni] = t + np.diag(
             trap_b + 3.0 * sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2 - mu_b
         )
         jac[:ni, ni : 2 * ni] = np.diag(2.0 * sys.g_bi * pb * pu)
         jac[:ni, 2 * ni] = -pb
         jac[ni : 2 * ni, :ni] = np.diag(2.0 * sys.g_bi * n * pb * pu)
-        jac[ni : 2 * ni, ni : 2 * ni] = t_i + np.diag(
+        jac[ni : 2 * ni, ni : 2 * ni] = t + np.diag(
             trap_i + sys.g_bi * n * pb**2 - mu_i
         )
         jac[ni : 2 * ni, 2 * ni + 1] = -pu
@@ -335,15 +322,7 @@ def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
     return b_out, u_out
 
 
-def relax_ground_state(
-    sys,
-    grid,
-    tol=1e-10,
-    alpha=1.0 / np.sqrt(2.0),
-    beta=1.0 / np.sqrt(2.0),
-    max_iterations=400_000,
-    check_every=100,
-):
+def relax_ground_state(sys, grid, tol=1e-10):
     """Imaginary-time relaxation of the coupled bath + spin-up equations.
 
     Converged when the per-step relative energy change is below tol, the
@@ -360,25 +339,26 @@ def relax_ground_state(
     u = imp.values.copy()
     dx = grid.dx
     n = sys.n_bath
-    trap_b = _trap(grid, sys.mass_b, sys.omega_b)
-    trap_i = _trap(grid, sys.mass_i, sys.omega_i)
-    k2 = box_wavenumbers(grid)[:, None] ** 2
-    masses = np.array([sys.mass_b, sys.mass_i])
+    trap_b = _trap(grid, sys.omega_b)
+    trap_i = _trap(grid, sys.omega_i)
+    k2 = box_wavenumbers(grid) ** 2
 
     def current_state():
         fb = Field(grid, b)
         fu = Field(grid, u)
-        spinor = SpinorImpurityState(up=fu, down=fu, alpha=alpha, beta=beta)
+        spinor = SpinorImpurityState(up=fu, down=fu)
         return MeanFieldState(bath=fb, impurity=spinor, time=0.0, energy_reference=0.0)
 
     trace = []
     iterations = 0
     last_stage = len(RELAX_SCHEDULE) - 1
     for stage, tau in enumerate(RELAX_SCHEDULE):
-        kin_half = sine_filter(grid, np.exp(-0.5 * tau * k2 / (2.0 * masses)))
+        kin_half = sine_filter(
+            grid, np.repeat(np.exp(-0.5 * tau * k2 / 2.0)[:, None], 2, axis=1)
+        )
         # one check per ~0.6 units of imaginary time so the slowest O(1) mode
         # decays noticeably between residual checks at any tau
-        stage_check = max(check_every, int(round(0.6 / tau)))
+        stage_check = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
         e_prev = None
         mu_prev = None
         r_prev = None
@@ -414,7 +394,7 @@ def relax_ground_state(
                 elif de < tol and dmu < 10.0 * tol and plateau:
                     break
             e_prev, mu_prev, r_prev = e, mu_b, resid
-            if iterations >= max_iterations:
+            if iterations >= RELAX_MAX_ITERATIONS:
                 raise ConvergenceError(
                     f"imaginary-time relaxation did not converge in {iterations} steps",
                     trace=np.asarray(trace),
@@ -458,12 +438,9 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     n_records = max(n_steps // record_every, 1)
     grid = state.bath.grid
     n = sys_post.n_bath
-    trap_b = _trap(grid, sys_post.mass_b, sys_post.omega_b)
-    trap_i = _trap(grid, sys_post.mass_i, sys_post.omega_i)
-    kin_phases = np.empty((grid.n_points - 2, 3), dtype=np.complex128)
-    kin_phases[:, 0] = kinetic_phase_factors(grid, 0.5 * dt, mass=sys_post.mass_b)
-    kin_phases[:, 1] = kinetic_phase_factors(grid, 0.5 * dt, mass=sys_post.mass_i)
-    kin_phases[:, 2] = kin_phases[:, 1]
+    trap_b = _trap(grid, sys_post.omega_b)
+    trap_i = _trap(grid, sys_post.omega_i)
+    kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 3, axis=1)
     kin_half = sine_filter(grid, kin_phases)
     kin_full = sine_filter(grid, kin_phases**2)
 
@@ -471,13 +448,10 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     cols[:, 0] = state.bath.values
     cols[:, 1] = state.impurity.up.values
     cols[:, 2] = state.impurity.down.values
-    alpha, beta = state.impurity.alpha, state.impurity.beta
     e_ref = state.energy_reference
 
     def make_state(t):
-        spinor = SpinorImpurityState(
-            up=Field(grid, cols[:, 1]), down=Field(grid, cols[:, 2]), alpha=alpha, beta=beta
-        )
+        spinor = SpinorImpurityState(up=Field(grid, cols[:, 1]), down=Field(grid, cols[:, 2]))
         return MeanFieldState(
             bath=Field(grid, cols[:, 0]), impurity=spinor, time=t, energy_reference=e_ref
         )
@@ -495,15 +469,9 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
             "potential_i",
             "intra_bb",
             "inter_bi",
-            "x_mean_bath",
             "x_mean_up",
-            "x_mean_down",
-            "x2_bath",
             "x2_up",
-            "x2_down",
-            "p2_bath",
             "p2_up",
-            "p2_down",
         )
     }
     trajectory = []
@@ -522,11 +490,9 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
         records["potential_i"].append(bd.potential_i)
         records["intra_bb"].append(bd.intra_bb)
         records["inter_bi"].append(bd.inter_bi)
-        for tag, f in (("bath", st.bath), ("up", st.impurity.up), ("down", st.impurity.down)):
-            mass = sys_post.mass_b if tag == "bath" else sys_post.mass_i
-            records[f"x_mean_{tag}"].append(expectation_x(f))
-            records[f"x2_{tag}"].append(expectation_x2(f))
-            records[f"p2_{tag}"].append(expectation_p2(f, mass=mass))
+        records["x_mean_up"].append(expectation_x(st.impurity.up))
+        records["x2_up"].append(expectation_x2(st.impurity.up))
+        records["p2_up"].append(expectation_p2(st.impurity.up))
         return bd.total
 
     e0 = record(state.time)
@@ -574,13 +540,6 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     return trajectory, series
 
 
-@dataclass(frozen=True)
-class ContrastBundle:
-    s: TimeSeries
-    magnitude: TimeSeries
-    phase: TimeSeries
-
-
 def mean_field_contrast(trajectory, initial, sys):
     """Ramsey contrast S(t) = e^{i E0 t} <phi_B^0|phi_B(t)>^{N_B} <phi_up^0|phi_up(t)>
     from a propagated trajectory; E0 is the pre-quench energy carried by `initial`
@@ -599,9 +558,4 @@ def mean_field_contrast(trajectory, initial, sys):
         ov_b = inner(initial.bath, st.bath)
         ov_u = inner(initial.impurity.up, st.impurity.up)
         s_vals[k] = np.exp(1j * e0 * st.time) * ov_u * ov_b**sys.n_bath
-    s = TimeSeries(float(times[0]), float(dts[0]), s_vals, label="S(t)")
-    magnitude = TimeSeries(s.t0, s.dt_sample, np.abs(s_vals), label="|S|")
-    phase = TimeSeries(
-        s.t0, s.dt_sample, np.unwrap(np.angle(s_vals)), label="phase"
-    )
-    return ContrastBundle(s=s, magnitude=magnitude, phase=phase)
+    return TimeSeries(float(times[0]), float(dts[0]), s_vals, label="S(t)")

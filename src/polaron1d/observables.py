@@ -20,7 +20,6 @@ class TimeSeries:
     dt_sample: float
     values: np.ndarray = field(repr=False, compare=False)
     label: str = ""
-    units: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -43,7 +42,7 @@ class TimeSeries:
         keep = (t >= t_lo - 1e-12) & (t <= t_hi + 1e-12)
         idx = np.where(keep)[0]
         return TimeSeries(
-            float(t[idx[0]]), self.dt_sample, self.values[idx], self.label, self.units
+            float(t[idx[0]]), self.dt_sample, self.values[idx], self.label
         )
 
 
@@ -53,7 +52,6 @@ class SpectralFunction:
 
     omegas: np.ndarray = field(repr=False, compare=False)
     values: np.ndarray = field(repr=False, compare=False)
-    window: str = "none"
     t_max_used: float = 0.0
 
     @property
@@ -100,9 +98,6 @@ def _window_values(n, t, t_max, window):
     if window == "hann":
         # decaying half-window: 1 at t=0, 0 at t_max (one-sided signals)
         return np.cos(0.5 * np.pi * t / t_max) ** 2
-    if window.startswith("exp(") and window.endswith(")"):
-        rate = float(window[4:-1])
-        return np.exp(-rate * t)
     raise ConfigurationError(f"unknown window {window!r}")
 
 
@@ -131,7 +126,7 @@ def spectral_function(s, window="none", pad_factor=8):
     omegas = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=s.dt_sample)
     order = np.argsort(omegas)
     return SpectralFunction(
-        omegas=omegas[order], values=a[order], window=window, t_max_used=s.t_max
+        omegas=omegas[order], values=a[order], t_max_used=s.t_max
     )
 
 
@@ -172,7 +167,14 @@ def find_peaks(spec, threshold_frac):
     return out
 
 
-def dominant_frequency(series, window="hann", pad_factor=16, min_amplitude=1e-10):
+# dominant_frequency: zero-padding factor of the Hann-windowed FFT, and the
+# smallest peak-to-peak half-amplitude, relative to the mean |value|, that
+# counts as a signal
+FREQUENCY_PAD_FACTOR = 16
+FREQUENCY_MIN_AMPLITUDE = 1e-10
+
+
+def dominant_frequency(series):
     """Dominant oscillation frequency of a real series: detrend, Hann-windowed
     FFT peak with 3-point quadratic interpolation. Falls back to a damped-cosine
     least-squares fit when neighbouring peaks merge into one broad lobe.
@@ -182,14 +184,14 @@ def dominant_frequency(series, window="hann", pad_factor=16, min_amplitude=1e-10
     y = y - np.mean(y)
     amp = 0.5 * (np.max(y) - np.min(y))
     scale = max(np.mean(np.abs(np.asarray(series.values, dtype=float))), 1e-300)
-    if amp < min_amplitude * scale:
+    if amp < FREQUENCY_MIN_AMPLITUDE * scale:
         raise ExtractionError(
             f"no oscillatory signal above noise floor (amplitude {amp:.3e})"
         )
     n = y.size
     t = series.times - series.t0
     w = np.hanning(n)
-    n_pad = int(pad_factor) * n
+    n_pad = FREQUENCY_PAD_FACTOR * n
     spec = np.abs(np.fft.rfft(y * w, n=n_pad))
     freqs = 2.0 * np.pi * np.fft.rfftfreq(n_pad, d=series.dt_sample)
     i = int(np.argmax(spec))
@@ -263,7 +265,7 @@ def _peak_envelope(t, s):
     return np.interp(t, t[idx], s[idx])
 
 
-def classify_region(contrast, g_bi=None, g_bb=None):
+def classify_region(contrast):
     """Classify a contrast record into the dynamical regions:
 
     R_I   - oscillatory, running min of |S|/|S(0)| above 0.5 on [0, 50]

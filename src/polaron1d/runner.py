@@ -176,9 +176,7 @@ def _density_source(cfg, grid):
     return type(density)(grid, density.values * scale), "externally-supplied", scale, {}
 
 
-def _contrast_files(out, s_series, cfg, alpha=None, beta=None):
-    alpha = cfg.alpha if alpha is None else alpha
-    beta = cfg.beta if beta is None else beta
+def _contrast_files(out, s_series, cfg):
     svals = np.asarray(s_series.values, dtype=np.complex128)
     t = s_series.times
     _write_csv(
@@ -189,14 +187,14 @@ def _contrast_files(out, s_series, cfg, alpha=None, beta=None):
     spec = obs.spectral_function(s_series, window="hann", pad_factor=8)
     _write_csv(out.path("spectrum.csv"), ["omega", "a"], [spec.omegas, spec.values])
     peaks = obs.find_peaks(spec, threshold_frac=0.05)
-    weighted = obs.general_weights_contrast(s_series, alpha, beta)
+    weighted = obs.general_weights_contrast(s_series, cfg.alpha, cfg.beta)
     summary = {
         "peaks": peaks,
         "frequency_resolution": spec.resolution,
         "min_contrast": float(np.min(np.abs(svals))),
         "min_weighted_contrast": float(np.min(weighted.values)),
-        "alpha": alpha,
-        "beta": beta,
+        "alpha": cfg.alpha,
+        "beta": cfg.beta,
     }
     if s_series.t_max >= obs.REGION_WINDOW:
         summary["region"] = obs.classify_region(
@@ -219,9 +217,7 @@ def run_relax(cfg, directory=None):
     with OutputSet(directory or cfg.directory, cfg) as out:
         grid = build_grid(cfg.n_points, cfg.x_max)
         sys_pre = _mf_system(cfg, cfg.g_bi_initial)
-        state, res = mf.relax_ground_state(
-            sys_pre, grid, alpha=cfg.alpha, beta=cfg.beta
-        )
+        state, res = mf.relax_ground_state(sys_pre, grid)
         dens_b = state.bath.density(cfg.n_bath)
         dens_u = state.impurity.up.density()
         _write_csv(
@@ -265,12 +261,12 @@ def run_relax(cfg, directory=None):
 def _run_quench_meanfield(cfg, out, grid):
     sys_pre = _mf_system(cfg, cfg.g_bi_initial)
     sys_post = _mf_system(cfg, cfg.g_bi_final)
-    state, res = mf.relax_ground_state(sys_pre, grid, alpha=cfg.alpha, beta=cfg.beta)
+    state, res = mf.relax_ground_state(sys_pre, grid)
     traj, series = mf.propagate(
         state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
     )
-    bundle = mf.mean_field_contrast(traj, state, sys_post)
-    summary = _contrast_files(out, bundle.s, cfg)
+    s_series = mf.mean_field_contrast(traj, state, sys_post)
+    summary = _contrast_files(out, s_series, cfg)
     _write_csv(
         out.path("energies.csv"),
         ["t", "kinetic_b", "potential_b", "kinetic_i", "potential_i", "intra_bb", "inter_bi", "total"],
@@ -357,20 +353,6 @@ def _run_quench_effpot(cfg, out, grid):
 
 
 def _run_quench_ed(cfg, out, grid):
-    # the spin-down branch is evolved as the pure phase exp(-i E0 t), which
-    # holds only when the initial state is an eigenstate of the spin-down
-    # Hamiltonian: no initial bath-impurity coupling and no trap change
-    if cfg.g_bi_initial != 0.0:
-        raise ConfigurationError(
-            f"tier ed needs system.g_bi_initial = 0, got {cfg.g_bi_initial}: the "
-            "spin-down branch is evolved as the phase exp(-i E0 t)"
-        )
-    if cfg.omega_i_final != cfg.omega_i_initial:
-        raise ConfigurationError(
-            f"tier ed needs system.omega_i_final = omega_i_initial "
-            f"({cfg.omega_i_initial}), got {cfg.omega_i_final}: the spin-down "
-            "branch is evolved as the phase exp(-i E0 t)"
-        )
     basis = ho_mode_basis(grid, cfg.n_modes)
     fock = ed.build_fock_basis(cfg.n_bath, cfg.n_modes, dim_guard=cfg.dim_guard)
     h_pre = ed.build_hamiltonian(
@@ -441,9 +423,31 @@ def _run_quench_ed(cfg, out, grid):
     return summary
 
 
+def _check_quench_contract(cfg):
+    """Refuse a quench the configured tier cannot compute, naming the key.
+
+    The ED tier evolves the spin-down branch as the pure phase exp(-i E0 t),
+    exact only for a stationary initial state, and builds the bath in the
+    unit-frequency oscillator basis. The effpot tier starts the impurity in
+    the bare trap ground state and evolves it in the pre-quench trap.
+    """
+    if cfg.tier not in ("ed", "effpot"):
+        return
+    required = {"g_bi_initial": 0.0, "omega_i_final": cfg.omega_i_initial}
+    if cfg.tier == "ed":
+        required["omega_b"] = 1.0
+    for key, want in required.items():
+        got = getattr(cfg, key)
+        if got != want:
+            raise ConfigurationError(
+                f"tier {cfg.tier} quench needs system.{key} = {want!r}, got {got!r}"
+            )
+
+
 def run_quench(cfg, directory=None):
     """Relax -> quench -> propagate -> observables for the configured tier."""
     with OutputSet(directory or cfg.directory, cfg) as out:
+        _check_quench_contract(cfg)
         grid = build_grid(cfg.n_points, cfg.x_max)
         if cfg.tier == "meanfield":
             summary = _run_quench_meanfield(cfg, out, grid)
@@ -469,7 +473,7 @@ def run_quench(cfg, directory=None):
 def run_breathing(cfg, directory=None):
     """Trap-frequency quench in the effpot (default) or meanfield tier.
 
-    Writes variance.csv and omega_br.json. The effective-mass fit runs on an
+    Writes variance.csv and omega_br.json. The m_eff fit runs on an
     interaction-quench companion series (bare impurity released into the
     effective potential built with the pre-quench trap) where the closed-form
     model applies; fit failures are surfaced in the output, not raised.
@@ -495,7 +499,7 @@ def run_breathing(cfg, directory=None):
         if cfg.tier == "meanfield":
             sys_pre = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_initial)
             sys_post = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_final)
-            state, _ = mf.relax_ground_state(sys_pre, grid, alpha=cfg.alpha, beta=cfg.beta)
+            state, _ = mf.relax_ground_state(sys_pre, grid)
             traj, series = mf.propagate(
                 state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
             )

@@ -88,6 +88,25 @@ def one_body_transitions(fock):
     return out
 
 
+def bath_rdm(fock, v):
+    """<a_i^+ a_l> of amplitudes indexed by bath Fock state first, by a loop
+    over Fock states and ordered mode pairs: each element once, from the
+    explicit occupations a_i^+ a_l |n> = sqrt(n_l (n_i - delta_il + 1)) |n'>."""
+    m = fock.n_modes
+    lookup = index_map(fock)
+    vmat = np.asarray(v, dtype=np.complex128).reshape(fock.bath_dim, -1)
+    rdm = np.zeros((m, m), dtype=np.complex128)
+    for s, occ in enumerate(fock.occupations):
+        for l in np.flatnonzero(occ):
+            for i in range(m):
+                tgt = occ.copy()
+                tgt[l] -= 1
+                tgt[i] += 1
+                amp = np.sqrt(occ[l] * float(tgt[i]))
+                rdm[i, l] += amp * np.vdot(vmat[lookup[tgt.tobytes()]], vmat[s])
+    return rdm
+
+
 def bath_interaction_csr(fock, tensor, g_bb):
     """(g_bb/2) sum u[ijkl] a_i^+ a_j^+ a_k a_l on the bath Fock space."""
     occs = fock.occupations

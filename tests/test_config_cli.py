@@ -147,6 +147,21 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match="sweep.values"):
             validate_config(text)
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[system]\ng_bb = nan\n", 2),
+            ("[grid]\nx_max = inf\n", 2),
+            ("[time]\ndt = nan\n", 2),
+            ("[system]\nalpha = nan\nbeta = nan\n", 3),
+            ("[sweep]\nparameter = g_bi_final\nvalues = 0.5, nan\n", 3),
+        ],
+        ids=["g_bb", "x_max", "dt", "alpha-beta", "sweep-values"],
+    )
+    def test_non_finite_values_rejected(self, text, line):
+        with pytest.raises(ConfigurationError, match=f"line {line}: cannot parse"):
+            validate_config(text)
+
     def test_formats_key_rejected(self):
         with pytest.raises(ConfigurationError, match="line 2: unknown key 'formats'"):
             validate_config("[output]\nformats = csv\n")
@@ -402,13 +417,20 @@ class TestRunnerPipelines:
         assert manifest["outputs"] == {}
 
     @pytest.mark.parametrize(
-        "key, line",
-        [("g_bi_initial", "g_bi_initial = 0.3"), ("omega_i_final", "omega_i_final = 1.2")],
+        "key, line, tier",
+        [
+            ("g_bi_initial", "g_bi_initial = 0.3", "ed"),
+            ("omega_i_final", "omega_i_final = 1.2", "ed"),
+            ("omega_b", "omega_b = 1.1", "ed"),
+            ("g_bi_initial", "g_bi_initial = 0.3", "effpot"),
+            ("omega_i_final", "omega_i_final = 1.2", "effpot"),
+        ],
     )
-    def test_ed_quench_needs_stationary_spin_down_branch(self, tmp_path, key, line):
+    def test_ed_quench_needs_stationary_spin_down_branch(self, tmp_path, key, line, tier):
         outdir = str(tmp_path / "edq")
         cfg = validate_config(ED_SMALL.format(extra=line, outdir=outdir))
-        with pytest.raises(ConfigurationError, match=key):
+        cfg.tier = tier
+        with pytest.raises(ConfigurationError, match=f"tier {tier} quench needs system.{key}"):
             runner.run_quench(cfg)
         manifest = json.load(open(os.path.join(outdir, "manifest.json")))
         assert manifest["status"] == "failed"
@@ -468,6 +490,14 @@ class TestRunnerPipelines:
         assert summary["source"] == "externally-supplied"
         tallest = max(summary["peaks"], key=lambda p: p["height"])
         assert tallest["omega"] == pytest.approx(4.435, rel=0.05)
+
+    def test_effpot_file_density_rejects_non_finite(self, tmp_path):
+        sample = tmp_path / "bath_density.txt"
+        sample.write_text("-1 0\n0 nan\n1 0\n")
+        cfg = validate_config(EFFPOT_FAST.format(outdir=str(tmp_path / "filerun")))
+        cfg.source = str(sample)
+        with pytest.raises(ConfigurationError, match="bath_density.txt: non-finite"):
+            runner.run_quench(cfg)
 
     @pytest.mark.parametrize("off", [1.02, 1.10])
     def test_effpot_file_density_always_rescaled(self, tmp_path, off):
@@ -561,7 +591,8 @@ class TestRunnerPipelines:
         outdir = str(tmp_path / "fail")
         cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
         cfg.source = str(tmp_path / "missing.txt")  # quench, breathing: no density file
-        cfg.omega_i_final = 1.2  # a breathing run needs a trap change to start
+        if pipeline == "breathing":
+            cfg.omega_i_final = 1.2  # a breathing run needs a trap change to start
         if pipeline == "relax":
             cfg.n_points = 8  # below the grid minimum
         bad_csv = tmp_path / "contrast.csv"

@@ -383,6 +383,42 @@ class TestSchmidtOverlapExpansion:
         assert diffs[1] <= 10.0 * c * ratios[1] ** 2
 
 
+class TestBathDensityMatrix:
+    """The bath one-body density matrix from the stacked annihilators, against
+    explicit occupations and explicit one-body operators."""
+
+    @pytest.fixture(scope="class")
+    def vectors(self, grid):
+        fock = ed.build_fock_basis(3, 6)
+        h = ed.build_hamiltonian(fock, 0.5, 1.8, basis=ho_mode_basis(grid, 6))
+        ground, _ = ed.ground_state(h)
+        rng = np.random.default_rng(5)
+        rand = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+        return h, {"ground": ground.amplitudes, "random": rand / np.linalg.norm(rand)}
+
+    @pytest.mark.parametrize("kind", ["ground", "random"])
+    def test_matches_loop_oracle(self, vectors, kind):
+        h, vecs = vectors
+        got = ed._bath_rdm(h.annihilators, h.fock.n_modes, vecs[kind])
+        want = ed_oracle.bath_rdm(h.fock, vecs[kind])
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["ground", "random"])
+    def test_bath_energies_match_one_body_operators(self, vectors, kind):
+        h, vecs = vectors
+        fock, m = h.fock, h.fock.n_modes
+        coeffs = 0.5 * np.stack([ed._quadratic_matrix(m, -1.0), ed._quadratic_matrix(m, 1.0)])
+        ops = ed._one_body_stack(fock, ed._one_body_transitions(fock), coeffs)
+        vmat = vecs[kind].reshape(fock.bath_dim, m)
+        kinetic, potential = (
+            float(np.real(np.vdot(vmat, block)))
+            for block in (ops @ vmat).reshape(2, fock.bath_dim, m)
+        )
+        bd = ed.energy_breakdown(vecs[kind], h)
+        assert bd.kinetic_b == pytest.approx(kinetic, abs=1e-12)
+        assert bd.potential_b == pytest.approx(potential, abs=1e-12)
+
+
 class TestEnergyBreakdown:
     def test_sum_matches_hamiltonian_expectation(self, basis10, rng):
         fock = ed.build_fock_basis(2, 10)

@@ -98,9 +98,9 @@ class TestPropagate:
         traj, _ = mf.propagate(
             state, default_system, dt=5e-4, t_max=2.0, record_every=400
         )
-        bundle = mf.mean_field_contrast(traj, state, default_system)
-        assert bundle.s.values[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.max(np.abs(np.abs(bundle.s.values) - 1.0)) < 1e-8
+        s = mf.mean_field_contrast(traj, state, default_system)
+        assert s.values[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(np.abs(s.values) - 1.0)) < 1e-8
 
     def test_quench_variance_frequency(self, relaxed_default):
         state, _ = relaxed_default
@@ -122,18 +122,18 @@ class TestPropagate:
         for g in (0.1, 1.0):
             sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=g)
             traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=5.0, record_every=500)
-            bundle = mf.mean_field_contrast(traj, state, sys_post)
-            mags[g] = abs(bundle.s.values[-1])
+            s = mf.mean_field_contrast(traj, state, sys_post)
+            mags[g] = abs(s.values[-1])
         assert mags[1.0] <= mags[0.1]
 
     def test_weights_identity_on_run(self, relaxed_default):
         state, _ = relaxed_default
         sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.5)
         traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=3.0, record_every=500)
-        bundle = mf.mean_field_contrast(traj, state, sys_post)
+        s = mf.mean_field_contrast(traj, state, sys_post)
         a, b = 0.6, 0.8
-        out = general_weights_contrast(bundle.s, a, b)
-        svals = bundle.s.values
+        out = general_weights_contrast(s, a, b)
+        svals = s.values
         direct = np.sqrt(
             (2 * a * b * svals.real) ** 2
             + (2 * a * b * svals.imag) ** 2
