@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.optimize import least_squares
 
 from .errors import (
     AnalysisError,
@@ -167,16 +166,15 @@ def _sample_times(t_max, dt):
     return dt * np.arange(int(round(t_max / dt)) + 1)
 
 
-def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05, e_reference=None):
+def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
     """Contrast from the stationary-state expansion:
-    S(t) = sum_n |<psi_n|initial>|^2 exp(-i (E_n - E_ho) t), with E_ho the
-    pre-quench impurity energy (omega/2 by default). S(0) is the sum of the
+    S(t) = sum_n |<psi_n|initial>|^2 exp(-i (E_n - E_ho) t), with E_ho = omega/2
+    the pre-quench impurity energy in the potential's trap. S(0) is the sum of the
     weights, which must be 1 within 1e-6, the tolerance spectral_function
     demands of S(0)."""
     if initial is None:
         initial = bare_ground_state(spec.states[0].grid)
-    if e_reference is None:
-        e_reference = 0.5 * spec.potential.omega_trap
+    e_reference = 0.5 * spec.potential.omega_trap
     weights = np.abs(_expansion(spec, initial, tol=1e-6)) ** 2
     t = _sample_times(t_max, dt)
     phases = np.exp(-1j * np.outer(t, spec.energies - e_reference))
@@ -257,6 +255,8 @@ def fit_effective_mass(x2_series, p2_series, initial_moments):
     exceeds 5% of the signal amplitude (model invalid, e.g. outside the
     miscible regime).
     """
+    from scipy.optimize import least_squares
+
     x2_0 = float(initial_moments["x2_0"])
     p2_0 = float(initial_moments["p2_0"])
     if x2_series.dt_sample != p2_series.dt_sample or x2_series.values.size != p2_series.values.size:

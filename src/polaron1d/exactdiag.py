@@ -55,6 +55,9 @@ DIM_GUARD_DEFAULT = 5_000_000
 # Lanczos space tried before the step is halved
 KRYLOV_LOCAL_TOL = 1e-10
 KRYLOV_MAX_DIM = 30
+# ground_state: bound on the residual ||Hv - Ev|| relative to max(1, |E|);
+# ARPACK runs at a hundredth of it
+GROUND_STATE_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -411,10 +414,10 @@ def _deterministic_start(dim):
     return v / np.linalg.norm(v)
 
 
-def ground_state(h, tol=1e-10):
+def ground_state(h):
     """Lowest eigenpair via Lanczos (ARPACK) with a deterministic uniform
     start vector; dense fallback for tiny dimensions. The residual
-    ||Hv - Ev|| is verified against tol."""
+    ||Hv - Ev|| is verified against GROUND_STATE_TOL."""
     dim = h.dim
     if dim <= 32:
         w, vecs = np.linalg.eigh(h.to_dense())
@@ -426,7 +429,7 @@ def ground_state(h, tol=1e-10):
                 k=1,
                 which="SA",
                 v0=_deterministic_start(dim),
-                tol=min(tol * 1e-2, 1e-10),
+                tol=GROUND_STATE_TOL * 1e-2,
                 maxiter=max(50 * dim, 10000),
             )
         except Exception as exc:
@@ -437,7 +440,7 @@ def ground_state(h, tol=1e-10):
     phase = vec[lead] / abs(vec[lead])
     vec = vec / phase
     residual = float(np.linalg.norm(h.matvec(vec) - energy * vec))
-    if residual > max(tol, 1e-12) * max(1.0, abs(energy)):
+    if residual > GROUND_STATE_TOL * max(1.0, abs(energy)):
         raise ConvergenceError(
             f"ground-state residual {residual:.2e} above tolerance",
             trace=np.array([energy]),

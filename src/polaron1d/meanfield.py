@@ -245,7 +245,12 @@ RELAX_MAX_ITERATIONS = 400_000
 RELAX_CHECK_EVERY = 100
 
 
-def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
+# Newton polish: iteration cap and the stationarity residual that ends it early
+POLISH_MAX_ITERATIONS = 10
+POLISH_TARGET = 1e-10
+
+
+def _newton_polish(sys, grid, b, u):
     """Newton iteration on the coupled stationarity equations for real,
     positive orbitals (interior points), with the norm constraints and the
     chemical potentials as unknowns. Returns improved (b, u) or the inputs
@@ -279,12 +284,12 @@ def _newton_polish(sys, grid, b, u, max_iters=10, target=1e-10):
     best = (pb.copy(), pu.copy(), np.linalg.norm(residual(pb, pu, mu_b, mu_i)[: 2 * ni]) * np.sqrt(dx))
     size = 2 * ni + 2
     jac = np.zeros((size, size))
-    for _ in range(max_iters):
+    for _ in range(POLISH_MAX_ITERATIONS):
         res = residual(pb, pu, mu_b, mu_i)
         rnorm = float(np.linalg.norm(res[: 2 * ni]) * np.sqrt(dx))
         if rnorm < best[2]:
             best = (pb.copy(), pu.copy(), rnorm)
-        if rnorm < target:
+        if rnorm < POLISH_TARGET:
             break
         jac[:ni, :ni] = t + np.diag(
             trap_b + 3.0 * sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2 - mu_b
@@ -329,7 +334,7 @@ def relax_ground_state(sys, grid, tol=1e-10):
     chemical-potential drift below 10*tol, and the GP stationarity residual
     has stopped improving on the finest imaginary step. The spin-down orbital
     of the returned state is the relaxed spin-up orbital, which is the bare
-    trap ground state only when sys.g_bi = 0 (see ROADMAP item 5). Returns
+    trap ground state only when sys.g_bi = 0 (see ROADMAP item 6). Returns
     (MeanFieldState, RelaxResult).
     """
     if tol <= 0:

@@ -1,13 +1,15 @@
 """Shared observable and analysis layer: contrast reweighting, spectral
 function, peak finding, miscibility overlap, energy bookkeeping, virial
-check and dynamical-region classification."""
+check and dynamical-region classification.
+
+Peaks are found by a numpy port of scipy.signal's find_peaks / peak_widths
+rules (same indices, same widths), so importing this module does not load
+scipy.signal; scipy.optimize is loaded only when a damped-cosine fit runs.
+"""
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
-from scipy.signal import find_peaks as _scipy_find_peaks
-from scipy.signal import peak_widths as _scipy_peak_widths
 
 from .errors import ConfigurationError, ExtractionError, UsageError
 
@@ -101,7 +103,11 @@ def _window_values(n, t, t_max, window):
     raise ConfigurationError(f"unknown window {window!r}")
 
 
-def spectral_function(s, window="none", pad_factor=8):
+# spectral_function: zero padding of the transform, in multiples of the record
+SPECTRAL_PAD_FACTOR = 8
+
+
+def spectral_function(s, window="none"):
     """One-sided Fourier transform A(w) = (1/pi) Re int_0^inf e^{iwt} S(t) dt.
 
     The t=0 sample carries a half weight (trapezoid at the boundary), which
@@ -110,14 +116,12 @@ def spectral_function(s, window="none", pad_factor=8):
     """
     if s.t0 != 0.0 or abs(s.values[0] - 1.0) > 1e-6:
         raise UsageError("spectral_function expects a series with S(0)=1 at t=0")
-    if pad_factor < 1:
-        raise ConfigurationError("pad_factor must be >= 1")
     n = s.values.size
     t = s.times
     w = _window_values(n, t, s.t_max, window)
     data = s.values.astype(np.complex128) * w
     data[0] *= 0.5
-    n_pad = int(pad_factor) * n
+    n_pad = SPECTRAL_PAD_FACTOR * n
     padded = np.zeros(n_pad, dtype=np.complex128)
     padded[:n] = data
     # sum_n x_n e^{+i w_k t_n} = conj(fft(conj(x)))
@@ -145,6 +149,54 @@ def _parabolic_refine(x, y, i):
     return xp, yp
 
 
+def _local_peaks(x, height=None):
+    """Indices of the local maxima of x by scipy.signal.find_peaks' rule: a
+    plateau counts once, at its midpoint rounded down, and the first and last
+    samples never count. With `height`, keeps the peaks with x[p] >= height."""
+    x = np.asarray(x, dtype=np.float64)
+    # every change between neighbours (a NaN always counts as one); a peak is
+    # a rise whose next change is a fall
+    steps = np.flatnonzero(x[1:] != x[:-1])
+    rise = x[steps] < x[steps + 1]
+    fall = x[steps + 1] < x[steps]
+    top = rise[:-1] & fall[1:]
+    peaks = (steps[:-1][top] + 1 + steps[1:][top]) // 2
+    if height is not None:
+        peaks = peaks[x[peaks] >= height]
+    return peaks
+
+
+def _half_prominence_widths(x, peaks):
+    """Widths in samples at half prominence, by scipy.signal.peak_widths' rule
+    (rel_height=0.5, no window). Each base is the lowest sample on its side
+    before x first exceeds the peak (which of tied minima is taken cannot move
+    a crossing); the crossings of the half-prominence level are interpolated
+    linearly."""
+    x = np.asarray(x, dtype=np.float64)
+    widths = np.empty(len(peaks))
+    for k, p in enumerate(peaks):
+        # the bases lie between the nearest samples above the peak (NaN counts)
+        higher = np.flatnonzero(~(x <= x[p]))
+        j = np.searchsorted(higher, p)
+        lo = higher[j - 1] + 1 if j > 0 else 0
+        hi = higher[j] - 1 if j < higher.size else x.size - 1
+        base_l = lo + int(np.argmin(x[lo : p + 1]))
+        base_r = p + int(np.argmin(x[p : hi + 1]))
+        level = x[p] - (x[p] - max(x[base_l], x[base_r])) * 0.5
+        inside = np.flatnonzero(~(level < x[base_l + 1 : p + 1]))
+        i = base_l + 1 + inside[-1] if inside.size else base_l
+        left = np.float64(i)
+        if x[i] < level:
+            left += (level - x[i]) / (x[i + 1] - x[i])
+        inside = np.flatnonzero(~(level < x[p:base_r]))
+        i = p + inside[0] if inside.size else base_r
+        right = np.float64(i)
+        if x[i] < level:
+            right -= (level - x[i]) / (x[i - 1] - x[i])
+        widths[k] = right - left
+    return widths
+
+
 def find_peaks(spec, threshold_frac):
     """Local maxima of A(w) above threshold_frac * max(A), quadratic-interpolated,
     sorted by omega. Each entry: {'omega', 'height', 'width'}."""
@@ -154,10 +206,8 @@ def find_peaks(spec, threshold_frac):
     top = float(np.max(a))
     if top <= 0.0:
         return []
-    idx, _ = _scipy_find_peaks(a, height=threshold_frac * top)
-    if idx.size == 0:
-        return []
-    widths = _scipy_peak_widths(a, idx, rel_height=0.5)[0]
+    idx = _local_peaks(a, height=threshold_frac * top)
+    widths = _half_prominence_widths(a, idx)
     dw = spec.omegas[1] - spec.omegas[0]
     out = []
     for i, wsamp in zip(idx, widths):
@@ -198,7 +248,7 @@ def dominant_frequency(series):
     omega, height = _parabolic_refine(freqs, spec, i)
     # Hann main lobe spans ~2 bins of the unpadded transform
     lobe = 2.0 * (2.0 * np.pi / (series.dt_sample * n))
-    idx, _ = _scipy_find_peaks(spec, height=0.5 * height)
+    idx = _local_peaks(spec, height=0.5 * height)
     merged = False
     for j in idx:
         if j != i and abs(freqs[j] - freqs[i]) < lobe:
@@ -212,6 +262,8 @@ def dominant_frequency(series):
 
 
 def _damped_cosine_frequency(t, y, omega0):
+    from scipy.optimize import least_squares
+
     amp0 = 0.5 * (np.max(y) - np.min(y))
 
     def model(p):
@@ -259,7 +311,7 @@ REGION_WINDOW = 50.0
 
 def _peak_envelope(t, s):
     """Upper envelope through local maxima of s(t), linearly interpolated."""
-    idx, _ = _scipy_find_peaks(s)
+    idx = _local_peaks(s)
     idx = np.concatenate(([0], idx, [s.size - 1]))
     idx = np.unique(idx)
     return np.interp(t, t[idx], s[idx])

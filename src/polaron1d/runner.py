@@ -184,7 +184,7 @@ def _contrast_files(out, s_series, cfg):
         ["t", "re_s", "im_s", "abs_s", "phase"],
         [t, svals.real, svals.imag, np.abs(svals), np.unwrap(np.angle(svals))],
     )
-    spec = obs.spectral_function(s_series, window="hann", pad_factor=8)
+    spec = obs.spectral_function(s_series, window="hann")
     _write_csv(out.path("spectrum.csv"), ["omega", "a"], [spec.omegas, spec.values])
     peaks = obs.find_peaks(spec, threshold_frac=0.05)
     weighted = obs.general_weights_contrast(s_series, cfg.alpha, cfg.beta)
@@ -220,10 +220,12 @@ def run_relax(cfg, directory=None):
         state, res = mf.relax_ground_state(sys_pre, grid)
         dens_b = state.bath.density(cfg.n_bath)
         dens_u = state.impurity.up.density()
+        # the spin-down impurity never couples to the bath: bare trap ground state
+        dens_d = ep.bare_ground_state(grid, omega=cfg.omega_i_initial).density()
         _write_csv(
             out.path("densities.csv"),
             ["x", "rho_bath", "rho_up", "rho_down"],
-            [grid.x, np.real(dens_b.values), np.real(dens_u.values), np.real(dens_u.values)],
+            [grid.x, np.real(dens_b.values), np.real(dens_u.values), np.real(dens_d.values)],
         )
         bd = res.breakdown
         _write_csv(
@@ -316,12 +318,7 @@ def _run_quench_effpot(cfg, out, grid):
         source, cfg.g_bi_final, grid=grid, omega_trap=cfg.omega_i_initial
     )
     spec = ep.eigensolve(pot, n_eig=cfg.n_eig)
-    contrast = ep.effpot_contrast(
-        spec,
-        t_max=cfg.t_max,
-        dt=max(cfg.dt, 0.02),
-        e_reference=0.5 * cfg.omega_i_initial,
-    )
+    contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=max(cfg.dt, 0.02))
     summary = _contrast_files(out, contrast.series, cfg)
     _write_csv(
         out.path("energies.csv"),

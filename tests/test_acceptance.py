@@ -25,7 +25,7 @@ def effpot_spectrum_peaks(density, g_bi, threshold=0.05):
     pot = ep.build_effective_potential(density, g_bi)
     spec = ep.eigensolve(pot, n_eig=40)
     contrast = ep.effpot_contrast(spec, t_max=100.0, dt=0.05)
-    sf = obs.spectral_function(contrast.series, window="hann", pad_factor=8)
+    sf = obs.spectral_function(contrast.series, window="hann")
     return obs.find_peaks(sf, threshold), sf, contrast
 
 
@@ -272,7 +272,7 @@ def test_criterion_9_ed_oracles(grid):
     basis8 = ho_mode_basis(grid, 8)
     fock8 = ed.build_fock_basis(2, 8)
     h2 = ed.build_hamiltonian(fock8, 0.5, 0.0, basis=basis8)
-    v_g, e_g = ed.ground_state(h2, tol=1e-10)
+    v_g, e_g = ed.ground_state(h2)
     w2, vec2 = np.linalg.eigh(h2.to_dense())
     ground_err = abs(e_g - w2[0])
     overlap_err = abs(abs(np.vdot(vec2[:, 0], v_g.amplitudes)) - 1.0)

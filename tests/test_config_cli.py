@@ -380,6 +380,22 @@ class TestRunnerPipelines:
         for name in ("densities.csv", "energies.csv", "summary.json", "manifest.json"):
             assert os.path.exists(os.path.join(outdir, name)), name
 
+    def test_relax_rho_down_is_bare_trap_state(self, tmp_path):
+        outdir = str(tmp_path / "rx")
+        cfg = validate_config(
+            "[system]\nn_bath = 100\ng_bb = 0.5\ng_bi_initial = 0.4\nomega_i_initial = 0.9\n"
+            f"[output]\ndirectory = {outdir}\n"
+        )
+        runner.run_relax(cfg)
+        header, data = runner.read_csv(os.path.join(outdir, "densities.csv"))
+        cols = dict(zip(header, data.T))
+        grid = build_grid(cfg.n_points, cfg.x_max)
+        bare = np.exp(-0.9 * grid.x**2)
+        bare /= np.sum(bare) * grid.dx
+        assert np.max(np.abs(cols["rho_down"] - bare)) < 1e-12
+        # the dressed spin-up orbital is pushed out of the bath's centre
+        assert np.max(np.abs(cols["rho_up"] - cols["rho_down"])) > 1e-2
+
     def test_breathing_meanfield_tier(self, tmp_path):
         outdir = str(tmp_path / "brmf")
         cfg = validate_config(

@@ -135,14 +135,14 @@ class TestContrast:
     def test_weak_coupling_peak_position(self, tf_pot_weak):
         spec = ep.eigensolve(tf_pot_weak, n_eig=40)
         out = ep.effpot_contrast(spec, t_max=100.0, dt=0.05)
-        sf = spectral_function(out.series, window="hann", pad_factor=8)
+        sf = spectral_function(out.series, window="hann")
         tallest = max(find_peaks(sf, 0.1), key=lambda p: p["height"])
         assert tallest["omega"] == pytest.approx(4.435, rel=0.05)
 
     def test_spectral_peaks_match_levels(self, tf_pot_strong):
         spec = ep.eigensolve(tf_pot_strong, n_eig=40)
         out = ep.effpot_contrast(spec, t_max=100.0, dt=0.05)
-        sf = spectral_function(out.series, window="hann", pad_factor=8)
+        sf = spectral_function(out.series, window="hann")
         peaks = find_peaks(sf, 5e-4)
         for n in range(spec.n_eig):
             if out.weights[n] > 1e-3:

@@ -183,7 +183,7 @@ class TestHamiltonian:
         basis = ho_mode_basis(grid, 8)
         fock = ed.build_fock_basis(2, 8)  # dim 288
         h = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis)
-        v, e = ed.ground_state(h, tol=1e-10)
+        v, e = ed.ground_state(h)
         w, vecs = np.linalg.eigh(h.to_dense())
         assert e == pytest.approx(w[0], abs=1e-10)
         overlap = abs(np.vdot(vecs[:, 0], v.amplitudes))
@@ -277,7 +277,7 @@ class TestSpectralShift:
             h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
             traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=40.0, record_every=1)
             s = ed.ed_contrast(traj, v0, e0)
-            spec = spectral_function(s, window="hann", pad_factor=8)
+            spec = spectral_function(s, window="hann")
             peaks = [p for p in find_peaks(spec, 0.2) if p["omega"] > spec.resolution]
             first_peaks.append(min(p["omega"] for p in peaks))
         assert first_peaks[0] < first_peaks[1] < first_peaks[2]

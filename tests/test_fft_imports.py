@@ -1,6 +1,7 @@
 """Lint: the sine-spectral kinetic operator has one home. Only grid.py may
 import scipy.fft (or scipy.fftpack), so no second DST-I path can appear in
-another module."""
+another module. `scipy_imports` is shared with the start-up lint in
+test_import_cost.py."""
 
 import ast
 import pathlib
@@ -12,27 +13,41 @@ FFT_MODULES = ("scipy.fft", "scipy.fftpack")
 OWNER = "grid.py"
 
 
-def _is_fft(module):
-    return any(module == m or module.startswith(m + ".") for m in FFT_MODULES)
+def _is_under(module, packages):
+    return any(module == m or module.startswith(m + ".") for m in packages)
+
+
+def scipy_imports(source, packages):
+    """(line, module, inside_function) for every import of one of `packages`,
+    in any spelling: `import scipy.fft`, `from scipy.fft import dst`,
+    `from scipy import fft`."""
+    found = []
+
+    def visit(node, inside):
+        if isinstance(node, ast.Import):
+            found.extend(
+                (node.lineno, a.name, inside) for a in node.names if _is_under(a.name, packages)
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if _is_under(node.module, packages):
+                found.append((node.lineno, node.module, inside))
+            else:
+                found.extend(
+                    (node.lineno, f"{node.module}.{a.name}", inside)
+                    for a in node.names
+                    if _is_under(f"{node.module}.{a.name}", packages)
+                )
+        inside = inside or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
 
 
 def fft_imports(source):
-    """(line, module) for every import of scipy.fft or scipy.fftpack, in any
-    spelling: `import scipy.fft`, `from scipy.fft import dst`, `from scipy import fft`."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            found += [(node.lineno, a.name) for a in node.names if _is_fft(a.name)]
-        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
-            if _is_fft(node.module):
-                found.append((node.lineno, node.module))
-                continue
-            found += [
-                (node.lineno, f"{node.module}.{a.name}")
-                for a in node.names
-                if _is_fft(f"{node.module}.{a.name}")
-            ]
-    return sorted(found)
+    """(line, module) for every import of scipy.fft or scipy.fftpack."""
+    return [(line, module) for line, module, _ in scipy_imports(source, FFT_MODULES)]
 
 
 def test_checker_flags_every_spelling():
