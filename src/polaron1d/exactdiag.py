@@ -1,7 +1,8 @@
 """Correlated tier: N_B bath bosons plus one spin-up impurity, both expanded
 in the fixed harmonic-oscillator mode basis. Exact Hamiltonian action on the
-truncated Fock space, Lanczos ground states, short-iterate Krylov real-time
-propagation, exact contrast, Schmidt decomposition and entanglement measures.
+truncated Fock space, Lanczos ground states, real-time propagation by
+error-controlled Krylov steps that each serve every record time within their
+reach, exact contrast, Schmidt decomposition and entanglement measures.
 
 The bath-bath contact term carries the conventional 1/2 prefactor,
 H_BB = (g_bb/2) int Psi+ Psi+ Psi Psi; the bath-impurity term has no such
@@ -32,7 +33,7 @@ entry is ever formed.
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,8 +52,8 @@ from .grid import Field, hermite_functions
 from .observables import EnergyBreakdown, TimeSeries
 
 DIM_GUARD_DEFAULT = 5_000_000
-# Krylov propagation: error target of one exp(-i dt H) step and the largest
-# Lanczos space tried before the step is halved
+# Krylov propagation: bound on the error estimate of every state a Lanczos
+# space gives, and the most vectors one space holds
 KRYLOV_LOCAL_TOL = 1e-10
 KRYLOV_MAX_DIM = 30
 # ground_state: bound on the residual ||Hv - Ev|| relative to max(1, |E|);
@@ -389,10 +390,21 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
         h_imp=t_imp + v_imp,
         annihilators=_annihilators(fock),
         node_pairs=np.einsum("lq,kq->lkq", phi, phi).reshape(m * m, -1),
-        bi_weights=g_bi * weights if g_bi > 0 else None,
+        bi_weights=None,
         t_imp=t_imp,
         v_imp=v_imp,
     )
+    return with_impurity_coupling(h, g_bi)
+
+
+def with_impurity_coupling(h, g_bi):
+    """h with the bath-impurity coupling g_bi. Every other block, the
+    bath-bath one included, is shared with h, not rebuilt; Hermiticity is
+    self-checked."""
+    if g_bi < 0:
+        raise ConfigurationError("couplings must be >= 0")
+    _, weights, _ = contact_rule(h.fock.n_modes)
+    h = replace(h, bi_weights=g_bi * weights if g_bi > 0 else None)
     _verify_hermitian(h)
     return h
 
@@ -464,96 +476,84 @@ class EDTrajectory:
         return ManyBodyVector(amplitudes=self.vectors[k], fock=self.fock)
 
 
-def _lanczos_expm(matvec, v, dt, local_tol):
-    """One exp(-i dt H) v application in an adaptive Krylov space of at most
-    KRYLOV_MAX_DIM vectors. Returns (w, dim_used), or (None, KRYLOV_MAX_DIM)
-    when not converged."""
-    max_dim = KRYLOV_MAX_DIM
-    alphas, betas = [], []
-    basis = np.empty((max_dim, v.size), dtype=np.complex128)
+def _lanczos(matvec, v, basis):
+    """Krylov basis V_m of the unit vector v in the rows of `basis`, fully
+    reorthogonalized, m = all rows or the dimension at breakdown, and the
+    eigenpairs (w, u) of T_m = V_m^+ H V_m. Returns (V_m, w, u, beta_m)."""
     basis[0] = v
+    alphas, betas = [], []
     r = matvec(v)
-    a = float(np.real(np.vdot(v, r)))
-    alphas.append(a)
-    r = r - a * v
-    y_prev = None
-    for m in range(1, max_dim + 1):
-        w_eig, u = eigh_tridiagonal(np.asarray(alphas), np.asarray(betas))
-        y = u @ (np.exp(-1j * dt * w_eig) * u[0])
-        # full reorthogonalization of the residual (cheap at these sizes)
+    for m in range(1, basis.shape[0] + 1):
+        q = basis[m - 1]
+        alphas.append(float(np.real(np.vdot(q, r))))
+        r = r - alphas[-1] * q
         vm = basis[:m]
         r = r - np.conj(vm @ np.conj(r)) @ vm
         b = float(np.linalg.norm(r))
-        breakdown = b < 1e-13
-        converged = False
-        if y_prev is not None:
-            err = float(np.linalg.norm(y[:-1] - y_prev)) + abs(y[-1])
-            converged = err < local_tol
-        if converged or breakdown:
-            return y @ vm, m
-        y_prev = y
-        if m == max_dim:
-            return None, max_dim
-        q = r / b
-        basis[m] = q
+        if b < 1e-13 or m == basis.shape[0]:
+            return (vm, *eigh_tridiagonal(np.asarray(alphas), np.asarray(betas)), b)
         betas.append(b)
-        r = matvec(q) - b * basis[m - 1]
-        a = float(np.real(np.vdot(q, r)))
-        alphas.append(a)
-        r = r - a * q
-    return None, max_dim
+        basis[m] = r / b
+        r = matvec(basis[m]) - b * q
 
 
-def _expm_step(matvec, v, dt, local_tol, depth=0):
-    w, used = _lanczos_expm(matvec, v, dt, local_tol)
-    if w is not None:
-        return w, used
-    if depth >= 6:
-        raise StepSizeError(
-            f"Krylov step rejected down to dt={dt:.3e}; use a smaller step",
-            suggested_dt=dt / 4.0,
-        )
-    half, u1 = _expm_step(matvec, v, dt / 2.0, local_tol / 2.0, depth + 1)
-    half /= np.linalg.norm(half)
-    out, u2 = _expm_step(matvec, half, dt / 2.0, local_tol / 2.0, depth + 1)
-    return out, max(u1, u2)
+def _krylov_error(w, u, beta, taus):
+    """Error estimate beta_m |e_m^T exp(-i tau T_m) e_1| at each time tau."""
+    return beta * np.abs(np.exp(-1j * np.multiply.outer(taus, w)) @ (u[0] * u[-1]))
+
+
+def _krylov_state(vm, w, u, tau):
+    """V_m exp(-i tau T_m) e_1, renormalized, and its norm defect."""
+    y = (u @ (np.exp(-1j * tau * w) * u[0])) @ vm
+    norm = np.linalg.norm(y)
+    return y / norm, abs(norm - 1.0)
 
 
 def propagate_krylov(h, v0, dt, t_max, record_every=1):
-    """exp(-i H t) v0 by short-iterate Lanczos steps with adaptive Krylov
-    dimension <= KRYLOV_MAX_DIM and per-step error target KRYLOV_LOCAL_TOL.
-    Unitarity is enforced by renormalization; the accumulated drift is
-    reported."""
+    """exp(-i H t) v0 at every record time by error-controlled Lanczos steps
+    with dense output (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911
+    (1997); Sidje, ACM TOMS 24, 130 (1998)). A step builds one Krylov space
+    of at most KRYLOV_MAX_DIM vectors and gives each pending record tau as
+    V_m exp(-i tau T_m) e_1 while the error estimate stays below
+    KRYLOV_LOCAL_TOL, and the next step starts from the last of them; a step
+    that reaches no record ends at an internal time, halved until the
+    estimate passes. States are renormalized and the largest norm defect is
+    reported. Record times accumulate t += dt as a fixed-step loop would."""
     if dt <= 0 or t_max <= 0:
         raise ConfigurationError("dt and t_max must be > 0")
     amps = np.asarray(v0.amplitudes, dtype=np.complex128)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
         raise UsageError("v0 must be normalized")
     record_every = max(int(record_every), 1)
-    n_steps = int(round(t_max / dt))
-    n_rec = max(n_steps // record_every, 1)
-    times = [0.0]
-    vectors = [amps.copy()]
-    v = amps.copy()
-    drift = 0.0
-    max_used = 0
-    t = 0.0
-    for k in range(n_rec * record_every):
-        v, used = _expm_step(h.matvec, v, dt, KRYLOV_LOCAL_TOL)
-        max_used = max(max_used, used)
-        norm = np.linalg.norm(v)
-        drift = max(drift, abs(norm - 1.0))
-        v = v / norm
-        t += dt
-        if (k + 1) % record_every == 0:
-            times.append(t)
-            vectors.append(v.copy())
+    n_rec = max(int(round(t_max / dt)) // record_every, 1)
+    clock = itertools.accumulate(itertools.repeat(dt, n_rec * record_every))
+    times = np.array([0.0, *itertools.islice(clock, record_every - 1, None, record_every)])
+    vectors = np.empty((n_rec + 1, amps.size), dtype=np.complex128)
+    basis = np.empty((KRYLOV_MAX_DIM, amps.size), dtype=np.complex128)
+    vectors[0] = v = amps
+    t_start, k, drift, max_used = 0.0, 1, 0.0, 0
+    while k <= n_rec:
+        vm, w, u, beta = _lanczos(h.matvec, v, basis)
+        max_used = max(max_used, vm.shape[0])
+        taus = times[k:] - t_start
+        passed = _krylov_error(w, u, beta, taus) <= KRYLOV_LOCAL_TOL
+        n_pass = passed.size if passed.all() else int(np.argmin(passed))
+        if n_pass == 0:
+            tau = taus[0] / 2.0
+            while not _krylov_error(w, u, beta, tau) <= KRYLOV_LOCAL_TOL:
+                tau /= 2.0
+                if tau == 0.0:
+                    raise StepSizeError(f"no Krylov step from t={t_start:.6g} passes")
+            v, defect = _krylov_state(vm, w, u, tau)
+            drift, t_start = max(drift, defect), t_start + tau
+            continue
+        for j in range(k, k + n_pass):
+            vectors[j], defect = _krylov_state(vm, w, u, taus[j - k])
+            drift = max(drift, defect)
+        k += n_pass
+        v, t_start = vectors[k - 1], times[k - 1]
     return EDTrajectory(
-        times=np.asarray(times),
-        vectors=np.asarray(vectors),
-        fock=v0.fock,
-        max_norm_drift=drift,
-        max_krylov_dim=max_used,
+        times=times, vectors=vectors, fock=v0.fock, max_norm_drift=drift, max_krylov_dim=max_used
     )
 
 

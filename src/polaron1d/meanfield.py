@@ -243,6 +243,9 @@ def _initial_guess(sys, grid):
 RELAX_SCHEDULE = (2e-2, 4e-3, 1e-3)
 RELAX_MAX_ITERATIONS = 400_000
 RELAX_CHECK_EVERY = 100
+# bound on the per-step relative energy change that ends the finest stage;
+# the chemical-potential drift must stay below ten times it
+RELAX_TOL = 1e-10
 
 
 # Newton polish: iteration cap and the stationarity residual that ends it early
@@ -327,18 +330,16 @@ def _newton_polish(sys, grid, b, u):
     return b_out, u_out
 
 
-def relax_ground_state(sys, grid, tol=1e-10):
+def relax_ground_state(sys, grid):
     """Imaginary-time relaxation of the coupled bath + spin-up equations.
 
-    Converged when the per-step relative energy change is below tol, the
-    chemical-potential drift below 10*tol, and the GP stationarity residual
-    has stopped improving on the finest imaginary step. The spin-down orbital
-    of the returned state is the relaxed spin-up orbital, which is the bare
-    trap ground state only when sys.g_bi = 0 (see ROADMAP item 6). Returns
-    (MeanFieldState, RelaxResult).
+    Converged when the per-step relative energy change is below RELAX_TOL,
+    the chemical-potential drift below 10*RELAX_TOL, and the GP stationarity
+    residual has stopped improving on the finest imaginary step. The spin-down
+    orbital of the returned state is the relaxed spin-up orbital, which is the
+    bare trap ground state only when sys.g_bi = 0 (see ROADMAP item 6).
+    Returns (MeanFieldState, RelaxResult).
     """
-    if tol <= 0:
-        raise ConfigurationError("tol must be > 0")
     bath, imp = _initial_guess(sys, grid)
     b = bath.values.copy()
     u = imp.values.copy()
@@ -396,7 +397,7 @@ def relax_ground_state(sys, grid, tol=1e-10):
                 if stage < last_stage:
                     if plateau:
                         break
-                elif de < tol and dmu < 10.0 * tol and plateau:
+                elif de < RELAX_TOL and dmu < 10.0 * RELAX_TOL and plateau:
                     break
             e_prev, mu_prev, r_prev = e, mu_b, resid
             if iterations >= RELAX_MAX_ITERATIONS:

@@ -318,7 +318,7 @@ def _peak_envelope(t, s):
 
 
 def classify_region(contrast):
-    """Classify a contrast record into the dynamical regions:
+    """Classify a real contrast record |S(t)| into the dynamical regions:
 
     R_I   - oscillatory, running min of |S|/|S(0)| above 0.5 on [0, 50]
     R_III - monotone-enveloped decay below 0.1 at t = 50
@@ -327,6 +327,8 @@ def classify_region(contrast):
     Returns {'region', 'candidates', 'metrics'}; 'borderline' when the
     running minimum sits within 5% of a threshold.
     """
+    if np.iscomplexobj(contrast.values):
+        raise UsageError("region classification needs the real series |S(t)|, not S(t)")
     if contrast.t_max < REGION_WINDOW - 1e-9:
         raise UsageError(
             f"region classification needs the series to cover t in [0, >={REGION_WINDOW}]"

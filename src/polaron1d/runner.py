@@ -356,9 +356,8 @@ def _run_quench_ed(cfg, out, grid):
         fock, cfg.g_bb, cfg.g_bi_initial, omega_i=cfg.omega_i_initial, basis=basis
     )
     v0, e0 = ed.ground_state(h_pre)
-    h_post = ed.build_hamiltonian(
-        fock, cfg.g_bb, cfg.g_bi_final, omega_i=cfg.omega_i_final, basis=basis
-    )
+    # under the quench contract only g_bi changes: the bath block is shared
+    h_post = ed.with_impurity_coupling(h_pre, cfg.g_bi_final)
     traj = ed.propagate_krylov(
         h_post, v0, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
     )

@@ -218,6 +218,78 @@ class TestKrylov:
         exact = expm(-1j * hd * 10.0) @ v0.amplitudes
         assert np.linalg.norm(traj.vectors[-1] - exact) < 1e-10
 
+    @pytest.fixture(scope="class")
+    def system126(self, grid):
+        """The dim-126 system of test_matches_dense_expm and its dense matrix."""
+        fock = ed.build_fock_basis(2, 6)
+        h = ed.build_hamiltonian(fock, 0.5, 0.8, basis=ho_mode_basis(grid, 6))
+        return h, h.to_dense()
+
+    @staticmethod
+    def count_matvecs(monkeypatch, h):
+        calls = []
+        matvec = h.matvec
+        monkeypatch.setattr(h, "matvec", lambda v: calls.append(None) or matvec(v))
+        return calls
+
+    def test_matches_dense_expm_at_every_record(self, system126):
+        h, hd = system126
+        _, vecs = np.linalg.eigh(hd)
+        mix = vecs[:, 0] + 0.5 * vecs[:, 3] + 0.2 * vecs[:, 10]
+        mix = mix / np.linalg.norm(mix)
+        v0 = ed.ManyBodyVector(amplitudes=mix.astype(complex), fock=h.fock)
+        traj = ed.propagate_krylov(h, v0, dt=0.1, t_max=10.0, record_every=1)
+        assert traj.times.size == 101
+        errors = [
+            np.linalg.norm(vec - expm(-1j * hd * t) @ mix)
+            for t, vec in zip(traj.times, traj.vectors)
+        ]
+        assert max(errors) <= 1e-12
+        assert traj.max_krylov_dim <= ed.KRYLOV_MAX_DIM
+
+    def test_long_record_spacing_takes_internal_steps(self, system126, monkeypatch):
+        # a generic start vector: no Krylov space of KRYLOV_MAX_DIM vectors
+        # reaches t = 10 at ||H|| ~ 17, so the one record needs internal steps
+        h, hd = system126
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+        v /= np.linalg.norm(v)
+        calls = self.count_matvecs(monkeypatch, h)
+        traj = ed.propagate_krylov(
+            h, ed.ManyBodyVector(amplitudes=v, fock=h.fock), dt=0.1, t_max=10.0,
+            record_every=100,
+        )
+        assert traj.times.size == 2
+        assert len(calls) > ed.KRYLOV_MAX_DIM
+        assert traj.max_krylov_dim <= ed.KRYLOV_MAX_DIM
+        assert np.linalg.norm(traj.vectors[-1] - expm(-1j * hd * traj.times[-1]) @ v) < 1e-10
+        assert traj.max_norm_drift < 1e-12
+
+    @pytest.mark.parametrize("dt, t_max, record_every", [(0.1, 2.0, 3), (0.05, 3.0, 2), (0.07, 1.0, 1)])
+    def test_record_times_accumulate_dt(self, system126, dt, t_max, record_every):
+        h, _ = system126
+        v0, _ = ed.ground_state(h)
+        traj = ed.propagate_krylov(h, v0, dt=dt, t_max=t_max, record_every=record_every)
+        expected, t = [0.0], 0.0
+        n_rec = int(round(t_max / dt)) // record_every
+        for k in range(n_rec * record_every):
+            t += dt
+            if (k + 1) % record_every == 0:
+                expected.append(t)
+        assert np.array_equal(traj.times, np.asarray(expected))
+        assert traj.vectors.shape == (n_rec + 1, h.dim)
+
+    def test_matvec_budget(self, basis10, monkeypatch):
+        # the perfbench ed-quench point at g_bi = 1.8; matvec counts repeat
+        # exactly, so this bounds the cost without a timing assertion
+        fock = ed.build_fock_basis(4, 10)
+        v0, _ = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        h1 = ed.build_hamiltonian(fock, 0.5, 1.8, basis=basis10)
+        calls = self.count_matvecs(monkeypatch, h1)
+        traj = ed.propagate_krylov(h1, v0, dt=0.05, t_max=3.0, record_every=2)
+        assert traj.times.size == 31
+        assert len(calls) <= 200
+
     def test_unitarity(self, basis10):
         fock = ed.build_fock_basis(2, 10)
         h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)

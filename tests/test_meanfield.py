@@ -76,10 +76,6 @@ class TestRelax:
         l2_dev = np.sqrt(np.sum((rho - rho_tf) ** 2) / np.sum(rho_tf**2))
         assert l2_dev < 0.03
 
-    def test_rejects_bad_tolerance(self, grid, default_system):
-        with pytest.raises(ConfigurationError):
-            mf.relax_ground_state(default_system, grid, tol=0.0)
-
 
 class TestPropagate:
     def test_stationary_state(self, relaxed_default, default_system):

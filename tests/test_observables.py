@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from polaron1d import effpot as ep
+from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, ExtractionError, UsageError
 from polaron1d.grid import Field, build_grid
 from polaron1d.observables import (
@@ -221,6 +223,15 @@ class TestClassifyRegion:
         t = np.arange(0.0, 10.0, 0.05)
         with pytest.raises(UsageError):
             classify_region(self._series(np.ones_like(t)))
+
+    def test_complex_series_rejected(self, grid, default_system):
+        pot = ep.build_effective_potential(mf.thomas_fermi(default_system), 1.5, grid=grid)
+        series = ep.effpot_contrast(ep.eigensolve(pot, n_eig=40), t_max=60.0, dt=0.05).series
+        assert np.iscomplexobj(series.values)
+        with pytest.raises(UsageError, match=r"real series \|S\(t\)\|"):
+            classify_region(series)
+        magnitude = TimeSeries(series.t0, series.dt_sample, np.abs(series.values))
+        assert classify_region(magnitude)["region"] in ("R_I", "R_II", "R_III", "borderline")
 
     def test_borderline_near_threshold(self):
         t = np.arange(0.0, 60.0, 0.05)
