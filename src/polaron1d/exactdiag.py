@@ -15,20 +15,21 @@ The contact interaction is factorized. A product of four oscillator
 functions is a polynomial of degree <= 4(M - 1) times exp(-2x^2), so the
 Q = 2M - 1 point Gauss-Hermite rule for that weight gives every contact
 integral exactly, u_ijkl = sum_q W_q phi_i(x_q) phi_j(x_q) phi_k(x_q)
-phi_l(x_q). With the node densities n_q = sum_il phi_i(x_q) phi_l(x_q)
-a_i+ a_l (the diagonal i = l included) and c_q = sum_l phi_l(x_q)^2:
+phi_l(x_q). With psi_q = sum_l phi_l(x_q) a_l both terms are in normal order:
 
-    H_BI = g_bi sum_q W_q n_q (x) |phi(x_q)><phi(x_q)|
-    H_BB = (g_bb/2) sum_q W_q (n_q^2 - c_q n_q)
+    H_BI = g_bi sum_q W_q psi_q+ psi_q (x) |phi(x_q)><phi(x_q)|
+    H_BB = (g_bb/2) sum_q W_q psi_q+ psi_q+ psi_q psi_q
 
-H_BI is applied matrix-free, V Phi -> every n_q -> (g_bi W_q) Phi^T. Each
-n_q is psi_q^+ psi_q with psi_q = sum_l phi_l(x_q) a_l, so one sparse matrix,
-the stacked annihilators a_l (about 2 k nonzeros at N_B = 4, M = 10), lowers
-V once, two small dense products carry the node sums and A^T raises the
-result. H_BB is assembled by sparse products. The nodes come in pairs +-x_q
-with n_{+-q} = E_q +- O_q, the parts of n_q with i + l even and odd, so a
-pair contributes 2 W_q (E_q^2 + O_q^2 - c_q E_q) and no parity-forbidden
-entry is ever formed.
+Every Fock-space operator comes from one sparse matrix, the stacked
+annihilators a_l (about 2 k nonzeros at N_B = 4, M = 10). H_BI is applied
+matrix-free: A lowers V once, two small dense products carry the node sums
+V Phi -> psi_q -> (g_bi W_q) Phi^T, and A^T raises the result. H_BB is stored
+as one sparse product B^T B, B stacking the node sums of the pair
+annihilators a_k a_l built from A at N_B - 1 and N_B bosons. The nodes come
+in pairs +-x_q with psi_{+-q} psi_{+-q} = P_q +- R_q, the parts with k + l
+even and odd, so a pair contributes g_bb W_q (P_q^T P_q + R_q^T R_q) and no
+parity-forbidden entry is ever formed. H_BB is positive semidefinite by
+construction and exactly zero for N_B <= 1.
 """
 
 import itertools
@@ -283,24 +284,6 @@ def _bath_rdm(annihilators, n_modes, v):
     return lowered.conj() @ lowered.T
 
 
-def _one_body_transitions(fock):
-    """(i, l) -> (src, dst, amp) arrays for a_i^+ a_l with i != l."""
-    occs = fock.occupations
-    m = fock.n_modes
-    out = {}
-    for l in range(m):
-        src = np.flatnonzero(occs[:, l] > 0)
-        for i in range(m):
-            if i == l:
-                continue
-            amp = np.sqrt(occs[src, l] * (occs[src, i] + 1.0))
-            shifted = occs[src].copy()
-            shifted[:, l] -= 1
-            shifted[:, i] += 1
-            out[(i, l)] = (src, fock.rank(shifted), amp)
-    return out
-
-
 def _annihilators(fock):
     """The annihilators a_l of every mode as one CSR matrix of shape (s' M, s),
     row b' M + l holding <b'|a_l, with s' states of N_B - 1 bosons."""
@@ -316,39 +299,28 @@ def _annihilators(fock):
     return sp.csr_matrix((amp, (rows, src)), shape=(m * s_less, fock.bath_dim))
 
 
-def _one_body_stack(fock, transitions, coeffs):
-    """The operators sum_il coeffs[k, i, l] a_i^+ a_l, k = 0..K-1, stacked as
-    one (K s x s) CSR matrix with operator k in block row k, for s bath
-    states. A hop is stored only for the k whose coefficient is nonzero."""
-    s = fock.bath_dim
-    states = np.arange(s)
-    diag = np.diagonal(coeffs, axis1=1, axis2=2)
-    parts = [(np.arange(coeffs.shape[0]), states, states, diag @ fock.occupations.T)]
-    for (i, l), (src, dst, amp) in transitions.items():
-        ops = np.flatnonzero(coeffs[:, i, l])
-        parts.append((ops, dst, src, coeffs[ops, i, l, None] * amp))
-    rows = np.concatenate([(s * ops[:, None] + dst).ravel() for ops, dst, _, _ in parts])
-    cols = np.concatenate([np.tile(src, ops.size) for ops, _, src, _ in parts])
-    vals = np.concatenate([val.ravel() for _, _, _, val in parts])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(s * coeffs.shape[0], s))
-
-
-def _bath_contact_csr(fock, x, weights, phi, g_bb):
-    """(g_bb/2) sum_q W_q (n_q^2 - c_q n_q) on the bath Fock space, summed
-    over the node pairs +-x_q as 2 W_q (E_q^2 + O_q^2 - c_q E_q) (the centre
-    node once): one sparse product A^T A of the stacked sqrt(2 W_q) E_q and
-    sqrt(2 W_q) O_q, minus the one-body term sum_q W_q c_q n_q."""
-    m = phi.shape[0]
-    n = np.arange(m)
-    transitions = _one_body_transitions(fock)
-    even = (n[:, None] + n[None, :]) % 2 == 0
+def _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb):
+    """(g_bb/2) sum_q W_q psi_q^+ psi_q^+ psi_q psi_q on the bath Fock space as
+    one sparse product (g_bb/2) B^T B. The pair annihilators a_k a_l =
+    (A' (x) 1) A, rows (b'', k, l), come from the stacked annihilators A' and
+    A at N_B - 1 and N_B bosons; B stacks their node sums sqrt(2 W_q) P_q and
+    sqrt(2 W_q) R_q over the nodes x_q > 0 and sqrt(W_0) P_0 at the centre,
+    with P_q and R_q the parts of psi_q psi_q with k + l even and odd."""
+    n, m = fock.n_bath, fock.n_modes
+    if n < 2:
+        return sp.csr_matrix((fock.bath_dim, fock.bath_dim))
+    modes = np.arange(m)
+    even = (modes[:, None] + modes[None, :]) % 2 == 0
     half = x >= 0.0
     scale = np.sqrt(np.where(x[half] > 0.0, 2.0, 1.0) * weights[half])
-    pair = np.einsum("q,iq,lq->qil", scale, phi[:, half], phi[:, half])
-    a = _one_body_stack(fock, transitions, np.concatenate([pair * even, pair * ~even]))
-    c = np.sum(phi**2, axis=0)
-    lin = _one_body_stack(fock, transitions, ((phi * (weights * c)) @ phi.T * even)[None])
-    return ((0.5 * g_bb) * (a.T @ a - lin)).tocsr()
+    pair = np.einsum("q,kq,lq->qkl", scale, phi[:, half], phi[:, half])
+    coeffs = sp.csr_matrix(np.concatenate([pair * even, pair * ~even]).reshape(-1, m * m))
+    lower = _annihilators(build_fock_basis(n - 1, m))
+    pairs = sp.kron(lower, sp.identity(m), format="csr") @ annihilators
+    b = sp.kron(sp.identity(lower.shape[0] // m), coeffs, format="csr") @ pairs
+    h_bb = b.T.tocsr() @ b
+    h_bb.data *= 0.5 * g_bb
+    return h_bb
 
 
 def _verify_hermitian(h):
@@ -381,14 +353,15 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
     t_imp = 0.5 * _quadratic_matrix(m, -1.0)
     v_imp = 0.5 * omega_i**2 * _quadratic_matrix(m, 1.0)
     x, weights, phi = contact_rule(m)
-    bb = _bath_contact_csr(fock, x, weights, phi, g_bb) if g_bb > 0 else None
+    annihilators = _annihilators(fock)
+    bb = _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb) if g_bb > 0 else None
     h = EDHamiltonian(
         fock=fock,
         basis=basis,
         bath_onebody=bath_onebody,
         bb_csr=bb,
         h_imp=t_imp + v_imp,
-        annihilators=_annihilators(fock),
+        annihilators=annihilators,
         node_pairs=np.einsum("lq,kq->lkq", phi, phi).reshape(m * m, -1),
         bi_weights=None,
         t_imp=t_imp,
@@ -413,9 +386,6 @@ def with_impurity_coupling(h, g_bi):
 class ManyBodyVector:
     amplitudes: np.ndarray = field(repr=False, compare=False)
     fock: FockBasis = None
-
-    def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def _deterministic_start(dim):

@@ -422,14 +422,15 @@ def _run_quench_ed(cfg, out, grid):
 def _check_quench_contract(cfg):
     """Refuse a quench the configured tier cannot compute, naming the key.
 
-    The ED tier evolves the spin-down branch as the pure phase exp(-i E0 t),
-    exact only for a stationary initial state, and builds the bath in the
+    A quench changes the coupling only: every tier evolves the impurity in
+    the pre-quench trap (a trap change is a breathing run). The ED tier
+    evolves the spin-down branch as the pure phase exp(-i E0 t), exact only
+    for a stationary initial state, and builds the bath in the
     unit-frequency oscillator basis. The effpot tier starts the impurity in
-    the bare trap ground state and evolves it in the pre-quench trap.
+    the bare trap ground state.
     """
-    if cfg.tier not in ("ed", "effpot"):
-        return
-    required = {"g_bi_initial": 0.0, "omega_i_final": cfg.omega_i_initial}
+    required = {"g_bi_initial": 0.0} if cfg.tier in ("ed", "effpot") else {}
+    required["omega_i_final"] = cfg.omega_i_initial
     if cfg.tier == "ed":
         required["omega_b"] = 1.0
     for key, want in required.items():

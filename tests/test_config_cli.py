@@ -440,6 +440,7 @@ class TestRunnerPipelines:
             ("omega_b", "omega_b = 1.1", "ed"),
             ("g_bi_initial", "g_bi_initial = 0.3", "effpot"),
             ("omega_i_final", "omega_i_final = 1.2", "effpot"),
+            ("omega_i_final", "omega_i_final = 1.2", "meanfield"),
         ],
     )
     def test_ed_quench_needs_stationary_spin_down_branch(self, tmp_path, key, line, tier):

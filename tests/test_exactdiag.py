@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
@@ -23,6 +27,16 @@ def trapped_pair_ground_energy(g):
 
     nu = brentq(condition, 1e-12, 1.0 - 1e-12, xtol=1e-14)
     return 0.5 + (nu + 0.5)
+
+
+def one_body_operator(fock, hops, coeffs):
+    """sum_il coeffs[i, l] a_i^+ a_l on the bath Fock space: the occupations on
+    the diagonal and the oracle's hop table (i, l) -> (src, dst, amp) off it."""
+    s = fock.bath_dim
+    op = sp.diags(fock.occupations @ np.diagonal(coeffs)).tocsr()
+    for (i, l), (src, dst, amp) in hops.items():
+        op += sp.csr_matrix((coeffs[i, l] * amp, (dst, src)), shape=(s, s))
+    return op
 
 
 class TestFockBasis:
@@ -65,15 +79,6 @@ class TestFockBasis:
         fock = ed.build_fock_basis(3, 3)
         with pytest.raises(UsageError):
             fock.index(occupation)
-
-    def test_transitions_match_lookup_oracle(self):
-        fock = ed.build_fock_basis(4, 10)
-        expected = ed_oracle.one_body_transitions(fock)
-        got = ed._one_body_transitions(fock)
-        assert got.keys() == expected.keys()
-        for key, arrays in expected.items():
-            for a, b in zip(got[key], arrays):
-                assert np.array_equal(a, b)
 
 
 class TestContactTensor:
@@ -133,7 +138,60 @@ class TestOracleParity:
             assert np.max(np.abs(h.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
+class TestAssemblyProperties:
+    """The assembly on random small systems: the oracle's matrix action, and
+    H_BB symmetric, positive semidefinite and zero below two bosons."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        n_bath=st.integers(0, 4),
+        n_modes=st.integers(1, 6),
+        g_bb=st.floats(0.0, 5.0),
+        g_bi=st.floats(0.0, 5.0),
+    )
+    def test_matvec_matches_oracle(self, grid, n_bath, n_modes, g_bb, g_bi):
+        basis = ho_mode_basis(grid, n_modes)
+        fock = ed.build_fock_basis(n_bath, n_modes)
+        h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
+        blocks = ed_oracle.oracle_blocks(fock, basis, g_bb, g_bi)
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+        expected = ed_oracle.oracle_matvec(h, blocks, v)
+        assert np.linalg.norm(h.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n_bath=st.integers(0, 4),
+        n_modes=st.integers(1, 6),
+        g_bb=st.floats(0.0, 5.0, exclude_min=True, allow_subnormal=False),
+    )
+    @example(n_bath=1, n_modes=10, g_bb=1.0)
+    def test_bath_block_is_positive_semidefinite(self, n_bath, n_modes, g_bb):
+        h = ed.build_hamiltonian(ed.build_fock_basis(n_bath, n_modes), g_bb, 0.0)
+        bb = h.bb_csr
+        if n_bath <= 1:
+            assert bb.nnz == 0
+            return
+        dense = bb.toarray()
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(dense - dense.T)) <= 1e-14 * scale
+        assert np.linalg.eigvalsh(dense)[0] >= -1e-12 * scale
+
+
 class TestHamiltonian:
+    def test_build_allocation_budget(self):
+        # one N_B = 4, M = 10 build allocates the same every time, so a peak
+        # bound guards the assembly's memory without a timing assertion
+        fock = ed.build_fock_basis(4, 10)
+        ed.build_hamiltonian(fock, 0.5, 1.8)
+        tracemalloc.start()
+        try:
+            ed.build_hamiltonian(fock, 0.5, 1.8)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5_000_000
+
     def test_noninteracting_two_particles(self, basis10):
         fock = ed.build_fock_basis(1, 10)
         h = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
@@ -479,12 +537,11 @@ class TestBathDensityMatrix:
     def test_bath_energies_match_one_body_operators(self, vectors, kind):
         h, vecs = vectors
         fock, m = h.fock, h.fock.n_modes
-        coeffs = 0.5 * np.stack([ed._quadratic_matrix(m, -1.0), ed._quadratic_matrix(m, 1.0)])
-        ops = ed._one_body_stack(fock, ed._one_body_transitions(fock), coeffs)
+        hops = ed_oracle.one_body_transitions(fock)
         vmat = vecs[kind].reshape(fock.bath_dim, m)
         kinetic, potential = (
-            float(np.real(np.vdot(vmat, block)))
-            for block in (ops @ vmat).reshape(2, fock.bath_dim, m)
+            float(np.real(np.vdot(vmat, one_body_operator(fock, hops, coeffs) @ vmat)))
+            for coeffs in (0.5 * ed._quadratic_matrix(m, -1.0), 0.5 * ed._quadratic_matrix(m, 1.0))
         )
         bd = ed.energy_breakdown(vecs[kind], h)
         assert bd.kinetic_b == pytest.approx(kinetic, abs=1e-12)
