@@ -15,6 +15,7 @@ reference grid), so a prime n + 1 (449 there) costs nothing extra, where a
 DST-I pair would run on an FFT of size 2(n + 1).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,9 +157,16 @@ def _kinetic_symbol(grid):
     return box_wavenumbers(grid) ** 2 / 2.0
 
 
+@functools.lru_cache(maxsize=8)
+def _kinetic_filter(grid):
+    # built once per (hashable) grid; a filter keeps one scratch buffer, so
+    # calls must not overlap (the package runs them in one thread)
+    return sine_filter(grid, _kinetic_symbol(grid))
+
+
 def kinetic_apply(f):
     """-(1/2) d^2/dx^2 under hard-wall (sine-spectral) semantics."""
-    values = sine_filter(f.grid, _kinetic_symbol(f.grid))(f.values.copy())
+    values = _kinetic_filter(f.grid)(f.values.copy())
     return Field(f.grid, values)
 
 

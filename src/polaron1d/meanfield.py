@@ -9,6 +9,15 @@ consistent with the exact-diagonalization tier at small N; at N_B = 100 it is
 indistinguishable from the large-N convention). The spin-down impurity branch
 never couples to the bath (the interaction involves the spin-up field only),
 so the energy bookkeeping refers to the spin-up branch.
+
+Both loops are time-splitting sine-spectral methods (Bao, Jaksch &
+Markowich, J. Comput. Phys. 187, 318 (2003)); the relaxation is their
+normalized gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)).
+The relaxation carries the real bath and spin-up orbitals as one complex
+column b + i u and merges the two half-step decay filters around each
+normalization into one filter per step. The real-time loop carries bath and
+spin-up as a two-column block; the linear spin-down branch is advanced
+exactly in the bare-trap eigenbasis at the record points only.
 """
 
 from dataclasses import dataclass, field, replace
@@ -256,8 +265,9 @@ POLISH_TARGET = 1e-10
 def _newton_polish(sys, grid, b, u):
     """Newton iteration on the coupled stationarity equations for real,
     positive orbitals (interior points), with the norm constraints and the
-    chemical potentials as unknowns. Returns improved (b, u) or the inputs
-    when Newton does not reduce the residual (e.g. near-singular Jacobian)."""
+    chemical potentials as unknowns. Returns improved real (b, u) or the
+    inputs when Newton does not reduce the residual (e.g. near-singular
+    Jacobian)."""
     dx = grid.dx
     n = sys.n_bath
     ni = grid.n_points - 2
@@ -333,6 +343,15 @@ def _newton_polish(sys, grid, b, u):
 def relax_ground_state(sys, grid):
     """Imaginary-time relaxation of the coupled bath + spin-up equations.
 
+    Each imaginary step is the Strang step K^1/2 P K^1/2 followed by a
+    normalization, with P = exp(-tau V) and K = exp(-tau T) the decay
+    filter. K^1/2 is real symmetric, so between two potential steps
+    K^1/2 . normalize . K^1/2 maps w to K w / sqrt(dx <w, K w>): the loop
+    applies K once per step and takes the norm from the same product. K^1/2
+    itself runs only at the start of a stage and at each convergence check,
+    where the normalized orbitals are read. The real orbitals b and u share
+    the decay filter, so they travel as one complex column b + i u.
+
     Converged when the per-step relative energy change is below RELAX_TOL,
     the chemical-potential drift below 10*RELAX_TOL, and the GP stationarity
     residual has stopped improving on the finest imaginary step. The spin-down
@@ -341,8 +360,8 @@ def relax_ground_state(sys, grid):
     Returns (MeanFieldState, RelaxResult).
     """
     bath, imp = _initial_guess(sys, grid)
-    b = bath.values.copy()
-    u = imp.values.copy()
+    b = bath.values.real.copy()
+    u = imp.values.real.copy()
     dx = grid.dx
     n = sys.n_bath
     trap_b = _trap(grid, sys.omega_b)
@@ -350,38 +369,43 @@ def relax_ground_state(sys, grid):
     k2 = box_wavenumbers(grid) ** 2
 
     def current_state():
-        fb = Field(grid, b)
-        fu = Field(grid, u)
+        fb = Field(grid, b.astype(np.complex128))
+        fu = Field(grid, u.astype(np.complex128))
         spinor = SpinorImpurityState(up=fu, down=fu)
         return MeanFieldState(bath=fb, impurity=spinor, time=0.0, energy_reference=0.0)
 
     trace = []
     iterations = 0
     last_stage = len(RELAX_SCHEDULE) - 1
+    w = np.empty(grid.n_points, dtype=np.complex128)
     for stage, tau in enumerate(RELAX_SCHEDULE):
-        kin_half = sine_filter(
-            grid, np.repeat(np.exp(-0.5 * tau * k2 / 2.0)[:, None], 2, axis=1)
-        )
+        decay_half = np.exp(-0.5 * tau * k2 / 2.0)
+        kin_half = sine_filter(grid, decay_half)
+        kin = sine_filter(grid, decay_half**2)
         # one check per ~0.6 units of imaginary time so the slowest O(1) mode
         # decays noticeably between residual checks at any tau
         stage_check = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
         e_prev = None
         mu_prev = None
         r_prev = None
+        # y = K^1/2 x, x the normalized orbitals
+        y = kin_half(b + 1j * u)
         while True:
-            cols = np.empty((grid.n_points, 2), dtype=b.dtype)
             for _ in range(stage_check):
-                cols[:, 0] = b
-                cols[:, 1] = u
-                b, u = kin_half(cols).T
-                pot_b = trap_b + sys.g_bb * (n - 1) * np.abs(b) ** 2 + sys.g_bi * np.abs(u) ** 2
-                pot_i = trap_i + sys.g_bi * n * np.abs(b) ** 2
-                cols[:, 0] = b * np.exp(-tau * pot_b)
-                cols[:, 1] = u * np.exp(-tau * pot_i)
-                kin_half(cols)
-                b = cols[:, 0] / np.sqrt(np.sum(np.abs(cols[:, 0]) ** 2) * dx)
-                u = cols[:, 1] / np.sqrt(np.sum(np.abs(cols[:, 1]) ** 2) * dx)
+                yb, yu = y.real, y.imag
+                dens_b = yb**2
+                pot_b = trap_b + sys.g_bb * (n - 1) * dens_b + sys.g_bi * yu**2
+                pot_i = trap_i + sys.g_bi * n * dens_b
+                w.real = yb * np.exp(-tau * pot_b)
+                w.imag = yu * np.exp(-tau * pot_i)
+                y[:] = w
+                kin(y)
+                y.real /= np.sqrt(np.dot(w.real, y.real) * dx)
+                y.imag /= np.sqrt(np.dot(w.imag, y.imag) * dx)
             iterations += stage_check
+            x = kin_half(w.copy())
+            b = x.real / np.sqrt(np.sum(x.real**2) * dx)
+            u = x.imag / np.sqrt(np.sum(x.imag**2) * dx)
             state = current_state()
             e = total_energy(state, sys)
             mu_b, mu_i = chemical_potentials(state, sys)
@@ -426,13 +450,33 @@ def relax_ground_state(sys, grid):
     return state, result
 
 
-def propagate(state, sys_post, dt, t_max, record_every=100):
-    """Strang split-step real-time propagation of the coupled equations.
+def _stationary_evolution(h, psi0):
+    """The exact evolution tau -> exp(-i h tau) psi0 of one orbital under a
+    real symmetric interior operator h, from one dense eigendecomposition:
+    V exp(-i E tau) V^T psi0 on the interior points, zero at the walls."""
+    energies, vecs = np.linalg.eigh(h)
+    coeffs = vecs.T @ psi0.values[1:-1]
 
-    The spin-down orbital evolves under the bare impurity trap only. Records
-    every record_every steps (t_max is trimmed to a whole number of record
-    intervals). Aborts with a step-size advisory when the norm drifts by more
-    than 1e-6 or the energy by more than 1e-6 relative.
+    def advance(tau):
+        amp = np.exp(-1j * tau * energies) * coeffs
+        values = np.zeros(psi0.grid.n_points, dtype=np.complex128)
+        values[1:-1] = vecs @ amp.real + 1j * (vecs @ amp.imag)
+        return Field(psi0.grid, values)
+
+    return advance
+
+
+def propagate(state, sys_post, dt, t_max, record_every=100):
+    """Real-time propagation of the coupled equations: Strang split steps
+    for the bath and spin-up orbitals, carried as one (n_points, 2) block.
+
+    The spin-down orbital never couples to the bath and evolves linearly in
+    the bare impurity trap of sys_post; it is advanced exactly from that
+    trap's grid eigenbasis (one dense eigendecomposition per call) and built
+    only at record points. Records every record_every steps (t_max is
+    trimmed to a whole number of record intervals). Aborts with a step-size
+    advisory when a norm drifts by more than 1e-6 or the energy by more than
+    1e-6 relative.
 
     Returns (trajectory, series) where trajectory is a list of MeanFieldState
     and series a dict of TimeSeries.
@@ -446,18 +490,22 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     n = sys_post.n_bath
     trap_b = _trap(grid, sys_post.omega_b)
     trap_i = _trap(grid, sys_post.omega_i)
-    kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 3, axis=1)
+    kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 2, axis=1)
     kin_half = sine_filter(grid, kin_phases)
     kin_full = sine_filter(grid, kin_phases**2)
+    down_at = _stationary_evolution(
+        kinetic_matrix(grid) + np.diag(trap_i[1:-1]), state.impurity.down
+    )
 
-    cols = np.empty((grid.n_points, 3), dtype=np.complex128)
+    cols = np.empty((grid.n_points, 2), dtype=np.complex128)
     cols[:, 0] = state.bath.values
     cols[:, 1] = state.impurity.up.values
-    cols[:, 2] = state.impurity.down.values
     e_ref = state.energy_reference
 
     def make_state(t):
-        spinor = SpinorImpurityState(up=Field(grid, cols[:, 1]), down=Field(grid, cols[:, 2]))
+        spinor = SpinorImpurityState(
+            up=Field(grid, cols[:, 1]), down=down_at(t - state.time)
+        )
         return MeanFieldState(
             bath=Field(grid, cols[:, 0]), impurity=spinor, time=t, energy_reference=e_ref
         )
@@ -515,7 +563,6 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
                 * (trap_b + sys_post.g_bb * (n - 1) * dens_b + sys_post.g_bi * np.abs(cols[:, 1]) ** 2)
             )
             phase[:, 1] = np.exp(-1j * dt * (trap_i + sys_post.g_bi * n * dens_b))
-            phase[:, 2] = np.exp(-1j * dt * trap_i)
             cols *= phase
             if sub < record_every - 1:
                 kin_full(cols)

@@ -31,15 +31,23 @@ SUMMARY_SCHEMA_VERSION = 1
 # --- deterministic writers ---------------------------------------------------
 
 
+# rows formatted by one `%` call: enough to amortize the call, few enough
+# that a block's Python floats and text stay small next to the data
+CSV_BLOCK_ROWS = 4096
+
+
 def _write_csv(path, header, columns):
-    columns = [np.asarray(c, dtype=float).tolist() for c in columns]
+    columns = [np.asarray(c, dtype=float) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise UsageError(f"{path}: columns differ in length {lengths}")
     row = ",".join(["%.17g"] * len(columns)) + "\n"
+    n_rows = lengths[0] if columns else 0
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row % values for values in zip(*columns))
+        for start in range(0, n_rows, CSV_BLOCK_ROWS):
+            block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def read_csv(path):

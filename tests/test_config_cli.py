@@ -214,6 +214,15 @@ class TestCsvRoundTrip:
         self._per_element_csv(str(want), header, columns)
         assert got.read_bytes() == want.read_bytes()
 
+    def test_writer_bytes_match_across_blocks(self, tmp_path, rng):
+        # more rows than one formatting block, ending in a partial block
+        n_rows = 2 * runner.CSV_BLOCK_ROWS + 7
+        columns = [np.arange(n_rows) * 0.1, rng.standard_normal(n_rows), -np.arange(n_rows)]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        runner._write_csv(str(got), ["a", "b", "c"], columns)
+        self._per_element_csv(str(want), ["a", "b", "c"], columns)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_unequal_column_lengths_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         with pytest.raises(UsageError, match="differ in length"):

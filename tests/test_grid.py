@@ -194,6 +194,22 @@ def test_sine_filter_keeps_real_blocks_real(grid):
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_kinetic_apply_reuses_one_filter(grid, rng):
+    # the cached filter gives what a fresh one gives, and a later call leaves
+    # an earlier result untouched
+    fields = [
+        Field(grid, rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points))
+        for _ in range(2)
+    ]
+    fresh = sine_filter(grid, box_wavenumbers(grid) ** 2 / 2.0)
+    first = kinetic_apply(fields[0])
+    kept = first.values.copy()
+    second = kinetic_apply(fields[1])
+    assert np.array_equal(first.values, kept)
+    for f, out in zip(fields, (first, second)):
+        assert np.array_equal(out.values, fresh(f.values.copy()))
+
+
 def test_mode_completeness_projection(grid):
     b = ho_mode_basis(grid, 20)
     f0 = mode_field(b, 0)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, UsageError
+from polaron1d.grid import box_wavenumbers, kinetic_matrix, sine_filter
 from polaron1d.observables import (
     dominant_frequency,
     general_weights_contrast,
@@ -67,6 +69,33 @@ class TestRelax:
         tr = res.energy_trace
         assert np.all(np.diff(tr) <= 1e-9 * np.abs(tr[:-1]))
 
+    def test_relaxed_orbitals_are_real(self, relaxed_default):
+        state, _ = relaxed_default
+        for f in (state.bath, state.impurity.up, state.impurity.down):
+            assert f.values.dtype == np.complex128
+            assert np.all(f.values.imag == 0.0)
+
+    @pytest.mark.parametrize("tau", mf.RELAX_SCHEDULE)
+    def test_merged_half_filters_keep_the_norm(self, grid, rng, tau):
+        # K^1/2 normalize K^1/2 = K / sqrt(dx <x, K x>) rests on
+        # dx |K^1/2 x|^2 = dx <x, K x> for the real symmetric decay filter
+        half = np.exp(-0.5 * tau * box_wavenumbers(grid) ** 2 / 2.0)
+        x = rng.standard_normal(grid.n_points)
+        x[0] = x[-1] = 0.0
+        lhs = np.sum(sine_filter(grid, half)(x.copy()) ** 2) * grid.dx
+        rhs = np.dot(x, sine_filter(grid, half**2)(x.copy())) * grid.dx
+        assert abs(lhs - rhs) <= 1e-14 * lhs
+
+    def test_packed_column_filters_each_orbital(self, grid, rng):
+        # b + i u through one filter: the real symbol keeps the parts apart
+        decay = sine_filter(grid, np.exp(-mf.RELAX_SCHEDULE[0] * box_wavenumbers(grid) ** 2 / 2.0))
+        b, u = rng.standard_normal((2, grid.n_points))
+        b[[0, -1]] = u[[0, -1]] = 0.0
+        packed = decay(b + 1j * u)
+        for part, orbital in ((packed.real, b), (packed.imag, u)):
+            ref = decay(orbital.copy())
+            assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_bulk_density_matches_tf(self, relaxed_density, default_system):
         tf = mf.thomas_fermi(default_system)
         grid = relaxed_density.grid
@@ -88,6 +117,28 @@ class TestPropagate:
         assert np.max(np.abs(rho_t - rho0)) < 1e-7
         for key in ("norm_bath", "norm_up", "norm_down"):
             assert np.max(np.abs(np.asarray(series[key].values) - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("case", ["dressed-initial", "trap-change"])
+    def test_spin_down_is_exact_at_every_record(self, grid, relaxed_default, case):
+        # the spin-down orbital is not stationary in either case: relaxed with
+        # the bath it is the dressed spin-up orbital, and after a trap change
+        # the bare ground state of the old trap
+        if case == "dressed-initial":
+            sys_pre = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.0)
+            state, _ = mf.relax_ground_state(sys_pre, grid)
+            sys_post = sys_pre
+        else:
+            state, _ = relaxed_default
+            sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0, omega_i=1.3)
+        traj, series = mf.propagate(state, sys_post, dt=5e-4, t_max=1.0, record_every=400)
+        h0 = kinetic_matrix(grid) + np.diag(0.5 * sys_post.omega_i**2 * grid.x[1:-1] ** 2)
+        psi0 = state.impurity.down.values[1:-1]
+        assert len(traj) == 6
+        for st in traj:
+            exact = expm(-1j * h0 * st.time) @ psi0
+            err = np.sqrt(np.sum(np.abs(st.impurity.down.values[1:-1] - exact) ** 2) * grid.dx)
+            assert err <= 1e-12
+        assert np.max(np.abs(np.asarray(series["norm_down"].values) - 1.0)) < 1e-13
 
     def test_unquenched_contrast_stays_unity(self, relaxed_default, default_system):
         state, _ = relaxed_default
