@@ -8,7 +8,6 @@ and the m_eff fit all live here.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .errors import (
     AnalysisError,
@@ -104,14 +103,16 @@ class PotentialSpectrum:
 
 def eigensolve(pot, n_eig=40):
     """Lowest n_eig eigenpairs of -(1/2) d^2/dx^2 + V_eff under hard walls.
-    States whose energy exceeds V_eff(+-0.9 x_max) are flagged as
-    contaminated by box (wall) states."""
-    if n_eig > 60:
-        raise ConfigurationError("n_eig must be <= 60")
+    The full spectrum of the dense interior matrix is solved (numpy.linalg.eigh)
+    and the lowest n_eig pairs are kept. States whose energy exceeds
+    V_eff(+-0.9 x_max) are flagged as contaminated by box (wall) states."""
+    if not 1 <= n_eig <= 60:
+        raise ConfigurationError("n_eig must be in 1..60")
     grid = pot.grid
     h = kinetic_matrix(grid)
     h = h + np.diag(pot.values[1:-1])
-    energies, vecs = eigh(h, subset_by_index=[0, n_eig - 1])
+    energies, vecs = np.linalg.eigh(h)
+    energies, vecs = energies[:n_eig], vecs[:, :n_eig]
     states = []
     for j in range(n_eig):
         v = np.zeros(grid.n_points)

@@ -181,7 +181,8 @@ class EDHamiltonian:
     phi_l(x_q) phi_k(x_q) and the weights `bi_weights` = g_bi W_q (None at
     g_bi = 0), with n_q = psi_q^+ psi_q and psi_q = sum_l phi_l(x_q) a_l. The
     annihilators also give the bath density matrix, so they are kept at every
-    g_bi."""
+    g_bi; `creators` is their transpose, built once and shared by every
+    matvec."""
 
     fock: FockBasis
     basis: object
@@ -189,6 +190,7 @@ class EDHamiltonian:
     bb_csr: object
     h_imp: np.ndarray
     annihilators: object
+    creators: object
     node_pairs: np.ndarray
     bi_weights: np.ndarray
     t_imp: np.ndarray
@@ -218,7 +220,7 @@ class EDHamiltonian:
         lowered = self._bath_block_apply(self.annihilators, vmat).reshape(-1, m * m)
         psi = (lowered @ self.node_pairs) * self.bi_weights
         raised = (psi @ self.node_pairs.T).reshape(-1, m)
-        return self._bath_block_apply(self.annihilators.T, raised)
+        return self._bath_block_apply(self.creators, raised)
 
     def matvec(self, v):
         v = np.asarray(v, dtype=np.complex128)
@@ -362,6 +364,7 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
         bb_csr=bb,
         h_imp=t_imp + v_imp,
         annihilators=annihilators,
+        creators=annihilators.T,
         node_pairs=np.einsum("lq,kq->lkq", phi, phi).reshape(m * m, -1),
         bi_weights=None,
         t_imp=t_imp,
@@ -569,56 +572,6 @@ def entropy_and_populations(decomp):
     pos = lam[lam > 1e-16]
     s_vn = float(-np.sum(pos * np.log(pos)))
     return {"s_vn": s_vn, "natural_populations": lam}
-
-
-def schmidt_overlap_expansion(decomp, basis):
-    """Bath-impurity miscibility overlap expressed through the Schmidt modes.
-
-    Returns the exact overlap built from all mode-density cross integrals
-    K_ij and the first-order truncation around the dominant mode
-    (valid for lambda_1 ~ 1); flags the truncation when lambda_1 < 0.5.
-    """
-    fock = decomp.fock
-    annihilators = _annihilators(fock)
-    grid = basis.grid
-    modes = basis.mode_functions
-    lam = decomp.lambdas
-    n_keep = max(int(np.sum(lam > 1e-14)), 1)
-    lam = lam[:n_keep]
-    rho_b = []
-    rho_i = []
-    for k in range(n_keep):
-        rdm = _bath_rdm(annihilators, fock.n_modes, decomp.bath_vectors[:, k])
-        rho_b.append(np.real(np.einsum("il,ix,lx->x", rdm, modes, modes)))
-        chi = decomp.impurity_vectors[k] @ modes
-        rho_i.append(np.abs(chi) ** 2)
-    rho_b = np.asarray(rho_b)
-    rho_i = np.asarray(rho_i)
-    dx = grid.dx
-    k_bi = rho_b @ rho_i.T * dx
-    k_bb = rho_b @ rho_b.T * dx
-    k_ii = rho_i @ rho_i.T * dx
-    num = float(lam @ k_bi @ lam)
-    den_b = float(lam @ k_bb @ lam)
-    den_i = float(lam @ k_ii @ lam)
-    lam_exact = num**2 / (den_b * den_i)
-    lam0 = k_bi[0, 0] ** 2 / (k_bb[0, 0] * k_ii[0, 0])
-    order1 = lam0
-    if n_keep > 1:
-        ratio = lam[1:] / lam[0]
-        corr = (
-            (k_bi[0, 1:] + k_bi[1:, 0]) / k_bi[0, 0]
-            - k_bb[0, 1:] / k_bb[0, 0]
-            - k_ii[0, 1:] / k_ii[0, 0]
-        )
-        order1 = lam0 * (1.0 + 2.0 * float(ratio @ corr))
-    return {
-        "lambda_exact": lam_exact,
-        "lambda_order1": order1,
-        "lambda0": lam0,
-        "k_bi": k_bi,
-        "truncation_valid": bool(lam[0] >= 0.5),
-    }
 
 
 def one_body_density(h, v, species):

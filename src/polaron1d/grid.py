@@ -10,16 +10,20 @@ A sine-spectral operator S diag(sigma) S, with S the orthonormal DST-I on the
 n interior points, has entries g(i - j) - g(i + j), where g is one DCT-I of
 the zero-padded symbol sigma. Applied to a column it is the circular
 convolution of the column's odd extension with g. `sine_filter` runs that
-convolution on an FFT of length next_fast_len(3n + 1) (1350 on the 450-point
-reference grid), so a prime n + 1 (449 there) costs nothing extra, where a
-DST-I pair would run on an FFT of size 2(n + 1).
+convolution on an FFT of length next_fast_len(3n + 1), the smallest
+2-3-5-7-11-smooth integer >= 3n + 1 (1350 on the 450-point reference grid),
+so a prime n + 1 (449 there) costs nothing extra, where a DST-I pair would
+run on an FFT of size 2(n + 1).
+
+The transforms are numpy.fft's. The DCT-I is the rfft of the even extension,
+and the spectrum of a real kernel is its rfft with the Hermitian half filled
+in, which gives the same bits as scipy.fft's real-input transforms.
 """
 
 import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import dct, fft, ifft, next_fast_len
 
 from .errors import ConfigurationError, UsageError
 
@@ -109,13 +113,46 @@ def box_wavenumbers(grid):
     return np.arange(1, m + 1) * np.pi / (2.0 * grid.x_max)
 
 
+def next_fast_len(target):
+    """The smallest 2-3-5-7-11-smooth integer >= target: a length numpy's
+    FFT factors into small radices (scipy.fft's rule for complex input)."""
+    n = max(int(target), 1)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
+
+
+def _dct1(x):
+    """Unnormalized DCT-I along axis 0: the rfft of the even extension
+    x_0..x_{N-1}, x_{N-2}..x_1, real and imaginary parts taken separately."""
+    if np.iscomplexobj(x):
+        return _dct1(x.real) + 1j * _dct1(x.imag)
+    ext = np.concatenate([x, x[-2:0:-1]])
+    return np.fft.rfft(ext, axis=0).real
+
+
+def _real_fft(x):
+    """FFT along axis 0 of a real array, as the rfft plus its Hermitian half."""
+    size = x.shape[0]
+    half = np.fft.rfft(x, axis=0)
+    out = np.empty((size,) + x.shape[1:], dtype=np.complex128)
+    out[: half.shape[0]] = half
+    out[half.shape[0] :] = np.conj(half[1 : (size + 1) // 2][::-1])
+    return out
+
+
 def _sine_kernel(n, symbol):
     """g(m) = (1/(n+1)) sum_k symbol_k cos(pi k m/(n+1)) over one period,
     m = 0..2n+1, along axis 0 (one DCT-I of the zero-padded symbol, mirrored
     about m = n+1)."""
     padded = np.zeros((n + 2,) + symbol.shape[1:], dtype=symbol.dtype)
     padded[1:-1] = symbol
-    half = dct(padded, type=1, axis=0) / (2.0 * (n + 1))
+    half = _dct1(padded) / (2.0 * (n + 1))
     return np.concatenate([half, half[-2:0:-1]])
 
 
@@ -138,15 +175,17 @@ def sine_filter(grid, symbol):
     m = np.arange(1 - n, 2 * n + 1)
     taps = np.zeros((size,) + symbol.shape[1:], dtype=g.dtype)
     taps[m % size] = g[m % g.shape[0]]
-    spectrum = fft(taps, axis=0)
+    spectrum = np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
     ext = np.zeros((size,) + symbol.shape[1:], dtype=np.complex128)
+    buf = np.empty_like(ext)
 
     def apply(cols):
         ext[1 : n + 1] = cols[1:-1]
-        ext[size - n :] = -cols[-2:0:-1]
-        out = fft(ext, axis=0)
-        out *= spectrum
-        out = ifft(out, axis=0, overwrite_x=True)[1 : n + 1]
+        np.negative(cols[-2:0:-1], out=ext[size - n :])
+        # one scratch buffer carries both transforms: no array is allocated
+        np.fft.fft(ext, axis=0, out=buf)
+        np.multiply(buf, spectrum, out=buf)
+        out = np.fft.ifft(buf, axis=0, out=buf)[1 : n + 1]
         cols[1:-1] = out if np.iscomplexobj(cols) else out.real
         return cols
 
@@ -159,7 +198,7 @@ def _kinetic_symbol(grid):
 
 @functools.lru_cache(maxsize=8)
 def _kinetic_filter(grid):
-    # built once per (hashable) grid; a filter keeps one scratch buffer, so
+    # built once per (hashable) grid; a filter keeps its scratch buffers, so
     # calls must not overlap (the package runs them in one thread)
     return sine_filter(grid, _kinetic_symbol(grid))
 
@@ -246,7 +285,3 @@ def ho_mode_basis(grid, n_modes):
     modes[:, -1] = 0.0
     energies = np.arange(n_modes) + 0.5
     return HOBasis(grid=grid, n_modes=n_modes, mode_functions=modes, mode_energies=energies)
-
-
-def mode_field(basis, n):
-    return Field(basis.grid, basis.mode_functions[n].astype(np.complex128))

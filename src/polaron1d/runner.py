@@ -18,7 +18,6 @@ import numpy as np
 
 from . import __version__
 from . import effpot as ep
-from . import exactdiag as ed
 from . import meanfield as mf
 from . import observables as obs
 from .config import sweep_value_errors
@@ -358,6 +357,9 @@ def _run_quench_effpot(cfg, out, grid):
 
 
 def _run_quench_ed(cfg, out, grid):
+    # the only exactdiag user: mean-field and effpot runs never load scipy
+    from . import exactdiag as ed
+
     basis = ho_mode_basis(grid, cfg.n_modes)
     fock = ed.build_fock_basis(cfg.n_bath, cfg.n_modes, dim_guard=cfg.dim_guard)
     h_pre = ed.build_hamiltonian(

@@ -192,6 +192,12 @@ class TestHamiltonian:
             tracemalloc.stop()
         assert peak <= 5_000_000
 
+    def test_creators_are_built_once_per_bath_block(self):
+        fock = ed.build_fock_basis(3, 8)
+        h = ed.build_hamiltonian(fock, 0.5, 1.2)
+        assert (h.creators != h.annihilators.T).nnz == 0
+        assert ed.with_impurity_coupling(h, 2.0).creators is h.creators
+
     def test_noninteracting_two_particles(self, basis10):
         fock = ed.build_fock_basis(1, 10)
         h = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
@@ -467,50 +473,6 @@ class TestSchmidt:
             ]
             averages.append(float(np.mean(svn)))
         assert all(a <= b + 1e-12 for a, b in zip(averages, averages[1:]))
-
-
-class TestSchmidtOverlapExpansion:
-    def _evolved_decomposition(self, basis, g, n_bath=2, m=8, t=5.0):
-        fock = ed.build_fock_basis(n_bath, m)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis)
-        v0, _ = ed.ground_state(h0)
-        h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis)
-        traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=t, record_every=int(t / 0.1))
-        return ed.schmidt(traj.vector(-1)), h1
-
-    def test_product_state_limit(self, grid):
-        basis = ho_mode_basis(grid, 8)
-        fock = ed.build_fock_basis(2, 8)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis)
-        v0, _ = ed.ground_state(h0)
-        dec = ed.schmidt(v0)
-        out = ed.schmidt_overlap_expansion(dec, basis)
-        assert out["lambda_exact"] == pytest.approx(out["lambda0"], abs=1e-10)
-        assert out["lambda_order1"] == pytest.approx(out["lambda0"], abs=1e-10)
-        assert out["truncation_valid"]
-
-    def test_cross_overlaps_nonnegative(self, grid):
-        basis = ho_mode_basis(grid, 8)
-        dec, _ = self._evolved_decomposition(basis, 0.1)
-        out = ed.schmidt_overlap_expansion(dec, basis)
-        assert np.min(out["k_bi"]) >= 0.0
-
-    def test_first_order_error_is_second_order_small(self, grid):
-        basis = ho_mode_basis(grid, 8)
-        diffs, ratios = [], []
-        for g in (0.05, 0.1):
-            dec, _ = self._evolved_decomposition(basis, g)
-            out = ed.schmidt_overlap_expansion(dec, basis)
-            assert out["truncation_valid"]
-            diffs.append(abs(out["lambda_exact"] - out["lambda_order1"]))
-            ratios.append(dec.lambdas[1] / dec.lambdas[0])
-        # error should scale like (lambda_2/lambda_1)^2 between the two runs
-        expected = (ratios[1] / ratios[0]) ** 2
-        measured = diffs[1] / max(diffs[0], 1e-300)
-        assert measured == pytest.approx(expected, rel=0.5)
-        # and be bounded by a modest constant times the square
-        c = diffs[0] / ratios[0] ** 2
-        assert diffs[1] <= 10.0 * c * ratios[1] ** 2
 
 
 class TestBathDensityMatrix:

@@ -1,6 +1,7 @@
-"""Lint: the sine-spectral kinetic operator has one home. Only grid.py may
-import scipy.fft (or scipy.fftpack), so no second DST-I path can appear in
-another module. `scipy_imports` is shared with the start-up lint in
+"""Lint: the sine-spectral kinetic operator has one home, grid.py, and it runs
+on numpy.fft. No package module, grid.py included, imports scipy.fft (or
+scipy.fftpack), so no second DST-I path can appear and no run pays scipy's
+start-up for a transform. `scipy_imports` is shared with the start-up lint in
 test_import_cost.py."""
 
 import ast
@@ -67,3 +68,7 @@ def test_checker_flags_every_spelling():
 )
 def test_only_grid_imports_scipy_fft(path):
     assert fft_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_grid_imports_no_scipy_fft():
+    assert fft_imports((PACKAGE / OWNER).read_text(encoding="utf-8")) == []

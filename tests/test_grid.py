@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.fft import dst, idst
 
 from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import (
     Field,
+    _dct1,
+    _real_fft,
     box_wavenumbers,
     build_grid,
     ho_mode_basis,
@@ -12,9 +15,13 @@ from polaron1d.grid import (
     kinetic_apply,
     kinetic_expectation,
     kinetic_matrix,
-    mode_field,
+    next_fast_len,
     sine_filter,
 )
+
+
+def mode_field(basis, n):
+    return Field(basis.grid, basis.mode_functions[n].astype(np.complex128))
 
 
 def test_build_grid_reference_spacing():
@@ -222,3 +229,32 @@ def test_deterministic_construction():
     a = ho_mode_basis(build_grid(300, 30.0), 15).mode_functions
     b = ho_mode_basis(build_grid(300, 30.0), 15).mode_functions
     assert np.array_equal(a, b)
+
+
+# grid.py runs its transforms on numpy.fft; scipy.fft is the test-only oracle
+# for the same arithmetic, so these compare bits, not tolerances
+FFT_SIZES = [16, 45, 100, 297, 448, 900, 1348, 1350]
+
+
+def test_next_fast_len_matches_scipy():
+    targets = range(1, 20_001)
+    assert [next_fast_len(t) for t in targets] == [
+        scipy.fft.next_fast_len(t) for t in targets
+    ]
+
+
+@pytest.mark.parametrize("n_cols", [None, 2, 3])
+@pytest.mark.parametrize("n", FFT_SIZES)
+def test_numpy_transforms_match_scipy_bits(n, n_cols):
+    rng = np.random.default_rng(n)
+    shape = (n,) if n_cols is None else (n, n_cols)
+    x = rng.standard_normal(shape)
+    z = x + 1j * rng.standard_normal(shape)
+    assert np.array_equal(_dct1(x), scipy.fft.dct(x, type=1, axis=0))
+    assert np.array_equal(_dct1(z), scipy.fft.dct(z, type=1, axis=0))
+    assert np.array_equal(_real_fft(x), scipy.fft.fft(x, axis=0))
+    buf = np.empty_like(z)
+    np.fft.fft(z, axis=0, out=buf)
+    assert np.array_equal(buf, scipy.fft.fft(z, axis=0))
+    np.fft.ifft(buf, axis=0, out=buf)
+    assert np.array_equal(buf, scipy.fft.ifft(scipy.fft.fft(z, axis=0), axis=0))

@@ -1,7 +1,9 @@
-"""Start-up guard: importing the CLI and the runner loads neither
-scipy.signal (with the scipy.stats it pulls in) nor scipy.optimize. Peaks are
-found in numpy, and the least-squares fits, which only breathing runs and the
-merged-lobe fallback reach, import scipy.optimize inside the function."""
+"""Start-up guard: importing the CLI and the runner, and a mean-field or
+effpot quench, load no scipy module. grid.py runs on numpy.fft, effpot solves
+with numpy.linalg.eigh, and the runner imports exactdiag, the one module with
+a module-level scipy import, when an ED run starts. The least-squares fits,
+which only breathing runs and the merged-lobe fallback reach, import
+scipy.optimize inside the function."""
 
 import os
 import subprocess
@@ -10,25 +12,93 @@ import sys
 import pytest
 from test_fft_imports import PACKAGE, scipy_imports
 
-SLOW_IMPORTS = ("scipy.signal", "scipy.stats", "scipy.optimize")
 SOURCES = sorted(PACKAGE.glob("*.py"))
+SCIPY_OWNER = "exactdiag.py"
+LOADED_SCIPY = (
+    "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
+)
+
+QUENCH = """
+[system]
+n_bath = {n_bath}
+g_bb = 0.5
+g_bi_final = 1.0
+[time]
+dt = {dt}
+t_max = {t_max}
+record_every = {record_every}
+[solver]
+tier = {tier}
+{extra}
+[output]
+directory = {outdir}
+"""
+TINY = {
+    "meanfield": {
+        "n_bath": 10,
+        "dt": 5e-4,
+        "t_max": 0.2,
+        "record_every": 100,
+        "extra": "",
+    },
+    "effpot": {
+        "n_bath": 10,
+        "dt": 0.05,
+        "t_max": 2,
+        "record_every": 1,
+        "extra": "[solver.effpot]\nsource = tf",
+    },
+    "ed": {
+        "n_bath": 2,
+        "dt": 0.1,
+        "t_max": 2,
+        "record_every": 5,
+        "extra": "[solver.ed]\nn_modes = 6",
+    },
+}
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    code = (
-        "import sys\n"
-        "import polaron1d.cli, polaron1d.runner\n"
-        f"print(*[m for m in {SLOW_IMPORTS!r} if m in sys.modules])\n"
-    )
+def _fresh_process(code):
+    """Stdout of `code` run in a new interpreter that imports the package."""
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", "import sys\n" + code],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
         check=True,
     )
-    assert out.stdout.split() == []
+    return out.stdout
+
+
+def _quench_code(tier, outdir):
+    text = QUENCH.format(tier=tier, outdir=outdir, **TINY[tier])
+    return (
+        "from polaron1d import config, runner\n"
+        f"summary = runner.run_quench(config.validate_config({text!r}))\n"
+        "assert summary['tier'] == " + repr(tier) + "\n"
+    )
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    assert _fresh_process("import polaron1d.cli, polaron1d.runner\n" + LOADED_SCIPY).split() == []
+
+
+@pytest.mark.parametrize("tier", ["meanfield", "effpot"])
+def test_quench_loads_no_scipy(tier, tmp_path):
+    code = _quench_code(tier, tmp_path / "run") + LOADED_SCIPY
+    assert _fresh_process(code).split() == []
+
+
+def test_ed_quench_loads_exactdiag_when_it_starts(tmp_path):
+    code = (
+        "import polaron1d.runner\n"
+        "print('polaron1d.exactdiag' in sys.modules)\n"
+        + _quench_code("ed", tmp_path / "run")
+        + "print('polaron1d.exactdiag' in sys.modules)\n"
+    )
+    assert _fresh_process(code).split() == ["False", "True"]
+    assert (tmp_path / "run" / "entropy.csv").exists()
 
 
 def test_checker_tracks_function_bodies():
@@ -57,4 +127,12 @@ def test_no_scipy_signal(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_scipy_optimize_only_inside_functions(path):
     found = scipy_imports(path.read_text(encoding="utf-8"), ("scipy.optimize",))
+    assert [(line, module) for line, module, inside in found if not inside] == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in SOURCES if p.name != SCIPY_OWNER], ids=lambda p: p.name
+)
+def test_module_level_scipy_only_in_exactdiag(path):
+    found = scipy_imports(path.read_text(encoding="utf-8"), ("scipy",))
     assert [(line, module) for line, module, inside in found if not inside] == []

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, UsageError
-from polaron1d.grid import box_wavenumbers, kinetic_matrix, sine_filter
+from polaron1d.grid import box_wavenumbers, expectation_p2, kinetic_matrix, sine_filter
 from polaron1d.observables import (
     dominant_frequency,
     general_weights_contrast,
@@ -139,6 +139,14 @@ class TestPropagate:
             err = np.sqrt(np.sum(np.abs(st.impurity.down.values[1:-1] - exact) ** 2) * grid.dx)
             assert err <= 1e-12
         assert np.max(np.abs(np.asarray(series["norm_down"].values) - 1.0)) < 1e-13
+
+    def test_p2_record_matches_expectation_p2(self, relaxed_default):
+        # the record reuses energy_breakdown's kinetic energy: <p^2> = 2 <T>
+        state, _ = relaxed_default
+        sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.5)
+        traj, series = mf.propagate(state, sys_post, dt=5e-4, t_max=0.2, record_every=100)
+        direct = [expectation_p2(st.impurity.up) for st in traj]
+        assert np.array_equal(series["p2_up"].values, direct)
 
     def test_unquenched_contrast_stays_unity(self, relaxed_default, default_system):
         state, _ = relaxed_default
