@@ -50,7 +50,7 @@ from .errors import (
     UsageError,
 )
 from .grid import Field, hermite_functions
-from .observables import EnergyBreakdown, TimeSeries
+from .observables import EnergyBreakdown, TimeSeries, record_intervals
 
 DIM_GUARD_DEFAULT = 5_000_000
 # Krylov propagation: bound on the error estimate of every state a Lanczos
@@ -491,14 +491,13 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1):
     KRYLOV_LOCAL_TOL, and the next step starts from the last of them; a step
     that reaches no record ends at an internal time, halved until the
     estimate passes. States are renormalized and the largest norm defect is
-    reported. Record times accumulate t += dt as a fixed-step loop would."""
-    if dt <= 0 or t_max <= 0:
-        raise ConfigurationError("dt and t_max must be > 0")
+    reported. Record times accumulate t += dt as a fixed-step loop would;
+    a t_max shorter than one record interval raises ConfigurationError."""
+    record_every = max(int(record_every), 1)
+    n_rec = record_intervals(dt, t_max, record_every)
     amps = np.asarray(v0.amplitudes, dtype=np.complex128)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
         raise UsageError("v0 must be normalized")
-    record_every = max(int(record_every), 1)
-    n_rec = max(int(round(t_max / dt)) // record_every, 1)
     clock = itertools.accumulate(itertools.repeat(dt, n_rec * record_every))
     times = np.array([0.0, *itertools.islice(clock, record_every - 1, None, record_every)])
     vectors = np.empty((n_rec + 1, amps.size), dtype=np.complex128)

@@ -8,12 +8,14 @@ operator exact for hard-wall boundary conditions.
 
 A sine-spectral operator S diag(sigma) S, with S the orthonormal DST-I on the
 n interior points, has entries g(i - j) - g(i + j), where g is one DCT-I of
-the zero-padded symbol sigma. Applied to a column it is the circular
-convolution of the column's odd extension with g. `sine_filter` runs that
-convolution on an FFT of length next_fast_len(3n + 1), the smallest
-2-3-5-7-11-smooth integer >= 3n + 1 (1350 on the 450-point reference grid),
-so a prime n + 1 (449 there) costs nothing extra, where a DST-I pair would
-run on an FFT of size 2(n + 1).
+the zero-padded symbol sigma: a Toeplitz minus a Hankel matrix. `sine_filter`
+applies both as circular convolutions on one FFT of length
+L = next_fast_len(2n - 1), the smallest 2-3-5-7-11-smooth integer >= 2n - 1
+(896 on the 450-point reference grid), so a prime n + 1 (449 there) costs
+nothing extra, where a DST-I pair would run on an FFT of size 2(n + 1). The
+Hankel part acts on the reversed column, whose spectrum is the frequency
+reversal C[-k mod L] of the column's own spectrum C times the phase
+exp(-2 pi i (n-1) k/L), so one forward FFT serves both parts.
 
 The transforms are numpy.fft's. The DCT-I is the rfft of the even extension,
 and the spectrum of a real kernel is its rfft with the Hermitian half filled
@@ -163,29 +165,51 @@ def sine_filter(grid, symbol):
 
     `symbol` has shape (n_interior,) for a single field or
     (n_interior, n_cols) for an (n_points, n_cols) block, so each column can
-    carry its own symbol. The kernel spectrum is built here, once; each call
-    is one forward and one inverse FFT of the odd extension.
+    carry its own symbol.
+
+    The operator is Toeplitz minus Hankel, y_i = sum_j [g(i - j) - g(i + j)] c_j,
+    run as circular convolutions of length L = next_fast_len(2n - 1), which
+    holds the 2n - 1 lags of either part without wrap-around. The Toeplitz
+    taps g(m), m = 1-n..n-1, sit at slot m mod L. The Hankel part is the same
+    convolution of the reversed column with taps g(m + n + 1); the reversed
+    column's spectrum is w^((n-1)k) C[-k mod L], w = exp(-2 pi i/L), with C
+    the spectrum of the column itself, so both parts share one forward FFT
+    and the phase w^((n-1)k) is folded into the Hankel spectrum here, once.
+    Each call is one forward FFT, two spectral products read from C and its
+    frequency reversal, a subtraction and one inverse FFT.
     """
     symbol = np.asarray(symbol)
     n = grid.n_points - 2
     g = _sine_kernel(n, symbol)
-    size = next_fast_len(3 * n + 1)
-    # interior rows i = 1..n meet odd-extension slots j = -n..n, so i - j runs
-    # over 3n values, all distinct modulo size: no wrap-around
-    m = np.arange(1 - n, 2 * n + 1)
-    taps = np.zeros((size,) + symbol.shape[1:], dtype=g.dtype)
-    taps[m % size] = g[m % g.shape[0]]
-    spectrum = np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
+    size = next_fast_len(2 * n - 1)
+    lags = np.arange(1 - n, n)
+    slots, period = lags % size, g.shape[0]
+    toeplitz = np.zeros((size,) + symbol.shape[1:], dtype=g.dtype)
+    hankel = np.zeros_like(toeplitz)
+    toeplitz[slots] = g[lags % period]
+    hankel[slots] = g[(lags + n + 1) % period]
+    toeplitz, hankel = (
+        np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
+        for taps in (toeplitz, hankel)
+    )
+    # the integer product (n-1)k is reduced mod L before the exponential
+    shift = np.exp(-2j * np.pi * ((n - 1) * np.arange(size) % size) / size)
+    hankel *= shift.reshape((size,) + (1,) * (hankel.ndim - 1))
     ext = np.zeros((size,) + symbol.shape[1:], dtype=np.complex128)
-    buf = np.empty_like(ext)
+    fwd = np.empty_like(ext)
+    rev = np.empty_like(ext)
+    negated = -np.arange(size)
 
     def apply(cols):
-        ext[1 : n + 1] = cols[1:-1]
-        np.negative(cols[-2:0:-1], out=ext[size - n :])
-        # one scratch buffer carries both transforms: no array is allocated
-        np.fft.fft(ext, axis=0, out=buf)
-        np.multiply(buf, spectrum, out=buf)
-        out = np.fft.ifft(buf, axis=0, out=buf)[1 : n + 1]
+        ext[:n] = cols[1:-1]
+        np.fft.fft(ext, axis=0, out=fwd)
+        # rev = C[-k mod L]: a gather into a contiguous buffer is cheaper
+        # than multiplying through a row-reversed view of an (L, n_cols) block
+        np.take(fwd, negated, axis=0, out=rev, mode="wrap")
+        np.multiply(rev, hankel, out=rev)
+        np.multiply(fwd, toeplitz, out=fwd)
+        np.subtract(fwd, rev, out=fwd)
+        out = np.fft.ifft(fwd, axis=0, out=fwd)[:n]
         cols[1:-1] = out if np.iscomplexobj(cols) else out.real
         return cols
 
@@ -220,11 +244,6 @@ def kinetic_matrix(grid):
 
 def kinetic_expectation(f):
     return float(np.real(inner(f, kinetic_apply(f))))
-
-
-def expectation_p2(f):
-    """<p^2> = 2 <T>."""
-    return 2.0 * kinetic_expectation(f)
 
 
 def kinetic_phase_factors(grid, dt):

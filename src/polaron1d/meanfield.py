@@ -18,6 +18,11 @@ column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
 exactly in the bare-trap eigenbasis at the record points only.
+
+Both loops take the potential step of bath and spin-up in one pass over the
+float parts of their columns: the squared parts times the 2x2 coupling
+matrix (`_coupling_matrix`), plus the stacked traps, give the exponent of
+both factors at once, and every step writes into preallocated buffers.
 """
 
 from dataclasses import dataclass, field, replace
@@ -38,7 +43,7 @@ from .grid import (
     kinetic_phase_factors,
     sine_filter,
 )
-from .observables import EnergyBreakdown, TimeSeries
+from .observables import EnergyBreakdown, TimeSeries, record_intervals
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,18 @@ class MeanFieldState:
 
 def _trap(grid, omega):
     return 0.5 * omega**2 * grid.x**2
+
+
+def _stacked_traps(grid, sys):
+    """(n_points, 2) block of the bath and spin-up traps."""
+    return np.stack([_trap(grid, sys.omega_b), _trap(grid, sys.omega_i)], axis=1)
+
+
+def _coupling_matrix(sys):
+    """C with [|b|^2, |u|^2] C = [g_bb (N_B - 1) |b|^2 + g_bi |u|^2,
+    g_bi N_B |b|^2], the interaction potentials of bath and spin-up."""
+    n = sys.n_bath
+    return np.array([[sys.g_bb * (n - 1), sys.g_bi * n], [sys.g_bi, 0.0]])
 
 
 def _quartic(values, dx):
@@ -362,9 +379,8 @@ def relax_ground_state(sys, grid):
     b = bath.values.real.copy()
     u = imp.values.real.copy()
     dx = grid.dx
-    n = sys.n_bath
-    trap_b = _trap(grid, sys.omega_b)
-    trap_i = _trap(grid, sys.omega_i)
+    coupling = _coupling_matrix(sys)
+    traps = _stacked_traps(grid, sys)
     k2 = box_wavenumbers(grid) ** 2
 
     def current_state():
@@ -377,10 +393,17 @@ def relax_ground_state(sys, grid):
     iterations = 0
     last_stage = len(RELAX_SCHEDULE) - 1
     w = np.empty(grid.n_points, dtype=np.complex128)
+    # float (n_points, 2) views of packed columns hold the parts [b, u]
+    w_parts = w.view(np.float64).reshape(-1, 2)
+    squares = np.empty_like(w_parts)
+    decay = np.empty_like(w_parts)
+    norms2 = np.empty(2)
     for stage, tau in enumerate(RELAX_SCHEDULE):
         decay_half = np.exp(-0.5 * tau * k2 / 2.0)
         kin_half = sine_filter(grid, decay_half)
         kin = sine_filter(grid, decay_half**2)
+        stage_coupling = -tau * coupling
+        stage_traps = -tau * traps
         # one check per ~0.6 units of imaginary time so the slowest O(1) mode
         # decays noticeably between residual checks at any tau
         stage_check = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
@@ -389,18 +412,19 @@ def relax_ground_state(sys, grid):
         r_prev = None
         # y = K^1/2 x, x the normalized orbitals
         y = kin_half(b + 1j * u)
+        y_parts = y.view(np.float64).reshape(-1, 2)
         while True:
             for _ in range(stage_check):
-                yb, yu = y.real, y.imag
-                dens_b = yb**2
-                pot_b = trap_b + sys.g_bb * (n - 1) * dens_b + sys.g_bi * yu**2
-                pot_i = trap_i + sys.g_bi * n * dens_b
-                w.real = yb * np.exp(-tau * pot_b)
-                w.imag = yu * np.exp(-tau * pot_i)
+                # w = exp(-tau (y^2 C + traps)) y, part by part
+                np.square(y_parts, out=squares)
+                np.matmul(squares, stage_coupling, out=decay)
+                np.add(decay, stage_traps, out=decay)
+                np.exp(decay, out=decay)
+                np.multiply(y_parts, decay, out=w_parts)
                 y[:] = w
                 kin(y)
-                y.real /= np.sqrt(np.dot(w.real, y.real) * dx)
-                y.imag /= np.sqrt(np.dot(w.imag, y.imag) * dx)
+                np.vecdot(w_parts, y_parts, axis=0, out=norms2)
+                y_parts /= np.sqrt(norms2 * dx)
             iterations += stage_check
             x = kin_half(w.copy())
             b = x.real / np.sqrt(np.sum(x.real**2) * dx)
@@ -473,22 +497,22 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     the bare impurity trap of sys_post; it is advanced exactly from that
     trap's grid eigenbasis (one dense eigendecomposition per call) and built
     only at record points. Records every record_every steps (t_max is
-    trimmed to a whole number of record intervals). Aborts with a step-size
+    trimmed to a whole number of record intervals; a t_max shorter than one
+    interval raises ConfigurationError). Aborts with a step-size
     advisory when a norm drifts by more than 1e-6 or the energy by more than
     1e-6 relative.
 
     Returns (trajectory, series) where trajectory is a list of MeanFieldState
     and series a dict of TimeSeries.
     """
-    if dt <= 0 or t_max <= 0:
-        raise ConfigurationError("dt and t_max must be > 0")
     record_every = max(int(record_every), 1)
-    n_steps = int(round(t_max / dt))
-    n_records = max(n_steps // record_every, 1)
+    n_records = record_intervals(dt, t_max, record_every)
     grid = state.bath.grid
-    n = sys_post.n_bath
-    trap_b = _trap(grid, sys_post.omega_b)
     trap_i = _trap(grid, sys_post.omega_i)
+    # -dt (|cols|^2 C + traps) from the float view of cols: its columns are
+    # (Re b, Im b, Re u, Im u), so the rows of C repeat for each part
+    coupling = -dt * np.repeat(_coupling_matrix(sys_post), 2, axis=0)
+    traps = -dt * _stacked_traps(grid, sys_post)
     kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 2, axis=1)
     kin_half = sine_filter(grid, kin_phases)
     kin_full = sine_filter(grid, kin_phases**2)
@@ -551,18 +575,20 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
 
     e0 = record(state.time)
     t = state.time
+    parts = cols.view(np.float64)
+    squares = np.empty_like(parts)
+    angle = np.empty(cols.shape)
     phase = np.empty_like(cols)
     for _ in range(n_records):
         # merged Strang block: K/2 (V K)^{m-1} V K/2
         kin_half(cols)
         for sub in range(record_every):
-            dens_b = np.abs(cols[:, 0]) ** 2
-            phase[:, 0] = np.exp(
-                -1j
-                * dt
-                * (trap_b + sys_post.g_bb * (n - 1) * dens_b + sys_post.g_bi * np.abs(cols[:, 1]) ** 2)
-            )
-            phase[:, 1] = np.exp(-1j * dt * (trap_i + sys_post.g_bi * n * dens_b))
+            np.square(parts, out=squares)
+            np.matmul(squares, coupling, out=angle)
+            np.add(angle, traps, out=angle)
+            # exp(i angle) by parts: cheaper than the complex exp
+            np.cos(angle, out=phase.real)
+            np.sin(angle, out=phase.imag)
             cols *= phase
             if sub < record_every - 1:
                 kin_full(cols)

@@ -48,6 +48,22 @@ class TimeSeries:
         )
 
 
+def record_intervals(dt, t_max, record_every):
+    """The number of whole record intervals of record_every steps of dt
+    in a run to t_max (t_max is trimmed to a whole number of them). A
+    t_max shorter than one interval is refused, not run past."""
+    if dt <= 0 or t_max <= 0:
+        raise ConfigurationError("dt and t_max must be > 0")
+    n_records = int(round(t_max / dt)) // record_every
+    if n_records == 0:
+        raise ConfigurationError(
+            f"time.t_max = {t_max:g} is shorter than one record interval "
+            f"time.dt * time.record_every = {dt:g} * {record_every} = "
+            f"{dt * record_every:g}"
+        )
+    return n_records
+
+
 @dataclass(frozen=True)
 class SpectralFunction:
     """A(omega) on a uniform frequency grid covering the full FFT band."""

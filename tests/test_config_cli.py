@@ -667,6 +667,17 @@ class TestCli:
         assert cli.main(["quench", "--config", path, "--tier", "ed"]) == 2
         assert "g_bi_initial" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tier", ["ed", "meanfield"])
+    def test_t_max_below_one_record_interval_exits_2(self, tmp_path, capsys, tier):
+        # 20 steps of dt = 0.1 are short of one 30-step record interval
+        outdir = str(tmp_path / "out")
+        text = ED_SMALL.format(extra="", outdir=outdir).replace("t_max = 2", "t_max = 2\nrecord_every = 30")
+        path = self._write_cfg(tmp_path, text)
+        assert cli.main(["quench", "--config", path, "--tier", tier]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in ("time.t_max", "time.dt", "time.record_every"))
+        assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
+
     def test_tier_override(self, tmp_path):
         outdir = str(tmp_path / "out")
         path = self._write_cfg(

@@ -4,7 +4,7 @@ import pytest
 from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
 from polaron1d.errors import AnalysisError, ConfigurationError, FitQualityError
-from polaron1d.grid import Field, expectation_p2, expectation_x, expectation_x2, inner
+from polaron1d.grid import Field, expectation_x, expectation_x2, inner, kinetic_expectation
 from polaron1d.observables import TimeSeries, find_peaks, spectral_function
 
 TF_MU = (3 * 100 * 0.5 / (4 * np.sqrt(2))) ** (2.0 / 3.0)
@@ -188,7 +188,7 @@ class TestStationaryMoments:
             psi = Field(grid, (coeffs * np.exp(-1j * spec.energies * t)) @ states)
             assert series["x_mean"].values[k] == pytest.approx(expectation_x(psi), abs=1e-10)
             assert series["x2"].values[k] == pytest.approx(expectation_x2(psi), abs=1e-10)
-            assert series["p2"].values[k] == pytest.approx(expectation_p2(psi), abs=1e-10)
+            assert series["p2"].values[k] == pytest.approx(2.0 * kinetic_expectation(psi), abs=1e-10)
 
 
 class TestBreathing:

@@ -12,7 +12,7 @@ from scipy.special import gamma as gamma_fn
 
 import ed_oracle
 from polaron1d import exactdiag as ed
-from polaron1d.errors import SizeError, UsageError
+from polaron1d.errors import ConfigurationError, SizeError, UsageError
 from polaron1d.grid import ho_mode_basis
 
 
@@ -342,6 +342,14 @@ class TestKrylov:
                 expected.append(t)
         assert np.array_equal(traj.times, np.asarray(expected))
         assert traj.vectors.shape == (n_rec + 1, h.dim)
+
+    def test_t_max_below_one_record_interval_is_refused(self, system126):
+        # 0.06 / 0.05 rounds to one step, short of one 4-step record interval;
+        # the run must not go on to t = 0.2
+        h, _ = system126
+        v0, _ = ed.ground_state(h)
+        with pytest.raises(ConfigurationError, match=r"time\.t_max.*time\.dt \* time\.record_every"):
+            ed.propagate_krylov(h, v0, dt=0.05, t_max=0.06, record_every=4)
 
     def test_matvec_budget(self, basis10, monkeypatch):
         # the perfbench ed-quench point at g_bi = 1.8; matvec counts repeat

@@ -171,9 +171,13 @@ def _filter_case(n_points, n_cols, kind):
     return grid, symbol, cols
 
 
+# interior sizes 14, 448, 449 and 512 run on FFTs of 27, 896, 900 and 1024
+FILTER_SIZES = [16, 450, 451, 514]
+
+
 @pytest.mark.parametrize("kind", ["phase", "decay", "kinetic"])
 @pytest.mark.parametrize("n_cols", [1, 3])
-@pytest.mark.parametrize("n_points", [450, 451])
+@pytest.mark.parametrize("n_points", FILTER_SIZES)
 def test_sine_filter_matches_dst_pair(n_points, n_cols, kind):
     grid, symbol, cols = _filter_case(n_points, n_cols, kind)
     ref = _dst_pair(cols, symbol)
@@ -182,7 +186,7 @@ def test_sine_filter_matches_dst_pair(n_points, n_cols, kind):
     assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
 
 
-@pytest.mark.parametrize("n_points", [450, 451])
+@pytest.mark.parametrize("n_points", FILTER_SIZES)
 def test_sine_filter_phase_symbol_is_unitary(n_points):
     grid, symbol, cols = _filter_case(n_points, 3, "phase")
     apply = sine_filter(grid, symbol)

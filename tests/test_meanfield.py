@@ -4,7 +4,15 @@ from scipy.linalg import expm
 
 from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, UsageError
-from polaron1d.grid import box_wavenumbers, expectation_p2, kinetic_matrix, sine_filter
+from polaron1d.grid import (
+    Field,
+    SpinorImpurityState,
+    box_wavenumbers,
+    build_grid,
+    kinetic_expectation,
+    kinetic_matrix,
+    sine_filter,
+)
 from polaron1d.observables import (
     dominant_frequency,
     general_weights_contrast,
@@ -140,13 +148,49 @@ class TestPropagate:
             assert err <= 1e-12
         assert np.max(np.abs(np.asarray(series["norm_down"].values) - 1.0)) < 1e-13
 
-    def test_p2_record_matches_expectation_p2(self, relaxed_default):
+    def test_p2_record_is_twice_kinetic_expectation(self, relaxed_default):
         # the record reuses energy_breakdown's kinetic energy: <p^2> = 2 <T>
         state, _ = relaxed_default
         sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.5)
         traj, series = mf.propagate(state, sys_post, dt=5e-4, t_max=0.2, record_every=100)
-        direct = [expectation_p2(st.impurity.up) for st in traj]
+        direct = [2.0 * kinetic_expectation(st.impurity.up) for st in traj]
         assert np.array_equal(series["p2_up"].values, direct)
+
+    def test_record_interval_matches_dense_split_steps(self):
+        # one record interval of 3 steps against K/2 (V K)^2 V K/2 built from
+        # eigh(T) and the GP phases written out per component
+        grid = build_grid(64, 8.0)
+        sys_post = mf.MeanFieldSystem(n_bath=5, g_bb=0.5, g_bi=1.3)
+        kick = np.exp(0.4j * grid.x)
+        bath = Field(grid, np.exp(-0.5 * (grid.x - 0.3) ** 2) * kick).normalized()
+        up = Field(grid, np.exp(-0.6 * (grid.x + 0.5) ** 2) / kick).normalized()
+        state = mf.MeanFieldState(
+            bath=bath, impurity=SpinorImpurityState(up=up, down=up), time=0.0, energy_reference=0.0
+        )
+        dt, n = 1e-3, sys_post.n_bath
+        traj, _ = mf.propagate(state, sys_post, dt=dt, t_max=3 * dt, record_every=3)
+        energies, vecs = np.linalg.eigh(kinetic_matrix(grid))
+        kin_half = (vecs * np.exp(-0.5j * dt * energies)) @ vecs.T
+        kin_full = (vecs * np.exp(-1j * dt * energies)) @ vecs.T
+        trap = 0.5 * grid.x[1:-1] ** 2
+        b, u = kin_half @ bath.values[1:-1], kin_half @ up.values[1:-1]
+        for step in range(3):
+            rho_b, rho_u = np.abs(b) ** 2, np.abs(u) ** 2
+            b = np.exp(-1j * dt * (trap + sys_post.g_bb * (n - 1) * rho_b + sys_post.g_bi * rho_u)) * b
+            u = np.exp(-1j * dt * (trap + sys_post.g_bi * n * rho_b)) * u
+            if step < 2:
+                b, u = kin_full @ b, kin_full @ u
+        b, u = kin_half @ b, kin_half @ u
+        assert traj[-1].time == pytest.approx(3 * dt, abs=1e-15)
+        assert np.max(np.abs(traj[-1].bath.values[1:-1] - b)) <= 1e-12
+        assert np.max(np.abs(traj[-1].impurity.up.values[1:-1] - u)) <= 1e-12
+
+    def test_t_max_below_one_record_interval_is_refused(self, relaxed_default, default_system):
+        # 100 steps are short of one 200-step record interval; the run must
+        # not go on to t = 0.1
+        state, _ = relaxed_default
+        with pytest.raises(ConfigurationError, match=r"time\.t_max.*time\.dt \* time\.record_every"):
+            mf.propagate(state, default_system, dt=5e-4, t_max=0.05, record_every=200)
 
     def test_unquenched_contrast_stays_unity(self, relaxed_default, default_system):
         state, _ = relaxed_default
