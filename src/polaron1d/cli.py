@@ -20,7 +20,6 @@ def _add_common(parser):
         "--tier", default=None, choices=("meanfield", "effpot", "ed"),
         help="solver tier override",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="concurrent sweep jobs")
 
 
 def build_parser():
@@ -39,6 +38,8 @@ def build_parser():
     ):
         p = sub.add_parser(name, help=help_text)
         _add_common(p)
+        if name == "sweep":
+            p.add_argument("--jobs", type=int, default=1, help="concurrent sweep jobs")
         if name == "analyze":
             p.add_argument("contrast", help="existing contrast.csv")
     return parser

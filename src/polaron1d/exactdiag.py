@@ -23,13 +23,15 @@ phi_l(x_q). With psi_q = sum_l phi_l(x_q) a_l both terms are in normal order:
 Every Fock-space operator comes from one sparse matrix, the stacked
 annihilators a_l (about 2 k nonzeros at N_B = 4, M = 10). H_BI is applied
 matrix-free: A lowers V once, two small dense products carry the node sums
-V Phi -> psi_q -> (g_bi W_q) Phi^T, and A^T raises the result. H_BB is stored
-as one sparse product B^T B, B stacking the node sums of the pair
-annihilators a_k a_l built from A at N_B - 1 and N_B bosons. The nodes come
-in pairs +-x_q with psi_{+-q} psi_{+-q} = P_q +- R_q, the parts with k + l
-even and odd, so a pair contributes g_bb W_q (P_q^T P_q + R_q^T R_q) and no
-parity-forbidden entry is ever formed. H_BB is positive semidefinite by
-construction and exactly zero for N_B <= 1.
+V Phi -> psi_q -> (g_bi W_q) Phi^T, and A^T raises the result. H_BB = B^T B is
+kept as its pair factor B and applied as B^T (B V), B stacking the node sums
+of the pair annihilators a_k a_l built from A at N_B - 1 and N_B bosons. The
+nodes come in pairs +-x_q with psi_{+-q} psi_{+-q} = P_q +- R_q, the parts
+with k + l even and odd, so a pair contributes g_bb W_q (P_q^T P_q +
+R_q^T R_q) and no parity-forbidden entry is ever formed. H_BB is positive
+semidefinite by construction (<V|H_BB|V> = ||B V||^2) and exactly zero for
+N_B <= 1, where B has no rows. The dense matrix, for small checks, is the
+matrix action on the identity columns.
 """
 
 import itertools
@@ -182,12 +184,14 @@ class EDHamiltonian:
     g_bi = 0), with n_q = psi_q^+ psi_q and psi_q = sum_l phi_l(x_q) a_l. The
     annihilators also give the bath density matrix, so they are kept at every
     g_bi; `creators` is their transpose, built once and shared by every
-    matvec."""
+    matvec. H_BB acts as B^T (B V) through the pair factor `bb_factor` and its
+    transposed view `bb_factor_t`, shared the same way (None at g_bb = 0)."""
 
     fock: FockBasis
     basis: object
     bath_onebody: np.ndarray
-    bb_csr: object
+    bb_factor: object
+    bb_factor_t: object
     h_imp: np.ndarray
     annihilators: object
     creators: object
@@ -199,10 +203,6 @@ class EDHamiltonian:
     @property
     def dim(self):
         return self.fock.total_dim
-
-    @property
-    def shape(self):
-        return (self.dim, self.dim)
 
     def _bath_block_apply(self, mat_csr, vmat):
         """A real sparse matrix applied to the bath (row) index of a complex
@@ -227,30 +227,17 @@ class EDHamiltonian:
         vmat = v.reshape(self.fock.bath_dim, self.fock.n_modes)
         out = self.bath_onebody[:, None] * vmat
         out += vmat @ self.h_imp.T
-        if self.bb_csr is not None:
-            out += self._bath_block_apply(self.bb_csr, vmat)
+        if self.bb_factor is not None:
+            paired = self._bath_block_apply(self.bb_factor, vmat)
+            out += self._bath_block_apply(self.bb_factor_t, paired)
         if self.bi_weights is not None:
             out += self._bi_apply(vmat)
         return out.reshape(-1)
 
     def to_dense(self):
-        s, m = self.fock.bath_dim, self.fock.n_modes
-        h = np.kron(np.diag(self.bath_onebody), np.eye(m))
-        h += np.kron(np.eye(s), self.h_imp)
-        if self.bb_csr is not None:
-            h += np.kron(self.bb_csr.toarray(), np.eye(m))
-        if self.bi_weights is not None:
-            lower = self.annihilators.toarray().reshape(-1, m, s)
-            for pair, w_q in zip(self.node_pairs.T, self.bi_weights):
-                pair = pair.reshape(m, m)
-                n_q = np.einsum("il,bis,blt->st", pair, lower, lower)
-                h += np.kron(n_q, w_q * pair)
-        return h
-
-    def as_linear_operator(self):
-        return LinearOperator(
-            shape=self.shape, matvec=self.matvec, dtype=np.complex128
-        )
+        """H as a dense float64 matrix, column by column from the matvec; H
+        is real, so taking the real part is exact."""
+        return np.column_stack([self.matvec(col) for col in np.eye(self.dim)]).real
 
     # --- expectation helpers -------------------------------------------------
 
@@ -260,13 +247,12 @@ class EDHamiltonian:
         return vmat.conj().T @ vmat
 
     def expect_bb(self, v):
-        if self.bb_csr is None:
+        """<V|H_BB|V> = ||B V||^2."""
+        if self.bb_factor is None:
             return 0.0
         s, m = self.fock.bath_dim, self.fock.n_modes
         vmat = np.asarray(v, dtype=np.complex128).reshape(s, m)
-        return float(
-            np.real(np.vdot(vmat, self._bath_block_apply(self.bb_csr, vmat)))
-        )
+        return float(np.linalg.norm(self._bath_block_apply(self.bb_factor, vmat)) ** 2)
 
     def expect_bi(self, v):
         if self.bi_weights is None:
@@ -302,15 +288,16 @@ def _annihilators(fock):
 
 
 def _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb):
-    """(g_bb/2) sum_q W_q psi_q^+ psi_q^+ psi_q psi_q on the bath Fock space as
-    one sparse product (g_bb/2) B^T B. The pair annihilators a_k a_l =
+    """The CSR pair factor B with B^T B = (g_bb/2) sum_q W_q psi_q^+ psi_q^+
+    psi_q psi_q on the bath Fock space. The pair annihilators a_k a_l =
     (A' (x) 1) A, rows (b'', k, l), come from the stacked annihilators A' and
     A at N_B - 1 and N_B bosons; B stacks their node sums sqrt(2 W_q) P_q and
     sqrt(2 W_q) R_q over the nodes x_q > 0 and sqrt(W_0) P_0 at the centre,
-    with P_q and R_q the parts of psi_q psi_q with k + l even and odd."""
+    with P_q and R_q the parts of psi_q psi_q with k + l even and odd, times
+    sqrt(g_bb/2). Below two bosons B has no rows."""
     n, m = fock.n_bath, fock.n_modes
     if n < 2:
-        return sp.csr_matrix((fock.bath_dim, fock.bath_dim))
+        return sp.csr_matrix((0, fock.bath_dim))
     modes = np.arange(m)
     even = (modes[:, None] + modes[None, :]) % 2 == 0
     half = x >= 0.0
@@ -320,9 +307,8 @@ def _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb):
     lower = _annihilators(build_fock_basis(n - 1, m))
     pairs = sp.kron(lower, sp.identity(m), format="csr") @ annihilators
     b = sp.kron(sp.identity(lower.shape[0] // m), coeffs, format="csr") @ pairs
-    h_bb = b.T.tocsr() @ b
-    h_bb.data *= 0.5 * g_bb
-    return h_bb
+    b.data *= np.sqrt(0.5 * g_bb)
+    return b
 
 
 def _verify_hermitian(h):
@@ -361,7 +347,8 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
         fock=fock,
         basis=basis,
         bath_onebody=bath_onebody,
-        bb_csr=bb,
+        bb_factor=bb,
+        bb_factor_t=bb.T if bb is not None else None,
         h_imp=t_imp + v_imp,
         annihilators=annihilators,
         creators=annihilators.T,
@@ -410,7 +397,7 @@ def ground_state(h):
     else:
         try:
             w, vecs = eigsh(
-                h.as_linear_operator(),
+                LinearOperator(shape=(dim, dim), matvec=h.matvec, dtype=np.complex128),
                 k=1,
                 which="SA",
                 v0=_deterministic_start(dim),
@@ -493,7 +480,6 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1):
     estimate passes. States are renormalized and the largest norm defect is
     reported. Record times accumulate t += dt as a fixed-step loop would;
     a t_max shorter than one record interval raises ConfigurationError."""
-    record_every = max(int(record_every), 1)
     n_rec = record_intervals(dt, t_max, record_every)
     amps = np.asarray(v0.amplitudes, dtype=np.complex128)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-8:

@@ -19,10 +19,14 @@ normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
 exactly in the bare-trap eigenbasis at the record points only.
 
-Both loops take the potential step of bath and spin-up in one pass over the
-float parts of their columns: the squared parts times the 2x2 coupling
-matrix (`_coupling_matrix`), plus the stacked traps, give the exponent of
-both factors at once, and every step writes into preallocated buffers.
+The GP potentials of bath and spin-up, V_b = trap_b + g_BB (N_B - 1) |b|^2 +
+g_BI |u|^2 and V_u = trap_u + g_BI N_B |b|^2, are [|b|^2, |u|^2] C plus the
+stacked traps, with C the 2x2 coupling matrix (`_coupling_matrix`).
+`_gp_potentials` evaluates them for the stationarity checks and the Newton
+polish. Both loops take the potential step of bath and spin-up in that same
+form in one pass over the float parts of their columns, which gives the
+exponent of both factors at once, and every step writes into preallocated
+buffers.
 """
 
 from dataclasses import dataclass, field, replace
@@ -87,6 +91,12 @@ def _coupling_matrix(sys):
     return np.array([[sys.g_bb * (n - 1), sys.g_bi * n], [sys.g_bi, 0.0]])
 
 
+def _gp_potentials(sys, traps, b, u):
+    """(n_points, 2) block of the GP potentials [V_b, V_u] of the bath and
+    spin-up orbitals b and u on the points of the stacked `traps`."""
+    return np.stack([np.abs(b) ** 2, np.abs(u) ** 2], axis=1) @ _coupling_matrix(sys) + traps
+
+
 def _quartic(values, dx):
     return float(np.sum(np.abs(values) ** 4) * dx)
 
@@ -110,49 +120,20 @@ def energy_breakdown(state, sys):
     return EnergyBreakdown(kin_b, pot_b, kin_i, pot_i, e_bb, e_bi)
 
 
-def total_energy(state, sys):
-    return energy_breakdown(state, sys).total
-
-
-def chemical_potentials(state, sys):
-    """GP eigenvalues (mu_bath, mu_impurity) of the current orbitals."""
+def _stationarity(state, sys):
+    """GP eigenvalues (mu_bath, mu_impurity) of the current orbitals and the
+    L2 norms (r_bath, r_impurity) of (h_eff - mu) phi, from one kinetic
+    application per orbital."""
     grid = state.bath.grid
     dx = grid.dx
-    n = sys.n_bath
-    b, u = state.bath.values, state.impurity.up.values
-    h_b = kinetic_apply(state.bath).values + (
-        _trap(grid, sys.omega_b)
-        + sys.g_bb * (n - 1) * np.abs(b) ** 2
-        + sys.g_bi * np.abs(u) ** 2
-    ) * b
-    h_u = kinetic_apply(state.impurity.up).values + (
-        _trap(grid, sys.omega_i) + sys.g_bi * n * np.abs(b) ** 2
-    ) * u
-    mu_b = float(np.real(np.sum(np.conj(b) * h_b)) * dx)
-    mu_i = float(np.real(np.sum(np.conj(u) * h_u)) * dx)
-    return mu_b, mu_i
-
-
-def _stationarity_residual(state, sys):
-    """L2 norm of (h_eff - mu) phi for each component."""
-    grid = state.bath.grid
-    dx = grid.dx
-    n = sys.n_bath
-    b, u = state.bath.values, state.impurity.up.values
-    mu_b, mu_i = chemical_potentials(state, sys)
-    r_b = kinetic_apply(state.bath).values + (
-        _trap(grid, sys.omega_b)
-        + sys.g_bb * (n - 1) * np.abs(b) ** 2
-        + sys.g_bi * np.abs(u) ** 2
-        - mu_b
-    ) * b
-    r_u = kinetic_apply(state.impurity.up).values + (
-        _trap(grid, sys.omega_i) + sys.g_bi * n * np.abs(b) ** 2 - mu_i
-    ) * u
-    return (
-        float(np.sqrt(np.sum(np.abs(r_b) ** 2) * dx)),
-        float(np.sqrt(np.sum(np.abs(r_u) ** 2) * dx)),
+    orbitals = np.stack([state.bath.values, state.impurity.up.values], axis=1)
+    kinetic = np.stack(
+        [kinetic_apply(state.bath).values, kinetic_apply(state.impurity.up).values], axis=1
     )
+    h_phi = kinetic + _gp_potentials(sys, _stacked_traps(grid, sys), *orbitals.T) * orbitals
+    mu = np.real(np.sum(np.conj(orbitals) * h_phi, axis=0)) * dx
+    r = np.sqrt(np.sum(np.abs(h_phi - mu * orbitals) ** 2, axis=0) * dx)
+    return (float(mu[0]), float(mu[1])), (float(r[0]), float(r[1]))
 
 
 @dataclass(frozen=True)
@@ -288,28 +269,24 @@ def _newton_polish(sys, grid, b, u):
     n = sys.n_bath
     ni = grid.n_points - 2
     t = kinetic_matrix(grid)
-    trap_b = _trap(grid, sys.omega_b)[1:-1]
-    trap_i = _trap(grid, sys.omega_i)[1:-1]
+    traps = _stacked_traps(grid, sys)[1:-1]
 
     def split(vec):
         return vec[:ni], vec[ni : 2 * ni], vec[2 * ni], vec[2 * ni + 1]
 
     def residual(pb, pu, mu_b, mu_i):
-        hb = t @ pb + (trap_b + sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2 - mu_b) * pb
-        hu = t @ pu + (trap_i + sys.g_bi * n * pb**2 - mu_i) * pu
+        v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
+        hb = t @ pb + (v_b - mu_b) * pb
+        hu = t @ pu + (v_u - mu_i) * pu
         cb = 0.5 * (np.sum(pb**2) * dx - 1.0)
         cu = 0.5 * (np.sum(pu**2) * dx - 1.0)
         return np.concatenate([hb, hu, [cb, cu]])
 
     pb = np.real(b[1:-1]).copy()
     pu = np.real(u[1:-1]).copy()
-    mu_b = float(
-        pb @ (t @ pb) * dx
-        + np.sum((trap_b + sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2) * pb**2) * dx
-    )
-    mu_i = float(
-        pu @ (t @ pu) * dx + np.sum((trap_i + sys.g_bi * n * pb**2) * pu**2) * dx
-    )
+    v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
+    mu_b = float(pb @ (t @ pb) * dx + np.sum(v_b * pb**2) * dx)
+    mu_i = float(pu @ (t @ pu) * dx + np.sum(v_u * pu**2) * dx)
     best = (pb.copy(), pu.copy(), np.linalg.norm(residual(pb, pu, mu_b, mu_i)[: 2 * ni]) * np.sqrt(dx))
     size = 2 * ni + 2
     jac = np.zeros((size, size))
@@ -320,15 +297,12 @@ def _newton_polish(sys, grid, b, u):
             best = (pb.copy(), pu.copy(), rnorm)
         if rnorm < POLISH_TARGET:
             break
-        jac[:ni, :ni] = t + np.diag(
-            trap_b + 3.0 * sys.g_bb * (n - 1) * pb**2 + sys.g_bi * pu**2 - mu_b
-        )
+        v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
+        jac[:ni, :ni] = t + np.diag(v_b + 2.0 * sys.g_bb * (n - 1) * pb**2 - mu_b)
         jac[:ni, ni : 2 * ni] = np.diag(2.0 * sys.g_bi * pb * pu)
         jac[:ni, 2 * ni] = -pb
         jac[ni : 2 * ni, :ni] = np.diag(2.0 * sys.g_bi * n * pb * pu)
-        jac[ni : 2 * ni, ni : 2 * ni] = t + np.diag(
-            trap_i + sys.g_bi * n * pb**2 - mu_i
-        )
+        jac[ni : 2 * ni, ni : 2 * ni] = t + np.diag(v_u - mu_i)
         jac[ni : 2 * ni, 2 * ni + 1] = -pu
         jac[2 * ni, :ni] = pb * dx
         jac[2 * ni + 1, ni : 2 * ni] = pu * dx
@@ -430,9 +404,8 @@ def relax_ground_state(sys, grid):
             b = x.real / np.sqrt(np.sum(x.real**2) * dx)
             u = x.imag / np.sqrt(np.sum(x.imag**2) * dx)
             state = current_state()
-            e = total_energy(state, sys)
-            mu_b, mu_i = chemical_potentials(state, sys)
-            r_b, r_u = _stationarity_residual(state, sys)
+            e = energy_breakdown(state, sys).total
+            (mu_b, _), (r_b, r_u) = _stationarity(state, sys)
             resid = max(r_b, r_u)
             trace.append(e)
             scale = max(abs(e), 1e-12)
@@ -456,8 +429,7 @@ def relax_ground_state(sys, grid):
     b, u = _newton_polish(sys, grid, b, u)
     state = current_state()
     breakdown = energy_breakdown(state, sys)
-    mu_b, mu_i = chemical_potentials(state, sys)
-    r_b, r_u = _stationarity_residual(state, sys)
+    (mu_b, mu_i), (r_b, r_u) = _stationarity(state, sys)
     trace.append(breakdown.total)
     state = replace(state, energy_reference=breakdown.total)
     result = RelaxResult(
@@ -505,7 +477,6 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     Returns (trajectory, series) where trajectory is a list of MeanFieldState
     and series a dict of TimeSeries.
     """
-    record_every = max(int(record_every), 1)
     n_records = record_intervals(dt, t_max, record_every)
     grid = state.bath.grid
     trap_i = _trap(grid, sys_post.omega_i)

@@ -7,6 +7,7 @@ rules (same indices, same widths), so importing this module does not load
 scipy.signal; scipy.optimize is loaded only when a damped-cosine fit runs.
 """
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,7 +52,12 @@ class TimeSeries:
 def record_intervals(dt, t_max, record_every):
     """The number of whole record intervals of record_every steps of dt
     in a run to t_max (t_max is trimmed to a whole number of them). A
-    t_max shorter than one interval is refused, not run past."""
+    t_max shorter than one interval is refused, not run past, and so is a
+    record_every that is not a whole number >= 1."""
+    if not isinstance(record_every, numbers.Integral) or record_every < 1:
+        raise ConfigurationError(
+            f"time.record_every = {record_every!r} must be a whole number >= 1"
+        )
     if dt <= 0 or t_max <= 0:
         raise ConfigurationError("dt and t_max must be > 0")
     n_records = int(round(t_max / dt)) // record_every

@@ -588,6 +588,8 @@ def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory
     Individual failures are recorded in the aggregate (manifest status
     "partial") and the sweep continues.
     """
+    if jobs < 1:
+        raise ConfigurationError(f"sweep needs jobs >= 1, got {jobs}")
     parameter = parameter or cfg.sweep_parameter
     values = list(values if values is not None else cfg.sweep_values)
     pipeline = pipeline or cfg.sweep_pipeline

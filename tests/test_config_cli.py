@@ -678,6 +678,24 @@ class TestCli:
         assert all(key in err for key in ("time.t_max", "time.dt", "time.record_every"))
         assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
+    def test_jobs_is_a_sweep_option_only(self, tmp_path, capsys):
+        path = self._write_cfg(tmp_path, MINIMAL)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["quench", "--config", path, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_sweep_with_no_jobs_exits_2(self, tmp_path, capsys):
+        outdir = str(tmp_path / "swj")
+        path = self._write_cfg(
+            tmp_path,
+            EFFPOT_FAST.format(outdir=outdir)
+            + "[sweep]\nparameter = g_bi_final\nvalues = 0.2, 0.3\n",
+        )
+        assert cli.main(["sweep", "--config", path, "--jobs", "0"]) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(outdir, "g_bi_final_000"))
+
     def test_tier_override(self, tmp_path):
         outdir = str(tmp_path / "out")
         path = self._write_cfg(

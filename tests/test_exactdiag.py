@@ -132,7 +132,7 @@ class TestOracleParity:
             expected = ed_oracle.oracle_matvec(h, blocks, v)
             assert np.linalg.norm(h.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
         if g_bb > 0:
-            assert h.bb_csr.nnz == bb_unit.nnz
+            assert (h.bb_factor.T @ h.bb_factor).nnz == bb_unit.nnz
         if size == (3, 6):
             dense = ed_oracle.oracle_dense(h, blocks)
             assert np.max(np.abs(h.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
@@ -168,7 +168,7 @@ class TestAssemblyProperties:
     @example(n_bath=1, n_modes=10, g_bb=1.0)
     def test_bath_block_is_positive_semidefinite(self, n_bath, n_modes, g_bb):
         h = ed.build_hamiltonian(ed.build_fock_basis(n_bath, n_modes), g_bb, 0.0)
-        bb = h.bb_csr
+        bb = h.bb_factor.T @ h.bb_factor
         if n_bath <= 1:
             assert bb.nnz == 0
             return
@@ -186,17 +186,21 @@ class TestHamiltonian:
         ed.build_hamiltonian(fock, 0.5, 1.8)
         tracemalloc.start()
         try:
-            ed.build_hamiltonian(fock, 0.5, 1.8)
-            _, peak = tracemalloc.get_traced_memory()
+            h = ed.build_hamiltonian(fock, 0.5, 1.8)
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 5_000_000
+        # the bath-bath block is kept as its pair factor, not as B^T B
+        assert kept <= 600_000
+        assert h.bb_factor is not None
 
     def test_creators_are_built_once_per_bath_block(self):
         fock = ed.build_fock_basis(3, 8)
         h = ed.build_hamiltonian(fock, 0.5, 1.2)
         assert (h.creators != h.annihilators.T).nnz == 0
         assert ed.with_impurity_coupling(h, 2.0).creators is h.creators
+        assert ed.with_impurity_coupling(h, 2.0).bb_factor_t is h.bb_factor_t
 
     def test_noninteracting_two_particles(self, basis10):
         fock = ed.build_fock_basis(1, 10)
@@ -350,6 +354,10 @@ class TestKrylov:
         v0, _ = ed.ground_state(h)
         with pytest.raises(ConfigurationError, match=r"time\.t_max.*time\.dt \* time\.record_every"):
             ed.propagate_krylov(h, v0, dt=0.05, t_max=0.06, record_every=4)
+        # a record_every that is no whole number >= 1 is refused, not coerced
+        for bad in (0, -3, 2.5):
+            with pytest.raises(ConfigurationError, match=r"time\.record_every = .* whole number"):
+                ed.propagate_krylov(h, v0, dt=0.05, t_max=0.06, record_every=bad)
 
     def test_matvec_budget(self, basis10, monkeypatch):
         # the perfbench ed-quench point at g_bi = 1.8; matvec counts repeat
@@ -519,6 +527,23 @@ class TestBathDensityMatrix:
 
 
 class TestEnergyBreakdown:
+    def test_interaction_terms_match_oracle(self, grid, rng):
+        basis = ho_mode_basis(grid, 6)
+        fock = ed.build_fock_basis(3, 6)
+        g_bb, g_bi = 0.5, 1.8
+        h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
+        bb_unit, bi_unit = ed_oracle.oracle_blocks(fock, basis, 1.0, 1.0)
+        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
+        v /= np.linalg.norm(v)
+        vmat = v.reshape(fock.bath_dim, fock.n_modes)
+        bd = ed.energy_breakdown(v, h)
+        assert bd.intra_bb == pytest.approx(
+            float(np.real(np.vdot(vmat, g_bb * (bb_unit @ vmat)))), abs=1e-12
+        )
+        assert bd.inter_bi == pytest.approx(
+            float(np.real(np.vdot(v, g_bi * (bi_unit @ v)))), abs=1e-12
+        )
+
     def test_sum_matches_hamiltonian_expectation(self, basis10, rng):
         fock = ed.build_fock_basis(2, 10)
         h = ed.build_hamiltonian(fock, 0.5, 0.7, basis=basis10)

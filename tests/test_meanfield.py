@@ -191,6 +191,10 @@ class TestPropagate:
         state, _ = relaxed_default
         with pytest.raises(ConfigurationError, match=r"time\.t_max.*time\.dt \* time\.record_every"):
             mf.propagate(state, default_system, dt=5e-4, t_max=0.05, record_every=200)
+        # a record_every that is no whole number >= 1 is refused, not coerced
+        for bad in (0, -3, 2.5):
+            with pytest.raises(ConfigurationError, match=r"time\.record_every = .* whole number"):
+                mf.propagate(state, default_system, dt=5e-4, t_max=0.05, record_every=bad)
 
     def test_unquenched_contrast_stays_unity(self, relaxed_default, default_system):
         state, _ = relaxed_default
