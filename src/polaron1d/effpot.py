@@ -15,8 +15,13 @@ from .errors import (
     FitQualityError,
     UsageError,
 )
-from .grid import Field, inner, kinetic_matrix
-from .meanfield import ThomasFermiProfile
+from .grid import (
+    Field,
+    bare_ground_state,
+    evolve_coefficients,
+    kinetic_matrix,
+    stationary_states,
+)
 from .observables import TimeSeries, dominant_frequency
 
 
@@ -24,8 +29,6 @@ from .observables import TimeSeries, dominant_frequency
 class EffectivePotential:
     grid: object
     values: np.ndarray = field(repr=False, compare=False)
-    source: str = "externally-supplied"
-    g_bi: float = 0.0
     omega_trap: float = 1.0
 
     def curvature_at_origin(self):
@@ -49,31 +52,17 @@ class EffectivePotential:
         return self.grid.x[1:-1][interior]
 
 
-def build_effective_potential(bath_density, g_bi, grid=None, omega_trap=1.0):
-    """V_eff = trap + g_bi * rho. `bath_density` is a Field (density normalized
-    to the particle number) or a ThomasFermiProfile."""
+def build_effective_potential(bath_density, g_bi, omega_trap=1.0):
+    """V_eff = trap + g_bi * rho on the grid of `bath_density`, a Field
+    holding the bath density (normalized to the particle number)."""
     if g_bi < 0:
         raise ConfigurationError("g_bi must be >= 0")
-    if isinstance(bath_density, ThomasFermiProfile):
-        if grid is None:
-            raise UsageError("a grid is required with a Thomas-Fermi source")
-        rho = bath_density.density_values(grid.x)
-        source = "TF-analytic"
-    else:
-        grid = bath_density.grid
-        rho = np.real(bath_density.values)
-        source = "relaxed-MF-density"
-        if np.min(rho) < -1e-10:
-            raise UsageError("density has negative values")
-        rho = np.clip(rho, 0.0, None)
-    values = 0.5 * omega_trap**2 * grid.x**2 + g_bi * rho
-    return EffectivePotential(
-        grid=grid,
-        values=values,
-        source=source,
-        g_bi=g_bi,
-        omega_trap=omega_trap,
-    )
+    grid = bath_density.grid
+    rho = np.real(bath_density.values)
+    if np.min(rho) < -1e-10:
+        raise UsageError("density has negative values")
+    values = 0.5 * omega_trap**2 * grid.x**2 + g_bi * np.clip(rho, 0.0, None)
+    return EffectivePotential(grid=grid, values=values, omega_trap=omega_trap)
 
 
 def load_density_file(path, grid):
@@ -94,34 +83,26 @@ def load_density_file(path, grid):
 
 @dataclass(frozen=True)
 class PotentialSpectrum:
+    """The lowest n_eig stationary states of a potential: `states` holds one
+    real, grid-normalized state per column, shape (n_points, n_eig)."""
+
     energies: np.ndarray = field(repr=False, compare=False)
-    states: tuple
+    states: np.ndarray = field(repr=False, compare=False)
     n_eig: int
     box_contaminated: np.ndarray = field(repr=False, compare=False)
-    potential: EffectivePotential = None
+    potential: EffectivePotential
 
 
 def eigensolve(pot, n_eig=40):
     """Lowest n_eig eigenpairs of -(1/2) d^2/dx^2 + V_eff under hard walls.
-    The full spectrum of the dense interior matrix is solved (numpy.linalg.eigh)
-    and the lowest n_eig pairs are kept. States whose energy exceeds
-    V_eff(+-0.9 x_max) are flagged as contaminated by box (wall) states."""
+    The full spectrum is solved (`grid.stationary_states`) and the lowest
+    n_eig pairs are kept. States whose energy exceeds V_eff(+-0.9 x_max) are
+    flagged as contaminated by box (wall) states."""
     if not 1 <= n_eig <= 60:
         raise ConfigurationError("n_eig must be in 1..60")
     grid = pot.grid
-    h = kinetic_matrix(grid)
-    h = h + np.diag(pot.values[1:-1])
-    energies, vecs = np.linalg.eigh(h)
-    energies, vecs = energies[:n_eig], vecs[:, :n_eig]
-    states = []
-    for j in range(n_eig):
-        v = np.zeros(grid.n_points)
-        v[1:-1] = vecs[:, j] / np.sqrt(grid.dx)
-        # deterministic sign: first sizable component positive
-        lead = np.flatnonzero(np.abs(v) > 1e-8 * np.max(np.abs(v)))
-        if lead.size and v[lead[0]] < 0:
-            v = -v
-        states.append(Field(grid, v.astype(np.complex128)))
+    energies, states = stationary_states(grid, pot.values)
+    energies, states = energies[:n_eig], states[:, :n_eig].copy()
     wall = 0.9 * grid.x_max
     v_wall = min(
         float(np.interp(-wall, grid.x, pot.values)),
@@ -130,30 +111,26 @@ def eigensolve(pot, n_eig=40):
     contaminated = energies > v_wall
     return PotentialSpectrum(
         energies=energies,
-        states=tuple(states),
+        states=states,
         n_eig=n_eig,
         box_contaminated=contaminated,
         potential=pot,
     )
 
 
-def bare_ground_state(grid, omega=1.0):
-    """Gaussian ground state of the bare trap (the pre-quench impurity)."""
-    vals = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * grid.x**2)
-    return Field(grid, vals.astype(np.complex128)).normalized()
-
-
 @dataclass(frozen=True)
 class EffpotContrast:
     series: TimeSeries
     weights: np.ndarray = field(repr=False, compare=False)
-    energies: np.ndarray = field(repr=False, compare=False)
 
 
 def _expansion(spec, initial, tol=1e-3):
-    """Overlaps <psi_n|initial>, gated on a complete expansion: the weights
-    must sum to 1 within tol."""
-    coeffs = np.array([inner(st, initial) for st in spec.states])
+    """Overlaps <psi_n|initial> with the real states of `spec`, as two real
+    matrix products, gated on a complete expansion: the weights must sum to
+    1 within tol."""
+    spec.potential.grid.require_same(initial.grid)
+    v = initial.values
+    coeffs = (v.real @ spec.states + 1j * (v.imag @ spec.states)) * initial.grid.dx
     total = float(np.sum(np.abs(coeffs) ** 2))
     if abs(1.0 - total) > tol:
         raise AnalysisError(
@@ -170,38 +147,36 @@ def _sample_times(t_max, dt):
 def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
     """Contrast from the stationary-state expansion:
     S(t) = sum_n |<psi_n|initial>|^2 exp(-i (E_n - E_ho) t), with E_ho = omega/2
-    the pre-quench impurity energy in the potential's trap. S(0) is the sum of the
-    weights, which must be 1 within 1e-6, the tolerance spectral_function
-    demands of S(0)."""
+    the energy of the default initial state, the ground state of the
+    potential's bare trap (frequency omega). S(0) is the sum of the weights,
+    which must be 1 within 1e-6, the tolerance spectral_function demands of
+    S(0)."""
+    omega = spec.potential.omega_trap
     if initial is None:
-        initial = bare_ground_state(spec.states[0].grid)
-    e_reference = 0.5 * spec.potential.omega_trap
+        initial = bare_ground_state(spec.potential.grid, omega)
     weights = np.abs(_expansion(spec, initial, tol=1e-6)) ** 2
     t = _sample_times(t_max, dt)
-    phases = np.exp(-1j * np.outer(t, spec.energies - e_reference))
-    s_vals = phases @ weights
-    series = TimeSeries(0.0, dt, s_vals, label="S(t)")
-    return EffpotContrast(series=series, weights=weights, energies=spec.energies)
+    s_vals = np.sum(evolve_coefficients(spec.energies - 0.5 * omega, weights, t), axis=1)
+    return EffpotContrast(series=TimeSeries(0.0, dt, s_vals, label="S(t)"), weights=weights)
 
 
 def stationary_moments(spec, initial, t_max, dt):
     """Evolve `initial` in the stationary states of `spec` and return the
     <x>, <x^2> and <p^2> series (keys x_mean, x2, p2) plus the weights
-    |<psi_n|initial>|^2. The moment matrices are S^H diag(f) S dx over the
-    grid-sampled states S; <p^2> uses the sine-DVR kinetic matrix."""
+    |<psi_n|initial>|^2. The moment matrices are S^T diag(f) S dx over the
+    real grid-sampled states S; <p^2> uses the sine-DVR kinetic matrix."""
     coeffs = _expansion(spec, initial)
     grid = initial.grid
-    s = np.column_stack([st.values for st in spec.states])
-    t_s = kinetic_matrix(grid) @ s[1:-1]
+    s = spec.states
     moments = {
-        "x_mean": ("<x>", s.conj().T @ (grid.x[:, None] * s)),
-        "x2": ("<x^2>", s.conj().T @ (grid.x[:, None] ** 2 * s)),
-        "p2": ("<p^2>", 2.0 * (s[1:-1].conj().T @ t_s)),
+        "x_mean": ("<x>", s.T @ (grid.x[:, None] * s)),
+        "x2": ("<x^2>", s.T @ (grid.x[:, None] ** 2 * s)),
+        "p2": ("<p^2>", 2.0 * (s[1:-1].T @ (kinetic_matrix(grid) @ s[1:-1]))),
     }
-    phases = np.exp(-1j * np.outer(_sample_times(t_max, dt), spec.energies)) * coeffs
+    amps = evolve_coefficients(spec.energies, coeffs, _sample_times(t_max, dt))
     series = {}
     for key, (label, mat) in moments.items():
-        vals = np.einsum("tm,mn,tn->t", np.conj(phases), np.real(mat) * grid.dx, phases)
+        vals = np.einsum("tm,mn,tn->t", np.conj(amps), mat * grid.dx, amps)
         series[key] = TimeSeries(0.0, dt, np.real(vals), label=label)
     return series, np.abs(coeffs) ** 2
 
@@ -210,7 +185,6 @@ def stationary_moments(spec, initial, t_max, dt):
 class BreathingResult:
     series: dict
     omega_br: float
-    weights: np.ndarray = field(repr=False, compare=False)
     initial_spectrum: PotentialSpectrum = field(repr=False, compare=False)
 
 
@@ -228,13 +202,12 @@ def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.
         raise ConfigurationError("trap frequencies must be > 0")
     spec0 = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig)
     spec1 = eigensolve(pot_builder(omega_i_final), n_eig=n_eig)
-    series, weights = stationary_moments(spec1, spec0.states[0], t_max, dt)
+    ground = Field(spec0.potential.grid, spec0.states[:, 0])
+    series, _ = stationary_moments(spec1, ground, t_max, dt)
     x_t = series["x_mean"].values
     variance = TimeSeries(0.0, dt, series["x2"].values - x_t**2, label="var(x)")
     omega_br, _ = dominant_frequency(variance)
-    return BreathingResult(
-        series=series, omega_br=float(omega_br), weights=weights, initial_spectrum=spec0
-    )
+    return BreathingResult(series=series, omega_br=float(omega_br), initial_spectrum=spec0)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,11 @@ Hankel part acts on the reversed column, whose spectrum is the frequency
 reversal C[-k mod L] of the column's own spectrum C times the phase
 exp(-2 pi i (n-1) k/L), so one forward FFT serves both parts.
 
+`stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
+spectrum, and `evolve_coefficients` evolves a state's expansion in it; the
+mean-field spin-down branch and the effective-potential tier both evolve
+states this way.
+
 The transforms are numpy.fft's. The DCT-I is the rfft of the even extension,
 and the spectrum of a real kernel is its rfft with the Hermitian half filled
 in, which gives the same bits as scipy.fft's real-input transforms.
@@ -250,6 +255,41 @@ def kinetic_phase_factors(grid, dt):
     """exp(-i dt k^2 / 2) on the interior sine modes (split-step use)."""
     k = box_wavenumbers(grid)
     return np.exp(-1j * dt * k**2 / 2.0)
+
+
+def bare_ground_state(grid, omega=1.0):
+    """Gaussian ground state (omega/pi)^(1/4) exp(-omega x^2/2) of the bare
+    trap of frequency omega, normalized on the grid."""
+    vals = (omega / np.pi) ** 0.25 * np.exp(-0.5 * omega * grid.x**2)
+    return Field(grid, vals.astype(np.complex128)).normalized()
+
+
+def stationary_states(grid, potential):
+    """Full eigensystem of -(1/2) d^2/dx^2 + V under hard walls, from one
+    dense eigendecomposition of kinetic_matrix(grid) + diag(V[1:-1]), where
+    `potential` holds V on every grid point.
+
+    Returns (energies, states): the energies in ascending order and the
+    states as the columns of one real (n_points, n_interior) array, zero at
+    the walls, normalized on the grid (sum psi^2 dx = 1), with the first
+    sizable entry of each state positive.
+    """
+    h = kinetic_matrix(grid)
+    h[np.diag_indices_from(h)] += potential[1:-1]
+    energies, vecs = np.linalg.eigh(h)
+    states = np.zeros((grid.n_points, energies.size))
+    states[1:-1] = vecs / np.sqrt(grid.dx)
+    # deterministic sign: first sizable entry positive
+    sizable = np.abs(states) > 1e-8 * np.max(np.abs(states), axis=0)
+    lead = states[np.argmax(sizable, axis=0), np.arange(energies.size)]
+    states[:, lead < 0] *= -1.0
+    return energies, states
+
+
+def evolve_coefficients(energies, coeffs, times):
+    """Coefficients exp(-i E_n t) c_n of a stationary-state expansion evolved
+    for a time t, or for each of an array of times (one row per time)."""
+    return np.exp(-1j * np.multiply.outer(times, energies)) * coeffs
 
 
 @dataclass(frozen=True)

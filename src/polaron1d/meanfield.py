@@ -17,7 +17,8 @@ The relaxation carries the real bath and spin-up orbitals as one complex
 column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
-exactly in the bare-trap eigenbasis at the record points only.
+exactly in the bare trap's stationary states on the grid
+(`grid.stationary_states`), at the record points only.
 
 The GP potentials of bath and spin-up, V_b = trap_b + g_BB (N_B - 1) |b|^2 +
 g_BI |u|^2 and V_u = trap_u + g_BI N_B |b|^2, are [|b|^2, |u|^2] C plus the
@@ -37,7 +38,9 @@ from .errors import ConfigurationError, ConvergenceError, StepSizeError, UsageEr
 from .grid import (
     Field,
     SpinorImpurityState,
+    bare_ground_state,
     box_wavenumbers,
+    evolve_coefficients,
     expectation_x,
     expectation_x2,
     inner,
@@ -46,8 +49,9 @@ from .grid import (
     kinetic_matrix,
     kinetic_phase_factors,
     sine_filter,
+    stationary_states,
 )
-from .observables import EnergyBreakdown, TimeSeries, record_intervals
+from .observables import ENERGY_TERMS, EnergyBreakdown, TimeSeries, record_intervals
 
 
 @dataclass(frozen=True)
@@ -231,16 +235,12 @@ class RelaxResult:
 
 
 def _initial_guess(sys, grid):
-    gauss_b = (sys.omega_b / np.pi) ** 0.25 * np.exp(-0.5 * sys.omega_b * grid.x**2)
+    bath = bare_ground_state(grid, sys.omega_b)
     if sys.g_bb > 0 and sys.n_bath * sys.g_bb > 5.0:
         tf = thomas_fermi(sys)
         prof = np.sqrt(tf.density_values(grid.x) / sys.n_bath)
-        bath = Field(grid, (prof + 1e-3 * gauss_b).astype(np.complex128)).normalized()
-    else:
-        bath = Field(grid, gauss_b.astype(np.complex128)).normalized()
-    gauss_i = (sys.omega_i / np.pi) ** 0.25 * np.exp(-0.5 * sys.omega_i * grid.x**2)
-    imp = Field(grid, gauss_i.astype(np.complex128)).normalized()
-    return bath, imp
+        bath = Field(grid, prof + 1e-3 * bath.values).normalized()
+    return bath, bare_ground_state(grid, sys.omega_i)
 
 
 # imaginary-step ladder for the split-step relaxation; a Newton polish of the
@@ -346,7 +346,8 @@ def relax_ground_state(sys, grid):
     the chemical-potential drift below 10*RELAX_TOL, and the GP stationarity
     residual has stopped improving on the finest imaginary step. The spin-down
     orbital of the returned state is the relaxed spin-up orbital, which is the
-    bare trap ground state only when sys.g_bi = 0 (see ROADMAP item 6).
+    bare trap ground state only when sys.g_bi = 0; a relax run reports the
+    spin-down impurity as `grid.bare_ground_state` instead.
     Returns (MeanFieldState, RelaxResult).
     """
     bath, imp = _initial_guess(sys, grid)
@@ -445,41 +446,25 @@ def relax_ground_state(sys, grid):
     return state, result
 
 
-def _stationary_evolution(h, psi0):
-    """The exact evolution tau -> exp(-i h tau) psi0 of one orbital under a
-    real symmetric interior operator h, from one dense eigendecomposition:
-    V exp(-i E tau) V^T psi0 on the interior points, zero at the walls."""
-    energies, vecs = np.linalg.eigh(h)
-    coeffs = vecs.T @ psi0.values[1:-1]
-
-    def advance(tau):
-        amp = np.exp(-1j * tau * energies) * coeffs
-        values = np.zeros(psi0.grid.n_points, dtype=np.complex128)
-        values[1:-1] = vecs @ amp.real + 1j * (vecs @ amp.imag)
-        return Field(psi0.grid, values)
-
-    return advance
-
-
 def propagate(state, sys_post, dt, t_max, record_every=100):
     """Real-time propagation of the coupled equations: Strang split steps
     for the bath and spin-up orbitals, carried as one (n_points, 2) block.
 
     The spin-down orbital never couples to the bath and evolves linearly in
-    the bare impurity trap of sys_post; it is advanced exactly from that
-    trap's grid eigenbasis (one dense eigendecomposition per call) and built
-    only at record points. Records every record_every steps (t_max is
-    trimmed to a whole number of record intervals; a t_max shorter than one
-    interval raises ConfigurationError). Aborts with a step-size
-    advisory when a norm drifts by more than 1e-6 or the energy by more than
-    1e-6 relative.
+    the bare impurity trap of sys_post; it is advanced exactly in that
+    trap's stationary states on the grid (`grid.stationary_states`, one
+    dense eigendecomposition per call) and built only at record points.
+    Records every record_every steps (t_max is trimmed to a whole number of
+    record intervals; a t_max shorter than one interval raises
+    ConfigurationError). Aborts with a step-size advisory when a norm
+    drifts by more than 1e-6 or the energy by more than 1e-6 relative.
 
     Returns (trajectory, series) where trajectory is a list of MeanFieldState
-    and series a dict of TimeSeries.
+    and series a dict of TimeSeries; the energy series are keyed by
+    observables.ENERGY_TERMS.
     """
     n_records = record_intervals(dt, t_max, record_every)
     grid = state.bath.grid
-    trap_i = _trap(grid, sys_post.omega_i)
     # -dt (|cols|^2 C + traps) from the float view of cols: its columns are
     # (Re b, Im b, Re u, Im u), so the rows of C repeat for each part
     coupling = -dt * np.repeat(_coupling_matrix(sys_post), 2, axis=0)
@@ -487,59 +472,37 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 2, axis=1)
     kin_half = sine_filter(grid, kin_phases)
     kin_full = sine_filter(grid, kin_phases**2)
-    down_at = _stationary_evolution(
-        kinetic_matrix(grid) + np.diag(trap_i[1:-1]), state.impurity.down
-    )
+    # the spin-down expansion; real states, so every product is by parts
+    down_energies, down_states = stationary_states(grid, _trap(grid, sys_post.omega_i))
+    down0 = state.impurity.down.values
+    down_coeffs = (down0.real @ down_states + 1j * (down0.imag @ down_states)) * grid.dx
 
     cols = np.empty((grid.n_points, 2), dtype=np.complex128)
     cols[:, 0] = state.bath.values
     cols[:, 1] = state.impurity.up.values
-    e_ref = state.energy_reference
-
-    def make_state(t):
-        spinor = SpinorImpurityState(
-            up=Field(grid, cols[:, 1]), down=down_at(t - state.time)
-        )
-        return MeanFieldState(
-            bath=Field(grid, cols[:, 0]), impurity=spinor, time=t, energy_reference=e_ref
-        )
-
-    records = {
-        key: []
-        for key in (
-            "norm_bath",
-            "norm_up",
-            "norm_down",
-            "energy_total",
-            "kinetic_b",
-            "potential_b",
-            "kinetic_i",
-            "potential_i",
-            "intra_bb",
-            "inter_bi",
-            "x_mean_up",
-            "x2_up",
-            "p2_up",
-        )
-    }
+    keys = ("norm_bath", "norm_up", "norm_down", *ENERGY_TERMS, "x_mean_up", "x2_up", "p2_up")
+    records = {key: [] for key in keys}
     trajectory = []
 
     def record(t):
-        st = make_state(t)
+        amp = evolve_coefficients(down_energies, down_coeffs, t - state.time)
+        down = Field(grid, down_states @ amp.real + 1j * (down_states @ amp.imag))
+        up = Field(grid, cols[:, 1])
+        st = MeanFieldState(
+            bath=Field(grid, cols[:, 0]),
+            impurity=SpinorImpurityState(up=up, down=down),
+            time=t,
+            energy_reference=state.energy_reference,
+        )
         trajectory.append(st)
         bd = energy_breakdown(st, sys_post)
         records["norm_bath"].append(st.bath.norm2())
-        records["norm_up"].append(st.impurity.up.norm2())
-        records["norm_down"].append(st.impurity.down.norm2())
-        records["energy_total"].append(bd.total)
-        records["kinetic_b"].append(bd.kinetic_b)
-        records["potential_b"].append(bd.potential_b)
-        records["kinetic_i"].append(bd.kinetic_i)
-        records["potential_i"].append(bd.potential_i)
-        records["intra_bb"].append(bd.intra_bb)
-        records["inter_bi"].append(bd.inter_bi)
-        records["x_mean_up"].append(expectation_x(st.impurity.up))
-        records["x2_up"].append(expectation_x2(st.impurity.up))
+        records["norm_up"].append(up.norm2())
+        records["norm_down"].append(down.norm2())
+        for key in ENERGY_TERMS:
+            records[key].append(getattr(bd, key))
+        records["x_mean_up"].append(expectation_x(up))
+        records["x2_up"].append(expectation_x2(up))
         # <p^2> = 2 <T>, which energy_breakdown has computed on this state
         records["p2_up"].append(2.0 * bd.kinetic_i)
         return bd.total

@@ -8,7 +8,7 @@ scipy.signal; scipy.optimize is loaded only when a damped-cosine fit runs.
 """
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -102,6 +102,11 @@ class EnergyBreakdown:
             + self.intra_bb
             + self.inter_bi
         )
+
+
+# every energy term by name, then the total: the energies.csv columns and the
+# energy series of a mean-field propagation
+ENERGY_TERMS = tuple(f.name for f in fields(EnergyBreakdown)) + ("total",)
 
 
 def general_weights_contrast(s, alpha, beta):

@@ -22,7 +22,7 @@ from . import meanfield as mf
 from . import observables as obs
 from .config import sweep_value_errors
 from .errors import ConfigurationError, PolaronError, UsageError
-from .grid import build_grid, ho_mode_basis
+from .grid import bare_ground_state, build_grid, ho_mode_basis
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -90,17 +90,9 @@ class OutputSet:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.write_manifest("failed" if exc_type is not None else self.status)
-        return False
-
-    def path(self, name):
-        self.files.append(name)
-        return os.path.join(self.directory, name)
-
-    def write_manifest(self, status="ok"):
         manifest = {
             "code_version": __version__,
-            "status": status,
+            "status": "failed" if exc_type is not None else self.status,
             "started_unix": self.t_start,
             "finished_unix": time.time(),
             "config": self.config.echo(),
@@ -115,7 +107,11 @@ class OutputSet:
         tmp = final + ".tmp"
         _write_json(tmp, manifest)
         os.replace(tmp, final)
-        return manifest
+        return False
+
+    def path(self, name):
+        self.files.append(name)
+        return os.path.join(self.directory, name)
 
 
 def _json_scrub(value):
@@ -168,7 +164,7 @@ def _density_source(cfg, grid):
     relaxed source.
     """
     if cfg.source == "tf":
-        return mf.thomas_fermi(_mf_system(cfg, 0.0)), "TF-analytic", 1.0, {}
+        return mf.thomas_fermi(_mf_system(cfg, 0.0)).density(grid), "TF-analytic", 1.0, {}
     if cfg.source == "relaxed":
         density, iterations, residual = _relaxed_density(
             _mf_system(cfg, cfg.g_bi_initial), grid
@@ -228,20 +224,18 @@ def run_relax(cfg, directory=None):
         dens_b = state.bath.density(cfg.n_bath)
         dens_u = state.impurity.up.density()
         # the spin-down impurity never couples to the bath: bare trap ground state
-        dens_d = ep.bare_ground_state(grid, omega=cfg.omega_i_initial).density()
+        dens_d = bare_ground_state(grid, omega=cfg.omega_i_initial).density()
         _write_csv(
             out.path("densities.csv"),
             ["x", "rho_bath", "rho_up", "rho_down"],
             [grid.x, np.real(dens_b.values), np.real(dens_u.values), np.real(dens_d.values)],
         )
-        bd = res.breakdown
         _write_csv(
             out.path("energies.csv"),
-            ["kinetic_b", "potential_b", "kinetic_i", "potential_i", "intra_bb", "inter_bi", "total"],
-            [[bd.kinetic_b], [bd.potential_b], [bd.kinetic_i], [bd.potential_i],
-             [bd.intra_bb], [bd.inter_bi], [bd.total]],
+            obs.ENERGY_TERMS,
+            [[getattr(res.breakdown, key)] for key in obs.ENERGY_TERMS],
         )
-        virial = obs.virial_check(bd)
+        virial = obs.virial_check(res.breakdown)
         tf_profile = mf.thomas_fermi(sys_pre) if cfg.g_bb > 0 else None
         summary = {
             "schema_version": SUMMARY_SCHEMA_VERSION,
@@ -278,10 +272,8 @@ def _run_quench_meanfield(cfg, out, grid):
     summary = _contrast_files(out, s_series, cfg)
     _write_csv(
         out.path("energies.csv"),
-        ["t", "kinetic_b", "potential_b", "kinetic_i", "potential_i", "intra_bb", "inter_bi", "total"],
-        [series["energy_total"].times]
-        + [series[k].values for k in ("kinetic_b", "potential_b", "kinetic_i",
-                                      "potential_i", "intra_bb", "inter_bi", "energy_total")],
+        ["t", *obs.ENERGY_TERMS],
+        [series["total"].times] + [series[key].values for key in obs.ENERGY_TERMS],
     )
     snaps = [0, len(traj) // 2, len(traj) - 1]
     cols = [grid.x]
@@ -307,8 +299,7 @@ def _run_quench_meanfield(cfg, out, grid):
                     abs(np.asarray(series["norm_up"].values) - 1.0).max())
             ),
             "energy_drift": float(
-                np.max(np.abs(np.asarray(series["energy_total"].values)
-                              - series["energy_total"].values[0]))
+                np.max(np.abs(np.asarray(series["total"].values) - series["total"].values[0]))
             ),
         }
     )
@@ -321,9 +312,7 @@ def _run_quench_meanfield(cfg, out, grid):
 def _run_quench_effpot(cfg, out, grid):
     source, source_tag, scale, telemetry = _density_source(cfg, grid)
     out.diagnostics.update(telemetry)
-    pot = ep.build_effective_potential(
-        source, cfg.g_bi_final, grid=grid, omega_trap=cfg.omega_i_initial
-    )
+    pot = ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=cfg.omega_i_initial)
     spec = ep.eigensolve(pot, n_eig=cfg.n_eig)
     contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=max(cfg.dt, 0.02))
     summary = _contrast_files(out, contrast.series, cfg)
@@ -333,16 +322,11 @@ def _run_quench_effpot(cfg, out, grid):
         [np.arange(spec.n_eig), spec.energies, contrast.weights,
          spec.box_contaminated.astype(float)],
     )
-    rho = (
-        source.density_values(grid.x)
-        if isinstance(source, mf.ThomasFermiProfile)
-        else np.real(source.values)
-    )
-    init = ep.bare_ground_state(grid, omega=cfg.omega_i_initial)
+    init = bare_ground_state(grid, omega=cfg.omega_i_initial)
     _write_csv(
         out.path("densities.csv"),
         ["x", "rho_bath", "v_eff", "rho_impurity_t0"],
-        [grid.x, rho, pot.values, np.abs(init.values) ** 2],
+        [grid.x, np.real(source.values), pot.values, np.abs(init.values) ** 2],
     )
     summary.update(
         {
@@ -378,8 +362,7 @@ def _run_quench_ed(cfg, out, grid):
     svn = np.empty(n_rec)
     lam1 = np.empty(n_rec)
     lam2 = np.empty(n_rec)
-    energies = {key: np.empty(n_rec) for key in (
-        "kinetic_b", "potential_b", "kinetic_i", "potential_i", "intra_bb", "inter_bi", "total")}
+    energies = {key: np.empty(n_rec) for key in obs.ENERGY_TERMS}
     for k in range(n_rec):
         vec = traj.vector(k)
         dec = ed.schmidt(vec)
@@ -390,7 +373,7 @@ def _run_quench_ed(cfg, out, grid):
         lam2[k] = pops[1] if pops.size > 1 else 0.0
         bd = ed.energy_breakdown(vec, h_post)
         for key in energies:
-            energies[key][k] = getattr(bd, key) if key != "total" else bd.total
+            energies[key][k] = getattr(bd, key)
     _write_csv(
         out.path("entropy.csv"),
         ["t", "s_vn", "lambda_1", "lambda_2"],
@@ -398,9 +381,8 @@ def _run_quench_ed(cfg, out, grid):
     )
     _write_csv(
         out.path("energies.csv"),
-        ["t", "kinetic_b", "potential_b", "kinetic_i", "potential_i", "intra_bb", "inter_bi", "total"],
-        [traj.times] + [energies[k] for k in (
-            "kinetic_b", "potential_b", "kinetic_i", "potential_i", "intra_bb", "inter_bi", "total")],
+        ["t", *obs.ENERGY_TERMS],
+        [traj.times] + [energies[key] for key in obs.ENERGY_TERMS],
     )
     rho_b0 = ed.one_body_density(h_post, traj.vector(0), "bath")
     rho_u0 = ed.one_body_density(h_post, traj.vector(0), "impurity")
@@ -485,11 +467,9 @@ def run_breathing(cfg, directory=None):
     effective potential built with the pre-quench trap) where the closed-form
     model applies; fit failures are surfaced in the output, not raised.
     """
-    if cfg.omega_i_initial == cfg.omega_i_final:
-        raise ConfigurationError(
-            "breathing run needs omega_i_initial != omega_i_final"
-        )
     with OutputSet(directory or cfg.directory, cfg) as out:
+        if cfg.omega_i_initial == cfg.omega_i_final:
+            raise ConfigurationError("breathing run needs omega_i_initial != omega_i_final")
         if cfg.tier not in ("meanfield", "effpot"):
             raise ConfigurationError(
                 f"breathing run supports solver.tier meanfield or effpot, got {cfg.tier!r}"
@@ -523,9 +503,7 @@ def run_breathing(cfg, directory=None):
             out.diagnostics.update(telemetry)
 
             def builder(omega):
-                return ep.build_effective_potential(
-                    source, cfg.g_bi_final, grid=grid, omega_trap=omega
-                )
+                return ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=omega)
 
             br = ep.breathing_run(
                 builder,
@@ -551,7 +529,7 @@ def run_breathing(cfg, directory=None):
             om = cfg.omega_i_initial
             try:
                 moments, _ = ep.stationary_moments(
-                    br.initial_spectrum, ep.bare_ground_state(grid, omega=om),
+                    br.initial_spectrum, bare_ground_state(grid, omega=om),
                     t_max=80.0, dt=0.02,
                 )
                 fit = ep.fit_effective_mass(
@@ -588,20 +566,20 @@ def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory
     Individual failures are recorded in the aggregate (manifest status
     "partial") and the sweep continues.
     """
-    if jobs < 1:
-        raise ConfigurationError(f"sweep needs jobs >= 1, got {jobs}")
-    parameter = parameter or cfg.sweep_parameter
-    values = list(values if values is not None else cfg.sweep_values)
-    pipeline = pipeline or cfg.sweep_pipeline
-    if not parameter:
-        raise ConfigurationError("sweep needs a parameter")
-    if not values:
-        raise ConfigurationError("sweep needs a non-empty value list")
-    problems = sweep_value_errors(parameter, values)
-    if problems:
-        raise ConfigurationError("; ".join(problems), errors=problems)
     base_dir = directory or cfg.directory
     with OutputSet(base_dir, cfg) as out:
+        if jobs < 1:
+            raise ConfigurationError(f"sweep needs jobs >= 1, got {jobs}")
+        parameter = parameter or cfg.sweep_parameter
+        values = list(values if values is not None else cfg.sweep_values)
+        pipeline = pipeline or cfg.sweep_pipeline
+        if not parameter:
+            raise ConfigurationError("sweep needs a parameter")
+        if not values:
+            raise ConfigurationError("sweep needs a non-empty value list")
+        problems = sweep_value_errors(parameter, values)
+        if problems:
+            raise ConfigurationError("; ".join(problems), errors=problems)
         tasks = [
             (replace(cfg, sweep_values=()), parameter, value, pipeline,
              os.path.join(base_dir, f"{parameter}_{k:03d}"))

@@ -111,7 +111,7 @@ def test_criterion_3_multiplet(relaxed_density):
 def test_criterion_4_breathing_curve(grid, relaxed_density):
     def builder_for(g):
         return lambda om: ep.build_effective_potential(
-            relaxed_density, g, grid=grid, omega_trap=om
+            relaxed_density, g, omega_trap=om
         )
 
     details = []

@@ -9,7 +9,7 @@ from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
 from polaron1d.config import validate_config
 from polaron1d.errors import ConfigurationError, UsageError
-from polaron1d.grid import build_grid
+from polaron1d.grid import bare_ground_state, build_grid
 
 MINIMAL = """
 [system]
@@ -364,9 +364,9 @@ class TestRunnerPipelines:
         # a fit on a fresh eigensolve of the initial trap
         grid = build_grid(cfg.n_points, cfg.x_max)
         tf = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
-        pot = ep.build_effective_potential(tf, 0.25, grid=grid, omega_trap=0.95)
+        pot = ep.build_effective_potential(tf.density(grid), 0.25, omega_trap=0.95)
         moments, _ = ep.stationary_moments(
-            solve(pot, n_eig=cfg.n_eig), ep.bare_ground_state(grid, omega=0.95),
+            solve(pot, n_eig=cfg.n_eig), bare_ground_state(grid, omega=0.95),
             t_max=80.0, dt=0.02,
         )
         fit = ep.fit_effective_mass(
@@ -462,14 +462,19 @@ class TestRunnerPipelines:
         assert manifest["status"] == "failed"
 
     def test_breathing_requires_frequency_change(self, tmp_path):
-        cfg = validate_config(MINIMAL + f"[output]\ndirectory = {tmp_path}/x\n")
-        with pytest.raises(ConfigurationError):
+        outdir = str(tmp_path / "x")
+        cfg = validate_config(MINIMAL + f"[output]\ndirectory = {outdir}\n")
+        with pytest.raises(ConfigurationError, match="omega_i_initial != omega_i_final"):
             runner.run_breathing(cfg)
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["status"] == "failed"
 
     def test_sweep_requires_values(self, tmp_path):
-        cfg = validate_config(MINIMAL + f"[output]\ndirectory = {tmp_path}/s\n")
+        outdir = str(tmp_path / "s")
+        cfg = validate_config(MINIMAL + f"[output]\ndirectory = {outdir}\n")
         with pytest.raises(ConfigurationError, match="value"):
             runner.run_sweep(cfg, parameter="g_bi_final", values=[])
+        assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
     def test_sweep_rejects_non_integral_values(self, tmp_path):
         outdir = str(tmp_path / "swi")
@@ -477,6 +482,7 @@ class TestRunnerPipelines:
         with pytest.raises(ConfigurationError, match="sweep.values"):
             runner.run_sweep(cfg, parameter="n_bath", values=[2.0, 2.7])
         assert not os.path.exists(os.path.join(outdir, "n_bath_000"))
+        assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
     def test_sweep_parallel_jobs(self, tmp_path):
         outdir = str(tmp_path / "swp")
@@ -695,6 +701,7 @@ class TestCli:
         assert cli.main(["sweep", "--config", path, "--jobs", "0"]) == 2
         assert "jobs" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(outdir, "g_bi_final_000"))
+        assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
     def test_tier_override(self, tmp_path):
         outdir = str(tmp_path / "out")

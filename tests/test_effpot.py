@@ -4,10 +4,22 @@ import pytest
 from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
 from polaron1d.errors import AnalysisError, ConfigurationError, FitQualityError
-from polaron1d.grid import Field, expectation_x, expectation_x2, inner, kinetic_expectation
+from polaron1d.grid import (
+    Field,
+    bare_ground_state,
+    expectation_x,
+    expectation_x2,
+    inner,
+    kinetic_expectation,
+)
 from polaron1d.observables import TimeSeries, find_peaks, spectral_function
 
 TF_MU = (3 * 100 * 0.5 / (4 * np.sqrt(2))) ** (2.0 / 3.0)
+
+
+def level(spec, n):
+    """Stationary state n of a spectrum as a Field."""
+    return Field(spec.potential.grid, spec.states[:, n])
 
 
 @pytest.fixture(scope="module")
@@ -17,12 +29,12 @@ def tf_profile(default_system):
 
 @pytest.fixture(scope="module")
 def tf_pot_weak(grid, tf_profile):
-    return ep.build_effective_potential(tf_profile, 0.25, grid=grid)
+    return ep.build_effective_potential(tf_profile.density(grid), 0.25)
 
 
 @pytest.fixture(scope="module")
 def tf_pot_strong(grid, tf_profile):
-    return ep.build_effective_potential(tf_profile, 1.0, grid=grid)
+    return ep.build_effective_potential(tf_profile.density(grid), 1.0)
 
 
 class TestBuildPotential:
@@ -34,7 +46,7 @@ class TestBuildPotential:
         assert np.max(np.abs(tf_pot_weak.values[inside] - expected)) < 1e-10
 
     def test_zero_coupling_is_bare_trap(self, grid, tf_profile):
-        pot = ep.build_effective_potential(tf_profile, 0.0, grid=grid)
+        pot = ep.build_effective_potential(tf_profile.density(grid), 0.0)
         assert np.allclose(pot.values, 0.5 * grid.x**2, atol=1e-12)
 
     def test_strong_coupling_double_well(self, tf_pot_strong, tf_profile):
@@ -60,7 +72,7 @@ class TestBuildPotential:
 
 class TestEigensolve:
     def test_bare_trap_spectrum(self, grid, tf_profile):
-        pot = ep.build_effective_potential(tf_profile, 0.0, grid=grid)
+        pot = ep.build_effective_potential(tf_profile.density(grid), 0.0)
         spec = ep.eigensolve(pot, n_eig=10)
         assert np.allclose(spec.energies, np.arange(10) + 0.5, atol=1e-8)
 
@@ -81,19 +93,19 @@ class TestEigensolve:
         spec = ep.eigensolve(tf_pot_weak, n_eig=12)
         for i in range(12):
             for j in range(i, 12):
-                ov = inner(spec.states[i], spec.states[j])
+                ov = inner(level(spec, i), level(spec, j))
                 assert abs(ov - (1.0 if i == j else 0.0)) < 1e-10
         for n in (0, 5, 11):
-            psi = spec.states[n]
+            psi = level(spec, n)
             h_psi = kinetic_apply(psi).values + tf_pot_weak.values * psi.values
             resid = h_psi - spec.energies[n] * psi.values
             assert np.sqrt(np.sum(np.abs(resid) ** 2) * grid.dx) < 1e-8
 
     def test_parity_alternation(self, grid, tf_pot_weak):
         spec = ep.eigensolve(tf_pot_weak, n_eig=8)
-        even_init = ep.bare_ground_state(grid)
+        even_init = bare_ground_state(grid)
         for n in range(8):
-            ov = abs(inner(spec.states[n], even_init))
+            ov = abs(inner(level(spec, n), even_init))
             if n % 2 == 1:
                 assert ov < 1e-10
             elif n <= 4:
@@ -107,9 +119,7 @@ class TestEigensolve:
         from polaron1d.grid import build_grid
 
         narrow = build_grid(120, 8.0)
-        pot = ep.EffectivePotential(
-            grid=narrow, values=0.5 * narrow.x**2, source="TF-analytic", g_bi=0.0
-        )
+        pot = ep.EffectivePotential(grid=narrow, values=0.5 * narrow.x**2)
         spec = ep.eigensolve(pot, n_eig=40)
         # V(0.9 x_max) = 25.9: oscillator levels above it sit in wall territory
         assert not spec.box_contaminated[0]
@@ -118,14 +128,21 @@ class TestEigensolve:
 
 class TestContrast:
     def test_zero_coupling_unity(self, grid, tf_profile):
-        pot = ep.build_effective_potential(tf_profile, 0.0, grid=grid)
+        pot = ep.build_effective_potential(tf_profile.density(grid), 0.0)
         spec = ep.eigensolve(pot, n_eig=10)
         out = ep.effpot_contrast(spec, t_max=20.0, dt=0.05)
         assert np.max(np.abs(out.series.values - 1.0)) < 1e-9
 
+    def test_default_initial_state_is_the_trap_ground_state(self, grid):
+        # the impurity starts in the ground state of the potential's bare trap,
+        # whose energy omega/2 is the reference: S(t) = 1 without coupling
+        pot = ep.EffectivePotential(grid=grid, values=0.5 * 0.8**2 * grid.x**2, omega_trap=0.8)
+        out = ep.effpot_contrast(ep.eigensolve(pot, n_eig=10), t_max=20.0, dt=0.05)
+        assert np.max(np.abs(out.series.values - 1.0)) < 1e-9
+
     def test_stationary_initial_state(self, tf_pot_weak):
         spec = ep.eigensolve(tf_pot_weak, n_eig=10)
-        out = ep.effpot_contrast(spec, initial=spec.states[0], t_max=10.0, dt=0.05)
+        out = ep.effpot_contrast(spec, initial=level(spec, 0), t_max=10.0, dt=0.05)
         svals = out.series.values
         assert np.max(np.abs(np.abs(svals) - 1.0)) < 1e-9
         phase = np.unwrap(np.angle(svals))
@@ -161,16 +178,16 @@ class TestContrast:
         with pytest.raises(AnalysisError, match="n_eig"):
             ep.effpot_contrast(spec, t_max=5.0, dt=0.05)
         with pytest.raises(AnalysisError, match="n_eig"):
-            ep.stationary_moments(spec, ep.bare_ground_state(grid), t_max=1.0, dt=0.5)
+            ep.stationary_moments(spec, bare_ground_state(grid), t_max=1.0, dt=0.5)
 
     def test_contrast_demands_the_spectral_completeness(self, grid, tf_profile):
         # TF g_bi = 2.5: 40 states carry weight 1 - 1.6e-4, enough for the
         # moment series but not for S(0) = 1 within 1e-6 (spectral_function)
-        pot = ep.build_effective_potential(tf_profile, 2.5, grid=grid)
+        pot = ep.build_effective_potential(tf_profile.density(grid), 2.5)
         spec = ep.eigensolve(pot, n_eig=40)
         with pytest.raises(AnalysisError, match="n_eig"):
             ep.effpot_contrast(spec, t_max=5.0, dt=0.05)
-        ep.stationary_moments(spec, ep.bare_ground_state(grid), t_max=1.0, dt=0.5)
+        ep.stationary_moments(spec, bare_ground_state(grid), t_max=1.0, dt=0.5)
         out = ep.effpot_contrast(ep.eigensolve(pot, n_eig=60), t_max=5.0, dt=0.05)
         spectral_function(out.series)
 
@@ -178,11 +195,11 @@ class TestContrast:
 class TestStationaryMoments:
     def test_moments_match_reconstructed_state(self, grid, tf_pot_strong):
         spec = ep.eigensolve(tf_pot_strong, n_eig=40)
-        init = ep.bare_ground_state(grid, omega=0.9)
+        init = bare_ground_state(grid, omega=0.9)
         series, weights = ep.stationary_moments(spec, init, t_max=6.0, dt=0.5)
-        coeffs = np.array([inner(st, init) for st in spec.states])
+        coeffs = np.array([inner(level(spec, n), init) for n in range(spec.n_eig)])
         assert np.allclose(weights, np.abs(coeffs) ** 2, rtol=0, atol=1e-15)
-        states = np.array([st.values for st in spec.states])
+        states = spec.states.T
         for k in (0, 3, 12):
             t = series["x2"].times[k]
             psi = Field(grid, (coeffs * np.exp(-1j * spec.energies * t)) @ states)
@@ -191,10 +208,25 @@ class TestStationaryMoments:
             assert series["p2"].values[k] == pytest.approx(2.0 * kinetic_expectation(psi), abs=1e-10)
 
 
+    @pytest.mark.parametrize("omega0, omega", [(0.95, 1.0), (1.0, 0.7)])
+    def test_released_gaussian_matches_closed_form(self, grid, omega0, omega):
+        # a bare Gaussian of frequency omega0 released into a trap of frequency omega
+        pot = ep.EffectivePotential(grid=grid, values=0.5 * omega**2 * grid.x**2, omega_trap=omega)
+        spec = ep.eigensolve(pot, n_eig=60)
+        series, _ = ep.stationary_moments(spec, bare_ground_state(grid, omega0), t_max=20.0, dt=0.05)
+        t = series["x2"].times
+        c2, s2 = np.cos(omega * t) ** 2, np.sin(omega * t) ** 2
+        x2 = c2 / (2 * omega0) + omega0 * s2 / (2 * omega**2)
+        p2 = 0.5 * omega0 * c2 + omega**2 * s2 / (2 * omega0)
+        assert t[-1] == pytest.approx(20.0)
+        assert np.max(np.abs(series["x2"].values - x2)) < 1e-11
+        assert np.max(np.abs(series["p2"].values - p2)) < 1e-11
+
+
 class TestBreathing:
     def test_bare_trap_frequency(self, grid, tf_profile):
         def builder(om):
-            return ep.build_effective_potential(tf_profile, 0.0, grid=grid, omega_trap=om)
+            return ep.build_effective_potential(tf_profile.density(grid), 0.0, omega_trap=om)
 
         out = ep.breathing_run(builder, 0.95, 1.0, t_max=60.0, dt=0.02)
         assert out.omega_br == pytest.approx(2.0, rel=0.01)
@@ -202,7 +234,7 @@ class TestBreathing:
 
     def test_tf_regime_frequency(self, grid, relaxed_density):
         def builder(om):
-            return ep.build_effective_potential(relaxed_density, 0.25, grid=grid, omega_trap=om)
+            return ep.build_effective_potential(relaxed_density, 0.25, omega_trap=om)
 
         out = ep.breathing_run(builder, 0.95, 1.0, t_max=80.0, dt=0.02)
         assert out.omega_br == pytest.approx(2.0 * np.sqrt(1 - 0.25 / 0.5), rel=0.05)
@@ -225,7 +257,7 @@ class TestEffectiveMassFit:
 
     def test_bare_particle_from_trap_quench(self, grid, tf_profile):
         def builder(om):
-            return ep.build_effective_potential(tf_profile, 0.0, grid=grid, omega_trap=om)
+            return ep.build_effective_potential(tf_profile.density(grid), 0.0, omega_trap=om)
 
         out = ep.breathing_run(builder, 0.95, 1.0, t_max=60.0, dt=0.02)
         fit = ep.fit_effective_mass(
@@ -239,9 +271,9 @@ class TestEffectiveMassFit:
         # bare impurity released into V_eff: effective frequency softens with g
         omegas = {}
         for g in (0.1, 0.3):
-            pot = ep.build_effective_potential(relaxed_density, g, grid=grid, omega_trap=0.95)
+            pot = ep.build_effective_potential(relaxed_density, g, omega_trap=0.95)
             spec = ep.eigensolve(pot, n_eig=40)
-            init = ep.bare_ground_state(grid, omega=0.95)
+            init = bare_ground_state(grid, omega=0.95)
             series, _ = ep.stationary_moments(spec, init, t_max=80.0, dt=0.02)
             fit = ep.fit_effective_mass(
                 series["x2"], series["p2"], {"x2_0": 1.0 / (2 * 0.95), "p2_0": 0.95 / 2.0}
@@ -254,7 +286,7 @@ class TestEffectiveMassFit:
     def test_invalid_regime_raises(self, grid, relaxed_density):
         # trap quench with g_bi > 0: bare-moment model does not describe the data
         def builder(om):
-            return ep.build_effective_potential(relaxed_density, 0.3, grid=grid, omega_trap=om)
+            return ep.build_effective_potential(relaxed_density, 0.3, omega_trap=om)
 
         out = ep.breathing_run(builder, 0.95, 1.0, t_max=60.0, dt=0.02)
         with pytest.raises(FitQualityError):
@@ -271,10 +303,9 @@ class TestDensityFile:
         np.savetxt(path, np.column_stack([xs, tf_profile.density_values(xs)]))
         dens = ep.load_density_file(str(path), grid)
         pot_file = ep.build_effective_potential(dens, 0.25)
-        pot_tf = ep.build_effective_potential(tf_profile, 0.25, grid=grid)
+        pot_tf = ep.build_effective_potential(tf_profile.density(grid), 0.25)
         inside = np.abs(grid.x) < 3.0
         assert np.max(np.abs(pot_file.values[inside] - pot_tf.values[inside])) < 1e-3
-        assert pot_file.source == "relaxed-MF-density"
 
     def test_bad_file_rejected(self, tmp_path, grid):
         path = tmp_path / "bad.txt"

@@ -8,6 +8,7 @@ from polaron1d.grid import (
     Field,
     _dct1,
     _real_fft,
+    bare_ground_state,
     box_wavenumbers,
     build_grid,
     ho_mode_basis,
@@ -17,6 +18,7 @@ from polaron1d.grid import (
     kinetic_matrix,
     next_fast_len,
     sine_filter,
+    stationary_states,
 )
 
 
@@ -142,6 +144,20 @@ def test_kinetic_matrix_matches_kinetic_apply(grid):
     ref = kinetic_apply(f).values[1:-1]
     out = kinetic_matrix(grid) @ f.values[1:-1]
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+def test_stationary_states_of_the_bare_trap(grid):
+    energies, states = stationary_states(grid, 0.5 * 0.7**2 * grid.x**2)
+    assert states.shape == (grid.n_points, grid.n_points - 2)
+    assert np.all(np.diff(energies) > 0)
+    assert np.allclose(energies[:10], 0.7 * (np.arange(10) + 0.5), rtol=0, atol=1e-10)
+    assert not np.any(states[[0, -1]])
+    assert np.allclose(states.T @ states * grid.dx, np.eye(energies.size), rtol=0, atol=1e-12)
+    # sign rule: the first sizable entry of every state is positive
+    lead = np.argmax(np.abs(states) > 1e-8 * np.max(np.abs(states), axis=0), axis=0)
+    assert np.all(states[lead, np.arange(energies.size)] > 0)
+    ground = bare_ground_state(grid, 0.7).values
+    assert np.max(np.abs(states[:, 0] - ground.real)) < 1e-12
 
 
 def _dst_pair(cols, symbol):

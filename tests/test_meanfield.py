@@ -7,8 +7,10 @@ from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import (
     Field,
     SpinorImpurityState,
+    bare_ground_state,
     box_wavenumbers,
     build_grid,
+    expectation_x2,
     kinetic_expectation,
     kinetic_matrix,
     sine_filter,
@@ -148,6 +150,28 @@ class TestPropagate:
             assert err <= 1e-12
         assert np.max(np.abs(np.asarray(series["norm_down"].values) - 1.0)) < 1e-13
 
+    @pytest.mark.parametrize("omega0, omega", [(0.95, 1.0), (1.0, 0.7)])
+    def test_spin_down_moments_match_closed_form(self, grid, omega0, omega):
+        # a bare Gaussian of frequency omega0 released into a trap of frequency
+        # omega; bath and spin-up sit in their own trap ground states
+        spinor = SpinorImpurityState(
+            up=bare_ground_state(grid, omega), down=bare_ground_state(grid, omega0)
+        )
+        state = mf.MeanFieldState(
+            bath=bare_ground_state(grid), impurity=spinor, time=0.0, energy_reference=0.0
+        )
+        sys_post = mf.MeanFieldSystem(n_bath=1, g_bb=0.0, g_bi=0.0, omega_i=omega)
+        traj, _ = mf.propagate(state, sys_post, dt=1e-3, t_max=4.0, record_every=100)
+        t = np.array([st.time for st in traj])
+        c2, s2 = np.cos(omega * t) ** 2, np.sin(omega * t) ** 2
+        x2 = c2 / (2 * omega0) + omega0 * s2 / (2 * omega**2)
+        p2 = 0.5 * omega0 * c2 + omega**2 * s2 / (2 * omega0)
+        got_x2 = [expectation_x2(st.impurity.down) for st in traj]
+        got_p2 = [2.0 * kinetic_expectation(st.impurity.down) for st in traj]
+        assert t[-1] == pytest.approx(4.0)
+        assert np.max(np.abs(got_x2 - x2)) < 1e-11
+        assert np.max(np.abs(got_p2 - p2)) < 1e-11
+
     def test_p2_record_is_twice_kinetic_expectation(self, relaxed_default):
         # the record reuses energy_breakdown's kinetic energy: <p^2> = 2 <T>
         state, _ = relaxed_default
@@ -216,7 +240,7 @@ class TestPropagate:
         state, _ = relaxed_default
         sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.25)
         _, series = mf.propagate(state, sys_post, dt=5e-4, t_max=5.0, record_every=500)
-        e = np.asarray(series["energy_total"].values)
+        e = np.asarray(series["total"].values)
         assert np.max(np.abs(e - e[0])) < 1e-6 * abs(e[0])
 
     def test_contrast_monotone_in_coupling(self, relaxed_default):

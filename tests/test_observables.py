@@ -225,7 +225,7 @@ class TestClassifyRegion:
             classify_region(self._series(np.ones_like(t)))
 
     def test_complex_series_rejected(self, grid, default_system):
-        pot = ep.build_effective_potential(mf.thomas_fermi(default_system), 1.5, grid=grid)
+        pot = ep.build_effective_potential(mf.thomas_fermi(default_system).density(grid), 1.5)
         series = ep.effpot_contrast(ep.eigensolve(pot, n_eig=40), t_max=60.0, dt=0.05).series
         assert np.iscomplexobj(series.values)
         with pytest.raises(UsageError, match=r"real series \|S\(t\)\|"):

@@ -109,7 +109,7 @@ def test_meanfield_spectrum(relaxed_default, peak_calls):
 
 
 def test_effpot_spectrum(grid, default_system, peak_calls):
-    pot = ep.build_effective_potential(mf.thomas_fermi(default_system), 1.5, grid=grid)
+    pot = ep.build_effective_potential(mf.thomas_fermi(default_system).density(grid), 1.5)
     out = ep.effpot_contrast(ep.eigensolve(pot, n_eig=40), t_max=100.0, dt=0.05)
     assert_spectrum_parity(obs.spectral_function(out.series, window="hann"), peak_calls)
     # the region classifier's envelope runs through every maximum of |S(t)|
