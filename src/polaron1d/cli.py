@@ -9,7 +9,7 @@ import json
 import sys
 
 from .config import load_config
-from .errors import ConfigurationError, PolaronError
+from .errors import ConfigurationError, PolaronError, exit_code
 from . import runner
 
 
@@ -79,13 +79,13 @@ def main(argv=None):
         return 0
     except ConfigurationError as exc:
         print(f"[polaron1d] configuration error:\n{exc}", file=sys.stderr)
-        return 2
+        return exit_code(exc)
     except PolaronError as exc:
         print(f"[polaron1d] {type(exc).__name__}: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return exit_code(exc)
     except FileNotFoundError as exc:
         print(f"[polaron1d] {exc}", file=sys.stderr)
-        return 2
+        return exit_code(exc)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,6 @@ class PotentialSpectrum:
 
     energies: np.ndarray = field(repr=False, compare=False)
     states: np.ndarray = field(repr=False, compare=False)
-    n_eig: int
     box_contaminated: np.ndarray = field(repr=False, compare=False)
     potential: EffectivePotential
 
@@ -112,7 +111,6 @@ def eigensolve(pot, n_eig=40):
     return PotentialSpectrum(
         energies=energies,
         states=states,
-        n_eig=n_eig,
         box_contaminated=contaminated,
         potential=pot,
     )
@@ -135,7 +133,7 @@ def _expansion(spec, initial, tol=1e-3):
     if abs(1.0 - total) > tol:
         raise AnalysisError(
             f"stationary-state expansion incomplete: sum of weights {total:.9f} "
-            f"is not 1 within {tol:g}; increase n_eig (now {spec.n_eig})"
+            f"is not 1 within {tol:g}; increase n_eig (now {spec.energies.size})"
         )
     return coeffs
 
@@ -162,9 +160,9 @@ def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
 
 def stationary_moments(spec, initial, t_max, dt):
     """Evolve `initial` in the stationary states of `spec` and return the
-    <x>, <x^2> and <p^2> series (keys x_mean, x2, p2) plus the weights
-    |<psi_n|initial>|^2. The moment matrices are S^T diag(f) S dx over the
-    real grid-sampled states S; <p^2> uses the sine-DVR kinetic matrix."""
+    <x>, <x^2> and <p^2> series (keys x_mean, x2, p2). The moment matrices
+    are S^T diag(f) S dx over the real grid-sampled states S; <p^2> uses the
+    sine-DVR kinetic matrix."""
     coeffs = _expansion(spec, initial)
     grid = initial.grid
     s = spec.states
@@ -176,9 +174,9 @@ def stationary_moments(spec, initial, t_max, dt):
     amps = evolve_coefficients(spec.energies, coeffs, _sample_times(t_max, dt))
     series = {}
     for key, (label, mat) in moments.items():
-        vals = np.einsum("tm,mn,tn->t", np.conj(amps), mat * grid.dx, amps)
+        vals = np.sum(np.conj(amps) * (amps @ (mat * grid.dx)), axis=1)
         series[key] = TimeSeries(0.0, dt, np.real(vals), label=label)
-    return series, np.abs(coeffs) ** 2
+    return series
 
 
 @dataclass(frozen=True)
@@ -203,7 +201,7 @@ def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.
     spec0 = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig)
     spec1 = eigensolve(pot_builder(omega_i_final), n_eig=n_eig)
     ground = Field(spec0.potential.grid, spec0.states[:, 0])
-    series, _ = stationary_moments(spec1, ground, t_max, dt)
+    series = stationary_moments(spec1, ground, t_max, dt)
     x_t = series["x_mean"].values
     variance = TimeSeries(0.0, dt, series["x2"].values - x_t**2, label="var(x)")
     omega_br, _ = dominant_frequency(variance)

@@ -72,3 +72,12 @@ class FitQualityError(AnalysisError):
 
 class ExtractionError(AnalysisError):
     """No usable signal for frequency/peak extraction."""
+
+
+def exit_code(exc):
+    """The CLI's exit status for an exception that ends a run: a package
+    error's own code, 2 for a missing file, 1 for any other exception (the
+    CLI lets those through to the interpreter)."""
+    if isinstance(exc, PolaronError):
+        return exc.exit_code
+    return 2 if isinstance(exc, FileNotFoundError) else 1

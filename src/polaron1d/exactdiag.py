@@ -2,7 +2,12 @@
 in the fixed harmonic-oscillator mode basis. Exact Hamiltonian action on the
 truncated Fock space, Lanczos ground states, real-time propagation by
 error-controlled Krylov steps that each serve every record time within their
-reach, exact contrast, Schmidt decomposition and entanglement measures.
+reach, exact contrast, Schmidt weights and the entanglement entropy.
+
+A many-body state is a plain complex array of amplitudes indexed as (bath
+Fock state) x (impurity mode): `ground_state` returns one, `propagate_krylov`
+takes one and returns a trajectory whose `vectors` hold one per record, and
+`schmidt`, `one_body_density` and `energy_breakdown` read one.
 
 The bath-bath contact term carries the conventional 1/2 prefactor,
 H_BB = (g_bb/2) int Psi+ Psi+ Psi Psi; the bath-impurity term has no such
@@ -99,9 +104,6 @@ class FockBasis:
         if not valid:
             raise UsageError(f"occupation {occupation} not in the basis")
         return int(self.rank(occ))
-
-    def state(self, index):
-        return self.occupations[index]
 
 
 def _rank(binomials, n_bath, occs):
@@ -372,12 +374,6 @@ def with_impurity_coupling(h, g_bi):
     return h
 
 
-@dataclass(frozen=True)
-class ManyBodyVector:
-    amplitudes: np.ndarray = field(repr=False, compare=False)
-    fock: FockBasis = None
-
-
 def _deterministic_start(dim):
     # near-uniform positive start with a fixed incommensurate dither: a purely
     # uniform vector is parity-even and can lock Lanczos out of odd-sector
@@ -417,23 +413,17 @@ def ground_state(h):
             f"ground-state residual {residual:.2e} above tolerance",
             trace=np.array([energy]),
         )
-    return ManyBodyVector(amplitudes=vec, fock=h.fock), energy
+    return vec, energy
 
 
 @dataclass(frozen=True)
 class EDTrajectory:
+    """The state at every record time, one amplitude vector per row."""
+
     times: np.ndarray = field(repr=False, compare=False)
     vectors: np.ndarray = field(repr=False, compare=False)
-    fock: FockBasis = None
     max_norm_drift: float = 0.0
     max_krylov_dim: int = 0
-
-    @property
-    def dt_sample(self):
-        return float(self.times[1] - self.times[0])
-
-    def vector(self, k):
-        return ManyBodyVector(amplitudes=self.vectors[k], fock=self.fock)
 
 
 def _lanczos(matvec, v, basis):
@@ -481,7 +471,7 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1):
     reported. Record times accumulate t += dt as a fixed-step loop would;
     a t_max shorter than one record interval raises ConfigurationError."""
     n_rec = record_intervals(dt, t_max, record_every)
-    amps = np.asarray(v0.amplitudes, dtype=np.complex128)
+    amps = np.asarray(v0, dtype=np.complex128)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
         raise UsageError("v0 must be normalized")
     clock = itertools.accumulate(itertools.repeat(dt, n_rec * record_every))
@@ -511,52 +501,34 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1):
         k += n_pass
         v, t_start = vectors[k - 1], times[k - 1]
     return EDTrajectory(
-        times=times, vectors=vectors, fock=v0.fock, max_norm_drift=drift, max_krylov_dim=max_used
+        times=times, vectors=vectors, max_norm_drift=drift, max_krylov_dim=max_used
     )
 
 
 def ed_contrast(trajectory, v0, e0):
     """Exact overlap series S(t) = e^{i E0 t} <v0 | v(t)>."""
-    phases = np.exp(1j * e0 * trajectory.times)
-    overlaps = trajectory.vectors @ np.conj(v0.amplitudes)
-    s = phases * overlaps
-    return TimeSeries(0.0, trajectory.dt_sample, s, label="S(t)")
+    times = trajectory.times
+    s = np.exp(1j * e0 * times) * (trajectory.vectors @ np.conj(v0))
+    return TimeSeries(0.0, float(times[1] - times[0]), s, label="S(t)")
 
 
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    lambdas: np.ndarray = field(repr=False, compare=False)
-    bath_vectors: np.ndarray = field(repr=False, compare=False)
-    impurity_vectors: np.ndarray = field(repr=False, compare=False)
-    fock: FockBasis = None
-
-
-def schmidt(v):
-    """Schmidt decomposition across the bath | impurity cut; lambdas are the
-    squared singular values of the (bath_dim x n_modes) amplitude matrix."""
-    amps = np.asarray(v.amplitudes, dtype=np.complex128)
+def schmidt(vector, n_modes):
+    """Descending Schmidt weights lambda = sigma^2 of one normalized state
+    across the bath | impurity cut, sigma the singular values of its
+    (bath_dim x n_modes) amplitude matrix."""
+    amps = np.asarray(vector, dtype=np.complex128)
     if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
         raise UsageError("state must be normalized for a Schmidt decomposition")
-    if v.fock is None:
-        raise UsageError("vector carries no Fock basis reference")
-    mat = amps.reshape(v.fock.bath_dim, v.fock.n_modes)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    lam = s**2
-    return SchmidtDecomposition(
-        lambdas=lam,
-        bath_vectors=u,
-        impurity_vectors=vh.conj(),
-        fock=v.fock,
-    )
+    _, s, _ = np.linalg.svd(amps.reshape(-1, n_modes), full_matrices=False)
+    return s**2
 
 
-def entropy_and_populations(decomp):
-    """Natural-log von Neumann entropy and the impurity natural populations
-    (equal to the Schmidt weights for a single impurity)."""
-    lam = np.clip(decomp.lambdas, 0.0, None)
-    pos = lam[lam > 1e-16]
-    s_vn = float(-np.sum(pos * np.log(pos)))
-    return {"s_vn": s_vn, "natural_populations": lam}
+def entanglement_entropy(lambdas):
+    """Natural-log von Neumann entropy -sum lambda ln lambda of Schmidt
+    weights along the last axis, over the weights above 1e-16."""
+    lam = np.asarray(lambdas)
+    pos = lam > 1e-16
+    return -np.sum(lam * np.log(lam, where=pos, out=np.zeros_like(lam)), axis=-1)
 
 
 def one_body_density(h, v, species):
@@ -565,11 +537,10 @@ def one_body_density(h, v, species):
     basis = h.basis
     if basis is None:
         raise UsageError("Hamiltonian carries no mode-function basis")
-    amps = v.amplitudes if isinstance(v, ManyBodyVector) else np.asarray(v)
     if species == "bath":
-        rdm = _bath_rdm(h.annihilators, h.fock.n_modes, amps)
+        rdm = _bath_rdm(h.annihilators, h.fock.n_modes, v)
     elif species == "impurity":
-        rdm = h.impurity_rdm(amps)
+        rdm = h.impurity_rdm(v)
     else:
         raise UsageError("species must be 'bath' or 'impurity'")
     modes = basis.mode_functions
@@ -579,9 +550,8 @@ def one_body_density(h, v, species):
 
 def energy_breakdown(v, h):
     """Operator expectations of the six Hamiltonian pieces."""
-    amps = v.amplitudes if isinstance(v, ManyBodyVector) else np.asarray(v)
-    bath_rdm = _bath_rdm(h.annihilators, h.fock.n_modes, amps)
-    imp_rdm = h.impurity_rdm(amps)
+    bath_rdm = _bath_rdm(h.annihilators, h.fock.n_modes, v)
+    imp_rdm = h.impurity_rdm(v)
     m = h.fock.n_modes
     t_b = 0.5 * _quadratic_matrix(m, -1.0)
     v_b = 0.5 * _quadratic_matrix(m, 1.0)
@@ -590,6 +560,6 @@ def energy_breakdown(v, h):
         potential_b=float(np.real(np.trace(v_b @ bath_rdm))),
         kinetic_i=float(np.real(np.trace(h.t_imp @ imp_rdm))),
         potential_i=float(np.real(np.trace(h.v_imp @ imp_rdm))),
-        intra_bb=h.expect_bb(amps),
-        inter_bi=h.expect_bi(amps),
+        intra_bb=h.expect_bb(v),
+        inter_bi=h.expect_bi(v),
     )

@@ -21,7 +21,7 @@ from . import effpot as ep
 from . import meanfield as mf
 from . import observables as obs
 from .config import sweep_value_errors
-from .errors import ConfigurationError, PolaronError, UsageError
+from .errors import ConfigurationError, PolaronError, UsageError, exit_code
 from .grid import bare_ground_state, build_grid, ho_mode_basis
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -74,7 +74,9 @@ class OutputSet:
     """Collects written files, then seals them into an atomic manifest.
 
     As a context manager it writes the manifest on leaving the block: with
-    `status` when the block completes, "failed" when it raises.
+    `status` when the block completes, "failed" when it raises, and then
+    the exception's type, message and CLI exit code under
+    `diagnostics["error"]`.
     """
 
     def __init__(self, directory, config):
@@ -90,6 +92,10 @@ class OutputSet:
         return self
 
     def __exit__(self, exc_type, exc, tb):
+        if exc is not None:
+            self.diagnostics["error"] = {
+                "type": exc_type.__name__, "message": str(exc), "exit_code": exit_code(exc)
+            }
         manifest = {
             "code_version": __version__,
             "status": "failed" if exc_type is not None else self.status,
@@ -319,7 +325,7 @@ def _run_quench_effpot(cfg, out, grid):
     _write_csv(
         out.path("energies.csv"),
         ["n", "energy", "weight", "box_contaminated"],
-        [np.arange(spec.n_eig), spec.energies, contrast.weights,
+        [np.arange(spec.energies.size), spec.energies, contrast.weights,
          spec.box_contaminated.astype(float)],
     )
     init = bare_ground_state(grid, omega=cfg.omega_i_initial)
@@ -358,36 +364,25 @@ def _run_quench_ed(cfg, out, grid):
     s_series = ed.ed_contrast(traj, v0, e0)
     summary = _contrast_files(out, s_series, cfg)
 
-    n_rec = traj.times.size
-    svn = np.empty(n_rec)
-    lam1 = np.empty(n_rec)
-    lam2 = np.empty(n_rec)
-    energies = {key: np.empty(n_rec) for key in obs.ENERGY_TERMS}
-    for k in range(n_rec):
-        vec = traj.vector(k)
-        dec = ed.schmidt(vec)
-        ent = ed.entropy_and_populations(dec)
-        svn[k] = ent["s_vn"]
-        pops = ent["natural_populations"]
-        lam1[k] = pops[0]
-        lam2[k] = pops[1] if pops.size > 1 else 0.0
-        bd = ed.energy_breakdown(vec, h_post)
-        for key in energies:
-            energies[key][k] = getattr(bd, key)
+    lambdas = np.array([ed.schmidt(v, cfg.n_modes) for v in traj.vectors])
+    svn = ed.entanglement_entropy(lambdas)
+    lam2 = lambdas[:, 1] if cfg.n_modes > 1 else np.zeros_like(svn)
+    breakdowns = [ed.energy_breakdown(v, h_post) for v in traj.vectors]
+    energies = {k: np.array([getattr(bd, k) for bd in breakdowns]) for k in obs.ENERGY_TERMS}
     _write_csv(
         out.path("entropy.csv"),
         ["t", "s_vn", "lambda_1", "lambda_2"],
-        [traj.times, svn, lam1, lam2],
+        [traj.times, svn, lambdas[:, 0], lam2],
     )
     _write_csv(
         out.path("energies.csv"),
         ["t", *obs.ENERGY_TERMS],
         [traj.times] + [energies[key] for key in obs.ENERGY_TERMS],
     )
-    rho_b0 = ed.one_body_density(h_post, traj.vector(0), "bath")
-    rho_u0 = ed.one_body_density(h_post, traj.vector(0), "impurity")
-    rho_bT = ed.one_body_density(h_post, traj.vector(n_rec - 1), "bath")
-    rho_uT = ed.one_body_density(h_post, traj.vector(n_rec - 1), "impurity")
+    rho_b0 = ed.one_body_density(h_post, traj.vectors[0], "bath")
+    rho_u0 = ed.one_body_density(h_post, traj.vectors[0], "impurity")
+    rho_bT = ed.one_body_density(h_post, traj.vectors[-1], "bath")
+    rho_uT = ed.one_body_density(h_post, traj.vectors[-1], "impurity")
     _write_csv(
         out.path("densities.csv"),
         ["x", "rho_bath_t0", "rho_up_t0", "rho_bath_tmax", "rho_up_tmax"],
@@ -528,7 +523,7 @@ def run_breathing(cfg, directory=None):
         if cfg.tier == "effpot":
             om = cfg.omega_i_initial
             try:
-                moments, _ = ep.stationary_moments(
+                moments = ep.stationary_moments(
                     br.initial_spectrum, bare_ground_state(grid, omega=om),
                     t_max=80.0, dt=0.02,
                 )

@@ -365,7 +365,7 @@ class TestRunnerPipelines:
         grid = build_grid(cfg.n_points, cfg.x_max)
         tf = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
         pot = ep.build_effective_potential(tf.density(grid), 0.25, omega_trap=0.95)
-        moments, _ = ep.stationary_moments(
+        moments = ep.stationary_moments(
             solve(pot, n_eig=cfg.n_eig), bare_ground_state(grid, omega=0.95),
             t_max=80.0, dt=0.02,
         )
@@ -618,8 +618,17 @@ class TestRunnerPipelines:
         b = max(re_summary["peaks"], key=lambda p: p["height"])["omega"]
         assert a == pytest.approx(b, abs=1e-12)
 
-    @pytest.mark.parametrize("pipeline", ["relax", "quench", "breathing", "analyze"])
-    def test_failed_run_writes_failed_manifest(self, tmp_path, pipeline):
+    @pytest.mark.parametrize(
+        "pipeline, error, code",
+        [
+            ("relax", "ConfigurationError", 2),
+            ("quench", "FileNotFoundError", 2),
+            ("breathing", "FileNotFoundError", 2),
+            ("analyze", "UsageError", 3),
+        ],
+        ids=["relax", "quench", "breathing", "analyze"],
+    )
+    def test_failed_run_writes_failed_manifest(self, tmp_path, pipeline, error, code):
         outdir = str(tmp_path / "fail")
         cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
         cfg.source = str(tmp_path / "missing.txt")  # quench, breathing: no density file
@@ -630,10 +639,14 @@ class TestRunnerPipelines:
         bad_csv = tmp_path / "contrast.csv"
         bad_csv.write_text("t,abs_s\n0,1\n1,1\n")
         args = (str(bad_csv), cfg) if pipeline == "analyze" else (cfg,)
-        with pytest.raises(Exception):
+        with pytest.raises(Exception) as raised:
             getattr(runner, f"run_{pipeline}")(*args)
         manifest = json.load(open(os.path.join(outdir, "manifest.json")))
         assert manifest["status"] == "failed"
+        # the error that ended the run, with the exit code the CLI gives it
+        assert manifest["diagnostics"]["error"] == {
+            "type": error, "message": str(raised.value), "exit_code": code
+        }
 
 
 class TestCli:

@@ -51,7 +51,7 @@ class TestFockBasis:
     def test_round_trip(self):
         fock = ed.build_fock_basis(3, 5)
         for i in range(fock.bath_dim):
-            assert fock.index(fock.state(i)) == i
+            assert fock.index(fock.occupations[i]) == i
 
     def test_lexicographic_order(self):
         fock = ed.build_fock_basis(2, 3)
@@ -68,7 +68,7 @@ class TestFockBasis:
         fock = ed.build_fock_basis(n_bath, n_modes)
         order = np.arange(fock.bath_dim)
         assert np.array_equal(fock.rank(fock.occupations), order)
-        assert [fock.index(fock.state(i)) for i in order] == order.tolist()
+        assert [fock.index(fock.occupations[i]) for i in order] == order.tolist()
 
     @pytest.mark.parametrize(
         "occupation",
@@ -254,7 +254,7 @@ class TestHamiltonian:
         v, e = ed.ground_state(h)
         w, vecs = np.linalg.eigh(h.to_dense())
         assert e == pytest.approx(w[0], abs=1e-10)
-        overlap = abs(np.vdot(vecs[:, 0], v.amplitudes))
+        overlap = abs(np.vdot(vecs[:, 0], v))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
 
@@ -266,10 +266,7 @@ class TestKrylov:
         rng = np.random.default_rng(11)
         v0 = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         v0 /= np.linalg.norm(v0)
-        traj = ed.propagate_krylov(
-            h, ed.ManyBodyVector(amplitudes=v0, fock=fock), dt=0.1, t_max=7.3,
-            record_every=73,
-        )
+        traj = ed.propagate_krylov(h, v0, dt=0.1, t_max=7.3, record_every=73)
         exact = np.exp(-1j * diag.reshape(-1) * 7.3) * v0
         assert np.linalg.norm(traj.vectors[-1] - exact) < 1e-10
 
@@ -281,9 +278,8 @@ class TestKrylov:
         w, vecs = np.linalg.eigh(hd)
         mix = vecs[:, 0] + 0.5 * vecs[:, 3] + 0.2 * vecs[:, 10]
         mix = mix / np.linalg.norm(mix)
-        v0 = ed.ManyBodyVector(amplitudes=mix.astype(complex), fock=fock)
-        traj = ed.propagate_krylov(h, v0, dt=0.1, t_max=10.0, record_every=100)
-        exact = expm(-1j * hd * 10.0) @ v0.amplitudes
+        traj = ed.propagate_krylov(h, mix, dt=0.1, t_max=10.0, record_every=100)
+        exact = expm(-1j * hd * 10.0) @ mix
         assert np.linalg.norm(traj.vectors[-1] - exact) < 1e-10
 
     @pytest.fixture(scope="class")
@@ -305,8 +301,7 @@ class TestKrylov:
         _, vecs = np.linalg.eigh(hd)
         mix = vecs[:, 0] + 0.5 * vecs[:, 3] + 0.2 * vecs[:, 10]
         mix = mix / np.linalg.norm(mix)
-        v0 = ed.ManyBodyVector(amplitudes=mix.astype(complex), fock=h.fock)
-        traj = ed.propagate_krylov(h, v0, dt=0.1, t_max=10.0, record_every=1)
+        traj = ed.propagate_krylov(h, mix, dt=0.1, t_max=10.0, record_every=1)
         assert traj.times.size == 101
         errors = [
             np.linalg.norm(vec - expm(-1j * hd * t) @ mix)
@@ -323,10 +318,7 @@ class TestKrylov:
         v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         v /= np.linalg.norm(v)
         calls = self.count_matvecs(monkeypatch, h)
-        traj = ed.propagate_krylov(
-            h, ed.ManyBodyVector(amplitudes=v, fock=h.fock), dt=0.1, t_max=10.0,
-            record_every=100,
-        )
+        traj = ed.propagate_krylov(h, v, dt=0.1, t_max=10.0, record_every=100)
         assert traj.times.size == 2
         assert len(calls) > ed.KRYLOV_MAX_DIM
         assert traj.max_krylov_dim <= ed.KRYLOV_MAX_DIM
@@ -440,11 +432,10 @@ class TestSchmidt:
         fock = ed.build_fock_basis(2, 10)
         h = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
         v0, _ = ed.ground_state(h)
-        dec = ed.schmidt(v0)
-        assert dec.lambdas[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.sum(dec.lambdas) == pytest.approx(1.0, abs=1e-12)
-        ent = ed.entropy_and_populations(dec)
-        assert ent["s_vn"] == pytest.approx(0.0, abs=1e-10)
+        lambdas = ed.schmidt(v0, fock.n_modes)
+        assert lambdas[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.sum(lambdas) == pytest.approx(1.0, abs=1e-12)
+        assert ed.entanglement_entropy(lambdas) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_state(self):
         fock = ed.build_fock_basis(1, 2)
@@ -454,26 +445,33 @@ class TestSchmidt:
         i1 = fock.index([0, 1])
         amps[i0, 1] = 1 / np.sqrt(2)
         amps[i1, 0] = 1 / np.sqrt(2)
-        v = ed.ManyBodyVector(amplitudes=amps.reshape(-1), fock=fock)
-        dec = ed.schmidt(v)
-        assert np.allclose(dec.lambdas[:2], [0.5, 0.5], atol=1e-12)
-        ent = ed.entropy_and_populations(dec)
-        assert ent["s_vn"] == pytest.approx(np.log(2), abs=1e-12)
+        lambdas = ed.schmidt(amps.reshape(-1), fock.n_modes)
+        assert np.allclose(lambdas[:2], [0.5, 0.5], atol=1e-12)
+        assert ed.entanglement_entropy(lambdas) == pytest.approx(np.log(2), abs=1e-12)
+
+    def test_entropy_of_each_row_matches_a_loop(self, rng):
+        # one entropy per row of a stack, over the weights above 1e-16 only
+        lambdas = rng.random((5, 10)) ** 8
+        lambdas /= lambdas.sum(axis=1, keepdims=True)
+        lambdas[1, 4:] = 1e-17
+        lambdas[2] = np.eye(10)[0]
+        want = [-sum(lam * np.log(lam) for lam in row if lam > 1e-16) for row in lambdas]
+        got = ed.entanglement_entropy(lambdas)
+        assert got.shape == (5,)
+        assert np.max(np.abs(got - want)) <= 1e-15
+        assert got[2] == 0.0
 
     def test_requires_normalization(self, basis10):
-        fock = ed.build_fock_basis(1, 2)
-        v = ed.ManyBodyVector(amplitudes=np.array([1.0, 1.0, 0, 0], dtype=complex), fock=fock)
         with pytest.raises(UsageError):
-            ed.schmidt(v)
+            ed.schmidt(np.array([1.0, 1.0, 0, 0], dtype=complex), 2)
 
     def test_population_stays_condensed_without_coupling(self, basis10):
         fock = ed.build_fock_basis(3, 10)
         h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
         v0, _ = ed.ground_state(h0)
         traj = ed.propagate_krylov(h0, v0, dt=0.1, t_max=3.0, record_every=10)
-        for k in range(traj.times.size):
-            dec = ed.schmidt(traj.vector(k))
-            assert dec.lambdas[0] == pytest.approx(1.0, abs=1e-10)
+        for vec in traj.vectors:
+            assert ed.schmidt(vec, fock.n_modes)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_entropy_grows_with_coupling(self, basis10):
         fock = ed.build_fock_basis(4, 10)
@@ -483,11 +481,8 @@ class TestSchmidt:
         for g in (0.25, 0.5, 1.0, 2.0):
             h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
             traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=20.0, record_every=4)
-            svn = [
-                ed.entropy_and_populations(ed.schmidt(traj.vector(k)))["s_vn"]
-                for k in range(traj.times.size)
-            ]
-            averages.append(float(np.mean(svn)))
+            lambdas = np.array([ed.schmidt(vec, fock.n_modes) for vec in traj.vectors])
+            averages.append(float(np.mean(ed.entanglement_entropy(lambdas))))
         assert all(a <= b + 1e-12 for a, b in zip(averages, averages[1:]))
 
 
@@ -502,7 +497,7 @@ class TestBathDensityMatrix:
         ground, _ = ed.ground_state(h)
         rng = np.random.default_rng(5)
         rand = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        return h, {"ground": ground.amplitudes, "random": rand / np.linalg.norm(rand)}
+        return h, {"ground": ground, "random": rand / np.linalg.norm(rand)}
 
     @pytest.mark.parametrize("kind", ["ground", "random"])
     def test_matches_loop_oracle(self, vectors, kind):
@@ -549,7 +544,7 @@ class TestEnergyBreakdown:
         h = ed.build_hamiltonian(fock, 0.5, 0.7, basis=basis10)
         v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         v /= np.linalg.norm(v)
-        bd = ed.energy_breakdown(ed.ManyBodyVector(amplitudes=v, fock=fock), h)
+        bd = ed.energy_breakdown(v, h)
         direct = float(np.real(np.vdot(v, h.matvec(v))))
         assert bd.total == pytest.approx(direct, abs=1e-10)
 
