@@ -190,6 +190,11 @@ def _semantic_checks(cfg, errors):
         errors.append("solver.ed.n_modes must be in 1..40")
     if cfg.n_eig < 1 or cfg.n_eig > 60:
         errors.append("solver.effpot.n_eig must be in 1..60")
+    if cfg.source not in ("tf", "relaxed") and not os.path.isfile(cfg.source):
+        errors.append(
+            f"solver.effpot.source must be tf, relaxed or a density file; "
+            f"no file {cfg.source!r}"
+        )
     if cfg.sweep_parameter and cfg.sweep_parameter not in SWEEP_PARAMETERS:
         errors.append(f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
     if cfg.sweep_pipeline not in ("quench", "breathing"):

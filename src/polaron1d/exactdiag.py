@@ -1,13 +1,17 @@
 """Correlated tier: N_B bath bosons plus one spin-up impurity, both expanded
 in the fixed harmonic-oscillator mode basis. Exact Hamiltonian action on the
-truncated Fock space, Lanczos ground states, real-time propagation by
+truncated Fock space, real Lanczos ground states, real-time propagation by
 error-controlled Krylov steps that each serve every record time within their
-reach, exact contrast, Schmidt weights and the entanglement entropy.
+reach, exact contrast, Schmidt weights and the entanglement entropy. Both
+solvers run on one fully reorthogonalized Lanczos recurrence; the only scipy
+module the tier loads is scipy.sparse.
 
 A many-body state is a plain complex array of amplitudes indexed as (bath
 Fock state) x (impurity mode): `ground_state` returns one, `propagate_krylov`
-takes one and returns a trajectory whose `vectors` hold one per record, and
-`schmidt`, `one_body_density` and `energy_breakdown` read one.
+takes one and hands the caller's observer one per record time, in order,
+without keeping any, and `schmidt`, `one_body_density` and `energy_breakdown`
+read one. H is real symmetric, so the matvec keeps a float64 vector real and
+the ground state is found in real arithmetic.
 
 The bath-bath contact term carries the conventional 1/2 prefactor,
 H_BB = (g_bb/2) int Psi+ Psi+ Psi Psi; the bath-impurity term has no such
@@ -45,8 +49,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .errors import (
     AccuracyError,
@@ -65,8 +67,10 @@ DIM_GUARD_DEFAULT = 5_000_000
 KRYLOV_LOCAL_TOL = 1e-10
 KRYLOV_MAX_DIM = 30
 # ground_state: bound on the residual ||Hv - Ev|| relative to max(1, |E|);
-# ARPACK runs at a hundredth of it
+# the Lanczos iteration stops at a hundredth of it, and after at most
+# GROUND_STATE_MAX_STEPS vectors
 GROUND_STATE_TOL = 1e-10
+GROUND_STATE_MAX_STEPS = 300
 
 
 @dataclass(frozen=True)
@@ -207,9 +211,11 @@ class EDHamiltonian:
         return self.fock.total_dim
 
     def _bath_block_apply(self, mat_csr, vmat):
-        """A real sparse matrix applied to the bath (row) index of a complex
-        amplitude matrix, on its float64 view (real and imaginary parts as
-        interleaved columns)."""
+        """A real sparse matrix applied to the bath (row) index of an
+        amplitude matrix; a complex one is taken on its float64 view (real
+        and imaginary parts as interleaved columns)."""
+        if vmat.dtype == np.float64:
+            return mat_csr @ vmat
         flat = np.ascontiguousarray(vmat).view(np.float64)
         return (mat_csr @ flat).view(np.complex128)
 
@@ -225,7 +231,11 @@ class EDHamiltonian:
         return self._bath_block_apply(self.creators, raised)
 
     def matvec(self, v):
-        v = np.asarray(v, dtype=np.complex128)
+        """H v; a float64 v gives a float64 result, any other v is taken as
+        complex128."""
+        v = np.asarray(v)
+        if v.dtype != np.float64:
+            v = v.astype(np.complex128, copy=False)
         vmat = v.reshape(self.fock.bath_dim, self.fock.n_modes)
         out = self.bath_onebody[:, None] * vmat
         out += vmat @ self.h_imp.T
@@ -237,9 +247,9 @@ class EDHamiltonian:
         return out.reshape(-1)
 
     def to_dense(self):
-        """H as a dense float64 matrix, column by column from the matvec; H
-        is real, so taking the real part is exact."""
-        return np.column_stack([self.matvec(col) for col in np.eye(self.dim)]).real
+        """H as a dense float64 matrix, column by column from the real
+        matvec."""
+        return np.column_stack([self.matvec(col) for col in np.eye(self.dim)])
 
     # --- expectation helpers -------------------------------------------------
 
@@ -383,27 +393,39 @@ def _deterministic_start(dim):
 
 
 def ground_state(h):
-    """Lowest eigenpair via Lanczos (ARPACK) with a deterministic uniform
-    start vector; dense fallback for tiny dimensions. The residual
-    ||Hv - Ev|| is verified against GROUND_STATE_TOL."""
+    """Lowest eigenpair by a real Lanczos iteration from a deterministic
+    near-uniform start; dense fallback for tiny dimensions. The iteration
+    stops when the Ritz residual beta_m |u_m0| of the lowest Ritz pair is
+    within GROUND_STATE_TOL / 100 relative to max(1, |theta|), and raises
+    ConvergenceError with the trace of lowest Ritz values when
+    GROUND_STATE_MAX_STEPS vectors do not get there. The residual
+    ||Hv - Ev|| of the returned state is verified against GROUND_STATE_TOL."""
     dim = h.dim
     if dim <= 32:
         w, vecs = np.linalg.eigh(h.to_dense())
-        energy, vec = float(w[0]), vecs[:, 0].astype(np.complex128)
+        energy, vec = float(w[0]), vecs[:, 0]
     else:
-        try:
-            w, vecs = eigsh(
-                LinearOperator(shape=(dim, dim), matvec=h.matvec, dtype=np.complex128),
-                k=1,
-                which="SA",
-                v0=_deterministic_start(dim),
-                tol=GROUND_STATE_TOL * 1e-2,
-                maxiter=max(50 * dim, 10000),
-            )
-        except Exception as exc:
-            raise ConvergenceError(f"Lanczos ground state failed: {exc}") from exc
-        energy, vec = float(w[0]), vecs[:, 0].astype(np.complex128)
-    vec = vec / np.linalg.norm(vec)
+        steps = min(GROUND_STATE_MAX_STEPS, dim)
+        thetas = []
+
+        def converged(w, u, beta):
+            thetas.append(float(w[0]))
+            if beta * abs(u[-1, 0]) <= GROUND_STATE_TOL * 1e-2 * max(1.0, abs(w[0])):
+                return True
+            if w.size == steps:
+                raise ConvergenceError(
+                    f"Lanczos ground state: Ritz residual {beta * abs(u[-1, 0]):.2e} "
+                    f"after {steps} steps",
+                    trace=np.array(thetas),
+                )
+            return False
+
+        # rows the iteration never reaches are never written, so the cap costs
+        # address space, not resident memory
+        basis = np.empty((steps, dim))
+        vm, w, u, _ = _lanczos(h.matvec, _deterministic_start(dim), basis, converged)
+        energy, vec = float(w[0]), u[:, 0] @ vm
+    vec = vec.astype(np.complex128) / np.linalg.norm(vec)
     lead = int(np.argmax(np.abs(vec)))
     phase = vec[lead] / abs(vec[lead])
     vec = vec / phase
@@ -418,18 +440,20 @@ def ground_state(h):
 
 @dataclass(frozen=True)
 class EDTrajectory:
-    """The state at every record time, one amplitude vector per row."""
+    """The record times of a propagation and how it went: the largest norm
+    defect and the largest Krylov space used."""
 
     times: np.ndarray = field(repr=False, compare=False)
-    vectors: np.ndarray = field(repr=False, compare=False)
     max_norm_drift: float = 0.0
     max_krylov_dim: int = 0
 
 
-def _lanczos(matvec, v, basis):
-    """Krylov basis V_m of the unit vector v in the rows of `basis`, fully
-    reorthogonalized, m = all rows or the dimension at breakdown, and the
-    eigenpairs (w, u) of T_m = V_m^+ H V_m. Returns (V_m, w, u, beta_m)."""
+def _lanczos(matvec, v, basis, converged=None):
+    """Krylov basis V_m of the unit vector v in the rows of `basis` (real or
+    complex), fully reorthogonalized, and the eigenpairs (w, u) of T_m =
+    V_m^+ H V_m. m is the number of rows, the dimension at breakdown, or the
+    first m at which `converged(w, u, beta_m)` holds. Returns
+    (V_m, w, u, beta_m)."""
     basis[0] = v
     alphas, betas = [], []
     r = matvec(v)
@@ -440,8 +464,11 @@ def _lanczos(matvec, v, basis):
         vm = basis[:m]
         r = r - np.conj(vm @ np.conj(r)) @ vm
         b = float(np.linalg.norm(r))
-        if b < 1e-13 or m == basis.shape[0]:
-            return (vm, *eigh_tridiagonal(np.asarray(alphas), np.asarray(betas)), b)
+        end = b < 1e-13 or m == basis.shape[0]
+        if end or converged is not None:
+            w, u = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+            if (converged is not None and converged(w, u, b)) or end:
+                return vm, w, u, b
         betas.append(b)
         basis[m] = r / b
         r = matvec(basis[m]) - b * q
@@ -459,7 +486,7 @@ def _krylov_state(vm, w, u, tau):
     return y / norm, abs(norm - 1.0)
 
 
-def propagate_krylov(h, v0, dt, t_max, record_every=1):
+def propagate_krylov(h, v0, dt, t_max, record_every=1, *, observe):
     """exp(-i H t) v0 at every record time by error-controlled Lanczos steps
     with dense output (Hochbruck & Lubich, SIAM J. Numer. Anal. 34, 1911
     (1997); Sidje, ACM TOMS 24, 130 (1998)). A step builds one Krylov space
@@ -469,16 +496,20 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1):
     that reaches no record ends at an internal time, halved until the
     estimate passes. States are renormalized and the largest norm defect is
     reported. Record times accumulate t += dt as a fixed-step loop would;
-    a t_max shorter than one record interval raises ConfigurationError."""
+    a t_max shorter than one record interval raises ConfigurationError.
+
+    `observe(k, v)` is called with the state v at record k, for k = 0 ..
+    n_rec in order; only the current state is held, and the propagator
+    never writes into a state it has passed on, so the observer may keep
+    it. Returns the record times and the run's diagnostics."""
     n_rec = record_intervals(dt, t_max, record_every)
-    amps = np.asarray(v0, dtype=np.complex128)
-    if abs(np.linalg.norm(amps) - 1.0) > 1e-8:
+    v = np.asarray(v0, dtype=np.complex128)
+    if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise UsageError("v0 must be normalized")
     clock = itertools.accumulate(itertools.repeat(dt, n_rec * record_every))
     times = np.array([0.0, *itertools.islice(clock, record_every - 1, None, record_every)])
-    vectors = np.empty((n_rec + 1, amps.size), dtype=np.complex128)
-    basis = np.empty((KRYLOV_MAX_DIM, amps.size), dtype=np.complex128)
-    vectors[0] = v = amps
+    basis = np.empty((KRYLOV_MAX_DIM, v.size), dtype=np.complex128)
+    observe(0, v)
     t_start, k, drift, max_used = 0.0, 1, 0.0, 0
     while k <= n_rec:
         vm, w, u, beta = _lanczos(h.matvec, v, basis)
@@ -496,19 +527,18 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1):
             drift, t_start = max(drift, defect), t_start + tau
             continue
         for j in range(k, k + n_pass):
-            vectors[j], defect = _krylov_state(vm, w, u, taus[j - k])
+            v, defect = _krylov_state(vm, w, u, taus[j - k])
             drift = max(drift, defect)
+            observe(j, v)
         k += n_pass
-        v, t_start = vectors[k - 1], times[k - 1]
-    return EDTrajectory(
-        times=times, vectors=vectors, max_norm_drift=drift, max_krylov_dim=max_used
-    )
+        t_start = times[k - 1]
+    return EDTrajectory(times=times, max_norm_drift=drift, max_krylov_dim=max_used)
 
 
-def ed_contrast(trajectory, v0, e0):
-    """Exact overlap series S(t) = e^{i E0 t} <v0 | v(t)>."""
-    times = trajectory.times
-    s = np.exp(1j * e0 * times) * (trajectory.vectors @ np.conj(v0))
+def ed_contrast(times, overlaps, e0):
+    """Exact overlap series S(t) = e^{i E0 t} <v0 | v(t)> from the overlaps
+    <v0 | v(t)> at the record times."""
+    s = np.exp(1j * e0 * times) * np.asarray(overlaps)
     return TimeSeries(0.0, float(times[1] - times[0]), s, label="S(t)")
 
 

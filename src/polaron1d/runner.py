@@ -10,6 +10,8 @@ import functools
 import hashlib
 import json
 import os
+import resource
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -76,7 +78,8 @@ class OutputSet:
     As a context manager it writes the manifest on leaving the block: with
     `status` when the block completes, "failed" when it raises, and then
     the exception's type, message and CLI exit code under
-    `diagnostics["error"]`.
+    `diagnostics["error"]`. Either way `diagnostics["peak_rss_mb"]` is the
+    process's peak resident memory so far.
     """
 
     def __init__(self, directory, config):
@@ -96,6 +99,7 @@ class OutputSet:
             self.diagnostics["error"] = {
                 "type": exc_type.__name__, "message": str(exc), "exit_code": exit_code(exc)
             }
+        self.diagnostics["peak_rss_mb"] = _peak_rss_mb()
         manifest = {
             "code_version": __version__,
             "status": "failed" if exc_type is not None else self.status,
@@ -118,6 +122,12 @@ class OutputSet:
     def path(self, name):
         self.files.append(name)
         return os.path.join(self.directory, name)
+
+
+def _peak_rss_mb():
+    # ru_maxrss is in kB on Linux and in bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1024.0**2 if sys.platform == "darwin" else 1024.0)
 
 
 def _json_scrub(value):
@@ -347,7 +357,8 @@ def _run_quench_effpot(cfg, out, grid):
 
 
 def _run_quench_ed(cfg, out, grid):
-    # the only exactdiag user: mean-field and effpot runs never load scipy
+    # the only exactdiag user: mean-field and effpot runs never load scipy,
+    # and an ED run loads scipy.sparse only
     from . import exactdiag as ed
 
     basis = ho_mode_basis(grid, cfg.n_modes)
@@ -358,16 +369,28 @@ def _run_quench_ed(cfg, out, grid):
     v0, e0 = ed.ground_state(h_pre)
     # under the quench contract only g_bi changes: the bath block is shared
     h_post = ed.with_impurity_coupling(h_pre, cfg.g_bi_final)
+    # each record is reduced as it comes; only the latest state is held, for
+    # the final densities (the first state is v0)
+    overlaps, lambdas, breakdowns = [], [], []
+    v_final = v0
+
+    def observe(k, v):
+        nonlocal v_final
+        overlaps.append(np.vdot(v0, v))
+        lambdas.append(ed.schmidt(v, cfg.n_modes))
+        breakdowns.append(ed.energy_breakdown(v, h_post))
+        v_final = v
+
     traj = ed.propagate_krylov(
-        h_post, v0, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
+        h_post, v0, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every,
+        observe=observe,
     )
-    s_series = ed.ed_contrast(traj, v0, e0)
+    s_series = ed.ed_contrast(traj.times, overlaps, e0)
     summary = _contrast_files(out, s_series, cfg)
 
-    lambdas = np.array([ed.schmidt(v, cfg.n_modes) for v in traj.vectors])
+    lambdas = np.array(lambdas)
     svn = ed.entanglement_entropy(lambdas)
     lam2 = lambdas[:, 1] if cfg.n_modes > 1 else np.zeros_like(svn)
-    breakdowns = [ed.energy_breakdown(v, h_post) for v in traj.vectors]
     energies = {k: np.array([getattr(bd, k) for bd in breakdowns]) for k in obs.ENERGY_TERMS}
     _write_csv(
         out.path("entropy.csv"),
@@ -379,10 +402,10 @@ def _run_quench_ed(cfg, out, grid):
         ["t", *obs.ENERGY_TERMS],
         [traj.times] + [energies[key] for key in obs.ENERGY_TERMS],
     )
-    rho_b0 = ed.one_body_density(h_post, traj.vectors[0], "bath")
-    rho_u0 = ed.one_body_density(h_post, traj.vectors[0], "impurity")
-    rho_bT = ed.one_body_density(h_post, traj.vectors[-1], "bath")
-    rho_uT = ed.one_body_density(h_post, traj.vectors[-1], "impurity")
+    rho_b0 = ed.one_body_density(h_post, v0, "bath")
+    rho_u0 = ed.one_body_density(h_post, v0, "impurity")
+    rho_bT = ed.one_body_density(h_post, v_final, "bath")
+    rho_uT = ed.one_body_density(h_post, v_final, "impurity")
     _write_csv(
         out.path("densities.csv"),
         ["x", "rho_bath_t0", "rho_up_t0", "rho_bath_tmax", "rho_up_tmax"],

@@ -3,12 +3,32 @@ package used before the contact interaction was factorized on a
 Gauss-Hermite rule. Contact integrals come from grid quadrature of the
 sampled mode functions, the bath-bath block from a Python loop over Fock
 states, the bath-impurity block from explicit COO triplets, and Fock states
-are looked up in a bytes-keyed dict. Slow; keep the sizes small."""
+are looked up in a bytes-keyed dict. Slow; keep the sizes small.
+
+`propagate_states` is the test-side collector of whole trajectories: the
+package streams Krylov records to an observer and keeps none of them."""
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from polaron1d import exactdiag as ed
+
+
+def propagate_states(h, v0, **kwargs):
+    """`exactdiag.propagate_krylov` with every record state kept: the
+    trajectory and an (n_rec + 1, dim) array of the states, checking that
+    the records arrive once each and in order."""
+    states = []
+
+    def keep(k, v):
+        assert k == len(states)
+        states.append(v)
+
+    traj = ed.propagate_krylov(h, v0, observe=keep, **kwargs)
+    assert len(states) == traj.times.size
+    return traj, np.array(states)
 
 
 def _pair_index(m):

@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
+import ed_oracle
 from polaron1d import effpot as ep
 from polaron1d import exactdiag as ed
 from polaron1d import meanfield as mf
@@ -44,11 +45,18 @@ def ed_quench_runs(ed_setup, basis10):
     runs = {}
     for g in (0.2, 1.0, 3.0):
         h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
-        traj = ed.propagate_krylov(h1, v0, dt=0.05, t_max=50.0, record_every=2)
-        s = ed.ed_contrast(traj, v0, e0)
-        lambdas = np.array([ed.schmidt(v, fock.n_modes) for v in traj.vectors])
-        svn = ed.entanglement_entropy(lambdas)
-        runs[g] = {"s": s, "svn": svn, "traj": traj}
+        overlaps, lambdas = [], []
+
+        def observe(k, v):
+            overlaps.append(np.vdot(v0, v))
+            lambdas.append(ed.schmidt(v, fock.n_modes))
+
+        traj = ed.propagate_krylov(
+            h1, v0, dt=0.05, t_max=50.0, record_every=2, observe=observe
+        )
+        s = ed.ed_contrast(traj.times, overlaps, e0)
+        svn = ed.entanglement_entropy(np.array(lambdas))
+        runs[g] = {"s": s, "svn": svn}
     return runs
 
 
@@ -181,8 +189,8 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
     fock = ed.build_fock_basis(2, 6)
     h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis6)
     v0, e0 = ed.ground_state(h0)
-    traj = ed.propagate_krylov(h0, v0, dt=0.1, t_max=10.0, record_every=10)
-    s_un = ed.ed_contrast(traj, v0, e0)
+    traj, states = ed_oracle.propagate_states(h0, v0, dt=0.1, t_max=10.0, record_every=10)
+    s_un = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
     dev = float(np.max(np.abs(np.abs(s_un.values) - 1.0)))
     checks.append(("g=0 => |S|=1", dev < 1e-8, f"max deviation {dev:.1e}"))
 
@@ -258,8 +266,8 @@ def test_criterion_9_ed_oracles(grid):
     w, vecs = np.linalg.eigh(hd)
     mix = vecs[:, 0] + 0.4 * vecs[:, 2] + 0.2 * vecs[:, 7]
     mix /= np.linalg.norm(mix)
-    traj = ed.propagate_krylov(h, mix, dt=0.1, t_max=10.0, record_every=100)
-    krylov_err = float(np.linalg.norm(traj.vectors[-1] - expm(-1j * hd * 10.0) @ mix))
+    _, states = ed_oracle.propagate_states(h, mix, dt=0.1, t_max=10.0, record_every=100)
+    krylov_err = float(np.linalg.norm(states[-1] - expm(-1j * hd * 10.0) @ mix))
     details.append(f"krylov vs expm {krylov_err:.1e}")
 
     # Lanczos ground state vs dense diagonalization (dim 288)

@@ -162,6 +162,15 @@ class TestValidateConfig:
         with pytest.raises(ConfigurationError, match=f"line {line}: cannot parse"):
             validate_config(text)
 
+    def test_missing_density_file_rejected(self, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        text = MINIMAL + f"[solver.effpot]\nsource = {missing}\n"
+        with pytest.raises(ConfigurationError) as err:
+            validate_config(text)
+        assert any("solver.effpot.source" in m and missing in m for m in err.value.errors)
+        (tmp_path / "missing.txt").write_text("0 1\n1 1\n")
+        assert validate_config(text).source == missing
+
     def test_formats_key_rejected(self):
         with pytest.raises(ConfigurationError, match="line 2: unknown key 'formats'"):
             validate_config("[output]\nformats = csv\n")
@@ -246,6 +255,18 @@ class TestRunnerPipelines:
             "contrast.csv", "spectrum.csv", "densities.csv", "energies.csv",
             "summary.json",
         }
+
+    def test_manifest_records_peak_rss(self, tmp_path):
+        ok_dir, failed_dir = str(tmp_path / "ok"), str(tmp_path / "failed")
+        runner.run_quench(validate_config(EFFPOT_FAST.format(outdir=ok_dir)))
+        cfg = validate_config(EFFPOT_FAST.format(outdir=failed_dir))
+        cfg.n_points = 8  # below the grid minimum
+        with pytest.raises(ConfigurationError):
+            runner.run_relax(cfg)
+        for outdir, status in ((ok_dir, "ok"), (failed_dir, "failed")):
+            manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+            assert manifest["status"] == status
+            assert manifest["diagnostics"]["peak_rss_mb"] > 0
 
     def test_determinism_across_reruns(self, tmp_path):
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -666,6 +687,13 @@ class TestCli:
         path = self._write_cfg(tmp_path, "[system]\ng_bb = -2\n")
         assert cli.main(["validate", "--config", path]) == 2
         assert "g_bb" in capsys.readouterr().err
+
+    def test_validate_refuses_missing_density_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "rho.txt")
+        path = self._write_cfg(tmp_path, MINIMAL + f"[solver.effpot]\nsource = {missing}\n")
+        assert cli.main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "solver.effpot.source" in err and missing in err
 
     def test_missing_file_exit_code(self, capsys):
         assert cli.main(["validate", "--config", "/nonexistent.cfg"]) == 2

@@ -12,7 +12,7 @@ from scipy.special import gamma as gamma_fn
 
 import ed_oracle
 from polaron1d import exactdiag as ed
-from polaron1d.errors import ConfigurationError, SizeError, UsageError
+from polaron1d.errors import ConfigurationError, ConvergenceError, SizeError, UsageError
 from polaron1d.grid import ho_mode_basis
 
 
@@ -257,6 +257,44 @@ class TestHamiltonian:
         overlap = abs(np.vdot(vecs[:, 0], v))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "n_bath, n_modes, g_bb, g_bi, parity",
+        # the last is the fermionized two-body limit: its ground state is odd
+        # under x -> -x, the sector a parity-even start vector never reaches
+        [(3, 6, 0.5, 1.8, 0), (1, 14, 0.0, 1e3, 1)],
+        ids=["even-3x6", "odd-1x14"],
+    )
+    def test_lanczos_matches_dense_eigh(self, grid, n_bath, n_modes, g_bb, g_bi, parity):
+        fock = ed.build_fock_basis(n_bath, n_modes)
+        h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=ho_mode_basis(grid, n_modes))
+        assert h.dim > 32  # past the dense fallback
+        v, e = ed.ground_state(h)
+        w, vecs = np.linalg.eigh(h.to_dense())
+        assert abs(e - w[0]) <= 1e-10
+        assert abs(abs(np.vdot(vecs[:, 0], v)) - 1.0) <= 1e-8
+        bath_quanta = fock.occupations @ np.arange(n_modes)
+        sector = (bath_quanta[:, None] + np.arange(n_modes)[None, :]).reshape(-1) % 2
+        assert np.sum(np.abs(v[sector == parity]) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_real_vectors_stay_real(self, basis10, rng):
+        fock = ed.build_fock_basis(3, 10)
+        h = ed.build_hamiltonian(fock, 0.5, 1.2, basis=basis10)
+        x = rng.standard_normal(h.dim)
+        hx = h.matvec(x)
+        assert hx.dtype == np.float64
+        assert np.max(np.abs(hx - h.matvec(x.astype(complex)))) <= 1e-12 * np.max(np.abs(hx))
+
+    def test_step_cap_raises_convergence_error(self, basis10, monkeypatch):
+        fock = ed.build_fock_basis(2, 10)
+        h = ed.build_hamiltonian(fock, 0.5, 0.8, basis=basis10)
+        monkeypatch.setattr(ed, "GROUND_STATE_MAX_STEPS", 5)
+        with pytest.raises(ConvergenceError, match="after 5 steps") as info:
+            ed.ground_state(h)
+        # the trace holds the lowest Ritz value of each step, which can only fall
+        trace = info.value.trace
+        assert trace.shape == (5,)
+        assert np.all(np.diff(trace) <= 1e-12)
+
 
 class TestKrylov:
     def test_diagonal_evolution_phases(self, basis10):
@@ -266,9 +304,9 @@ class TestKrylov:
         rng = np.random.default_rng(11)
         v0 = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         v0 /= np.linalg.norm(v0)
-        traj = ed.propagate_krylov(h, v0, dt=0.1, t_max=7.3, record_every=73)
+        traj, states = ed_oracle.propagate_states(h, v0, dt=0.1, t_max=7.3, record_every=73)
         exact = np.exp(-1j * diag.reshape(-1) * 7.3) * v0
-        assert np.linalg.norm(traj.vectors[-1] - exact) < 1e-10
+        assert np.linalg.norm(states[-1] - exact) < 1e-10
 
     def test_matches_dense_expm(self, grid):
         basis = ho_mode_basis(grid, 6)
@@ -278,9 +316,9 @@ class TestKrylov:
         w, vecs = np.linalg.eigh(hd)
         mix = vecs[:, 0] + 0.5 * vecs[:, 3] + 0.2 * vecs[:, 10]
         mix = mix / np.linalg.norm(mix)
-        traj = ed.propagate_krylov(h, mix, dt=0.1, t_max=10.0, record_every=100)
+        traj, states = ed_oracle.propagate_states(h, mix, dt=0.1, t_max=10.0, record_every=100)
         exact = expm(-1j * hd * 10.0) @ mix
-        assert np.linalg.norm(traj.vectors[-1] - exact) < 1e-10
+        assert np.linalg.norm(states[-1] - exact) < 1e-10
 
     @pytest.fixture(scope="class")
     def system126(self, grid):
@@ -301,11 +339,11 @@ class TestKrylov:
         _, vecs = np.linalg.eigh(hd)
         mix = vecs[:, 0] + 0.5 * vecs[:, 3] + 0.2 * vecs[:, 10]
         mix = mix / np.linalg.norm(mix)
-        traj = ed.propagate_krylov(h, mix, dt=0.1, t_max=10.0, record_every=1)
+        traj, states = ed_oracle.propagate_states(h, mix, dt=0.1, t_max=10.0, record_every=1)
         assert traj.times.size == 101
         errors = [
             np.linalg.norm(vec - expm(-1j * hd * t) @ mix)
-            for t, vec in zip(traj.times, traj.vectors)
+            for t, vec in zip(traj.times, states)
         ]
         assert max(errors) <= 1e-12
         assert traj.max_krylov_dim <= ed.KRYLOV_MAX_DIM
@@ -318,18 +356,20 @@ class TestKrylov:
         v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
         v /= np.linalg.norm(v)
         calls = self.count_matvecs(monkeypatch, h)
-        traj = ed.propagate_krylov(h, v, dt=0.1, t_max=10.0, record_every=100)
+        traj, states = ed_oracle.propagate_states(h, v, dt=0.1, t_max=10.0, record_every=100)
         assert traj.times.size == 2
         assert len(calls) > ed.KRYLOV_MAX_DIM
         assert traj.max_krylov_dim <= ed.KRYLOV_MAX_DIM
-        assert np.linalg.norm(traj.vectors[-1] - expm(-1j * hd * traj.times[-1]) @ v) < 1e-10
+        assert np.linalg.norm(states[-1] - expm(-1j * hd * traj.times[-1]) @ v) < 1e-10
         assert traj.max_norm_drift < 1e-12
 
     @pytest.mark.parametrize("dt, t_max, record_every", [(0.1, 2.0, 3), (0.05, 3.0, 2), (0.07, 1.0, 1)])
     def test_record_times_accumulate_dt(self, system126, dt, t_max, record_every):
         h, _ = system126
         v0, _ = ed.ground_state(h)
-        traj = ed.propagate_krylov(h, v0, dt=dt, t_max=t_max, record_every=record_every)
+        traj, states = ed_oracle.propagate_states(
+            h, v0, dt=dt, t_max=t_max, record_every=record_every
+        )
         expected, t = [0.0], 0.0
         n_rec = int(round(t_max / dt)) // record_every
         for k in range(n_rec * record_every):
@@ -337,7 +377,7 @@ class TestKrylov:
             if (k + 1) % record_every == 0:
                 expected.append(t)
         assert np.array_equal(traj.times, np.asarray(expected))
-        assert traj.vectors.shape == (n_rec + 1, h.dim)
+        assert states.shape == (n_rec + 1, h.dim)
 
     def test_t_max_below_one_record_interval_is_refused(self, system126):
         # 0.06 / 0.05 rounds to one step, short of one 4-step record interval;
@@ -345,11 +385,11 @@ class TestKrylov:
         h, _ = system126
         v0, _ = ed.ground_state(h)
         with pytest.raises(ConfigurationError, match=r"time\.t_max.*time\.dt \* time\.record_every"):
-            ed.propagate_krylov(h, v0, dt=0.05, t_max=0.06, record_every=4)
+            ed_oracle.propagate_states(h, v0, dt=0.05, t_max=0.06, record_every=4)
         # a record_every that is no whole number >= 1 is refused, not coerced
         for bad in (0, -3, 2.5):
             with pytest.raises(ConfigurationError, match=r"time\.record_every = .* whole number"):
-                ed.propagate_krylov(h, v0, dt=0.05, t_max=0.06, record_every=bad)
+                ed_oracle.propagate_states(h, v0, dt=0.05, t_max=0.06, record_every=bad)
 
     def test_matvec_budget(self, basis10, monkeypatch):
         # the perfbench ed-quench point at g_bi = 1.8; matvec counts repeat
@@ -358,7 +398,7 @@ class TestKrylov:
         v0, _ = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
         h1 = ed.build_hamiltonian(fock, 0.5, 1.8, basis=basis10)
         calls = self.count_matvecs(monkeypatch, h1)
-        traj = ed.propagate_krylov(h1, v0, dt=0.05, t_max=3.0, record_every=2)
+        traj, states = ed_oracle.propagate_states(h1, v0, dt=0.05, t_max=3.0, record_every=2)
         assert traj.times.size == 31
         assert len(calls) <= 200
 
@@ -367,8 +407,8 @@ class TestKrylov:
         h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
         v0, _ = ed.ground_state(h0)
         h1 = ed.build_hamiltonian(fock, 0.5, 0.8, basis=basis10)
-        traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=5.0, record_every=5)
-        norms = np.linalg.norm(traj.vectors, axis=1)
+        traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=5.0, record_every=5)
+        norms = np.linalg.norm(states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
         assert traj.max_norm_drift < 1e-9
 
@@ -377,9 +417,9 @@ class TestKrylov:
         h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
         v0, _ = ed.ground_state(h0)
         h1 = ed.build_hamiltonian(fock, 0.5, 1.0, basis=basis10)
-        traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=10.0, record_every=20)
+        traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=10.0, record_every=20)
         energies = [
-            float(np.real(np.vdot(traj.vectors[k], h1.matvec(traj.vectors[k]))))
+            float(np.real(np.vdot(states[k], h1.matvec(states[k]))))
             for k in range(traj.times.size)
         ]
         e0 = energies[0]
@@ -391,8 +431,8 @@ class TestContrast:
         fock = ed.build_fock_basis(2, 10)
         h = ed.build_hamiltonian(fock, 0.5, 0.3, basis=basis10)
         v0, e0 = ed.ground_state(h)
-        traj = ed.propagate_krylov(h, v0, dt=0.1, t_max=5.0, record_every=5)
-        s = ed.ed_contrast(traj, v0, e0)
+        traj, states = ed_oracle.propagate_states(h, v0, dt=0.1, t_max=5.0, record_every=5)
+        s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
         assert np.max(np.abs(s.values - 1.0)) < 1e-8
 
     def test_min_contrast_decreases_with_coupling(self, basis10):
@@ -402,8 +442,8 @@ class TestContrast:
         minima = []
         for g in (0.1, 0.5, 1.0, 2.0):
             h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
-            traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=20.0, record_every=2)
-            s = ed.ed_contrast(traj, v0, e0)
+            traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=20.0, record_every=2)
+            s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
             assert np.max(np.abs(s.values)) <= 1.0 + 1e-10
             minima.append(float(np.min(np.abs(s.values))))
         assert all(a >= b for a, b in zip(minima, minima[1:]))
@@ -419,8 +459,8 @@ class TestSpectralShift:
         first_peaks = []
         for g in (0.3, 0.6, 1.0):
             h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
-            traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=40.0, record_every=1)
-            s = ed.ed_contrast(traj, v0, e0)
+            traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=40.0, record_every=1)
+            s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
             spec = spectral_function(s, window="hann")
             peaks = [p for p in find_peaks(spec, 0.2) if p["omega"] > spec.resolution]
             first_peaks.append(min(p["omega"] for p in peaks))
@@ -469,8 +509,8 @@ class TestSchmidt:
         fock = ed.build_fock_basis(3, 10)
         h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
         v0, _ = ed.ground_state(h0)
-        traj = ed.propagate_krylov(h0, v0, dt=0.1, t_max=3.0, record_every=10)
-        for vec in traj.vectors:
+        traj, states = ed_oracle.propagate_states(h0, v0, dt=0.1, t_max=3.0, record_every=10)
+        for vec in states:
             assert ed.schmidt(vec, fock.n_modes)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_entropy_grows_with_coupling(self, basis10):
@@ -480,8 +520,8 @@ class TestSchmidt:
         averages = []
         for g in (0.25, 0.5, 1.0, 2.0):
             h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
-            traj = ed.propagate_krylov(h1, v0, dt=0.1, t_max=20.0, record_every=4)
-            lambdas = np.array([ed.schmidt(vec, fock.n_modes) for vec in traj.vectors])
+            traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=20.0, record_every=4)
+            lambdas = np.array([ed.schmidt(vec, fock.n_modes) for vec in states])
             averages.append(float(np.mean(ed.entanglement_entropy(lambdas))))
         assert all(a <= b + 1e-12 for a, b in zip(averages, averages[1:]))
 

@@ -1,8 +1,11 @@
 """Start-up guard: importing the CLI and the runner, and a mean-field or
 effpot quench, load no scipy module. grid.py runs on numpy.fft, effpot solves
 with numpy.linalg.eigh, and the runner imports exactdiag, the one module with
-a module-level scipy import, when an ED run starts. The least-squares fits,
-which only breathing runs and the merged-lobe fallback reach, import
+a module-level scipy import, when an ED run starts. exactdiag imports
+scipy.sparse only: its ground state and its Krylov steps run on the package's
+own Lanczos recurrence, so an ED quench loads neither scipy.linalg nor
+scipy.sparse.linalg, and no package module imports either. The least-squares
+fits, which only breathing runs and the merged-lobe fallback reach, import
 scipy.optimize inside the function."""
 
 import os
@@ -14,6 +17,7 @@ from test_fft_imports import PACKAGE, scipy_imports
 
 SOURCES = sorted(PACKAGE.glob("*.py"))
 SCIPY_OWNER = "exactdiag.py"
+LINEAR_ALGEBRA = ("scipy.linalg", "scipy.sparse.linalg")
 LOADED_SCIPY = (
     "print(*[m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n"
 )
@@ -99,6 +103,18 @@ def test_ed_quench_loads_exactdiag_when_it_starts(tmp_path):
     )
     assert _fresh_process(code).split() == ["False", "True"]
     assert (tmp_path / "run" / "entropy.csv").exists()
+
+
+def test_ed_quench_loads_scipy_sparse_only(tmp_path):
+    code = _quench_code("ed", tmp_path / "run") + LOADED_SCIPY
+    loaded = _fresh_process(code).split()
+    assert "scipy.sparse" in loaded
+    assert [m for m in loaded if m.startswith(LINEAR_ALGEBRA)] == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_linear_algebra(path):
+    assert scipy_imports(path.read_text(encoding="utf-8"), LINEAR_ALGEBRA) == []
 
 
 def test_checker_tracks_function_bodies():
