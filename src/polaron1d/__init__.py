@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 from .grid import (
     Grid,
     Field,
-    SpinorImpurityState,
     HOBasis,
     build_grid,
     ho_mode_basis,
@@ -26,7 +25,6 @@ from .grid import (
 __all__ = [
     "Grid",
     "Field",
-    "SpinorImpurityState",
     "HOBasis",
     "build_grid",
     "ho_mode_basis",

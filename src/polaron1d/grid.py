@@ -243,8 +243,12 @@ def kinetic_matrix(grid):
     kinetic_matrix(grid) @ f.values[1:-1] is kinetic_apply(f).values[1:-1]."""
     n = grid.n_points - 2
     g = _sine_kernel(n, _kinetic_symbol(grid))
-    i = np.arange(1, n + 1)
-    return g[np.abs(i[:, None] - i)] - g[i[:, None] + i]
+    # the rows of the Toeplitz part g(|i - j|) are windows of g(|m|),
+    # m = 1-n..n-1, taken in reverse order; the rows of the Hankel part
+    # g(i + j) are windows of g(m), m = 2..2n
+    windows = np.lib.stride_tricks.sliding_window_view
+    toeplitz = windows(np.concatenate([g[n - 1 : 0 : -1], g[:n]]), n)[::-1]
+    return toeplitz - windows(g[2 : 2 * n + 1], n)
 
 
 def kinetic_expectation(f):
@@ -290,17 +294,6 @@ def evolve_coefficients(energies, coeffs, times):
     """Coefficients exp(-i E_n t) c_n of a stationary-state expansion evolved
     for a time t, or for each of an array of times (one row per time)."""
     return np.exp(-1j * np.multiply.outer(times, energies)) * coeffs
-
-
-@dataclass(frozen=True)
-class SpinorImpurityState:
-    """Spin-up/down impurity orbitals."""
-
-    up: Field
-    down: Field
-
-    def __post_init__(self):
-        self.up.grid.require_same(self.down.grid)
 
 
 @dataclass(frozen=True)

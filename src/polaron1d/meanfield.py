@@ -18,7 +18,16 @@ column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
 exactly in the bare trap's stationary states on the grid
-(`grid.stationary_states`), at the record points only.
+(`grid.stationary_states`), at the record points only. Each record is reduced
+where it is made, to the scalar series and to its overlaps with the initial
+bath and spin-up orbitals, from which `mean_field_contrast` builds S(t); a
+propagation keeps three states (first, middle and last record), so its
+memory does not grow with t_max.
+
+The relaxation ends with a Newton polish of the coupled stationarity
+equations. Its bordered Jacobian is two (n+1)^2 blocks, bath and spin-up,
+coupled only through diagonals proportional to g_BI, and it is solved by
+block elimination, never formed as one (2n+2)^2 matrix.
 
 The GP potentials of bath and spin-up, V_b = trap_b + g_BB (N_B - 1) |b|^2 +
 g_BI |u|^2 and V_u = trap_u + g_BI N_B |b|^2, are [|b|^2, |u|^2] C plus the
@@ -30,14 +39,13 @@ exponent of both factors at once, and every step writes into preallocated
 buffers.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError, StepSizeError, UsageError
 from .grid import (
     Field,
-    SpinorImpurityState,
     bare_ground_state,
     box_wavenumbers,
     evolve_coefficients,
@@ -73,10 +81,16 @@ class MeanFieldSystem:
 
 @dataclass(frozen=True)
 class MeanFieldState:
+    """The bath, spin-up and spin-down orbitals at one time, on one grid."""
+
     bath: Field
-    impurity: SpinorImpurityState
-    time: float
-    energy_reference: float
+    up: Field
+    down: Field
+    time: float = 0.0
+
+    def __post_init__(self):
+        self.bath.grid.require_same(self.up.grid)
+        self.up.grid.require_same(self.down.grid)
 
 
 def _trap(grid, omega):
@@ -114,7 +128,7 @@ def energy_breakdown(state, sys):
     grid = state.bath.grid
     dx = grid.dx
     n = sys.n_bath
-    b, u = state.bath, state.impurity.up
+    b, u = state.bath, state.up
     kin_b = n * kinetic_expectation(b)
     pot_b = n * float(np.sum(_trap(grid, sys.omega_b) * np.abs(b.values) ** 2) * dx)
     kin_i = kinetic_expectation(u)
@@ -130,10 +144,8 @@ def _stationarity(state, sys):
     application per orbital."""
     grid = state.bath.grid
     dx = grid.dx
-    orbitals = np.stack([state.bath.values, state.impurity.up.values], axis=1)
-    kinetic = np.stack(
-        [kinetic_apply(state.bath).values, kinetic_apply(state.impurity.up).values], axis=1
-    )
+    orbitals = np.stack([state.bath.values, state.up.values], axis=1)
+    kinetic = np.stack([kinetic_apply(state.bath).values, kinetic_apply(state.up).values], axis=1)
     h_phi = kinetic + _gp_potentials(sys, _stacked_traps(grid, sys), *orbitals.T) * orbitals
     mu = np.real(np.sum(np.conj(orbitals) * h_phi, axis=0)) * dx
     r = np.sqrt(np.sum(np.abs(h_phi - mu * orbitals) ** 2, axis=0) * dx)
@@ -259,20 +271,63 @@ POLISH_MAX_ITERATIONS = 10
 POLISH_TARGET = 1e-10
 
 
+def _bordered(t, shift, p, dx):
+    """The (n+1)^2 block [[t + diag(shift), -p], [p dx, 0]] of one orbital's
+    stationarity equation bordered by its chemical potential and its norm
+    constraint."""
+    ni = p.size
+    block = np.empty((ni + 1, ni + 1))
+    block[:ni, :ni] = t
+    block.reshape(-1)[: ni * (ni + 2) : ni + 2] += shift
+    block[:ni, ni] = -p
+    block[ni, :ni] = p * dx
+    block[ni, ni] = 0.0
+    return block
+
+
+def _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
+    """The Newton update (db, du, dmu_b, dmu_i) that solves J delta = -res,
+    J the bordered Jacobian of `_newton_polish`'s residual, by block
+    elimination.
+
+    J is the bath block [[T + diag(V_b + 2 g_BB (N_B - 1) b^2 - mu_b), -b],
+    [b dx, 0]] and the spin-up block [[T + diag(V_u - mu_i), -u], [u dx, 0]],
+    coupled only by diag(2 g_BI b u) in the bath rows and diag(2 g_BI N_B b u)
+    in the spin-up rows. The spin-up block is solved once, for the residual
+    and for the coupling columns where b u is nonzero; the bath block less
+    the coupling times those solutions then gives the bath update. At
+    g_BI = 0 there are no coupling columns: two (n+1)^2 solves with one
+    right-hand side each.
+    """
+    ni = pb.size
+    n = sys.n_bath
+    v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
+    couple = 2.0 * sys.g_bi * pb * pu
+    cols = np.flatnonzero(couple)
+    rhs = np.zeros((ni + 1, 1 + cols.size))
+    rhs[:ni, 0] = -res[ni : 2 * ni]
+    rhs[ni, 0] = -res[2 * ni + 1]
+    rhs[cols, 1 + np.arange(cols.size)] = n * couple[cols]
+    sol = np.linalg.solve(_bordered(t, v_u - mu_i, pu, dx), rhs)
+    z, y = sol[:, 0], sol[:, 1:]
+    bath = _bordered(t, v_b + 2.0 * sys.g_bb * (n - 1) * pb**2 - mu_b, pb, dx)
+    bath[:ni, cols] -= couple[:, None] * y[:ni]
+    xb = np.linalg.solve(bath, np.append(-res[:ni] - couple * z[:ni], -res[2 * ni]))
+    xu = z - y @ xb[cols]
+    return xb[:ni], xu[:ni], xb[ni], xu[ni]
+
+
 def _newton_polish(sys, grid, b, u):
     """Newton iteration on the coupled stationarity equations for real,
     positive orbitals (interior points), with the norm constraints and the
-    chemical potentials as unknowns. Returns improved real (b, u) or the
-    inputs when Newton does not reduce the residual (e.g. near-singular
-    Jacobian)."""
+    chemical potentials as unknowns; each update comes from `_newton_step`,
+    which solves the bordered Jacobian as two coupled (n+1)^2 blocks and
+    never forms it. Returns improved real (b, u) or the inputs when Newton
+    does not reduce the residual (e.g. near-singular Jacobian)."""
     dx = grid.dx
-    n = sys.n_bath
     ni = grid.n_points - 2
     t = kinetic_matrix(grid)
     traps = _stacked_traps(grid, sys)[1:-1]
-
-    def split(vec):
-        return vec[:ni], vec[ni : 2 * ni], vec[2 * ni], vec[2 * ni + 1]
 
     def residual(pb, pu, mu_b, mu_i):
         v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
@@ -288,8 +343,6 @@ def _newton_polish(sys, grid, b, u):
     mu_b = float(pb @ (t @ pb) * dx + np.sum(v_b * pb**2) * dx)
     mu_i = float(pu @ (t @ pu) * dx + np.sum(v_u * pu**2) * dx)
     best = (pb.copy(), pu.copy(), np.linalg.norm(residual(pb, pu, mu_b, mu_i)[: 2 * ni]) * np.sqrt(dx))
-    size = 2 * ni + 2
-    jac = np.zeros((size, size))
     for _ in range(POLISH_MAX_ITERATIONS):
         res = residual(pb, pu, mu_b, mu_i)
         rnorm = float(np.linalg.norm(res[: 2 * ni]) * np.sqrt(dx))
@@ -297,20 +350,10 @@ def _newton_polish(sys, grid, b, u):
             best = (pb.copy(), pu.copy(), rnorm)
         if rnorm < POLISH_TARGET:
             break
-        v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
-        jac[:ni, :ni] = t + np.diag(v_b + 2.0 * sys.g_bb * (n - 1) * pb**2 - mu_b)
-        jac[:ni, ni : 2 * ni] = np.diag(2.0 * sys.g_bi * pb * pu)
-        jac[:ni, 2 * ni] = -pb
-        jac[ni : 2 * ni, :ni] = np.diag(2.0 * sys.g_bi * n * pb * pu)
-        jac[ni : 2 * ni, ni : 2 * ni] = t + np.diag(v_u - mu_i)
-        jac[ni : 2 * ni, 2 * ni + 1] = -pu
-        jac[2 * ni, :ni] = pb * dx
-        jac[2 * ni + 1, ni : 2 * ni] = pu * dx
         try:
-            delta = np.linalg.solve(jac, -res)
+            db, du, dmu_b, dmu_i = _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res)
         except np.linalg.LinAlgError:
             break
-        db, du, dmu_b, dmu_i = split(delta)
         new_pb, new_pu = pb + db, pu + du
         new_mu_b, new_mu_i = mu_b + dmu_b, mu_i + dmu_i
         new_rnorm = float(
@@ -348,7 +391,8 @@ def relax_ground_state(sys, grid):
     orbital of the returned state is the relaxed spin-up orbital, which is the
     bare trap ground state only when sys.g_bi = 0; a relax run reports the
     spin-down impurity as `grid.bare_ground_state` instead.
-    Returns (MeanFieldState, RelaxResult).
+    Returns (MeanFieldState at time 0, RelaxResult); RelaxResult.energy is
+    the pre-quench energy E0 that `mean_field_contrast` takes.
     """
     bath, imp = _initial_guess(sys, grid)
     b = bath.values.real.copy()
@@ -361,8 +405,7 @@ def relax_ground_state(sys, grid):
     def current_state():
         fb = Field(grid, b.astype(np.complex128))
         fu = Field(grid, u.astype(np.complex128))
-        spinor = SpinorImpurityState(up=fu, down=fu)
-        return MeanFieldState(bath=fb, impurity=spinor, time=0.0, energy_reference=0.0)
+        return MeanFieldState(bath=fb, up=fu, down=fu)
 
     trace = []
     iterations = 0
@@ -432,7 +475,6 @@ def relax_ground_state(sys, grid):
     breakdown = energy_breakdown(state, sys)
     (mu_b, mu_i), (r_b, r_u) = _stationarity(state, sys)
     trace.append(breakdown.total)
-    state = replace(state, energy_reference=breakdown.total)
     result = RelaxResult(
         energy=breakdown.total,
         mu_bath=mu_b,
@@ -446,7 +488,19 @@ def relax_ground_state(sys, grid):
     return state, result
 
 
-def propagate(state, sys_post, dt, t_max, record_every=100):
+@dataclass(frozen=True)
+class MeanFieldTrajectory:
+    """What a propagation keeps: the record times, each record's overlaps
+    (<b0|b(t)>, <u0|u(t)>) with the initial bath and spin-up orbitals, one
+    row per record, and the states at the first, middle and last record
+    (indices 0, (n_records + 1) // 2 and n_records of the records 0..n_records)."""
+
+    times: np.ndarray = field(repr=False, compare=False)
+    overlaps: np.ndarray = field(repr=False, compare=False)
+    snapshots: tuple = field(repr=False, compare=False)
+
+
+def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     """Real-time propagation of the coupled equations: Strang split steps
     for the bath and spin-up orbitals, carried as one (n_points, 2) block.
 
@@ -459,7 +513,13 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     ConfigurationError). Aborts with a step-size advisory when a norm
     drifts by more than 1e-6 or the energy by more than 1e-6 relative.
 
-    Returns (trajectory, series) where trajectory is a list of MeanFieldState
+    Each record is reduced as it is produced: to the series, to its two
+    overlaps with the initial orbitals, and, for the first, middle and last
+    record, to a kept state. `observe(k, state)`, when given, also sees
+    record k's MeanFieldState, for k = 0, 1, ... in order. Memory held does
+    not grow with the number of records beyond the scalar series.
+
+    Returns (trajectory, series) where trajectory is a MeanFieldTrajectory
     and series a dict of TimeSeries; the energy series are keyed by
     observables.ENERGY_TERMS.
     """
@@ -474,46 +534,49 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
     kin_full = sine_filter(grid, kin_phases**2)
     # the spin-down expansion; real states, so every product is by parts
     down_energies, down_states = stationary_states(grid, _trap(grid, sys_post.omega_i))
-    down0 = state.impurity.down.values
+    down0 = state.down.values
     down_coeffs = (down0.real @ down_states + 1j * (down0.imag @ down_states)) * grid.dx
 
     cols = np.empty((grid.n_points, 2), dtype=np.complex128)
     cols[:, 0] = state.bath.values
-    cols[:, 1] = state.impurity.up.values
+    cols[:, 1] = state.up.values
     keys = ("norm_bath", "norm_up", "norm_down", *ENERGY_TERMS, "x_mean_up", "x2_up", "p2_up")
     records = {key: [] for key in keys}
-    trajectory = []
+    times, overlaps = [], []
+    snapshot_at = (0, (n_records + 1) // 2, n_records)
+    kept = {}
 
-    def record(t):
+    def record(k, t):
         amp = evolve_coefficients(down_energies, down_coeffs, t - state.time)
         down = Field(grid, down_states @ amp.real + 1j * (down_states @ amp.imag))
-        up = Field(grid, cols[:, 1])
         st = MeanFieldState(
-            bath=Field(grid, cols[:, 0]),
-            impurity=SpinorImpurityState(up=up, down=down),
-            time=t,
-            energy_reference=state.energy_reference,
+            bath=Field(grid, cols[:, 0]), up=Field(grid, cols[:, 1]), down=down, time=t
         )
-        trajectory.append(st)
         bd = energy_breakdown(st, sys_post)
+        times.append(t)
+        overlaps.append((inner(state.bath, st.bath), inner(state.up, st.up)))
+        if k in snapshot_at:
+            kept[k] = st
+        if observe is not None:
+            observe(k, st)
         records["norm_bath"].append(st.bath.norm2())
-        records["norm_up"].append(up.norm2())
+        records["norm_up"].append(st.up.norm2())
         records["norm_down"].append(down.norm2())
         for key in ENERGY_TERMS:
             records[key].append(getattr(bd, key))
-        records["x_mean_up"].append(expectation_x(up))
-        records["x2_up"].append(expectation_x2(up))
+        records["x_mean_up"].append(expectation_x(st.up))
+        records["x2_up"].append(expectation_x2(st.up))
         # <p^2> = 2 <T>, which energy_breakdown has computed on this state
         records["p2_up"].append(2.0 * bd.kinetic_i)
         return bd.total
 
-    e0 = record(state.time)
+    e0 = record(0, state.time)
     t = state.time
     parts = cols.view(np.float64)
     squares = np.empty_like(parts)
     angle = np.empty(cols.shape)
     phase = np.empty_like(cols)
-    for _ in range(n_records):
+    for k in range(1, n_records + 1):
         # merged Strang block: K/2 (V K)^{m-1} V K/2
         kin_half(cols)
         for sub in range(record_every):
@@ -528,7 +591,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
                 kin_full(cols)
         kin_half(cols)
         t += record_every * dt
-        e_now = record(t)
+        e_now = record(k, t)
         norm_drift = max(
             abs(records["norm_bath"][-1] - 1.0),
             abs(records["norm_up"][-1] - 1.0),
@@ -550,25 +613,28 @@ def propagate(state, sys_post, dt, t_max, record_every=100):
         key: TimeSeries(state.time, dt_sample, np.asarray(vals), label=key)
         for key, vals in records.items()
     }
+    trajectory = MeanFieldTrajectory(
+        times=np.array(times),
+        overlaps=np.array(overlaps),
+        snapshots=tuple(kept[k] for k in snapshot_at),
+    )
     return trajectory, series
 
 
-def mean_field_contrast(trajectory, initial, sys):
+def mean_field_contrast(times, overlaps, e0, n_bath):
     """Ramsey contrast S(t) = e^{i E0 t} <phi_B^0|phi_B(t)>^{N_B} <phi_up^0|phi_up(t)>
-    from a propagated trajectory; E0 is the pre-quench energy carried by `initial`
-    and N_B comes from the system. The alpha, beta reweighting is a separate exact
-    identity (observables.general_weights_contrast)."""
-    if not trajectory:
-        raise UsageError("empty trajectory")
-    initial.bath.grid.require_same(trajectory[0].bath.grid)
-    times = np.array([st.time for st in trajectory])
-    dts = np.diff(times)
-    if times.size < 2 or not np.allclose(dts, dts[0], rtol=1e-9, atol=1e-12):
-        raise UsageError("trajectory must be uniformly recorded")
-    e0 = initial.energy_reference
-    s_vals = np.empty(times.size, dtype=np.complex128)
-    for k, st in enumerate(trajectory):
-        ov_b = inner(initial.bath, st.bath)
-        ov_u = inner(initial.impurity.up, st.impurity.up)
-        s_vals[k] = np.exp(1j * e0 * st.time) * ov_u * ov_b**sys.n_bath
-    return TimeSeries(float(times[0]), float(dts[0]), s_vals, label="S(t)")
+    from the record times and the overlaps (<phi_B^0|phi_B(t)>,
+    <phi_up^0|phi_up(t)>) that `propagate` reduces each record to; E0 is the
+    pre-quench energy (RelaxResult.energy). The alpha, beta reweighting is a
+    separate exact identity (observables.general_weights_contrast)."""
+    times = np.asarray(times)
+    # Python complex arithmetic, record by record: for an exponent of 100 or
+    # more numpy's complex power rounds differently from repeated squaring
+    s_vals = np.array(
+        [
+            np.exp(1j * e0 * t) * ov_u * ov_b**n_bath
+            for t, (ov_b, ov_u) in zip(times.tolist(), np.asarray(overlaps).tolist())
+        ],
+        dtype=np.complex128,
+    )
+    return TimeSeries(float(times[0]), float(times[1] - times[0]), s_vals, label="S(t)")

@@ -13,7 +13,6 @@ import os
 import resource
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -238,7 +237,7 @@ def run_relax(cfg, directory=None):
         sys_pre = _mf_system(cfg, cfg.g_bi_initial)
         state, res = mf.relax_ground_state(sys_pre, grid)
         dens_b = state.bath.density(cfg.n_bath)
-        dens_u = state.impurity.up.density()
+        dens_u = state.up.density()
         # the spin-down impurity never couples to the bath: bare trap ground state
         dens_d = bare_ground_state(grid, omega=cfg.omega_i_initial).density()
         _write_csv(
@@ -284,31 +283,29 @@ def _run_quench_meanfield(cfg, out, grid):
     traj, series = mf.propagate(
         state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
     )
-    s_series = mf.mean_field_contrast(traj, state, sys_post)
+    s_series = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
     summary = _contrast_files(out, s_series, cfg)
     _write_csv(
         out.path("energies.csv"),
         ["t", *obs.ENERGY_TERMS],
         [series["total"].times] + [series[key].values for key in obs.ENERGY_TERMS],
     )
-    snaps = [0, len(traj) // 2, len(traj) - 1]
     cols = [grid.x]
     names = ["x"]
-    for idx in snaps:
-        st = traj[idx]
+    for st in traj.snapshots:
         cols += [
             np.real(st.bath.density(cfg.n_bath).values),
-            np.real(st.impurity.up.density().values),
-            np.real(st.impurity.down.density().values),
+            np.real(st.up.density().values),
+            np.real(st.down.density().values),
         ]
         tag = f"t{st.time:g}"
         names += [f"rho_bath_{tag}", f"rho_up_{tag}", f"rho_down_{tag}"]
     _write_csv(out.path("densities.csv"), names, cols)
-    final = traj[-1]
-    lam = obs.miscibility_overlap(final.impurity.up.density(), final.impurity.down.density())
+    final = traj.snapshots[-1]
+    lam = obs.miscibility_overlap(final.up.density(), final.down.density())
     summary.update(
         {
-            "energy_reference": state.energy_reference,
+            "energy_reference": res.energy,
             "miscibility_final": lam,
             "norm_drift": float(
                 max(abs(np.asarray(series["norm_bath"].values) - 1.0).max(),
@@ -505,7 +502,7 @@ def run_breathing(cfg, directory=None):
             sys_pre = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_initial)
             sys_post = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_final)
             state, _ = mf.relax_ground_state(sys_pre, grid)
-            traj, series = mf.propagate(
+            _, series = mf.propagate(
                 state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
             )
             x_mean = series["x_mean_up"]
@@ -604,6 +601,9 @@ def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory
             for k, value in enumerate(values)
         ]
         if jobs > 1:
+            # multiprocessing and its imports load only for a parallel sweep
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(_sweep_point, tasks))
         else:

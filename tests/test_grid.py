@@ -7,7 +7,9 @@ from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import (
     Field,
     _dct1,
+    _kinetic_symbol,
     _real_fft,
+    _sine_kernel,
     bare_ground_state,
     box_wavenumbers,
     build_grid,
@@ -144,6 +146,17 @@ def test_kinetic_matrix_matches_kinetic_apply(grid):
     ref = kinetic_apply(f).values[1:-1]
     out = kinetic_matrix(grid) @ f.values[1:-1]
     assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_points", [16, 450, 451])
+def test_kinetic_matrix_equals_the_index_formula(n_points):
+    # the windowed Toeplitz minus Hankel reads the same taps as the gathers
+    # g[|i - j|] - g[i + j], i, j = 1..n, so the entries agree exactly
+    grid = build_grid(n_points, 40.0)
+    n = n_points - 2
+    g = _sine_kernel(n, _kinetic_symbol(grid))
+    i = np.arange(1, n + 1)
+    assert np.array_equal(kinetic_matrix(grid), g[np.abs(i[:, None] - i)] - g[i[:, None] + i])
 
 
 def test_stationary_states_of_the_bare_trap(grid):

@@ -6,7 +6,8 @@ scipy.sparse only: its ground state and its Krylov steps run on the package's
 own Lanczos recurrence, so an ED quench loads neither scipy.linalg nor
 scipy.sparse.linalg, and no package module imports either. The least-squares
 fits, which only breathing runs and the merged-lobe fallback reach, import
-scipy.optimize inside the function."""
+scipy.optimize inside the function. The sweep's process pool, and with it
+multiprocessing, loads only when a sweep runs with more than one job."""
 
 import os
 import subprocess
@@ -86,6 +87,17 @@ def _quench_code(tier, outdir):
 
 def test_cli_import_leaves_slow_scipy_modules_unloaded():
     assert _fresh_process("import polaron1d.cli, polaron1d.runner\n" + LOADED_SCIPY).split() == []
+
+
+def test_multiprocessing_loads_only_for_a_parallel_sweep(tmp_path):
+    loaded = "print('multiprocessing' in sys.modules)\n"
+    code = (
+        "import polaron1d.cli, polaron1d.runner\n"
+        + loaded
+        + _quench_code("meanfield", tmp_path / "run")
+        + loaded
+    )
+    assert _fresh_process(code).split() == ["False", "False"]
 
 
 @pytest.mark.parametrize("tier", ["meanfield", "effpot"])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -6,11 +8,11 @@ from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import (
     Field,
-    SpinorImpurityState,
     bare_ground_state,
     box_wavenumbers,
     build_grid,
     expectation_x2,
+    inner,
     kinetic_expectation,
     kinetic_matrix,
     sine_filter,
@@ -22,6 +24,38 @@ from polaron1d.observables import (
 )
 
 TF_MU_CLOSED_FORM = (3 * 100 * 0.5 / (4 * np.sqrt(2))) ** (2.0 / 3.0)  # 8.8923
+
+
+def dense_newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
+    """Reference for `mf._newton_step`: the whole (2n+2)^2 bordered Jacobian
+    of the coupled stationarity equations, formed and solved at once."""
+    ni, n = pb.size, sys.n_bath
+    v_b, v_u = mf._gp_potentials(sys, traps, pb, pu).T
+    jac = np.zeros((2 * ni + 2, 2 * ni + 2))
+    jac[:ni, :ni] = t + np.diag(v_b + 2.0 * sys.g_bb * (n - 1) * pb**2 - mu_b)
+    jac[:ni, ni : 2 * ni] = np.diag(2.0 * sys.g_bi * pb * pu)
+    jac[:ni, 2 * ni] = -pb
+    jac[ni : 2 * ni, :ni] = np.diag(2.0 * sys.g_bi * n * pb * pu)
+    jac[ni : 2 * ni, ni : 2 * ni] = t + np.diag(v_u - mu_i)
+    jac[ni : 2 * ni, 2 * ni + 1] = -pu
+    jac[2 * ni, :ni] = pb * dx
+    jac[2 * ni + 1, ni : 2 * ni] = pu * dx
+    delta = np.linalg.solve(jac, -res)
+    return delta[:ni], delta[ni : 2 * ni], delta[2 * ni], delta[2 * ni + 1]
+
+
+def traced_peak_and_held(fn):
+    """fn()'s result, the tracemalloc peak during the call and the memory
+    still held after it, in bytes."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - before, held - before
 
 
 class TestThomasFermi:
@@ -81,7 +115,7 @@ class TestRelax:
 
     def test_relaxed_orbitals_are_real(self, relaxed_default):
         state, _ = relaxed_default
-        for f in (state.bath, state.impurity.up, state.impurity.down):
+        for f in (state.bath, state.up, state.down):
             assert f.values.dtype == np.complex128
             assert np.all(f.values.imag == 0.0)
 
@@ -116,14 +150,76 @@ class TestRelax:
         assert l2_dev < 0.03
 
 
+class TestNewtonPolish:
+    @pytest.mark.parametrize("g_bi", [0.0, 1.5])
+    def test_block_step_matches_dense_solve(self, g_bi):
+        grid = build_grid(64, 8.0)
+        sys = mf.MeanFieldSystem(n_bath=20, g_bb=0.5, g_bi=g_bi)
+        x, dx = grid.x[1:-1], grid.dx
+        pb = np.exp(-0.3 * x**2) * (1.0 + 0.1 * x)
+        pu = np.exp(-0.5 * (x - 0.4) ** 2)
+        pb /= np.sqrt(np.sum(pb**2) * dx)
+        pu /= np.sqrt(np.sum(pu**2) * dx)
+        t = kinetic_matrix(grid)
+        traps = mf._stacked_traps(grid, sys)[1:-1]
+        res = np.random.default_rng(5).standard_normal(2 * x.size + 2)
+        args = (sys, t, traps, dx, pb, pu, 3.1, 1.7, res)
+        got = np.concatenate([np.atleast_1d(p) for p in mf._newton_step(*args)])
+        ref = np.concatenate([np.atleast_1d(p) for p in dense_newton_step(*args)])
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("g_bi", [0.0, 1.0, 3.0])
+    def test_relaxed_energy_matches_dense_solve(self, grid, monkeypatch, g_bi):
+        sys = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=g_bi)
+        _, res = mf.relax_ground_state(sys, grid)
+        monkeypatch.setattr(mf, "_newton_step", dense_newton_step)
+        _, ref = mf.relax_ground_state(sys, grid)
+        assert res.energy == pytest.approx(ref.energy, rel=1e-12, abs=0.0)
+
+    def test_relaxation_peak_memory(self, grid, default_system):
+        # the dense (2n+2)^2 Jacobian and its solver copy set a 10.2 MB peak
+        _, peak, _ = traced_peak_and_held(lambda: mf.relax_ground_state(default_system, grid))
+        assert peak <= 7e6
+
+
 class TestPropagate:
+    def test_memory_held_does_not_grow_with_records(self, relaxed_default):
+        state, _ = relaxed_default
+        sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.0)
+
+        def run(n_records):
+            return mf.propagate(state, sys_post, dt=5e-4, t_max=n_records * 1e-3, record_every=2)
+
+        run(1)  # cached kinetic filters are built once per grid
+        held = {n: traced_peak_and_held(lambda: run(n))[2] for n in (100, 400)}
+        # a kept state per record would hold 21.6 kB each (three 450-point fields)
+        assert abs(held[400] - held[100]) < 0.5e6
+
+    def test_records_reduce_to_overlaps_and_three_snapshots(self, relaxed_default):
+        state, _ = relaxed_default
+        sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.0)
+        seen = []
+        traj, _ = mf.propagate(
+            state, sys_post, dt=5e-4, t_max=0.25, record_every=100,
+            observe=lambda k, st: seen.append((k, st)),
+        )
+        assert [k for k, _ in seen] == list(range(6))
+        states = [st for _, st in seen]
+        assert np.array_equal(traj.times, [st.time for st in states])
+        direct = [(inner(state.bath, st.bath), inner(state.up, st.up)) for st in states]
+        assert np.array_equal(traj.overlaps, direct)
+        assert [st.time for st in traj.snapshots] == [states[k].time for k in (0, 3, 5)]
+        for snap, k in zip(traj.snapshots, (0, 3, 5)):
+            for name in ("bath", "up", "down"):
+                assert np.array_equal(getattr(snap, name).values, getattr(states[k], name).values)
+
     def test_stationary_state(self, relaxed_default, default_system):
         state, _ = relaxed_default
         traj, series = mf.propagate(
             state, default_system, dt=5e-4, t_max=2.0, record_every=400
         )
-        rho0 = np.abs(traj[0].bath.values) ** 2
-        rho_t = np.abs(traj[-1].bath.values) ** 2
+        rho0 = np.abs(traj.snapshots[0].bath.values) ** 2
+        rho_t = np.abs(traj.snapshots[-1].bath.values) ** 2
         assert np.max(np.abs(rho_t - rho0)) < 1e-7
         for key in ("norm_bath", "norm_up", "norm_down"):
             assert np.max(np.abs(np.asarray(series[key].values) - 1.0)) < 1e-10
@@ -140,13 +236,17 @@ class TestPropagate:
         else:
             state, _ = relaxed_default
             sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0, omega_i=1.3)
-        traj, series = mf.propagate(state, sys_post, dt=5e-4, t_max=1.0, record_every=400)
+        traj = []
+        _, series = mf.propagate(
+            state, sys_post, dt=5e-4, t_max=1.0, record_every=400,
+            observe=lambda k, st: traj.append(st),
+        )
         h0 = kinetic_matrix(grid) + np.diag(0.5 * sys_post.omega_i**2 * grid.x[1:-1] ** 2)
-        psi0 = state.impurity.down.values[1:-1]
+        psi0 = state.down.values[1:-1]
         assert len(traj) == 6
         for st in traj:
             exact = expm(-1j * h0 * st.time) @ psi0
-            err = np.sqrt(np.sum(np.abs(st.impurity.down.values[1:-1] - exact) ** 2) * grid.dx)
+            err = np.sqrt(np.sum(np.abs(st.down.values[1:-1] - exact) ** 2) * grid.dx)
             assert err <= 1e-12
         assert np.max(np.abs(np.asarray(series["norm_down"].values) - 1.0)) < 1e-13
 
@@ -154,20 +254,23 @@ class TestPropagate:
     def test_spin_down_moments_match_closed_form(self, grid, omega0, omega):
         # a bare Gaussian of frequency omega0 released into a trap of frequency
         # omega; bath and spin-up sit in their own trap ground states
-        spinor = SpinorImpurityState(
-            up=bare_ground_state(grid, omega), down=bare_ground_state(grid, omega0)
-        )
         state = mf.MeanFieldState(
-            bath=bare_ground_state(grid), impurity=spinor, time=0.0, energy_reference=0.0
+            bath=bare_ground_state(grid),
+            up=bare_ground_state(grid, omega),
+            down=bare_ground_state(grid, omega0),
         )
         sys_post = mf.MeanFieldSystem(n_bath=1, g_bb=0.0, g_bi=0.0, omega_i=omega)
-        traj, _ = mf.propagate(state, sys_post, dt=1e-3, t_max=4.0, record_every=100)
+        traj = []
+        mf.propagate(
+            state, sys_post, dt=1e-3, t_max=4.0, record_every=100,
+            observe=lambda k, st: traj.append(st),
+        )
         t = np.array([st.time for st in traj])
         c2, s2 = np.cos(omega * t) ** 2, np.sin(omega * t) ** 2
         x2 = c2 / (2 * omega0) + omega0 * s2 / (2 * omega**2)
         p2 = 0.5 * omega0 * c2 + omega**2 * s2 / (2 * omega0)
-        got_x2 = [expectation_x2(st.impurity.down) for st in traj]
-        got_p2 = [2.0 * kinetic_expectation(st.impurity.down) for st in traj]
+        got_x2 = [expectation_x2(st.down) for st in traj]
+        got_p2 = [2.0 * kinetic_expectation(st.down) for st in traj]
         assert t[-1] == pytest.approx(4.0)
         assert np.max(np.abs(got_x2 - x2)) < 1e-11
         assert np.max(np.abs(got_p2 - p2)) < 1e-11
@@ -176,8 +279,11 @@ class TestPropagate:
         # the record reuses energy_breakdown's kinetic energy: <p^2> = 2 <T>
         state, _ = relaxed_default
         sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.5)
-        traj, series = mf.propagate(state, sys_post, dt=5e-4, t_max=0.2, record_every=100)
-        direct = [2.0 * kinetic_expectation(st.impurity.up) for st in traj]
+        direct = []
+        _, series = mf.propagate(
+            state, sys_post, dt=5e-4, t_max=0.2, record_every=100,
+            observe=lambda k, st: direct.append(2.0 * kinetic_expectation(st.up)),
+        )
         assert np.array_equal(series["p2_up"].values, direct)
 
     def test_record_interval_matches_dense_split_steps(self):
@@ -188,11 +294,10 @@ class TestPropagate:
         kick = np.exp(0.4j * grid.x)
         bath = Field(grid, np.exp(-0.5 * (grid.x - 0.3) ** 2) * kick).normalized()
         up = Field(grid, np.exp(-0.6 * (grid.x + 0.5) ** 2) / kick).normalized()
-        state = mf.MeanFieldState(
-            bath=bath, impurity=SpinorImpurityState(up=up, down=up), time=0.0, energy_reference=0.0
-        )
+        state = mf.MeanFieldState(bath=bath, up=up, down=up)
         dt, n = 1e-3, sys_post.n_bath
         traj, _ = mf.propagate(state, sys_post, dt=dt, t_max=3 * dt, record_every=3)
+        final = traj.snapshots[-1]
         energies, vecs = np.linalg.eigh(kinetic_matrix(grid))
         kin_half = (vecs * np.exp(-0.5j * dt * energies)) @ vecs.T
         kin_full = (vecs * np.exp(-1j * dt * energies)) @ vecs.T
@@ -205,9 +310,9 @@ class TestPropagate:
             if step < 2:
                 b, u = kin_full @ b, kin_full @ u
         b, u = kin_half @ b, kin_half @ u
-        assert traj[-1].time == pytest.approx(3 * dt, abs=1e-15)
-        assert np.max(np.abs(traj[-1].bath.values[1:-1] - b)) <= 1e-12
-        assert np.max(np.abs(traj[-1].impurity.up.values[1:-1] - u)) <= 1e-12
+        assert final.time == pytest.approx(3 * dt, abs=1e-15)
+        assert np.max(np.abs(final.bath.values[1:-1] - b)) <= 1e-12
+        assert np.max(np.abs(final.up.values[1:-1] - u)) <= 1e-12
 
     def test_t_max_below_one_record_interval_is_refused(self, relaxed_default, default_system):
         # 100 steps are short of one 200-step record interval; the run must
@@ -221,11 +326,11 @@ class TestPropagate:
                 mf.propagate(state, default_system, dt=5e-4, t_max=0.05, record_every=bad)
 
     def test_unquenched_contrast_stays_unity(self, relaxed_default, default_system):
-        state, _ = relaxed_default
+        state, res = relaxed_default
         traj, _ = mf.propagate(
             state, default_system, dt=5e-4, t_max=2.0, record_every=400
         )
-        s = mf.mean_field_contrast(traj, state, default_system)
+        s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, default_system.n_bath)
         assert s.values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(np.abs(s.values) - 1.0)) < 1e-8
 
@@ -244,20 +349,20 @@ class TestPropagate:
         assert np.max(np.abs(e - e[0])) < 1e-6 * abs(e[0])
 
     def test_contrast_monotone_in_coupling(self, relaxed_default):
-        state, _ = relaxed_default
+        state, res = relaxed_default
         mags = {}
         for g in (0.1, 1.0):
             sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=g)
             traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=5.0, record_every=500)
-            s = mf.mean_field_contrast(traj, state, sys_post)
+            s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
             mags[g] = abs(s.values[-1])
         assert mags[1.0] <= mags[0.1]
 
     def test_weights_identity_on_run(self, relaxed_default):
-        state, _ = relaxed_default
+        state, res = relaxed_default
         sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.5)
         traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=3.0, record_every=500)
-        s = mf.mean_field_contrast(traj, state, sys_post)
+        s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
         a, b = 0.6, 0.8
         out = general_weights_contrast(s, a, b)
         svals = s.values

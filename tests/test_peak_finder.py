@@ -102,10 +102,10 @@ def assert_spectrum_parity(spec, peak_calls):
 
 
 def test_meanfield_spectrum(relaxed_default, peak_calls):
-    state, _ = relaxed_default
+    state, res = relaxed_default
     sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.0)
     traj, _ = mf.propagate(state, sys_post, dt=2e-3, t_max=10.0, record_every=25)
-    s = mf.mean_field_contrast(traj, state, sys_post)
+    s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
     assert_spectrum_parity(obs.spectral_function(s, window="hann"), peak_calls)
 
 
