@@ -1,10 +1,11 @@
 """Correlated tier: N_B bath bosons plus one spin-up impurity, both expanded
 in the fixed harmonic-oscillator mode basis. Exact Hamiltonian action on the
-truncated Fock space, real Lanczos ground states, real-time propagation by
-error-controlled Krylov steps that each serve every record time within their
-reach, exact contrast, Schmidt weights and the entanglement entropy. Both
-solvers run on one fully reorthogonalized Lanczos recurrence; the only scipy
-module the tier loads is scipy.sparse.
+truncated Fock space, real Lanczos ground states at every dimension (no dense
+diagonalization), real-time propagation by error-controlled Krylov steps that
+each serve every record time within their reach, exact contrast, Schmidt
+weights and the entanglement entropy. Both solvers run on one fully
+reorthogonalized Lanczos recurrence; the only scipy module the tier loads is
+scipy.sparse.
 
 A many-body state is a plain complex array of amplitudes indexed as (bath
 Fock state) x (impurity mode): `ground_state` returns one, `propagate_krylov`
@@ -39,8 +40,8 @@ nodes come in pairs +-x_q with psi_{+-q} psi_{+-q} = P_q +- R_q, the parts
 with k + l even and odd, so a pair contributes g_bb W_q (P_q^T P_q +
 R_q^T R_q) and no parity-forbidden entry is ever formed. H_BB is positive
 semidefinite by construction (<V|H_BB|V> = ||B V||^2) and exactly zero for
-N_B <= 1, where B has no rows. The dense matrix, for small checks, is the
-matrix action on the identity columns.
+N_B <= 1, where B has no rows. The dense matrix, a reference for checks that
+no solver uses, is the matrix action on the identity columns.
 """
 
 import itertools
@@ -394,37 +395,34 @@ def _deterministic_start(dim):
 
 def ground_state(h):
     """Lowest eigenpair by a real Lanczos iteration from a deterministic
-    near-uniform start; dense fallback for tiny dimensions. The iteration
-    stops when the Ritz residual beta_m |u_m0| of the lowest Ritz pair is
-    within GROUND_STATE_TOL / 100 relative to max(1, |theta|), and raises
-    ConvergenceError with the trace of lowest Ritz values when
+    near-uniform start, at every dimension. The iteration stops when the
+    Ritz residual beta_m |u_m0| of the lowest Ritz pair is within
+    GROUND_STATE_TOL / 100 relative to max(1, |theta|), which includes a
+    breakdown of the Krylov space (beta_m < 1e-13 at an invariant subspace,
+    as at g = 0), and raises ConvergenceError with the trace of lowest Ritz values when
     GROUND_STATE_MAX_STEPS vectors do not get there. The residual
     ||Hv - Ev|| of the returned state is verified against GROUND_STATE_TOL."""
     dim = h.dim
-    if dim <= 32:
-        w, vecs = np.linalg.eigh(h.to_dense())
-        energy, vec = float(w[0]), vecs[:, 0]
-    else:
-        steps = min(GROUND_STATE_MAX_STEPS, dim)
-        thetas = []
+    steps = min(GROUND_STATE_MAX_STEPS, dim)
+    thetas = []
 
-        def converged(w, u, beta):
-            thetas.append(float(w[0]))
-            if beta * abs(u[-1, 0]) <= GROUND_STATE_TOL * 1e-2 * max(1.0, abs(w[0])):
-                return True
-            if w.size == steps:
-                raise ConvergenceError(
-                    f"Lanczos ground state: Ritz residual {beta * abs(u[-1, 0]):.2e} "
-                    f"after {steps} steps",
-                    trace=np.array(thetas),
-                )
-            return False
+    def converged(w, u, beta):
+        thetas.append(float(w[0]))
+        if beta * abs(u[-1, 0]) <= GROUND_STATE_TOL * 1e-2 * max(1.0, abs(w[0])):
+            return True
+        if w.size == steps:
+            raise ConvergenceError(
+                f"Lanczos ground state: Ritz residual {beta * abs(u[-1, 0]):.2e} "
+                f"after {steps} steps",
+                trace=np.array(thetas),
+            )
+        return False
 
-        # rows the iteration never reaches are never written, so the cap costs
-        # address space, not resident memory
-        basis = np.empty((steps, dim))
-        vm, w, u, _ = _lanczos(h.matvec, _deterministic_start(dim), basis, converged)
-        energy, vec = float(w[0]), u[:, 0] @ vm
+    # rows the iteration never reaches are never written, so the cap costs
+    # address space, not resident memory
+    basis = np.empty((steps, dim))
+    vm, w, u, _ = _lanczos(h.matvec, _deterministic_start(dim), basis, converged)
+    energy, vec = float(w[0]), u[:, 0] @ vm
     vec = vec.astype(np.complex128) / np.linalg.norm(vec)
     lead = int(np.argmax(np.abs(vec)))
     phase = vec[lead] / abs(vec[lead])

@@ -12,8 +12,9 @@ so the energy bookkeeping refers to the spin-up branch.
 
 Both loops are time-splitting sine-spectral methods (Bao, Jaksch &
 Markowich, J. Comput. Phys. 187, 318 (2003)); the relaxation is their
-normalized gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)).
-The relaxation carries the real bath and spin-up orbitals as one complex
+normalized gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) at
+one imaginary step, run until its stationarity residual stalls at the
+splitting bias. It carries the real bath and spin-up orbitals as one complex
 column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
@@ -25,9 +26,11 @@ propagation keeps three states (first, middle and last record), so its
 memory does not grow with t_max.
 
 The relaxation ends with a Newton polish of the coupled stationarity
-equations. Its bordered Jacobian is two (n+1)^2 blocks, bath and spin-up,
-coupled only through diagonals proportional to g_BI, and it is solved by
-block elimination, never formed as one (2n+2)^2 matrix.
+equations, which sets the accuracy of the ground state: a polished GP
+stationarity residual above RELAX_TOL raises ConvergenceError. Its bordered
+Jacobian is two (n+1)^2 blocks, bath and spin-up, coupled only through
+diagonals proportional to g_BI, and it is solved by block elimination, never
+formed as one (2n+2)^2 matrix.
 
 The GP potentials of bath and spin-up, V_b = trap_b + g_BB (N_B - 1) |b|^2 +
 g_BI |u|^2 and V_u = trap_u + g_BI N_B |b|^2, are [|b|^2, |u|^2] C plus the
@@ -255,15 +258,17 @@ def _initial_guess(sys, grid):
     return bath, bare_ground_state(grid, sys.omega_i)
 
 
-# imaginary-step ladder for the split-step relaxation; a Newton polish of the
-# coupled stationarity equations removes the residual O(tau^2) splitting bias
-# afterwards (energy criteria alone are quadratically blind to state error)
-RELAX_SCHEDULE = (2e-2, 4e-3, 1e-3)
+# imaginary step of the split-step relaxation, which only has to bring the
+# state into the reach of the Newton polish: RELAX_TAU, or RELAX_TAU_MU / mu_B
+# for a stiffer bath of initial chemical potential mu_B (at tau mu_B ~ 1 the
+# split-step fixed point is far from stationary). The polish then removes the
+# O(tau^2) splitting bias, and RELAX_TOL bounds the GP stationarity residual it
+# must reach (energy criteria are quadratically blind to state error)
+RELAX_TAU = 2e-2
+RELAX_TAU_MU = 0.5
 RELAX_MAX_ITERATIONS = 400_000
 RELAX_CHECK_EVERY = 100
-# bound on the per-step relative energy change that ends the finest stage;
-# the chemical-potential drift must stay below ten times it
-RELAX_TOL = 1e-10
+RELAX_TOL = 1e-8
 
 
 # Newton polish: iteration cap and the stationarity residual that ends it early
@@ -318,12 +323,13 @@ def _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
 
 
 def _newton_polish(sys, grid, b, u):
-    """Newton iteration on the coupled stationarity equations for real,
-    positive orbitals (interior points), with the norm constraints and the
+    """Newton iteration on the coupled stationarity equations for the real,
+    positive float orbitals b and u (interior points), with the norm constraints and the
     chemical potentials as unknowns; each update comes from `_newton_step`,
     which solves the bordered Jacobian as two coupled (n+1)^2 blocks and
-    never forms it. Returns improved real (b, u) or the inputs when Newton
-    does not reduce the residual (e.g. near-singular Jacobian)."""
+    never forms it. Returns the real (b, u) of the smallest residual reached,
+    the inputs when Newton does not reduce it (e.g. near-singular Jacobian);
+    `relax_ground_state` gates the result against RELAX_TOL."""
     dx = grid.dx
     ni = grid.n_points - 2
     t = kinetic_matrix(grid)
@@ -337,33 +343,26 @@ def _newton_polish(sys, grid, b, u):
         cu = 0.5 * (np.sum(pu**2) * dx - 1.0)
         return np.concatenate([hb, hu, [cb, cu]])
 
-    pb = np.real(b[1:-1]).copy()
-    pu = np.real(u[1:-1]).copy()
+    pb, pu = b[1:-1], u[1:-1]
     v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
     mu_b = float(pb @ (t @ pb) * dx + np.sum(v_b * pb**2) * dx)
     mu_i = float(pu @ (t @ pu) * dx + np.sum(v_u * pu**2) * dx)
-    best = (pb.copy(), pu.copy(), np.linalg.norm(residual(pb, pu, mu_b, mu_i)[: 2 * ni]) * np.sqrt(dx))
+    res = residual(pb, pu, mu_b, mu_i)
     for _ in range(POLISH_MAX_ITERATIONS):
-        res = residual(pb, pu, mu_b, mu_i)
         rnorm = float(np.linalg.norm(res[: 2 * ni]) * np.sqrt(dx))
-        if rnorm < best[2]:
-            best = (pb.copy(), pu.copy(), rnorm)
         if rnorm < POLISH_TARGET:
             break
         try:
             db, du, dmu_b, dmu_i = _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res)
         except np.linalg.LinAlgError:
             break
-        new_pb, new_pu = pb + db, pu + du
-        new_mu_b, new_mu_i = mu_b + dmu_b, mu_i + dmu_i
-        new_rnorm = float(
-            np.linalg.norm(residual(new_pb, new_pu, new_mu_b, new_mu_i)[: 2 * ni])
-            * np.sqrt(dx)
-        )
-        if not np.isfinite(new_rnorm) or new_rnorm > 0.9 * rnorm:
+        new = (pb + db, pu + du, mu_b + dmu_b, mu_i + dmu_i)
+        new_res = residual(*new)
+        # a step is kept only when it cuts the residual, so the current
+        # iterate is always the best one reached
+        if not np.linalg.norm(new_res[: 2 * ni]) * np.sqrt(dx) <= 0.9 * rnorm:
             break
-        pb, pu, mu_b, mu_i = new_pb, new_pu, new_mu_b, new_mu_i
-    pb, pu, _ = best
+        (pb, pu, mu_b, mu_i), res = new, new_res
     b_out = np.zeros_like(b)
     u_out = np.zeros_like(u)
     b_out[1:-1] = pb
@@ -374,23 +373,26 @@ def _newton_polish(sys, grid, b, u):
 
 
 def relax_ground_state(sys, grid):
-    """Imaginary-time relaxation of the coupled bath + spin-up equations.
+    """Imaginary-time relaxation of the coupled bath + spin-up equations,
+    finished by a Newton solve of their stationarity equations.
 
     Each imaginary step is the Strang step K^1/2 P K^1/2 followed by a
     normalization, with P = exp(-tau V) and K = exp(-tau T) the decay
-    filter. K^1/2 is real symmetric, so between two potential steps
-    K^1/2 . normalize . K^1/2 maps w to K w / sqrt(dx <w, K w>): the loop
-    applies K once per step and takes the norm from the same product. K^1/2
-    itself runs only at the start of a stage and at each convergence check,
-    where the normalized orbitals are read. The real orbitals b and u share
-    the decay filter, so they travel as one complex column b + i u.
+    filter, at one tau = min(RELAX_TAU, RELAX_TAU_MU / mu_B). K^1/2 is real
+    symmetric, so between two potential steps K^1/2 . normalize . K^1/2 maps
+    w to K w / sqrt(dx <w, K w>): the loop applies K once per step and takes
+    the norm from the same product. K^1/2 itself runs only at the start and
+    at each residual check, where the normalized orbitals are read. The real
+    orbitals b and u share the decay filter, so they travel as one complex
+    column b + i u.
 
-    Converged when the per-step relative energy change is below RELAX_TOL,
-    the chemical-potential drift below 10*RELAX_TOL, and the GP stationarity
-    residual has stopped improving on the finest imaginary step. The spin-down
-    orbital of the returned state is the relaxed spin-up orbital, which is the
-    bare trap ground state only when sys.g_bi = 0; a relax run reports the
-    spin-down impurity as `grid.bare_ground_state` instead.
+    The relaxation stops when the GP stationarity residual stops improving
+    (it stalls at the O(tau^2) splitting bias); `_newton_polish` then solves
+    the stationarity equations. A polished residual above RELAX_TOL raises
+    ConvergenceError carrying the energy trace. The spin-down orbital of the
+    returned state is the relaxed spin-up orbital, which is the bare trap
+    ground state only when sys.g_bi = 0; a relax run reports the spin-down
+    impurity as `grid.bare_ground_state` instead.
     Returns (MeanFieldState at time 0, RelaxResult); RelaxResult.energy is
     the pre-quench energy E0 that `mean_field_contrast` takes.
     """
@@ -398,83 +400,73 @@ def relax_ground_state(sys, grid):
     b = bath.values.real.copy()
     u = imp.values.real.copy()
     dx = grid.dx
-    coupling = _coupling_matrix(sys)
-    traps = _stacked_traps(grid, sys)
-    k2 = box_wavenumbers(grid) ** 2
 
     def current_state():
         fb = Field(grid, b.astype(np.complex128))
         fu = Field(grid, u.astype(np.complex128))
         return MeanFieldState(bath=fb, up=fu, down=fu)
 
+    tau = min(RELAX_TAU, RELAX_TAU_MU / _stationarity(current_state(), sys)[0][0])
+    # one check per ~0.6 units of imaginary time so the slowest O(1) mode
+    # decays noticeably between residual checks at any tau
+    check_every = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
+    decay_half = np.exp(-0.5 * tau * box_wavenumbers(grid) ** 2 / 2.0)
+    kin_half = sine_filter(grid, decay_half)
+    kin = sine_filter(grid, decay_half**2)
+    coupling = -tau * _coupling_matrix(sys)
+    traps = -tau * _stacked_traps(grid, sys)
     trace = []
     iterations = 0
-    last_stage = len(RELAX_SCHEDULE) - 1
+    r_prev = np.inf
     w = np.empty(grid.n_points, dtype=np.complex128)
     # float (n_points, 2) views of packed columns hold the parts [b, u]
     w_parts = w.view(np.float64).reshape(-1, 2)
     squares = np.empty_like(w_parts)
     decay = np.empty_like(w_parts)
     norms2 = np.empty(2)
-    for stage, tau in enumerate(RELAX_SCHEDULE):
-        decay_half = np.exp(-0.5 * tau * k2 / 2.0)
-        kin_half = sine_filter(grid, decay_half)
-        kin = sine_filter(grid, decay_half**2)
-        stage_coupling = -tau * coupling
-        stage_traps = -tau * traps
-        # one check per ~0.6 units of imaginary time so the slowest O(1) mode
-        # decays noticeably between residual checks at any tau
-        stage_check = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
-        e_prev = None
-        mu_prev = None
-        r_prev = None
-        # y = K^1/2 x, x the normalized orbitals
-        y = kin_half(b + 1j * u)
-        y_parts = y.view(np.float64).reshape(-1, 2)
-        while True:
-            for _ in range(stage_check):
-                # w = exp(-tau (y^2 C + traps)) y, part by part
-                np.square(y_parts, out=squares)
-                np.matmul(squares, stage_coupling, out=decay)
-                np.add(decay, stage_traps, out=decay)
-                np.exp(decay, out=decay)
-                np.multiply(y_parts, decay, out=w_parts)
-                y[:] = w
-                kin(y)
-                np.vecdot(w_parts, y_parts, axis=0, out=norms2)
-                y_parts /= np.sqrt(norms2 * dx)
-            iterations += stage_check
-            x = kin_half(w.copy())
-            b = x.real / np.sqrt(np.sum(x.real**2) * dx)
-            u = x.imag / np.sqrt(np.sum(x.imag**2) * dx)
-            state = current_state()
-            e = energy_breakdown(state, sys).total
-            (mu_b, _), (r_b, r_u) = _stationarity(state, sys)
-            resid = max(r_b, r_u)
-            trace.append(e)
-            scale = max(abs(e), 1e-12)
-            if e_prev is not None:
-                de = abs(e - e_prev) / (stage_check * scale)
-                dmu = abs(mu_b - mu_prev) / (stage_check * max(abs(mu_b), 1e-12))
-                # the residual stalls at the O(tau^2) splitting bias; move on
-                plateau = resid > 0.7 * r_prev
-                if stage < last_stage:
-                    if plateau:
-                        break
-                elif de < RELAX_TOL and dmu < 10.0 * RELAX_TOL and plateau:
-                    break
-            e_prev, mu_prev, r_prev = e, mu_b, resid
-            if iterations >= RELAX_MAX_ITERATIONS:
-                raise ConvergenceError(
-                    f"imaginary-time relaxation did not converge in {iterations} steps",
-                    trace=np.asarray(trace),
-                )
+    # y = K^1/2 x, x the normalized orbitals
+    y = kin_half(b + 1j * u)
+    y_parts = y.view(np.float64).reshape(-1, 2)
+    while True:
+        for _ in range(check_every):
+            # w = exp(-tau (y^2 C + traps)) y, part by part
+            np.square(y_parts, out=squares)
+            np.matmul(squares, coupling, out=decay)
+            np.add(decay, traps, out=decay)
+            np.exp(decay, out=decay)
+            np.multiply(y_parts, decay, out=w_parts)
+            y[:] = w
+            kin(y)
+            np.vecdot(w_parts, y_parts, axis=0, out=norms2)
+            y_parts /= np.sqrt(norms2 * dx)
+        iterations += check_every
+        x = kin_half(w.copy())
+        b = x.real / np.sqrt(np.sum(x.real**2) * dx)
+        u = x.imag / np.sqrt(np.sum(x.imag**2) * dx)
+        state = current_state()
+        trace.append(energy_breakdown(state, sys).total)
+        resid = max(_stationarity(state, sys)[1])
+        # the residual stalls at the O(tau^2) splitting bias; Newton takes over
+        if resid > 0.7 * r_prev:
+            break
+        r_prev = resid
+        if iterations >= RELAX_MAX_ITERATIONS:
+            raise ConvergenceError(
+                f"imaginary-time relaxation did not converge in {iterations} steps",
+                trace=np.asarray(trace),
+            )
 
     b, u = _newton_polish(sys, grid, b, u)
     state = current_state()
     breakdown = energy_breakdown(state, sys)
     (mu_b, mu_i), (r_b, r_u) = _stationarity(state, sys)
     trace.append(breakdown.total)
+    if not max(r_b, r_u) <= RELAX_TOL:
+        raise ConvergenceError(
+            f"Newton polish left a GP stationarity residual {max(r_b, r_u):.2e} "
+            f"above {RELAX_TOL:.0e}",
+            trace=np.asarray(trace),
+        )
     result = RelaxResult(
         energy=breakdown.total,
         mu_bath=mu_b,
@@ -493,7 +485,8 @@ class MeanFieldTrajectory:
     """What a propagation keeps: the record times, each record's overlaps
     (<b0|b(t)>, <u0|u(t)>) with the initial bath and spin-up orbitals, one
     row per record, and the states at the first, middle and last record
-    (indices 0, (n_records + 1) // 2 and n_records of the records 0..n_records)."""
+    (indices 0, (n_records + 1) // 2 and n_records of the records 0..n_records,
+    each kept once: two states when n_records = 1)."""
 
     times: np.ndarray = field(repr=False, compare=False)
     overlaps: np.ndarray = field(repr=False, compare=False)
@@ -543,7 +536,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     keys = ("norm_bath", "norm_up", "norm_down", *ENERGY_TERMS, "x_mean_up", "x2_up", "p2_up")
     records = {key: [] for key in keys}
     times, overlaps = [], []
-    snapshot_at = (0, (n_records + 1) // 2, n_records)
+    snapshot_at = sorted({0, (n_records + 1) // 2, n_records})
     kept = {}
 
     def record(k, t):

@@ -332,6 +332,35 @@ class TestRunnerPipelines:
         assert summary["norm_drift"] < 1e-10
         assert os.path.exists(os.path.join(outdir, "energies.csv"))
 
+    def test_meanfield_quench_one_record_interval(self, tmp_path):
+        # one interval has two records, 0 and 1: the middle state is the last,
+        # and each state gets its density columns once
+        outdir = str(tmp_path / "mf1")
+        cfg = validate_config(
+            "\n".join(
+                [
+                    "[system]",
+                    "n_bath = 10",
+                    "[time]",
+                    "dt = 1e-3",
+                    "t_max = 0.1",
+                    "record_every = 100",
+                    "[solver]",
+                    "tier = meanfield",
+                    "[output]",
+                    f"directory = {outdir}",
+                ]
+            )
+        )
+        runner.run_quench(cfg)
+        header, data = runner.read_csv(os.path.join(outdir, "densities.csv"))
+        assert len(header) == len(set(header))
+        assert header == [
+            "x", "rho_bath_t0", "rho_up_t0", "rho_down_t0",
+            "rho_bath_t0.1", "rho_up_t0.1", "rho_down_t0.1",
+        ]
+        assert data.shape[1] == 7
+
     def test_ed_quench_default_scale(self, tmp_path):
         outdir = str(tmp_path / "ed4")
         cfg = validate_config(
