@@ -10,20 +10,20 @@ indistinguishable from the large-N convention). The spin-down impurity branch
 never couples to the bath (the interaction involves the spin-up field only),
 so the energy bookkeeping refers to the spin-up branch.
 
-Both loops are time-splitting sine-spectral methods (Bao, Jaksch &
-Markowich, J. Comput. Phys. 187, 318 (2003)); the relaxation is their
-normalized gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) at
-one imaginary step, run until its stationarity residual stalls at the
-splitting bias. It carries the real bath and spin-up orbitals as one complex
-column b + i u and merges the two half-step decay filters around each
+Both loops are time-splitting sine-spectral methods (Bao, Jaksch & Markowich,
+J. Comput. Phys. 187, 318 (2003)); the relaxation is their normalized
+gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) at one
+imaginary step, kept parity even, run until its stationarity residual stalls
+at the splitting bias. It carries the real bath and spin-up orbitals as one
+complex column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
 exactly in the bare trap's stationary states on the grid
 (`grid.stationary_states`), at the record points only. Each record is reduced
 where it is made, to the scalar series and to its overlaps with the initial
 bath and spin-up orbitals, from which `mean_field_contrast` builds S(t); a
-propagation keeps three states (first, middle and last record), so its
-memory does not grow with t_max.
+propagation keeps three states (first, middle and last record), so its memory
+does not grow with t_max.
 
 The relaxation ends with a Newton polish of the coupled stationarity
 equations, which sets the accuracy of the ground state: a polished GP
@@ -259,11 +259,11 @@ def _initial_guess(sys, grid):
 
 
 # imaginary step of the split-step relaxation, which only has to bring the
-# state into the reach of the Newton polish: RELAX_TAU, or RELAX_TAU_MU / mu_B
-# for a stiffer bath of initial chemical potential mu_B (at tau mu_B ~ 1 the
-# split-step fixed point is far from stationary). The polish then removes the
-# O(tau^2) splitting bias, and RELAX_TOL bounds the GP stationarity residual it
-# must reach (energy criteria are quadratically blind to state error)
+# state into the reach of the Newton polish: RELAX_TAU, or RELAX_TAU_MU / mu
+# for a stiffer bath or impurity of initial chemical potential mu (at tau mu
+# ~ 1 the split-step fixed point is far from stationary). The polish removes
+# the O(tau^2) splitting bias, and RELAX_TOL bounds the GP stationarity
+# residual it must reach (energy criteria are quadratically blind to state error)
 RELAX_TAU = 2e-2
 RELAX_TAU_MU = 0.5
 RELAX_MAX_ITERATIONS = 400_000
@@ -273,7 +273,7 @@ RELAX_TOL = 1e-8
 
 # Newton polish: iteration cap and the stationarity residual that ends it early
 POLISH_MAX_ITERATIONS = 10
-POLISH_TARGET = 1e-10
+POLISH_TARGET = 1e-13
 
 
 def _bordered(t, shift, p, dx):
@@ -377,8 +377,8 @@ def relax_ground_state(sys, grid):
     finished by a Newton solve of their stationarity equations.
 
     Each imaginary step is the Strang step K^1/2 P K^1/2 followed by a
-    normalization, with P = exp(-tau V) and K = exp(-tau T) the decay
-    filter, at one tau = min(RELAX_TAU, RELAX_TAU_MU / mu_B). K^1/2 is real
+    normalization, with P = exp(-tau V) and K = exp(-tau T) the decay filter,
+    at one tau = min(RELAX_TAU, RELAX_TAU_MU / max(mu_B, mu_I)). K^1/2 is real
     symmetric, so between two potential steps K^1/2 . normalize . K^1/2 maps
     w to K w / sqrt(dx <w, K w>): the loop applies K once per step and takes
     the norm from the same product. K^1/2 itself runs only at the start and
@@ -386,6 +386,9 @@ def relax_ground_state(sys, grid):
     orbitals b and u share the decay filter, so they travel as one complex
     column b + i u.
 
+    The state is made parity even at each residual check: the result is the
+    parity-even ground state, a saddle where an expelled impurity would sit
+    lower off-centre, which round-off no longer decides to leave.
     The relaxation stops when the GP stationarity residual stops improving
     (it stalls at the O(tau^2) splitting bias); `_newton_polish` then solves
     the stationarity equations. A polished residual above RELAX_TOL raises
@@ -406,7 +409,7 @@ def relax_ground_state(sys, grid):
         fu = Field(grid, u.astype(np.complex128))
         return MeanFieldState(bath=fb, up=fu, down=fu)
 
-    tau = min(RELAX_TAU, RELAX_TAU_MU / _stationarity(current_state(), sys)[0][0])
+    tau = min(RELAX_TAU, RELAX_TAU_MU / max(_stationarity(current_state(), sys)[0]))
     # one check per ~0.6 units of imaginary time so the slowest O(1) mode
     # decays noticeably between residual checks at any tau
     check_every = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
@@ -440,7 +443,10 @@ def relax_ground_state(sys, grid):
             np.vecdot(w_parts, y_parts, axis=0, out=norms2)
             y_parts /= np.sqrt(norms2 * dx)
         iterations += check_every
-        x = kin_half(w.copy())
+        # the flow keeps parity, but its round-off seeds an odd part that
+        # grows where the parity-even state is a saddle: drop it at each check
+        y[:] = 0.5 * (y + y[::-1])
+        x = kin_half(0.5 * (w + w[::-1]))
         b = x.real / np.sqrt(np.sum(x.real**2) * dx)
         u = x.imag / np.sqrt(np.sum(x.imag**2) * dx)
         state = current_state()

@@ -107,6 +107,24 @@ class TestRelax:
         assert max(res.residual_bath, res.residual_impurity) <= mf.RELAX_TOL
         assert res.mu_bath == pytest.approx(mf.thomas_fermi(sys).mu, rel=0.01)
 
+    @pytest.mark.parametrize("n_points, x_max", [(200, 10.0), (64, 8.0)])
+    def test_stiff_impurity_relaxes(self, n_points, x_max):
+        # mu_I ~ g_BI N_B |b(0)|^2 ~ 112 against mu_B ~ 22: a step set by the
+        # bath alone leaves tau mu_I ~ 2, far from stationary for the polish
+        sys = mf.MeanFieldSystem(n_bath=100, g_bb=2.0, g_bi=10.0, omega_i=1.3)
+        _, res = mf.relax_ground_state(sys, build_grid(n_points, x_max))
+        assert max(res.residual_bath, res.residual_impurity) <= mf.RELAX_TOL
+
+    def test_relaxed_state_is_parity_even(self):
+        # at the centre of a dense bath the impurity sits on a saddle that
+        # round-off would tip off-centre, to either side
+        sys = mf.MeanFieldSystem(n_bath=1000, g_bb=1.0, g_bi=3.0)
+        state, res = mf.relax_ground_state(sys, build_grid(450, 20.0))
+        assert max(res.residual_bath, res.residual_impurity) <= mf.RELAX_TOL
+        for f in (state.bath, state.up):
+            odd = np.max(np.abs(f.values - f.values[::-1]))
+            assert odd <= 1e-11 * np.max(np.abs(f.values))
+
     def test_drop_radius_near_tf(self, relaxed_density):
         radius = mf.density_drop_radius(relaxed_density)
         assert radius == pytest.approx(4.2, rel=0.05)
