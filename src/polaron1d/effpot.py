@@ -155,7 +155,7 @@ def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
     weights = np.abs(_expansion(spec, initial, tol=1e-6)) ** 2
     t = _sample_times(t_max, dt)
     s_vals = np.sum(evolve_coefficients(spec.energies - 0.5 * omega, weights, t), axis=1)
-    return EffpotContrast(series=TimeSeries(0.0, dt, s_vals, label="S(t)"), weights=weights)
+    return EffpotContrast(series=TimeSeries(0.0, dt, s_vals), weights=weights)
 
 
 def stationary_moments(spec, initial, t_max, dt):
@@ -167,15 +167,15 @@ def stationary_moments(spec, initial, t_max, dt):
     grid = initial.grid
     s = spec.states
     moments = {
-        "x_mean": ("<x>", s.T @ (grid.x[:, None] * s)),
-        "x2": ("<x^2>", s.T @ (grid.x[:, None] ** 2 * s)),
-        "p2": ("<p^2>", 2.0 * (s[1:-1].T @ (kinetic_matrix(grid) @ s[1:-1]))),
+        "x_mean": s.T @ (grid.x[:, None] * s),
+        "x2": s.T @ (grid.x[:, None] ** 2 * s),
+        "p2": 2.0 * (s[1:-1].T @ (kinetic_matrix(grid) @ s[1:-1])),
     }
     amps = evolve_coefficients(spec.energies, coeffs, _sample_times(t_max, dt))
     series = {}
-    for key, (label, mat) in moments.items():
+    for key, mat in moments.items():
         vals = np.sum(np.conj(amps) * (amps @ (mat * grid.dx)), axis=1)
-        series[key] = TimeSeries(0.0, dt, np.real(vals), label=label)
+        series[key] = TimeSeries(0.0, dt, np.real(vals))
     return series
 
 
@@ -203,7 +203,7 @@ def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.
     ground = Field(spec0.potential.grid, spec0.states[:, 0])
     series = stationary_moments(spec1, ground, t_max, dt)
     x_t = series["x_mean"].values
-    variance = TimeSeries(0.0, dt, series["x2"].values - x_t**2, label="var(x)")
+    variance = TimeSeries(0.0, dt, series["x2"].values - x_t**2)
     omega_br, _ = dominant_frequency(variance)
     return BreathingResult(series=series, omega_br=float(omega_br), initial_spectrum=spec0)
 

@@ -537,7 +537,7 @@ def ed_contrast(times, overlaps, e0):
     """Exact overlap series S(t) = e^{i E0 t} <v0 | v(t)> from the overlaps
     <v0 | v(t)> at the record times."""
     s = np.exp(1j * e0 * times) * np.asarray(overlaps)
-    return TimeSeries(0.0, float(times[1] - times[0]), s, label="S(t)")
+    return TimeSeries(0.0, float(times[1] - times[0]), s)
 
 
 def schmidt(vector, n_modes):

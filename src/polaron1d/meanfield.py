@@ -609,7 +609,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
 
     dt_sample = record_every * dt
     series = {
-        key: TimeSeries(state.time, dt_sample, np.asarray(vals), label=key)
+        key: TimeSeries(state.time, dt_sample, np.asarray(vals))
         for key, vals in records.items()
     }
     trajectory = MeanFieldTrajectory(
@@ -636,4 +636,4 @@ def mean_field_contrast(times, overlaps, e0, n_bath):
         ],
         dtype=np.complex128,
     )
-    return TimeSeries(float(times[0]), float(times[1] - times[0]), s_vals, label="S(t)")
+    return TimeSeries(float(times[0]), float(times[1] - times[0]), s_vals)

@@ -22,7 +22,6 @@ class TimeSeries:
     t0: float
     dt_sample: float
     values: np.ndarray = field(repr=False, compare=False)
-    label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values)
@@ -44,9 +43,7 @@ class TimeSeries:
         t = self.times
         keep = (t >= t_lo - 1e-12) & (t <= t_hi + 1e-12)
         idx = np.where(keep)[0]
-        return TimeSeries(
-            float(t[idx[0]]), self.dt_sample, self.values[idx], self.label
-        )
+        return TimeSeries(float(t[idx[0]]), self.dt_sample, self.values[idx])
 
 
 def record_intervals(dt, t_max, record_every):
@@ -118,7 +115,7 @@ def general_weights_contrast(s, alpha, beta):
         )
     mag = np.abs(s.values)
     out = np.sqrt(4.0 * alpha**2 * beta**2 * mag**2 + (alpha**2 - beta**2) ** 2)
-    return TimeSeries(s.t0, s.dt_sample, out, label="|<S>|_{alpha,beta}")
+    return TimeSeries(s.t0, s.dt_sample, out)
 
 
 def _window_values(n, t, t_max, window):

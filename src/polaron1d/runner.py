@@ -1,6 +1,12 @@
 """Scenario orchestration: relax / quench / breathing / sweep pipelines with
 deterministic CSV/JSON outputs and a manifest of checksums and diagnostics.
 
+Each single-run pipeline runs in one frame (`_run`) that calls its tier's
+body from `_BODIES`: relax runs in the meanfield tier only, quench in the
+meanfield, effpot and ed tiers, breathing in the meanfield and effpot
+tiers. A tier a pipeline has no body for is refused, naming solver.tier.
+A sweep runs quench or breathing points.
+
 CSV files carry one header row and 17-significant-digit decimals so a
 read-back reproduces the in-memory values exactly. The manifest is written
 atomically after all other files.
@@ -157,17 +163,17 @@ def _mf_system(cfg, g_bi, omega_i=None):
 
 
 @functools.lru_cache(maxsize=1)
-def _relaxed_density(system, grid):
-    """Relaxed bath density of `system` on `grid` (read-only), with the
-    relaxation's iteration count and final stationarity residual.
+def _relaxed(system, grid):
+    """The relaxed ground state of `system` on `grid`, with read-only
+    orbitals, and its RelaxResult: the runner's one relaxation.
 
     Cached on the hashable (system, grid) pair, so a sweep whose parameter
     leaves both unchanged relaxes once per process.
     """
     state, res = mf.relax_ground_state(system, grid)
-    density = state.bath.density(system.n_bath)
-    density.values.flags.writeable = False
-    return density, res.iterations, max(res.residual_bath, res.residual_impurity)
+    for orbital in (state.bath, state.up, state.down):
+        orbital.values.flags.writeable = False
+    return state, res
 
 
 def _density_source(cfg, grid):
@@ -181,11 +187,12 @@ def _density_source(cfg, grid):
     if cfg.source == "tf":
         return mf.thomas_fermi(_mf_system(cfg, 0.0)).density(grid), "TF-analytic", 1.0, {}
     if cfg.source == "relaxed":
-        density, iterations, residual = _relaxed_density(
-            _mf_system(cfg, cfg.g_bi_initial), grid
-        )
-        telemetry = {"relax_iterations": iterations, "relax_residual": residual}
-        return density, "relaxed-MF-density", 1.0, telemetry
+        state, res = _relaxed(_mf_system(cfg, cfg.g_bi_initial), grid)
+        telemetry = {
+            "relax_iterations": res.iterations,
+            "relax_residual": max(res.residual_bath, res.residual_impurity),
+        }
+        return state.bath.density(cfg.n_bath), "relaxed-MF-density", 1.0, telemetry
     density = ep.load_density_file(cfg.source, grid)
     total = float(np.sum(np.real(density.values)) * grid.dx)
     if total <= 0:
@@ -227,59 +234,51 @@ def _contrast_files(out, s_series, cfg):
     return summary
 
 
-# --- pipelines ----------------------------------------------------------------
+# --- pipeline bodies: (cfg, out, grid) -> summary entries ------------------------
 
 
-def run_relax(cfg, directory=None):
-    """Ground-state preparation only; writes densities, energies, summary."""
-    with OutputSet(directory or cfg.directory, cfg) as out:
-        grid = build_grid(cfg.n_points, cfg.x_max)
-        sys_pre = _mf_system(cfg, cfg.g_bi_initial)
-        state, res = mf.relax_ground_state(sys_pre, grid)
-        dens_b = state.bath.density(cfg.n_bath)
-        dens_u = state.up.density()
-        # the spin-down impurity never couples to the bath: bare trap ground state
-        dens_d = bare_ground_state(grid, omega=cfg.omega_i_initial).density()
-        _write_csv(
-            out.path("densities.csv"),
-            ["x", "rho_bath", "rho_up", "rho_down"],
-            [grid.x, np.real(dens_b.values), np.real(dens_u.values), np.real(dens_d.values)],
-        )
-        _write_csv(
-            out.path("energies.csv"),
-            obs.ENERGY_TERMS,
-            [[getattr(res.breakdown, key)] for key in obs.ENERGY_TERMS],
-        )
-        virial = obs.virial_check(res.breakdown)
-        tf_profile = mf.thomas_fermi(sys_pre) if cfg.g_bb > 0 else None
-        summary = {
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "pipeline": "relax",
-            "tier": "meanfield",
-            "energy": res.energy,
-            "mu_bath": res.mu_bath,
-            "mu_impurity": res.mu_impurity,
-            "virial_residual": virial,
-            "virial_relative": abs(virial) / max(abs(res.energy), 1e-300),
-            "density_drop_radius": mf.density_drop_radius(dens_b),
-            "tf_mu": tf_profile.mu if tf_profile else None,
-            "tf_radius": tf_profile.radius if tf_profile else None,
-            "iterations": res.iterations,
-        }
-        _write_json(out.path("summary.json"), _json_scrub(summary))
-        out.diagnostics.update(
-            {
-                "virial_relative": summary["virial_relative"],
-                "stationarity_residual": max(res.residual_bath, res.residual_impurity),
-            }
-        )
-        return summary
-
-
-def _run_quench_meanfield(cfg, out, grid):
+def _relax_meanfield(cfg, out, grid):
     sys_pre = _mf_system(cfg, cfg.g_bi_initial)
+    state, res = _relaxed(sys_pre, grid)
+    dens_b = state.bath.density(cfg.n_bath)
+    dens_u = state.up.density()
+    # the spin-down impurity never couples to the bath: bare trap ground state
+    dens_d = bare_ground_state(grid, omega=cfg.omega_i_initial).density()
+    _write_csv(
+        out.path("densities.csv"),
+        ["x", "rho_bath", "rho_up", "rho_down"],
+        [grid.x, np.real(dens_b.values), np.real(dens_u.values), np.real(dens_d.values)],
+    )
+    _write_csv(
+        out.path("energies.csv"),
+        obs.ENERGY_TERMS,
+        [[getattr(res.breakdown, key)] for key in obs.ENERGY_TERMS],
+    )
+    virial = obs.virial_check(res.breakdown)
+    tf_profile = mf.thomas_fermi(sys_pre) if cfg.g_bb > 0 else None
+    summary = {
+        "energy": res.energy,
+        "mu_bath": res.mu_bath,
+        "mu_impurity": res.mu_impurity,
+        "virial_residual": virial,
+        "virial_relative": abs(virial) / max(abs(res.energy), 1e-300),
+        "density_drop_radius": mf.density_drop_radius(dens_b),
+        "tf_mu": tf_profile.mu if tf_profile else None,
+        "tf_radius": tf_profile.radius if tf_profile else None,
+        "iterations": res.iterations,
+    }
+    out.diagnostics.update(
+        {
+            "virial_relative": summary["virial_relative"],
+            "stationarity_residual": max(res.residual_bath, res.residual_impurity),
+        }
+    )
+    return summary
+
+
+def _quench_meanfield(cfg, out, grid):
+    state, res = _relaxed(_mf_system(cfg, cfg.g_bi_initial), grid)
     sys_post = _mf_system(cfg, cfg.g_bi_final)
-    state, res = mf.relax_ground_state(sys_pre, grid)
     traj, series = mf.propagate(
         state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
     )
@@ -322,7 +321,7 @@ def _run_quench_meanfield(cfg, out, grid):
     return summary
 
 
-def _run_quench_effpot(cfg, out, grid):
+def _quench_effpot(cfg, out, grid):
     source, source_tag, scale, telemetry = _density_source(cfg, grid)
     out.diagnostics.update(telemetry)
     pot = ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=cfg.omega_i_initial)
@@ -353,7 +352,7 @@ def _run_quench_effpot(cfg, out, grid):
     return summary
 
 
-def _run_quench_ed(cfg, out, grid):
+def _quench_ed(cfg, out, grid):
     # the only exactdiag user: mean-field and effpot runs never load scipy,
     # and an ED run loads scipy.sparse only
     from . import exactdiag as ed
@@ -426,142 +425,164 @@ def _run_quench_ed(cfg, out, grid):
     return summary
 
 
-def _check_quench_contract(cfg):
-    """Refuse a quench the configured tier cannot compute, naming the key.
+def _variance_file(out, x_mean, x2, p2):
+    """Writes variance.csv from the <x>, <x^2> and <p^2> series; returns the
+    position variance series."""
+    var = obs.TimeSeries(
+        x2.t0, x2.dt_sample, np.asarray(x2.values) - np.asarray(x_mean.values) ** 2
+    )
+    _write_csv(
+        out.path("variance.csv"),
+        ["t", "x_mean", "x2", "p2", "variance"],
+        [x2.times, x_mean.values, x2.values, p2.values, var.values],
+    )
+    return var
 
-    A quench changes the coupling only: every tier evolves the impurity in
-    the pre-quench trap (a trap change is a breathing run). The ED tier
-    evolves the spin-down branch as the pure phase exp(-i E0 t), exact only
-    for a stationary initial state, and builds the bath in the
+
+def _breathing_meanfield(cfg, out, grid):
+    state, _ = _relaxed(_mf_system(cfg, cfg.g_bi_final), grid)
+    sys_post = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_final)
+    _, series = mf.propagate(
+        state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
+    )
+    var = _variance_file(out, series["x_mean_up"], series["x2_up"], series["p2_up"])
+    omega_br, _ = obs.dominant_frequency(var)
+    return {"omega_br": float(omega_br), "fit_valid": False}
+
+
+def _breathing_effpot(cfg, out, grid):
+    """The m_eff fit runs on an interaction-quench companion series (bare
+    impurity released into the effective potential built with the pre-quench
+    trap) where the closed-form model applies; a fit failure is surfaced in
+    the summary, not raised."""
+    source, source_tag, scale, telemetry = _density_source(cfg, grid)
+    out.diagnostics.update(telemetry)
+
+    def builder(omega):
+        return ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=omega)
+
+    br = ep.breathing_run(
+        builder, cfg.omega_i_initial, cfg.omega_i_final,
+        t_max=min(cfg.t_max, 120.0), dt=max(cfg.dt, 0.02), n_eig=cfg.n_eig,
+    )
+    _variance_file(out, br.series["x_mean"], br.series["x2"], br.series["p2"])
+    summary = {"omega_br": br.omega_br, "fit_valid": False, "source": source_tag,
+               "density_scale": scale}
+    om = cfg.omega_i_initial
+    try:
+        moments = ep.stationary_moments(
+            br.initial_spectrum, bare_ground_state(grid, omega=om), t_max=80.0, dt=0.02
+        )
+        fit = ep.fit_effective_mass(
+            moments["x2"], moments["p2"], {"x2_0": 1.0 / (2.0 * om), "p2_0": om / 2.0}
+        )
+        summary.update(
+            fit_valid=True, m_eff=fit.m_eff, omega_eff=fit.omega_eff, fit_residual=fit.residual
+        )
+    except PolaronError as exc:
+        summary["fit_error"] = str(exc)
+    return summary
+
+
+# --- the pipeline frame --------------------------------------------------------
+
+_BODIES = {
+    "relax": {"meanfield": _relax_meanfield},
+    "quench": {"meanfield": _quench_meanfield, "effpot": _quench_effpot, "ed": _quench_ed},
+    "breathing": {"meanfield": _breathing_meanfield, "effpot": _breathing_effpot},
+}
+
+
+def _contract_errors(cfg, pipeline):
+    """Messages for a config the pipeline cannot run, each naming the key.
+
+    A pipeline runs only the tiers it has a body for. A breathing run needs a
+    trap change. A quench changes the coupling only: every tier evolves the
+    impurity in the pre-quench trap (a trap change is a breathing run). The
+    ED tier evolves the spin-down branch as the pure phase exp(-i E0 t),
+    exact only for a stationary initial state, and builds the bath in the
     unit-frequency oscillator basis. The effpot tier starts the impurity in
     the bare trap ground state.
     """
-    required = {"g_bi_initial": 0.0} if cfg.tier in ("ed", "effpot") else {}
-    required["omega_i_final"] = cfg.omega_i_initial
-    if cfg.tier == "ed":
-        required["omega_b"] = 1.0
-    for key, want in required.items():
-        got = getattr(cfg, key)
-        if got != want:
-            raise ConfigurationError(
-                f"tier {cfg.tier} quench needs system.{key} = {want!r}, got {got!r}"
-            )
+    tiers = _BODIES[pipeline]
+    errors = []
+    if cfg.tier not in tiers:
+        errors.append(
+            f"{pipeline} run supports solver.tier {' or '.join(tiers)}, got {cfg.tier!r}"
+        )
+    if pipeline == "breathing" and cfg.omega_i_initial == cfg.omega_i_final:
+        errors.append("breathing run needs omega_i_initial != omega_i_final")
+    if pipeline == "quench":
+        required = {"g_bi_initial": 0.0} if cfg.tier in ("ed", "effpot") else {}
+        required["omega_i_final"] = cfg.omega_i_initial
+        if cfg.tier == "ed":
+            required["omega_b"] = 1.0
+        errors += [
+            f"tier {cfg.tier} quench needs system.{key} = {want!r}, got {getattr(cfg, key)!r}"
+            for key, want in required.items()
+            if getattr(cfg, key) != want
+        ]
+    return errors
+
+
+def _run(cfg, directory, pipeline, summary_name="summary.json", **header):
+    """Runs one pipeline in its tier: refuses a config the pipeline cannot
+    run, builds the grid, calls the tier's body and writes its entries, with
+    the schema version, pipeline, tier and `header`, to `summary_name`."""
+    with OutputSet(directory or cfg.directory, cfg) as out:
+        errors = _contract_errors(cfg, pipeline)
+        if errors:
+            raise ConfigurationError("; ".join(errors), errors=errors)
+        grid = build_grid(cfg.n_points, cfg.x_max)
+        summary = _BODIES[pipeline][cfg.tier](cfg, out, grid)
+        summary.update(
+            schema_version=SUMMARY_SCHEMA_VERSION, pipeline=pipeline, tier=cfg.tier, **header
+        )
+        _write_json(out.path(summary_name), _json_scrub(summary))
+        return summary
+
+
+def run_relax(cfg, directory=None):
+    """Ground-state preparation only; writes densities, energies, summary."""
+    return _run(cfg, directory, "relax")
 
 
 def run_quench(cfg, directory=None):
     """Relax -> quench -> propagate -> observables for the configured tier."""
-    with OutputSet(directory or cfg.directory, cfg) as out:
-        _check_quench_contract(cfg)
-        grid = build_grid(cfg.n_points, cfg.x_max)
-        if cfg.tier == "meanfield":
-            summary = _run_quench_meanfield(cfg, out, grid)
-        elif cfg.tier == "effpot":
-            summary = _run_quench_effpot(cfg, out, grid)
-        elif cfg.tier == "ed":
-            summary = _run_quench_ed(cfg, out, grid)
-        else:
-            raise ConfigurationError(f"unknown tier {cfg.tier!r}")
-        summary.update(
-            {
-                "schema_version": SUMMARY_SCHEMA_VERSION,
-                "pipeline": "quench",
-                "tier": cfg.tier,
-                "g_bi_initial": cfg.g_bi_initial,
-                "g_bi_final": cfg.g_bi_final,
-            }
-        )
-        _write_json(out.path("summary.json"), _json_scrub(summary))
-        return summary
+    return _run(
+        cfg, directory, "quench", g_bi_initial=cfg.g_bi_initial, g_bi_final=cfg.g_bi_final
+    )
 
 
 def run_breathing(cfg, directory=None):
-    """Trap-frequency quench in the effpot (default) or meanfield tier.
+    """Trap-frequency quench in the effpot or meanfield tier.
 
-    Writes variance.csv and omega_br.json. The m_eff fit runs on an
-    interaction-quench companion series (bare impurity released into the
-    effective potential built with the pre-quench trap) where the closed-form
-    model applies; fit failures are surfaced in the output, not raised.
+    Writes variance.csv and omega_br.json; the effpot tier adds the m_eff fit.
     """
-    with OutputSet(directory or cfg.directory, cfg) as out:
-        if cfg.omega_i_initial == cfg.omega_i_final:
-            raise ConfigurationError("breathing run needs omega_i_initial != omega_i_final")
-        if cfg.tier not in ("meanfield", "effpot"):
-            raise ConfigurationError(
-                f"breathing run supports solver.tier meanfield or effpot, got {cfg.tier!r}"
-            )
-        grid = build_grid(cfg.n_points, cfg.x_max)
-        payload = {
-            "schema_version": SUMMARY_SCHEMA_VERSION,
-            "pipeline": "breathing",
-            "tier": cfg.tier,
-            "g_bi": cfg.g_bi_final,
-            "omega_i_initial": cfg.omega_i_initial,
-            "omega_i_final": cfg.omega_i_final,
-        }
-        if cfg.tier == "meanfield":
-            sys_pre = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_initial)
-            sys_post = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_final)
-            state, _ = mf.relax_ground_state(sys_pre, grid)
-            _, series = mf.propagate(
-                state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
-            )
-            x_mean = series["x_mean_up"]
-            x2 = series["x2_up"]
-            p2 = series["p2_up"]
-            var = obs.TimeSeries(
-                x2.t0, x2.dt_sample,
-                np.asarray(x2.values) - np.asarray(x_mean.values) ** 2,
-            )
-            omega_br, _ = obs.dominant_frequency(var)
-        else:
-            source, source_tag, scale, telemetry = _density_source(cfg, grid)
-            out.diagnostics.update(telemetry)
+    return _run(
+        cfg, directory, "breathing", "omega_br.json", g_bi=cfg.g_bi_final,
+        omega_i_initial=cfg.omega_i_initial, omega_i_final=cfg.omega_i_final,
+    )
 
-            def builder(omega):
-                return ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=omega)
 
-            br = ep.breathing_run(
-                builder,
-                cfg.omega_i_initial,
-                cfg.omega_i_final,
-                t_max=min(cfg.t_max, 120.0),
-                dt=max(cfg.dt, 0.02),
-                n_eig=cfg.n_eig,
-            )
-            x_mean, x2, p2 = br.series["x_mean"], br.series["x2"], br.series["p2"]
-            omega_br = br.omega_br
-            payload["source"] = source_tag
-            payload["density_scale"] = scale
-        _write_csv(
-            out.path("variance.csv"),
-            ["t", "x_mean", "x2", "p2", "variance"],
-            [x2.times, x_mean.values, x2.values, p2.values,
-             np.asarray(x2.values) - np.asarray(x_mean.values) ** 2],
-        )
-        payload["omega_br"] = float(omega_br)
-        payload["fit_valid"] = False
-        if cfg.tier == "effpot":
-            om = cfg.omega_i_initial
-            try:
-                moments = ep.stationary_moments(
-                    br.initial_spectrum, bare_ground_state(grid, omega=om),
-                    t_max=80.0, dt=0.02,
-                )
-                fit = ep.fit_effective_mass(
-                    moments["x2"], moments["p2"], {"x2_0": 1.0 / (2.0 * om), "p2_0": om / 2.0}
-                )
-                payload.update(
-                    {
-                        "fit_valid": True,
-                        "m_eff": fit.m_eff,
-                        "omega_eff": fit.omega_eff,
-                        "fit_residual": fit.residual,
-                    }
-                )
-            except PolaronError as exc:
-                payload["fit_error"] = str(exc)
-        _write_json(out.path("omega_br.json"), _json_scrub(payload))
-        return payload
+# aggregate.csv columns after the parameter and the status, per sweep pipeline
+_SWEEP_COLUMNS = {
+    "quench": ("min_contrast", "region_code", "peak1_omega", "peak2_omega", "peak3_omega",
+               "entropy_mean"),
+    "breathing": ("omega_br", "m_eff", "omega_eff"),
+}
+_REGION_CODES = {"R_I": 1.0, "R_II": 2.0, "R_III": 3.0, "borderline": 1.5, "not-evaluated": 0.0}
+
+
+def _aggregate_entries(summary):
+    """A point's summary plus its region code and the frequencies of its
+    three tallest peaks in ascending order (peak1_omega..)."""
+    tallest = sorted(summary.get("peaks", []), key=lambda p: -p["height"])[:3]
+    omegas = sorted(p["omega"] for p in tallest)
+    entries = {f"peak{k}_omega": omega for k, omega in enumerate(omegas, 1)}
+    if "region" in summary:
+        entries["region_code"] = _REGION_CODES.get(summary["region"]["region"], 0.0)
+    return {**summary, **entries}
 
 
 def _sweep_point(task):
@@ -592,7 +613,10 @@ def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory
             raise ConfigurationError("sweep needs a parameter")
         if not values:
             raise ConfigurationError("sweep needs a non-empty value list")
-        problems = sweep_value_errors(parameter, values)
+        if pipeline not in _SWEEP_COLUMNS:
+            raise ConfigurationError("sweep.pipeline must be 'quench' or 'breathing'")
+        # the contract reads no sweep parameter: every point would fail alike
+        problems = sweep_value_errors(parameter, values) + _contract_errors(cfg, pipeline)
         if problems:
             raise ConfigurationError("; ".join(problems), errors=problems)
         tasks = [
@@ -610,41 +634,13 @@ def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory
             outcomes = [_sweep_point(task) for task in tasks]
         results = [(value, summary, err) for value, (summary, err) in zip(values, outcomes)]
 
-        header = [parameter, "status"]
-        if pipeline == "breathing":
-            header += ["omega_br", "m_eff", "omega_eff"]
-            rows = []
-            for value, summary, err in results:
-                if summary is None:
-                    rows.append([value, 0.0, float("nan"), float("nan"), float("nan")])
-                else:
-                    rows.append([
-                        value, 1.0, summary.get("omega_br", float("nan")),
-                        summary.get("m_eff", float("nan")),
-                        summary.get("omega_eff", float("nan")),
-                    ])
-        else:
-            header += ["min_contrast", "region_code", "peak1_omega", "peak2_omega",
-                       "peak3_omega", "entropy_mean"]
-            region_codes = {"R_I": 1.0, "R_II": 2.0, "R_III": 3.0, "borderline": 1.5,
-                            "not-evaluated": 0.0}
-            rows = []
-            for value, summary, err in results:
-                if summary is None:
-                    rows.append([value, 0.0] + [float("nan")] * 6)
-                    continue
-                peaks = sorted(summary.get("peaks", []), key=lambda p: -p["height"])[:3]
-                peaks_om = sorted(p["omega"] for p in peaks)
-                while len(peaks_om) < 3:
-                    peaks_om.append(float("nan"))
-                rows.append([
-                    value, 1.0, summary.get("min_contrast", float("nan")),
-                    region_codes.get(summary["region"]["region"], 0.0),
-                    *peaks_om,
-                    summary.get("entropy_mean", float("nan")),
-                ])
-        columns = [np.array([r[i] for r in rows]) for i in range(len(header))]
-        _write_csv(out.path("aggregate.csv"), header, columns)
+        columns = _SWEEP_COLUMNS[pipeline]
+        rows = [
+            [value, float(summary is not None),
+             *(_aggregate_entries(summary or {}).get(c, np.nan) for c in columns)]
+            for value, summary, _ in results
+        ]
+        _write_csv(out.path("aggregate.csv"), [parameter, "status", *columns], list(zip(*rows)))
         failures = {str(v): e for v, _, e in results if e is not None}
         agg = {
             "schema_version": SUMMARY_SCHEMA_VERSION,

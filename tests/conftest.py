@@ -7,11 +7,11 @@ from polaron1d.grid import build_grid, ho_mode_basis
 
 
 @pytest.fixture(autouse=True)
-def fresh_relaxed_density():
+def fresh_relaxed():
     """No test sees a bath relaxation cached by another test."""
-    runner._relaxed_density.cache_clear()
+    runner._relaxed.cache_clear()
     yield
-    runner._relaxed_density.cache_clear()
+    runner._relaxed.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -79,6 +79,77 @@ values = 0.2, 0.6, 1.0
 """
 
 
+# effpot tf breathing sweep: the fit is valid at 0.2 and invalid at 0.5
+BREATHING_SWEEP = """
+[system]
+n_bath = 20
+g_bb = 0.5
+omega_i_initial = 0.95
+omega_i_final = 1.0
+[grid]
+n_points = 225
+x_max = 20
+[time]
+dt = 0.02
+t_max = 60
+[solver]
+tier = effpot
+[solver.effpot]
+source = tf
+[sweep]
+parameter = g_bi_final
+values = 0.2, 0.5
+pipeline = breathing
+[output]
+directory = {outdir}
+"""
+
+
+MF_SWEEP = """
+[system]
+n_bath = 20
+g_bb = 0.5
+[grid]
+n_points = 225
+x_max = 20
+[time]
+dt = 1e-3
+t_max = 2
+record_every = 50
+[solver]
+tier = meanfield
+[sweep]
+parameter = g_bi_final
+values = 0.2, 0.6
+[output]
+directory = {outdir}
+"""
+
+
+# small enough for every tier; a breathing run sets omega_i_final = 1.2
+TIER_MATRIX = """
+[system]
+n_bath = 2
+g_bb = 0.5
+g_bi_final = 0.2
+omega_i_final = {omega_i_final}
+[grid]
+n_points = 64
+x_max = 8
+[time]
+dt = 1e-3
+t_max = 0.2
+record_every = 50
+[solver.ed]
+n_modes = 4
+[solver.effpot]
+source = tf
+n_eig = 20
+[output]
+directory = {outdir}
+"""
+
+
 ED_SMALL = """
 [system]
 n_bath = 2
@@ -260,6 +331,7 @@ class TestRunnerPipelines:
         ok_dir, failed_dir = str(tmp_path / "ok"), str(tmp_path / "failed")
         runner.run_quench(validate_config(EFFPOT_FAST.format(outdir=ok_dir)))
         cfg = validate_config(EFFPOT_FAST.format(outdir=failed_dir))
+        cfg.tier = "meanfield"  # the tier relax runs, so the grid check is reached
         cfg.n_points = 8  # below the grid minimum
         with pytest.raises(ConfigurationError):
             runner.run_relax(cfg)
@@ -636,19 +708,20 @@ class TestRunnerPipelines:
 
         points = [f"g_bi_final_{k:03d}" for k in range(3)]
         for point, value in zip(points, cfg.sweep_values):
-            runner._relaxed_density.cache_clear()
+            runner._relaxed.cache_clear()
             alone = validate_config(RELAXED_SWEEP.format(outdir=str(tmp_path / point)))
             alone.g_bi_final = value
             runner.run_quench(alone)
             assert outputs(os.path.join(serial, point)) == outputs(alone.directory)
 
         system = mf.MeanFieldSystem(n_bath=20, g_bb=0.5, g_bi=0.0)
-        density, _, _ = runner._relaxed_density(system, build_grid(225, 20.0))
-        assert not density.values.flags.writeable
-        with pytest.raises(ValueError):
-            density.values[1] = 0.0
+        state, _ = runner._relaxed(system, build_grid(225, 20.0))
+        for orbital in (state.bath, state.up, state.down):
+            assert not orbital.values.flags.writeable
+            with pytest.raises(ValueError):
+                orbital.values[1] = 0.0
 
-        runner._relaxed_density.cache_clear()
+        runner._relaxed.cache_clear()
         parallel = str(tmp_path / "parallel")
         cfg = validate_config(RELAXED_SWEEP.format(outdir=parallel))
         agg, _ = runner.run_sweep(cfg, jobs=2)
@@ -656,6 +729,68 @@ class TestRunnerPipelines:
         assert outputs(parallel)["aggregate.csv"] == outputs(serial)["aggregate.csv"]
         for point in points:
             assert outputs(os.path.join(parallel, point)) == outputs(os.path.join(serial, point))
+
+    def test_meanfield_quench_sweep_relaxes_once(self, tmp_path, monkeypatch):
+        relax = mf.relax_ground_state
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return relax(*args, **kwargs)
+
+        monkeypatch.setattr(mf, "relax_ground_state", counting)
+        cfg = validate_config(MF_SWEEP.format(outdir=str(tmp_path / "sw")))
+        agg, _ = runner.run_sweep(cfg)
+        assert not agg["failures"]
+        assert len(calls) == 1
+        # the cached ground state gives the same outputs as a fresh relaxation
+        runner._relaxed.cache_clear()
+        alone = validate_config(MF_SWEEP.format(outdir=str(tmp_path / "alone")))
+        alone.g_bi_final = 0.6
+        runner.run_quench(alone)
+        assert len(calls) == 2
+
+        def outputs(directory):
+            with open(os.path.join(directory, "manifest.json"), encoding="utf-8") as fh:
+                return json.load(fh)["outputs"]
+
+        assert outputs(alone.directory) == outputs(os.path.join(cfg.directory, "g_bi_final_001"))
+
+    def test_breathing_sweep_aggregate(self, tmp_path):
+        cfg = validate_config(BREATHING_SWEEP.format(outdir=str(tmp_path / "sw")))
+        agg, _ = runner.run_sweep(cfg)
+        assert agg["pipeline"] == "sweep-breathing" and not agg["failures"]
+        header, data = runner.read_csv(os.path.join(cfg.directory, "aggregate.csv"))
+        assert header == ["g_bi_final", "status", "omega_br", "m_eff", "omega_eff"]
+        for k, row in enumerate(data):
+            path = os.path.join(cfg.directory, f"g_bi_final_{k:03d}", "omega_br.json")
+            with open(path, encoding="utf-8") as fh:
+                point = json.load(fh)
+            assert row[1] == 1.0 and row[2] == point["omega_br"]
+            if k == 0:
+                assert point["fit_valid"]
+                assert (row[3], row[4]) == (point["m_eff"], point["omega_eff"])
+            else:  # g_bi = 0.5: the harmonic model does not fit
+                assert not point["fit_valid"] and "fit invalid" in point["fit_error"]
+                assert np.isnan(row[3]) and np.isnan(row[4])
+
+    def test_quench_sweep_records_a_failed_point(self, tmp_path):
+        outdir = str(tmp_path / "sw")
+        cfg = validate_config(
+            EFFPOT_FAST.format(outdir=outdir).replace("n_eig = 40", "n_eig = 10")
+            + "[sweep]\nparameter = g_bi_final\nvalues = 0.2, 3.0\n"
+        )
+        agg, results = runner.run_sweep(cfg)
+        # ten stationary states do not hold the bare impurity at g_bi = 3.0
+        assert list(agg["failures"]) == ["3.0"]
+        assert "increase n_eig" in agg["failures"]["3.0"]
+        assert results[1][1] is None
+        with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["status"] == "partial"
+        _, data = runner.read_csv(os.path.join(outdir, "aggregate.csv"))
+        assert data[0, 1] == 1.0 and data[0, 2] == results[0][1]["min_contrast"]
+        assert data[1, 0] == 3.0 and data[1, 1] == 0.0
+        assert np.all(np.isnan(data[1, 2:]))
 
     def test_analyze_round_trip(self, tmp_path):
         outdir = str(tmp_path / "run")
@@ -685,6 +820,7 @@ class TestRunnerPipelines:
         if pipeline == "breathing":
             cfg.omega_i_final = 1.2  # a breathing run needs a trap change to start
         if pipeline == "relax":
+            cfg.tier = "meanfield"  # the tier relax runs, so the grid check is reached
             cfg.n_points = 8  # below the grid minimum
         bad_csv = tmp_path / "contrast.csv"
         bad_csv.write_text("t,abs_s\n0,1\n1,1\n")
@@ -772,6 +908,58 @@ class TestCli:
         assert "jobs" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(outdir, "g_bi_final_000"))
         assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
+
+    @pytest.mark.parametrize("tier", ["meanfield", "effpot", "ed"])
+    @pytest.mark.parametrize("pipeline", ["relax", "quench", "breathing"])
+    def test_tier_matrix(self, tmp_path, capsys, pipeline, tier):
+        supported = {
+            "relax": ("meanfield",),
+            "quench": ("meanfield", "effpot", "ed"),
+            "breathing": ("meanfield", "effpot"),
+        }
+        outdir = str(tmp_path / "out")
+        omega_i_final = 1.2 if pipeline == "breathing" else 1.0
+        path = self._write_cfg(
+            tmp_path, TIER_MATRIX.format(omega_i_final=omega_i_final, outdir=outdir)
+        )
+        code = cli.main([pipeline, "--config", path, "--tier", tier])
+        if tier in supported[pipeline]:
+            assert code == 0
+            name = "omega_br.json" if pipeline == "breathing" else "summary.json"
+            with open(os.path.join(outdir, name), encoding="utf-8") as fh:
+                assert json.load(fh)["tier"] == tier
+        else:
+            assert code == 2
+            assert "solver.tier" in capsys.readouterr().err
+
+    def test_sweep_refused_when_its_pipeline_contract_fails(self, tmp_path, capsys):
+        outdir = str(tmp_path / "sw")
+        text = ED_SMALL.format(extra="g_bi_initial = 0.3", outdir=outdir)
+        path = self._write_cfg(
+            tmp_path, text + "[sweep]\nparameter = g_bi_final\nvalues = 0.5, 1.0\n"
+        )
+        assert cli.main(["validate", "--config", path]) == 0
+        assert cli.main(["sweep", "--config", path]) == 2
+        assert "tier ed quench needs system.g_bi_initial" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(outdir, "g_bi_final_000"))
+        with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+            assert json.load(fh)["status"] == "failed"
+
+    def test_step_size_error_exits_3(self, tmp_path, capsys):
+        # N_B = 10 quenched from g_bi = 0 to 5 at dt = 0.05: the energy gate trips
+        outdir = str(tmp_path / "out")
+        text = (
+            "[system]\nn_bath = 10\ng_bb = 0.5\ng_bi_final = 5\n"
+            "[grid]\nn_points = 128\nx_max = 20\n"
+            "[time]\ndt = 0.05\nt_max = 1\nrecord_every = 1\n"
+            f"[output]\ndirectory = {outdir}\n"
+        )
+        assert cli.main(["quench", "--config", self._write_cfg(tmp_path, text)]) == 3
+        assert "StepSizeError: energy drift" in capsys.readouterr().err
+        with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest["status"] == "failed"
+        assert manifest["diagnostics"]["error"]["type"] == "StepSizeError"
 
     def test_tier_override(self, tmp_path):
         outdir = str(tmp_path / "out")

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from polaron1d import meanfield as mf
-from polaron1d.errors import ConfigurationError, ConvergenceError, UsageError
+from polaron1d.errors import ConfigurationError, ConvergenceError, StepSizeError, UsageError
 from polaron1d.grid import (
     Field,
     bare_ground_state,
@@ -414,6 +414,15 @@ class TestPropagate:
         state, _ = relaxed_default
         with pytest.raises(ConfigurationError):
             mf.propagate(state, default_system, dt=-1.0, t_max=1.0)
+
+    def test_energy_drift_gate(self):
+        # a g_bi = 0 -> 5 quench at dt = 0.05 drifts 1e-3 in energy in one step
+        grid = build_grid(128, 20.0)
+        state, _ = mf.relax_ground_state(mf.MeanFieldSystem(n_bath=10, g_bb=0.5, g_bi=0.0), grid)
+        post = mf.MeanFieldSystem(n_bath=10, g_bb=0.5, g_bi=5.0)
+        with pytest.raises(StepSizeError, match=r"energy drift 1\.02e-03 at t=0\.050") as err:
+            mf.propagate(state, post, dt=0.05, t_max=1.0, record_every=1)
+        assert err.value.suggested_dt == 0.025
 
 
 class TestSoundHorizon:
