@@ -18,7 +18,8 @@ reversal C[-k mod L] of the column's own spectrum C times the phase
 exp(-2 pi i (n-1) k/L), so one forward FFT serves both parts.
 
 `stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
-spectrum, and `evolve_coefficients` evolves a state's expansion in it; the
+spectrum, as two half-size parity blocks when V is mirror symmetric to the
+bit, and `evolve_coefficients` evolves a state's expansion in it; the
 mean-field spin-down branch and the effective-potential tier both evolve
 states this way.
 
@@ -112,6 +113,13 @@ def expectation_x(f):
 
 def expectation_x2(f):
     return float(np.real(np.sum(np.abs(f.values) ** 2 * f.grid.x**2) * f.grid.dx))
+
+
+def parity_odd_fraction(f):
+    """||f - J f|| / (2 ||f||), J the mirror x -> -x: the norm of the odd
+    part of f relative to f (0 for an even field, 1 for an odd one)."""
+    v = f.values
+    return float(np.linalg.norm(v - v[::-1]) / (2.0 * np.linalg.norm(v)))
 
 
 def box_wavenumbers(grid):
@@ -268,10 +276,58 @@ def bare_ground_state(grid, omega=1.0):
     return Field(grid, vals.astype(np.complex128)).normalized()
 
 
+def is_mirror_symmetric(values):
+    """Whether grid samples are exactly even under x -> -x, bit for bit (the
+    grid itself is symmetric to the ulp, `build_grid`)."""
+    return bool(np.array_equal(values, values[::-1]))
+
+
+def _parity_eigh(h, out):
+    """Eigenvalues, ascending, of a real symmetric matrix that commutes with
+    the mirror J (J h J = h), from its even and odd blocks h11 +- h12 J on the
+    first half of the points; for an odd size the centre point joins the even
+    block, coupled to the half by sqrt(2) h[i, c]. The unit eigenvectors,
+    exactly even or odd, are written in the same order to the columns of
+    `out`, which must hold zeros."""
+    m = h.shape[0]
+    k = m // 2
+    near = h[:k, :k]
+    fold = h[:k, m - k :][:, ::-1]
+    even = np.empty((m - k, m - k))
+    even[:k, :k] = near + fold
+    if m % 2:
+        even[:k, k] = even[k, :k] = np.sqrt(2.0) * h[:k, k]
+        even[k, k] = h[k, k]
+    e_even, a_even = np.linalg.eigh(even)
+    e_odd, a_odd = np.linalg.eigh(near - fold)
+    energies = np.concatenate([e_even, e_odd])
+    order = np.argsort(energies, kind="stable")
+    # the column of each even, then each odd, state in ascending order
+    col = np.empty(m, dtype=np.intp)
+    col[order] = np.arange(m)
+    col_even, col_odd = col[: m - k], col[m - k :]
+    half = np.sqrt(0.5) * a_even[:k]
+    out[:k, col_even] = half
+    out[m - k :, col_even] = half[::-1]
+    if m % 2:
+        out[k, col_even] = a_even[k]
+    half = np.sqrt(0.5) * a_odd
+    out[:k, col_odd] = half
+    out[m - k :, col_odd] = -half[::-1]
+    return energies[order]
+
+
 def stationary_states(grid, potential):
-    """Full eigensystem of -(1/2) d^2/dx^2 + V under hard walls, from one
-    dense eigendecomposition of kinetic_matrix(grid) + diag(V[1:-1]), where
-    `potential` holds V on every grid point.
+    """Full eigensystem of -(1/2) d^2/dx^2 + V under hard walls, from the
+    dense matrix kinetic_matrix(grid) + diag(V[1:-1]), where `potential`
+    holds V on every grid point.
+
+    The kinetic matrix commutes with the mirror x -> -x, so a potential that
+    does too (`is_mirror_symmetric`) is solved as two half-size parity blocks,
+    which together cost about a third of one full `eigh` on the 450-point
+    grid, and its states come out exactly even or odd; any other potential
+    takes one full `eigh`. The states are written into the returned array in
+    place, so no second (n_points, n_interior) array is held.
 
     Returns (energies, states): the energies in ascending order and the
     states as the columns of one real (n_points, n_interior) array, zero at
@@ -280,13 +336,17 @@ def stationary_states(grid, potential):
     """
     h = kinetic_matrix(grid)
     h[np.diag_indices_from(h)] += potential[1:-1]
-    energies, vecs = np.linalg.eigh(h)
-    states = np.zeros((grid.n_points, energies.size))
-    states[1:-1] = vecs / np.sqrt(grid.dx)
-    # deterministic sign: first sizable entry positive
-    sizable = np.abs(states) > 1e-8 * np.max(np.abs(states), axis=0)
-    lead = states[np.argmax(sizable, axis=0), np.arange(energies.size)]
-    states[:, lead < 0] *= -1.0
+    states = np.zeros((grid.n_points, h.shape[0]))
+    if is_mirror_symmetric(potential):
+        energies = _parity_eigh(h, states[1:-1])
+    else:
+        energies, states[1:-1] = np.linalg.eigh(h)
+    states /= np.sqrt(grid.dx)
+    # deterministic sign: first sizable entry positive (|s| > cut, tested as
+    # s > cut or s < -cut)
+    cut = 1e-8 * np.maximum(states.max(axis=0), -states.min(axis=0))
+    lead = np.argmax((states > cut) | (states < -cut), axis=0)
+    states *= np.where(states[lead, np.arange(energies.size)] < 0, -1.0, 1.0)
     return energies, states
 
 

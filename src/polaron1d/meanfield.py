@@ -328,8 +328,9 @@ def _newton_polish(sys, grid, b, u):
     chemical potentials as unknowns; each update comes from `_newton_step`,
     which solves the bordered Jacobian as two coupled (n+1)^2 blocks and
     never forms it. Returns the real (b, u) of the smallest residual reached,
-    the inputs when Newton does not reduce it (e.g. near-singular Jacobian);
-    `relax_ground_state` gates the result against RELAX_TOL."""
+    the inputs when Newton does not reduce it (e.g. near-singular Jacobian),
+    made exactly parity even; `relax_ground_state` gates the result against
+    RELAX_TOL."""
     dx = grid.dx
     ni = grid.n_points - 2
     t = kinetic_matrix(grid)
@@ -365,8 +366,10 @@ def _newton_polish(sys, grid, b, u):
         (pb, pu, mu_b, mu_i), res = new, new_res
     b_out = np.zeros_like(b)
     u_out = np.zeros_like(u)
-    b_out[1:-1] = pb
-    u_out[1:-1] = pu
+    # averaged with their mirror images, as the imaginary-time stage is at
+    # each check: the relaxed densities and potentials are then exactly even
+    b_out[1:-1] = 0.5 * (pb + pb[::-1])
+    u_out[1:-1] = 0.5 * (pu + pu[::-1])
     b_out /= np.sqrt(np.sum(np.abs(b_out) ** 2) * dx)
     u_out /= np.sqrt(np.sum(np.abs(u_out) ** 2) * dx)
     return b_out, u_out

@@ -5,6 +5,9 @@ check and dynamical-region classification.
 Peaks are found by a numpy port of scipy.signal's find_peaks / peak_widths
 rules (same indices, same widths), so importing this module does not load
 scipy.signal; scipy.optimize is loaded only when a damped-cosine fit runs.
+
+The spectral function's zero-padded transform is taken decimated in
+frequency, as SPECTRAL_PAD_FACTOR transforms of the record's own length.
 """
 
 import numbers
@@ -137,6 +140,11 @@ def spectral_function(s, window="none"):
     The t=0 sample carries a half weight (trapezoid at the boundary), which
     makes the discrete sum rule  sum A dw = Re S(0)  exact for the unwindowed
     transform. The full band (-pi/dt, pi/dt] is returned, ascending.
+
+    The transform is zero-padded to P n samples, P = SPECTRAL_PAD_FACTOR, and
+    taken decimated in frequency: with k = P m + r, bin k is bin m of the
+    n-point transform of x_j exp(2 pi i r j/(P n)), so P transforms of length n
+    replace one of length P n.
     """
     if s.t0 != 0.0 or abs(s.values[0] - 1.0) > 1e-6:
         raise UsageError("spectral_function expects a series with S(0)=1 at t=0")
@@ -146,15 +154,20 @@ def spectral_function(s, window="none"):
     data = s.values.astype(np.complex128) * w
     data[0] *= 0.5
     n_pad = SPECTRAL_PAD_FACTOR * n
-    padded = np.zeros(n_pad, dtype=np.complex128)
-    padded[:n] = data
-    # sum_n x_n e^{+i w_k t_n} = conj(fft(conj(x)))
-    transform = np.conj(np.fft.fft(np.conj(padded))) * s.dt_sample
-    a = np.real(transform) / np.pi
+    # row r holds x_j exp(2 pi i r j/n_pad), one phase step per row
+    step = np.exp(2j * np.pi * np.arange(n) / n_pad)
+    twiddled = np.empty((SPECTRAL_PAD_FACTOR, n), dtype=np.complex128)
+    twiddled[0] = data
+    for r in range(1, SPECTRAL_PAD_FACTOR):
+        np.multiply(twiddled[r - 1], step, out=twiddled[r])
+    # sum_j y_j e^{+2 pi i j m/n} is the unscaled inverse FFT; row r, bin m
+    # is bin k = P m + r of the padded transform
+    transform = np.fft.ifft(twiddled, axis=1, norm="forward").real.T.reshape(-1)
+    a = transform * (s.dt_sample / np.pi)
+    # fftfreq order shifted to ascending omega
     omegas = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=s.dt_sample)
-    order = np.argsort(omegas)
     return SpectralFunction(
-        omegas=omegas[order], values=a[order], t_max_used=s.t_max
+        omegas=np.fft.fftshift(omegas), values=np.fft.fftshift(a), t_max_used=s.t_max
     )
 
 

@@ -29,7 +29,13 @@ from . import meanfield as mf
 from . import observables as obs
 from .config import sweep_value_errors
 from .errors import ConfigurationError, PolaronError, UsageError, exit_code
-from .grid import bare_ground_state, build_grid, ho_mode_basis
+from .grid import (
+    bare_ground_state,
+    build_grid,
+    ho_mode_basis,
+    is_mirror_symmetric,
+    parity_odd_fraction,
+)
 
 SUMMARY_SCHEMA_VERSION = 1
 
@@ -316,7 +322,15 @@ def _quench_meanfield(cfg, out, grid):
         }
     )
     out.diagnostics.update(
-        {"norm_drift": summary["norm_drift"], "energy_drift": summary["energy_drift"]}
+        {
+            "norm_drift": summary["norm_drift"],
+            "energy_drift": summary["energy_drift"],
+            # round-off seeds an odd part that real time can amplify
+            "parity_odd_fraction": {
+                "bath": parity_odd_fraction(final.bath),
+                "up": parity_odd_fraction(final.up),
+            },
+        }
     )
     return summary
 
@@ -326,6 +340,7 @@ def _quench_effpot(cfg, out, grid):
     out.diagnostics.update(telemetry)
     pot = ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=cfg.omega_i_initial)
     spec = ep.eigensolve(pot, n_eig=cfg.n_eig)
+    out.diagnostics["mirror_symmetric"] = is_mirror_symmetric(pot.values)
     contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=max(cfg.dt, 0.02))
     summary = _contrast_files(out, contrast.series, cfg)
     _write_csv(
@@ -464,6 +479,9 @@ def _breathing_effpot(cfg, out, grid):
     br = ep.breathing_run(
         builder, cfg.omega_i_initial, cfg.omega_i_final,
         t_max=min(cfg.t_max, 120.0), dt=max(cfg.dt, 0.02), n_eig=cfg.n_eig,
+    )
+    out.diagnostics["mirror_symmetric"] = is_mirror_symmetric(
+        br.initial_spectrum.potential.values
     )
     _variance_file(out, br.series["x_mean"], br.series["x2"], br.series["p2"])
     summary = {"omega_br": br.omega_br, "fit_valid": False, "source": source_tag,

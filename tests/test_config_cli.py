@@ -672,6 +672,33 @@ class TestRunnerPipelines:
         saved = json.load(open(os.path.join(outdir, "summary.json")))
         assert saved["density_scale"] == summary["density_scale"]
 
+    def test_effpot_reports_mirror_symmetry(self, tmp_path):
+        grid = build_grid(450, 40.0)
+        profile = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
+        sample = tmp_path / "shifted_density.txt"
+        np.savetxt(sample, np.column_stack([grid.x, profile.density_values(grid.x - 0.3)]))
+        for source, symmetric in (("tf", True), (str(sample), False)):
+            outdir = str(tmp_path / f"run_{symmetric}")
+            cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
+            cfg.source = source
+            runner.run_quench(cfg)
+            manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+            assert manifest["diagnostics"]["mirror_symmetric"] is symmetric
+        outdir = str(tmp_path / "breathing")
+        runner.run_breathing(validate_config(BREATHING_TF.format(g_bi=0.25, outdir=outdir)))
+        manifest = json.load(open(os.path.join(outdir, "manifest.json")))
+        assert manifest["diagnostics"]["mirror_symmetric"] is True
+
+    def test_meanfield_quench_reports_parity(self, tmp_path):
+        cfg = validate_config(MF_SWEEP.format(outdir=str(tmp_path / "run")))
+        cfg.g_bi_final = 0.6
+        runner.run_quench(cfg)
+        manifest = json.load(open(os.path.join(cfg.directory, "manifest.json")))
+        odd = manifest["diagnostics"]["parity_odd_fraction"]
+        assert set(odd) == {"bath", "up"}
+        # an exactly even start keeps only a round-off odd part this early
+        assert all(0.0 <= v < 1e-12 for v in odd.values())
+
     def test_relaxed_source_reports_relaxation(self, tmp_path):
         cfg = validate_config(RELAXED_SWEEP.format(outdir=str(tmp_path / "sw")))
         runner.run_sweep(cfg)

@@ -10,6 +10,7 @@ from polaron1d.grid import (
     expectation_x,
     expectation_x2,
     inner,
+    is_mirror_symmetric,
     kinetic_expectation,
 )
 from polaron1d.observables import TimeSeries, find_peaks, spectral_function
@@ -190,6 +191,50 @@ class TestContrast:
         ep.stationary_moments(spec, bare_ground_state(grid), t_max=1.0, dt=0.5)
         out = ep.effpot_contrast(ep.eigensolve(pot, n_eig=60), t_max=5.0, dt=0.05)
         spectral_function(out.series)
+
+    @pytest.mark.parametrize("n_t", [2, 17, 5001])
+    def test_factored_phases_match_the_direct_sum(self, tf_pot_strong, n_t):
+        spec = ep.eigensolve(tf_pot_strong, n_eig=40)
+        dt = 0.02
+        out = ep.effpot_contrast(spec, t_max=dt * (n_t - 1), dt=dt)
+        t = dt * np.arange(n_t)
+        direct = np.exp(-1j * np.multiply.outer(t, spec.energies - 0.5)) @ out.weights
+        assert out.series.values.shape == (n_t,)
+        assert np.max(np.abs(out.series.values - direct)) < 1e-11
+
+
+class TestDoubletDeterminism:
+    """The relaxed bath is exactly even, so the double-well doublets, split
+    by round-off, come out as one exactly even and one exactly odd level, and
+    the weight of the even start sits on the even one."""
+
+    @staticmethod
+    def parity_weights(density, g_bi):
+        spec = ep.eigensolve(ep.build_effective_potential(density, g_bi), n_eig=60)
+        weights = ep.effpot_contrast(spec, t_max=1.0, dt=0.05).weights
+        s = spec.states
+        even = np.all(s == s[::-1], axis=0)
+        assert np.all(even ^ np.all(s == -s[::-1], axis=0))
+        return weights[even], weights[~even]
+
+    @pytest.mark.parametrize("g_bi", [2.3, 2.8])
+    def test_doublet_weights_do_not_move_with_round_off(self, grid, relaxed_density, g_bi):
+        even, odd = self.parity_weights(relaxed_density, g_bi)
+        assert np.max(odd) < 1e-26
+        # a relative 1e-12 change of the bath that keeps it even
+        bumped = Field(grid, relaxed_density.values * (1.0 + 1e-12 * np.cos(grid.x)))
+        assert is_mirror_symmetric(bumped.values)
+        assert not np.array_equal(bumped.values, relaxed_density.values)
+        even2, odd2 = self.parity_weights(bumped, g_bi)
+        assert np.max(odd2) < 1e-26
+        # compared by parity: which doublet member is listed first is still
+        # decided by round-off (the gaps are ~1e-14)
+        assert np.max(np.abs(even2 - even)) < 1e-10
+
+    def test_single_well_minimum_on_an_even_grid(self, grid, relaxed_density):
+        # the two centre points tie exactly; the left one is reported
+        pot = ep.build_effective_potential(relaxed_density, 0.3)
+        assert pot.well_minima().tolist() == [-0.5 * grid.dx]
 
 
 class TestStationaryMoments:

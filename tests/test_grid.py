@@ -3,6 +3,7 @@ import pytest
 import scipy.fft
 from scipy.fft import dst, idst
 
+from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import (
     Field,
@@ -15,10 +16,12 @@ from polaron1d.grid import (
     build_grid,
     ho_mode_basis,
     inner,
+    is_mirror_symmetric,
     kinetic_apply,
     kinetic_expectation,
     kinetic_matrix,
     next_fast_len,
+    parity_odd_fraction,
     sine_filter,
     stationary_states,
 )
@@ -171,6 +174,75 @@ def test_stationary_states_of_the_bare_trap(grid):
     assert np.all(states[lead, np.arange(energies.size)] > 0)
     ground = bare_ground_state(grid, 0.7).values
     assert np.max(np.abs(states[:, 0] - ground.real)) < 1e-12
+
+
+def _full_eigh_states(grid, potential):
+    """Oracle: one full `eigh` of the Hamiltonian, with the sign rule of
+    `stationary_states`."""
+    h = kinetic_matrix(grid)
+    h[np.diag_indices_from(h)] += potential[1:-1]
+    energies, vecs = np.linalg.eigh(h)
+    states = np.zeros((grid.n_points, energies.size))
+    states[1:-1] = vecs / np.sqrt(grid.dx)
+    lead = np.argmax(np.abs(states) > 1e-8 * np.max(np.abs(states), axis=0), axis=0)
+    states[:, states[lead, np.arange(energies.size)] < 0] *= -1.0
+    return energies, states
+
+
+def _double_well(grid, g_bi=2.5):
+    """The effective potential of a Thomas-Fermi bath at a double-well
+    coupling: its low doublets are split by 1e-10 to 1e-7."""
+    bath = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
+    return 0.5 * grid.x**2 + g_bi * bath.density_values(grid.x)
+
+
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_parity_blocks_match_the_full_eigh(n_points):
+    grid = build_grid(n_points, 40.0)
+    potential = _double_well(grid)
+    assert is_mirror_symmetric(potential)
+    energies, states = stationary_states(grid, potential)
+    want_e, want_s = _full_eigh_states(grid, potential)
+    scale = np.max(np.abs(want_e))
+    assert np.max(np.abs(energies - want_e)) <= 1e-12 * scale
+    assert np.all(np.diff(energies) >= 0)
+    # every state is exactly even or exactly odd
+    even = np.all(states == states[::-1], axis=0)
+    odd = np.all(states == -states[::-1], axis=0)
+    assert np.all(even ^ odd)
+    assert even.sum() == (n_points - 1) // 2
+    # near-degenerate levels (gap below 1e-6 of the spectral scale) are
+    # compared by the projector on their group, the others state by state
+    starts = np.flatnonzero(np.diff(energies, prepend=-np.inf, append=np.inf) > 1e-6 * scale)
+    groups = [range(a, b) for a, b in zip(starts[:-1], starts[1:])]
+    assert sum(len(g) for g in groups) == energies.size
+    assert any(len(g) > 1 for g in groups)
+    for g in groups:
+        got, want = states[:, list(g)], want_s[:, list(g)]
+        if len(g) == 1:
+            assert np.max(np.abs(got - want)) < 1e-9
+        else:
+            diff = (got @ got.T - want @ want.T) * grid.dx
+            assert np.max(np.abs(diff)) < 1e-9
+
+
+def test_asymmetric_potential_takes_the_full_eigh(grid):
+    potential = _double_well(grid)
+    potential[100] += 1e-12
+    assert not is_mirror_symmetric(potential)
+    energies, states = stationary_states(grid, potential)
+    want_e, want_s = _full_eigh_states(grid, potential)
+    assert np.array_equal(energies, want_e)
+    assert np.array_equal(states, want_s)
+
+
+def test_parity_odd_fraction(grid):
+    even = bare_ground_state(grid)
+    odd = Field(grid, grid.x * even.values)
+    assert parity_odd_fraction(even) == 0.0
+    assert parity_odd_fraction(odd) == pytest.approx(1.0, rel=1e-14)
+    mixed = Field(grid, even.values.real + 1j * odd.values.real / np.sqrt(odd.norm2()))
+    assert parity_odd_fraction(mixed) == pytest.approx(np.sqrt(0.5), rel=1e-12)
 
 
 def _dst_pair(cols, symbol):

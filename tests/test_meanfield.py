@@ -112,8 +112,17 @@ class TestRelax:
         # mu_I ~ g_BI N_B |b(0)|^2 ~ 112 against mu_B ~ 22: a step set by the
         # bath alone leaves tau mu_I ~ 2, far from stationary for the polish
         sys = mf.MeanFieldSystem(n_bath=100, g_bb=2.0, g_bi=10.0, omega_i=1.3)
-        _, res = mf.relax_ground_state(sys, build_grid(n_points, x_max))
+        state, res = mf.relax_ground_state(sys, build_grid(n_points, x_max))
         assert max(res.residual_bath, res.residual_impurity) <= mf.RELAX_TOL
+        for f in (state.bath, state.up):
+            assert np.array_equal(f.values, f.values[::-1])
+
+    def test_relaxed_orbitals_are_exactly_even(self, relaxed_default):
+        # an exactly even bath gives the effpot tier an exactly mirror-symmetric
+        # potential, which `grid.stationary_states` solves by parity blocks
+        state, _ = relaxed_default
+        for f in (state.bath, state.up, state.down):
+            assert np.array_equal(f.values, f.values[::-1])
 
     def test_relaxed_state_is_parity_even(self):
         # at the centre of a dense bath the impurity sits on a saddle that

@@ -6,6 +6,7 @@ from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, ExtractionError, UsageError
 from polaron1d.grid import Field, build_grid
 from polaron1d.observables import (
+    SPECTRAL_PAD_FACTOR,
     EnergyBreakdown,
     TimeSeries,
     classify_region,
@@ -106,6 +107,27 @@ class TestSpectralFunction:
             + spectral_function(s2, window="none").values
         )
         assert np.max(np.abs(a_mix - a_sum)) < 1e-10
+
+
+    @pytest.mark.parametrize("window", ["none", "hann"])
+    @pytest.mark.parametrize("n", [2, 31, 41, 5001])
+    def test_decimated_transform_matches_the_padded_fft(self, n, window):
+        rng = np.random.default_rng(n)
+        vals = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        vals[0] = 1.0
+        dt = 0.02
+        got = spectral_function(TimeSeries(0.0, dt, vals), window=window)
+        t = dt * np.arange(n)
+        taper = np.cos(0.5 * np.pi * t / t[-1]) ** 2 if window == "hann" else 1.0
+        n_pad = SPECTRAL_PAD_FACTOR * n
+        padded = np.zeros(n_pad, dtype=np.complex128)
+        padded[:n] = vals * taper
+        padded[0] *= 0.5
+        want = np.real(np.conj(np.fft.fft(np.conj(padded)))) * dt / np.pi
+        omegas = 2.0 * np.pi * np.fft.fftfreq(n_pad, d=dt)
+        order = np.argsort(omegas)
+        assert np.array_equal(got.omegas, omegas[order])
+        assert np.max(np.abs(got.values - want[order])) < 1e-15 * np.sqrt(n)
 
 
 class TestFindPeaks:
