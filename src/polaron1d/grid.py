@@ -17,6 +17,15 @@ Hankel part acts on the reversed column, whose spectrum is the frequency
 reversal C[-k mod L] of the column's own spectrum C times the phase
 exp(-2 pi i (n-1) k/L), so one forward FFT serves both parts.
 
+`even_sine_filter` is the same operator on parity-even fields, carried by
+their h = ceil(n/2) interior samples with x <= 0 (`half_points`): folding
+each column with its mirror image gives Toeplitz minus Hankel again, on h
+points with the even kernel G(m) = g(m) - g(n + 1 - m), so both filters run
+through one convolution core, the even one on an FFT of length
+next_fast_len(2h - 1) (448 on the reference grid). `even_kinetic_matrix` is
+its dense kinetic matrix, `unfold_even` restores the full-grid samples and
+`half_weights` gives the full-grid norm.
+
 `stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
 spectrum, as two half-size parity blocks when V is mirror symmetric to the
 bit, and `evolve_coefficients` evolves a state's expansion in it; the
@@ -171,6 +180,62 @@ def _sine_kernel(n, symbol):
     return np.concatenate([half, half[-2:0:-1]])
 
 
+def _toeplitz_minus_hankel(size, kernel, halve_last=False):
+    """The operator y_i = sum_j [K(i - j) - K(i + j)] c_j, i, j = 1..size,
+    with K the periodic `kernel` (one period along axis 0, even:
+    K(-m) = K(m)), as a function that overwrites a (size, ...) block of
+    columns c in place and returns it; with `halve_last` the last entry of
+    each column enters with weight 1/2. The kernel's trailing axes, if any,
+    give each column its own taps.
+
+    Both parts run as circular convolutions of length
+    L = next_fast_len(2 size - 1), which holds their 2 size - 1 lags without
+    wrap-around. The Toeplitz taps K(m), m = 1-size..size-1, sit at slot
+    m mod L. The Hankel part is the same convolution of the reversed column
+    with taps K(m + size + 1); the reversed column's spectrum is
+    w^((size-1)k) C[-k mod L], w = exp(-2 pi i/L), with C the spectrum of the
+    column itself, so both parts share one forward FFT and the phase
+    w^((size-1)k) is folded into the Hankel spectrum here, once. Each call is
+    one forward FFT, two spectral products read from C and its frequency
+    reversal, a subtraction and one inverse FFT.
+    """
+    fft_size = next_fast_len(2 * size - 1)
+    lags = np.arange(1 - size, size)
+    slots, period = lags % fft_size, kernel.shape[0]
+    toeplitz = np.zeros((fft_size,) + kernel.shape[1:], dtype=kernel.dtype)
+    hankel = np.zeros_like(toeplitz)
+    toeplitz[slots] = kernel[lags % period]
+    hankel[slots] = kernel[(lags + size + 1) % period]
+    toeplitz, hankel = (
+        np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
+        for taps in (toeplitz, hankel)
+    )
+    # the integer product (size-1)k is reduced mod L before the exponential
+    shift = np.exp(-2j * np.pi * ((size - 1) * np.arange(fft_size) % fft_size) / fft_size)
+    hankel *= shift.reshape((fft_size,) + (1,) * (hankel.ndim - 1))
+    ext = np.zeros((fft_size,) + kernel.shape[1:], dtype=np.complex128)
+    fwd = np.empty_like(ext)
+    rev = np.empty_like(ext)
+    negated = -np.arange(fft_size)
+
+    def apply(cols):
+        ext[:size] = cols
+        if halve_last:
+            ext[size - 1] *= 0.5
+        np.fft.fft(ext, axis=0, out=fwd)
+        # rev = C[-k mod L]: a gather into a contiguous buffer is cheaper
+        # than multiplying through a row-reversed view of an (L, n_cols) block
+        np.take(fwd, negated, axis=0, out=rev, mode="wrap")
+        np.multiply(rev, hankel, out=rev)
+        np.multiply(fwd, toeplitz, out=fwd)
+        np.subtract(fwd, rev, out=fwd)
+        out = np.fft.ifft(fwd, axis=0, out=fwd)[:size]
+        cols[...] = out if np.iscomplexobj(cols) else out.real
+        return cols
+
+    return apply
+
+
 def sine_filter(grid, symbol):
     """The operator S diag(symbol) S on the interior points, S the orthonormal
     DST-I, as a function that overwrites the interior rows of a column block
@@ -180,53 +245,79 @@ def sine_filter(grid, symbol):
     (n_interior, n_cols) for an (n_points, n_cols) block, so each column can
     carry its own symbol.
 
-    The operator is Toeplitz minus Hankel, y_i = sum_j [g(i - j) - g(i + j)] c_j,
-    run as circular convolutions of length L = next_fast_len(2n - 1), which
-    holds the 2n - 1 lags of either part without wrap-around. The Toeplitz
-    taps g(m), m = 1-n..n-1, sit at slot m mod L. The Hankel part is the same
-    convolution of the reversed column with taps g(m + n + 1); the reversed
-    column's spectrum is w^((n-1)k) C[-k mod L], w = exp(-2 pi i/L), with C
-    the spectrum of the column itself, so both parts share one forward FFT
-    and the phase w^((n-1)k) is folded into the Hankel spectrum here, once.
-    Each call is one forward FFT, two spectral products read from C and its
-    frequency reversal, a subtraction and one inverse FFT.
+    The operator is Toeplitz minus Hankel, y_i = sum_j [g(i - j) - g(i + j)] c_j
+    with g the kernel of `_sine_kernel`, run by `_toeplitz_minus_hankel` on
+    an FFT of length next_fast_len(2n - 1).
     """
     symbol = np.asarray(symbol)
     n = grid.n_points - 2
-    g = _sine_kernel(n, symbol)
-    size = next_fast_len(2 * n - 1)
-    lags = np.arange(1 - n, n)
-    slots, period = lags % size, g.shape[0]
-    toeplitz = np.zeros((size,) + symbol.shape[1:], dtype=g.dtype)
-    hankel = np.zeros_like(toeplitz)
-    toeplitz[slots] = g[lags % period]
-    hankel[slots] = g[(lags + n + 1) % period]
-    toeplitz, hankel = (
-        np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
-        for taps in (toeplitz, hankel)
-    )
-    # the integer product (n-1)k is reduced mod L before the exponential
-    shift = np.exp(-2j * np.pi * ((n - 1) * np.arange(size) % size) / size)
-    hankel *= shift.reshape((size,) + (1,) * (hankel.ndim - 1))
-    ext = np.zeros((size,) + symbol.shape[1:], dtype=np.complex128)
-    fwd = np.empty_like(ext)
-    rev = np.empty_like(ext)
-    negated = -np.arange(size)
+    interior = _toeplitz_minus_hankel(n, _sine_kernel(n, symbol))
 
     def apply(cols):
-        ext[:n] = cols[1:-1]
-        np.fft.fft(ext, axis=0, out=fwd)
-        # rev = C[-k mod L]: a gather into a contiguous buffer is cheaper
-        # than multiplying through a row-reversed view of an (L, n_cols) block
-        np.take(fwd, negated, axis=0, out=rev, mode="wrap")
-        np.multiply(rev, hankel, out=rev)
-        np.multiply(fwd, toeplitz, out=fwd)
-        np.subtract(fwd, rev, out=fwd)
-        out = np.fft.ifft(fwd, axis=0, out=fwd)[:n]
-        cols[1:-1] = out if np.iscomplexobj(cols) else out.real
+        interior(cols[1:-1])
         return cols
 
     return apply
+
+
+def half_points(grid):
+    """h = ceil(n/2), the number of interior points with x <= 0 (n interior
+    points in all): the samples that carry a parity-even field."""
+    return (grid.n_points - 1) // 2
+
+
+def half_weights(grid):
+    """Quadrature weights of the half-grid samples of an even field:
+    sum_i w_i f_i^2 over the h = `half_points` samples is the full-grid
+    sum f^2 dx (2 dx per mirrored pair, dx for the centre point of an odd
+    number of interior points)."""
+    w = np.full(half_points(grid), 2.0 * grid.dx)
+    if grid.n_points % 2:
+        w[-1] = grid.dx
+    return w
+
+
+def unfold_even(grid, half):
+    """The full-grid samples (zero at the walls) of the even field whose
+    first h interior samples are the rows of `half`: exactly mirror
+    symmetric, bit for bit."""
+    h, n = half.shape[0], grid.n_points - 2
+    out = np.zeros((grid.n_points,) + half.shape[1:], dtype=half.dtype)
+    out[1 : h + 1] = half
+    out[h + 1 : -1] = half[: n - h][::-1]
+    return out
+
+
+def _even_kernel(n, symbol):
+    """G(m) = g(m) - g(N - m), N = n + 1, over one period m = 0..2N-1, g the
+    kernel `_sine_kernel(n, symbol)`: the kernel of the sine-spectral
+    operator on even fields. g(N - m) is g(m) with the sign of every even
+    mode flipped, so G is twice the sine kernel of the symbol's odd modes,
+    the only ones an even field carries; it is computed that way, without
+    the cancellation of the difference (the norm of a long real-time
+    propagation then drifts less)."""
+    odd = np.array(symbol)
+    odd[1::2] = 0.0
+    return 2.0 * _sine_kernel(n, odd)
+
+
+def even_sine_filter(grid, symbol):
+    """`sine_filter` restricted to parity-even fields, on their first h
+    interior samples (`half_points`): a function that overwrites an
+    (h,) or (h, n_cols) block in place and returns it, with `symbol` shaped
+    as for `sine_filter` (only its odd modes act).
+
+    An even field has c_{N-j} = c_j, N = n + 1, so the pair j, N - j of the
+    full operator's columns folds into Toeplitz minus Hankel on h points,
+    y_i = sum_j w_j [G(i - j) - G(i + j)] c_j with the kernel G of
+    `_even_kernel` and w_j = 1, except w = 1/2 for the centre point of an
+    odd n (its own mirror image). It runs through the same
+    `_toeplitz_minus_hankel` as `sine_filter`, on an FFT of length
+    next_fast_len(2h - 1): 448 on the 450-point reference grid, against 896.
+    """
+    n = grid.n_points - 2
+    kernel = _even_kernel(n, np.asarray(symbol))
+    return _toeplitz_minus_hankel(half_points(grid), kernel, halve_last=n % 2 == 1)
 
 
 def _kinetic_symbol(grid):
@@ -246,17 +337,37 @@ def kinetic_apply(f):
     return Field(f.grid, values)
 
 
+def _toeplitz_minus_hankel_matrix(size, kernel):
+    """Dense [K(i - j) - K(i + j)], i, j = 1..size, for an even kernel K."""
+    # the rows of the Toeplitz part K(|i - j|) are windows of K(|m|),
+    # m = 1-size..size-1, taken in reverse order; the rows of the Hankel
+    # part K(i + j) are windows of K(m), m = 2..2 size
+    windows = np.lib.stride_tricks.sliding_window_view
+    toeplitz = windows(np.concatenate([kernel[size - 1 : 0 : -1], kernel[:size]]), size)[::-1]
+    return toeplitz - windows(kernel[2 : 2 * size + 1], size)
+
+
 def kinetic_matrix(grid):
     """Dense sine-DVR matrix of -(1/2) d^2/dx^2 on the interior points:
     kinetic_matrix(grid) @ f.values[1:-1] is kinetic_apply(f).values[1:-1]."""
     n = grid.n_points - 2
-    g = _sine_kernel(n, _kinetic_symbol(grid))
-    # the rows of the Toeplitz part g(|i - j|) are windows of g(|m|),
-    # m = 1-n..n-1, taken in reverse order; the rows of the Hankel part
-    # g(i + j) are windows of g(m), m = 2..2n
-    windows = np.lib.stride_tricks.sliding_window_view
-    toeplitz = windows(np.concatenate([g[n - 1 : 0 : -1], g[:n]]), n)[::-1]
-    return toeplitz - windows(g[2 : 2 * n + 1], n)
+    return _toeplitz_minus_hankel_matrix(n, _sine_kernel(n, _kinetic_symbol(grid)))
+
+
+def even_kinetic_matrix(grid):
+    """Dense matrix of -(1/2) d^2/dx^2 on parity-even fields, acting on their
+    first h interior samples (`half_points`), built from the even kernel as
+    `kinetic_matrix` is from the sine kernel: for an even f,
+    even_kinetic_matrix(grid) @ f.values[1:h+1] is
+    kinetic_apply(f).values[1:h+1]. For an odd n the centre column carries
+    weight 1/2 (`even_sine_filter`); conjugated by diag(1, ..., 1, 1/sqrt(2))
+    it is the symmetric even block of `kinetic_matrix`."""
+    n = grid.n_points - 2
+    kernel = _even_kernel(n, _kinetic_symbol(grid))
+    block = _toeplitz_minus_hankel_matrix(half_points(grid), kernel)
+    if n % 2:
+        block[:, -1] *= 0.5
+    return block
 
 
 def kinetic_expectation(f):

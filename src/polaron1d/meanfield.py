@@ -13,9 +13,26 @@ so the energy bookkeeping refers to the spin-up branch.
 Both loops are time-splitting sine-spectral methods (Bao, Jaksch & Markowich,
 J. Comput. Phys. 187, 318 (2003)); the relaxation is their normalized
 gradient flow (Bao & Du, SIAM J. Sci. Comput. 25, 1674 (2004)) at one
-imaginary step, kept parity even, run until its stationarity residual stalls
-at the splitting bias. It carries the real bath and spin-up orbitals as one
-complex column b + i u and merges the two half-step decay filters around each
+imaginary step, run until its stationarity residual stalls at the splitting
+bias.
+
+The trap is mirror symmetric, so the relaxed state is parity even, and
+real-time dynamics from an even state stay even. Relaxation, polish and
+propagation therefore run in the even sector on the half grid: an even
+orbital is carried by its h = ceil(n/2) interior samples with x <= 0
+(`grid.half_points`, quadrature weights `grid.half_weights`), where the
+sine-spectral steps need only the odd sine modes and run on half-length FFTs
+(`grid.even_sine_filter`), and it is unfolded into an exactly even
+full-grid Field (`grid.unfold_even`) wherever it is read: at each residual
+check, each record and each snapshot. `propagate` refuses a state whose
+orbitals are not mirror symmetric to the bit; it never projects one. Where
+the impurity is expelled from the bath the even stationary state is a
+saddle, and a broken-parity one lies lower (E = 546.53354 against 546.67688
+at g_bi = 1 on the default bath: N_B = 100, g_BB = 0.5, 450 points,
+x_max = 40); that state is a mean-field property the outputs leave out.
+
+The relaxation carries the real bath and spin-up orbitals as one complex
+column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
 exactly in the bare trap's stationary states on the grid
@@ -28,9 +45,9 @@ does not grow with t_max.
 The relaxation ends with a Newton polish of the coupled stationarity
 equations, which sets the accuracy of the ground state: a polished GP
 stationarity residual above RELAX_TOL raises ConvergenceError. Its bordered
-Jacobian is two (n+1)^2 blocks, bath and spin-up, coupled only through
-diagonals proportional to g_BI, and it is solved by block elimination, never
-formed as one (2n+2)^2 matrix.
+Jacobian is two (h+1)^2 blocks on the half grid, bath and spin-up, coupled
+only through diagonals proportional to g_BI, and it is solved by block
+elimination, never formed as one (2h+2)^2 matrix.
 
 The GP potentials of bath and spin-up, V_b = trap_b + g_BB (N_B - 1) |b|^2 +
 g_BI |u|^2 and V_u = trap_u + g_BI N_B |b|^2, are [|b|^2, |u|^2] C plus the
@@ -51,16 +68,21 @@ from .grid import (
     Field,
     bare_ground_state,
     box_wavenumbers,
+    even_kinetic_matrix,
+    even_sine_filter,
     evolve_coefficients,
     expectation_x,
     expectation_x2,
+    half_points,
+    half_weights,
     inner,
+    is_mirror_symmetric,
     kinetic_apply,
     kinetic_expectation,
-    kinetic_matrix,
     kinetic_phase_factors,
-    sine_filter,
+    parity_odd_fraction,
     stationary_states,
+    unfold_even,
 )
 from .observables import ENERGY_TERMS, EnergyBreakdown, TimeSeries, record_intervals
 
@@ -276,33 +298,34 @@ POLISH_MAX_ITERATIONS = 10
 POLISH_TARGET = 1e-13
 
 
-def _bordered(t, shift, p, dx):
-    """The (n+1)^2 block [[t + diag(shift), -p], [p dx, 0]] of one orbital's
-    stationarity equation bordered by its chemical potential and its norm
-    constraint."""
+def _bordered(t, shift, p, weights):
+    """The (m+1)^2 block [[t + diag(shift), -p], [p weights, 0]] of one
+    orbital's stationarity equation on m samples, bordered by its chemical
+    potential and its norm constraint."""
     ni = p.size
     block = np.empty((ni + 1, ni + 1))
     block[:ni, :ni] = t
     block.reshape(-1)[: ni * (ni + 2) : ni + 2] += shift
     block[:ni, ni] = -p
-    block[ni, :ni] = p * dx
+    block[ni, :ni] = p * weights
     block[ni, ni] = 0.0
     return block
 
 
-def _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
+def _newton_step(sys, t, traps, weights, pb, pu, mu_b, mu_i, res):
     """The Newton update (db, du, dmu_b, dmu_i) that solves J delta = -res,
     J the bordered Jacobian of `_newton_polish`'s residual, by block
-    elimination.
+    elimination. `t` is the kinetic matrix on the samples of pb and pu and
+    `weights` their quadrature weights (the norm is sum(weights p^2)).
 
     J is the bath block [[T + diag(V_b + 2 g_BB (N_B - 1) b^2 - mu_b), -b],
-    [b dx, 0]] and the spin-up block [[T + diag(V_u - mu_i), -u], [u dx, 0]],
+    [b w, 0]] and the spin-up block [[T + diag(V_u - mu_i), -u], [u w, 0]],
     coupled only by diag(2 g_BI b u) in the bath rows and diag(2 g_BI N_B b u)
     in the spin-up rows. The spin-up block is solved once, for the residual
     and for the coupling columns where b u is nonzero; the bath block less
     the coupling times those solutions then gives the bath update. At
-    g_BI = 0 there are no coupling columns: two (n+1)^2 solves with one
-    right-hand side each.
+    g_BI = 0 there are no coupling columns: two (m+1)^2 solves, m = pb.size,
+    with one right-hand side each.
     """
     ni = pb.size
     n = sys.n_bath
@@ -313,66 +336,63 @@ def _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
     rhs[:ni, 0] = -res[ni : 2 * ni]
     rhs[ni, 0] = -res[2 * ni + 1]
     rhs[cols, 1 + np.arange(cols.size)] = n * couple[cols]
-    sol = np.linalg.solve(_bordered(t, v_u - mu_i, pu, dx), rhs)
+    sol = np.linalg.solve(_bordered(t, v_u - mu_i, pu, weights), rhs)
     z, y = sol[:, 0], sol[:, 1:]
-    bath = _bordered(t, v_b + 2.0 * sys.g_bb * (n - 1) * pb**2 - mu_b, pb, dx)
+    bath = _bordered(t, v_b + 2.0 * sys.g_bb * (n - 1) * pb**2 - mu_b, pb, weights)
     bath[:ni, cols] -= couple[:, None] * y[:ni]
     xb = np.linalg.solve(bath, np.append(-res[:ni] - couple * z[:ni], -res[2 * ni]))
     xu = z - y @ xb[cols]
     return xb[:ni], xu[:ni], xb[ni], xu[ni]
 
 
-def _newton_polish(sys, grid, b, u):
+def _newton_polish(sys, grid, pb, pu):
     """Newton iteration on the coupled stationarity equations for the real,
-    positive float orbitals b and u (interior points), with the norm constraints and the
-    chemical potentials as unknowns; each update comes from `_newton_step`,
-    which solves the bordered Jacobian as two coupled (n+1)^2 blocks and
-    never forms it. Returns the real (b, u) of the smallest residual reached,
-    the inputs when Newton does not reduce it (e.g. near-singular Jacobian),
-    made exactly parity even; `relax_ground_state` gates the result against
-    RELAX_TOL."""
-    dx = grid.dx
-    ni = grid.n_points - 2
-    t = kinetic_matrix(grid)
-    traps = _stacked_traps(grid, sys)[1:-1]
+    positive, parity-even orbitals pb and pu, given by their half-grid samples
+    (`grid.half_points`), with the norm constraints and the chemical
+    potentials as unknowns; each update comes from `_newton_step`, which
+    solves the bordered Jacobian as two coupled (h+1)^2 blocks on the even
+    kinetic block (`grid.even_kinetic_matrix`) and never forms it. Returns
+    the normalized half-grid (b, u) of the smallest residual reached, the
+    inputs when Newton does not reduce it (e.g. near-singular Jacobian);
+    `relax_ground_state` gates the result against RELAX_TOL."""
+    ni = pb.size
+    weights = half_weights(grid)
+    both = np.concatenate([weights, weights])
+    t = even_kinetic_matrix(grid)
+    traps = _stacked_traps(grid, sys)[1 : ni + 1]
 
     def residual(pb, pu, mu_b, mu_i):
         v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
         hb = t @ pb + (v_b - mu_b) * pb
         hu = t @ pu + (v_u - mu_i) * pu
-        cb = 0.5 * (np.sum(pb**2) * dx - 1.0)
-        cu = 0.5 * (np.sum(pu**2) * dx - 1.0)
+        cb = 0.5 * (weights @ pb**2 - 1.0)
+        cu = 0.5 * (weights @ pu**2 - 1.0)
         return np.concatenate([hb, hu, [cb, cu]])
 
-    pb, pu = b[1:-1], u[1:-1]
+    def norm(res):
+        # the L2 norm of the full-grid stationarity residual
+        return float(np.sqrt(both @ res[: 2 * ni] ** 2))
+
     v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
-    mu_b = float(pb @ (t @ pb) * dx + np.sum(v_b * pb**2) * dx)
-    mu_i = float(pu @ (t @ pu) * dx + np.sum(v_u * pu**2) * dx)
+    mu_b = float(weights @ (pb * (t @ pb) + v_b * pb**2))
+    mu_i = float(weights @ (pu * (t @ pu) + v_u * pu**2))
     res = residual(pb, pu, mu_b, mu_i)
     for _ in range(POLISH_MAX_ITERATIONS):
-        rnorm = float(np.linalg.norm(res[: 2 * ni]) * np.sqrt(dx))
+        rnorm = norm(res)
         if rnorm < POLISH_TARGET:
             break
         try:
-            db, du, dmu_b, dmu_i = _newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res)
+            db, du, dmu_b, dmu_i = _newton_step(sys, t, traps, weights, pb, pu, mu_b, mu_i, res)
         except np.linalg.LinAlgError:
             break
         new = (pb + db, pu + du, mu_b + dmu_b, mu_i + dmu_i)
         new_res = residual(*new)
         # a step is kept only when it cuts the residual, so the current
         # iterate is always the best one reached
-        if not np.linalg.norm(new_res[: 2 * ni]) * np.sqrt(dx) <= 0.9 * rnorm:
+        if not norm(new_res) <= 0.9 * rnorm:
             break
         (pb, pu, mu_b, mu_i), res = new, new_res
-    b_out = np.zeros_like(b)
-    u_out = np.zeros_like(u)
-    # averaged with their mirror images, as the imaginary-time stage is at
-    # each check: the relaxed densities and potentials are then exactly even
-    b_out[1:-1] = 0.5 * (pb + pb[::-1])
-    u_out[1:-1] = 0.5 * (pu + pu[::-1])
-    b_out /= np.sqrt(np.sum(np.abs(b_out) ** 2) * dx)
-    u_out /= np.sqrt(np.sum(np.abs(u_out) ** 2) * dx)
-    return b_out, u_out
+    return pb / np.sqrt(weights @ pb**2), pu / np.sqrt(weights @ pu**2)
 
 
 def relax_ground_state(sys, grid):
@@ -389,9 +409,9 @@ def relax_ground_state(sys, grid):
     orbitals b and u share the decay filter, so they travel as one complex
     column b + i u.
 
-    The state is made parity even at each residual check: the result is the
-    parity-even ground state, a saddle where an expelled impurity would sit
-    lower off-centre, which round-off no longer decides to leave.
+    Every stage runs in the even sector on the half grid (see the module
+    docstring): the result is the parity-even ground state, exactly even, a
+    saddle where an expelled impurity would sit lower off-centre.
     The relaxation stops when the GP stationarity residual stops improving
     (it stalls at the O(tau^2) splitting bias); `_newton_polish` then solves
     the stationarity equations. A polished residual above RELAX_TOL raises
@@ -403,13 +423,14 @@ def relax_ground_state(sys, grid):
     the pre-quench energy E0 that `mean_field_contrast` takes.
     """
     bath, imp = _initial_guess(sys, grid)
-    b = bath.values.real.copy()
-    u = imp.values.real.copy()
-    dx = grid.dx
+    h = half_points(grid)
+    weights = half_weights(grid)
+    b = bath.values.real[1 : h + 1].copy()
+    u = imp.values.real[1 : h + 1].copy()
 
     def current_state():
-        fb = Field(grid, b.astype(np.complex128))
-        fu = Field(grid, u.astype(np.complex128))
+        fb = Field(grid, unfold_even(grid, b).astype(np.complex128))
+        fu = Field(grid, unfold_even(grid, u).astype(np.complex128))
         return MeanFieldState(bath=fb, up=fu, down=fu)
 
     tau = min(RELAX_TAU, RELAX_TAU_MU / max(_stationarity(current_state(), sys)[0]))
@@ -417,18 +438,19 @@ def relax_ground_state(sys, grid):
     # decays noticeably between residual checks at any tau
     check_every = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
     decay_half = np.exp(-0.5 * tau * box_wavenumbers(grid) ** 2 / 2.0)
-    kin_half = sine_filter(grid, decay_half)
-    kin = sine_filter(grid, decay_half**2)
+    kin_half = even_sine_filter(grid, decay_half)
+    kin = even_sine_filter(grid, decay_half**2)
     coupling = -tau * _coupling_matrix(sys)
-    traps = -tau * _stacked_traps(grid, sys)
+    traps = -tau * _stacked_traps(grid, sys)[1 : h + 1]
     trace = []
     iterations = 0
     r_prev = np.inf
-    w = np.empty(grid.n_points, dtype=np.complex128)
-    # float (n_points, 2) views of packed columns hold the parts [b, u]
+    w = np.empty(h, dtype=np.complex128)
+    # float (h, 2) views of packed columns hold the parts [b, u]
     w_parts = w.view(np.float64).reshape(-1, 2)
     squares = np.empty_like(w_parts)
     decay = np.empty_like(w_parts)
+    weight_col = weights[:, None]
     norms2 = np.empty(2)
     # y = K^1/2 x, x the normalized orbitals
     y = kin_half(b + 1j * u)
@@ -443,15 +465,14 @@ def relax_ground_state(sys, grid):
             np.multiply(y_parts, decay, out=w_parts)
             y[:] = w
             kin(y)
-            np.vecdot(w_parts, y_parts, axis=0, out=norms2)
-            y_parts /= np.sqrt(norms2 * dx)
+            # the norms dx <w, K w> of the full-grid orbitals
+            np.multiply(w_parts, weight_col, out=squares)
+            np.vecdot(squares, y_parts, axis=0, out=norms2)
+            y_parts /= np.sqrt(norms2)
         iterations += check_every
-        # the flow keeps parity, but its round-off seeds an odd part that
-        # grows where the parity-even state is a saddle: drop it at each check
-        y[:] = 0.5 * (y + y[::-1])
-        x = kin_half(0.5 * (w + w[::-1]))
-        b = x.real / np.sqrt(np.sum(x.real**2) * dx)
-        u = x.imag / np.sqrt(np.sum(x.imag**2) * dx)
+        x = kin_half(w.copy())
+        b = x.real / np.sqrt(weights @ x.real**2)
+        u = x.imag / np.sqrt(weights @ x.imag**2)
         state = current_state()
         trace.append(energy_breakdown(state, sys).total)
         resid = max(_stationarity(state, sys)[1])
@@ -504,7 +525,10 @@ class MeanFieldTrajectory:
 
 def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     """Real-time propagation of the coupled equations: Strang split steps
-    for the bath and spin-up orbitals, carried as one (n_points, 2) block.
+    for the bath and spin-up orbitals, carried in the even sector as one
+    (h, 2) block of their half-grid samples (see the module docstring). A
+    state whose bath, spin-up or spin-down orbital is not mirror symmetric
+    to the bit raises UsageError, which names its odd fraction.
 
     The spin-down orbital never couples to the bath and evolves linearly in
     the bare impurity trap of sys_post; it is advanced exactly in that
@@ -527,21 +551,31 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     """
     n_records = record_intervals(dt, t_max, record_every)
     grid = state.bath.grid
+    for name in ("bath", "up", "down"):
+        orbital = getattr(state, name)
+        if not is_mirror_symmetric(orbital.values):
+            raise UsageError(
+                f"the {name} orbital is not mirror symmetric (odd fraction "
+                f"{parity_odd_fraction(orbital):.3e}); mean-field propagation "
+                f"runs in the parity-even sector"
+            )
+    h = half_points(grid)
     # -dt (|cols|^2 C + traps) from the float view of cols: its columns are
     # (Re b, Im b, Re u, Im u), so the rows of C repeat for each part
     coupling = -dt * np.repeat(_coupling_matrix(sys_post), 2, axis=0)
-    traps = -dt * _stacked_traps(grid, sys_post)
+    traps = -dt * _stacked_traps(grid, sys_post)[1 : h + 1]
     kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 2, axis=1)
-    kin_half = sine_filter(grid, kin_phases)
-    kin_full = sine_filter(grid, kin_phases**2)
+    kin_half = even_sine_filter(grid, kin_phases)
+    kin_full = even_sine_filter(grid, kin_phases**2)
     # the spin-down expansion; real states, so every product is by parts
     down_energies, down_states = stationary_states(grid, _trap(grid, sys_post.omega_i))
     down0 = state.down.values
     down_coeffs = (down0.real @ down_states + 1j * (down0.imag @ down_states)) * grid.dx
 
-    cols = np.empty((grid.n_points, 2), dtype=np.complex128)
-    cols[:, 0] = state.bath.values
-    cols[:, 1] = state.up.values
+    # the half-grid samples of bath and spin-up
+    cols = np.empty((h, 2), dtype=np.complex128)
+    cols[:, 0] = state.bath.values[1 : h + 1]
+    cols[:, 1] = state.up.values[1 : h + 1]
     keys = ("norm_bath", "norm_up", "norm_down", *ENERGY_TERMS, "x_mean_up", "x2_up", "p2_up")
     records = {key: [] for key in keys}
     times, overlaps = [], []
@@ -551,8 +585,9 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     def record(k, t):
         amp = evolve_coefficients(down_energies, down_coeffs, t - state.time)
         down = Field(grid, down_states @ amp.real + 1j * (down_states @ amp.imag))
+        full = unfold_even(grid, cols)
         st = MeanFieldState(
-            bath=Field(grid, cols[:, 0]), up=Field(grid, cols[:, 1]), down=down, time=t
+            bath=Field(grid, full[:, 0]), up=Field(grid, full[:, 1]), down=down, time=t
         )
         bd = energy_breakdown(st, sys_post)
         times.append(t)

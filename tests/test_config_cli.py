@@ -696,8 +696,8 @@ class TestRunnerPipelines:
         manifest = json.load(open(os.path.join(cfg.directory, "manifest.json")))
         odd = manifest["diagnostics"]["parity_odd_fraction"]
         assert set(odd) == {"bath", "up"}
-        # an exactly even start keeps only a round-off odd part this early
-        assert all(0.0 <= v < 1e-12 for v in odd.values())
+        # the tier propagates in the parity-even sector: no odd part at all
+        assert all(v == 0.0 for v in odd.values())
 
     def test_relaxed_source_reports_relaxation(self, tmp_path):
         cfg = validate_config(RELAXED_SWEEP.format(outdir=str(tmp_path / "sw")))

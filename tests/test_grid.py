@@ -14,6 +14,10 @@ from polaron1d.grid import (
     bare_ground_state,
     box_wavenumbers,
     build_grid,
+    even_kinetic_matrix,
+    even_sine_filter,
+    half_points,
+    half_weights,
     ho_mode_basis,
     inner,
     is_mirror_symmetric,
@@ -24,6 +28,7 @@ from polaron1d.grid import (
     parity_odd_fraction,
     sine_filter,
     stationary_states,
+    unfold_even,
 )
 
 
@@ -304,6 +309,59 @@ def test_sine_filter_keeps_real_blocks_real(grid):
     assert out.dtype == np.float64
     ref = _dst_pair(cols.real, symbol)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("kind", ["decay", "phase"])
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_even_sine_filter_is_sine_filter_on_even_fields(n_points, kind):
+    # an odd n_points puts a point at the centre, its own mirror image
+    grid = build_grid(n_points, 40.0)
+    h = half_points(grid)
+    k2 = box_wavenumbers(grid) ** 2 / 2.0
+    rng = np.random.default_rng(n_points)
+    if kind == "decay":
+        symbol = np.exp(-2e-2 * k2)
+        half = rng.standard_normal(h)
+    else:
+        symbol = np.exp(-1j * 5e-4 * k2[:, None] / np.array([1.0, 0.7]))
+        half = rng.standard_normal((h, 2)) + 1j * rng.standard_normal((h, 2))
+    full = unfold_even(grid, half)
+    assert is_mirror_symmetric(full)
+    assert np.array_equal(full[1 : h + 1], half)
+    ref = sine_filter(grid, symbol)(full.copy())
+    out = even_sine_filter(grid, symbol)(half.copy())
+    assert out.dtype == half.dtype
+    assert np.max(np.abs(out - ref[1 : h + 1])) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_even_kinetic_matrix_is_the_even_block(n_points):
+    # the even block of the kinetic matrix as `_parity_eigh` forms it: near +
+    # fold on the first half, the centre of an odd n coupled by sqrt(2)
+    grid = build_grid(n_points, 40.0)
+    t = kinetic_matrix(grid)
+    n = n_points - 2
+    k = n // 2
+    block = np.empty((n - k, n - k))
+    block[:k, :k] = t[:k, :k] + t[:k, n - k :][:, ::-1]
+    if n % 2:
+        block[:k, k] = block[k, :k] = np.sqrt(2.0) * t[:k, k]
+        block[k, k] = t[k, k]
+    # on the half-grid samples the centre column carries weight 1/2, so the
+    # symmetric block is D E D^-1, D = diag(1, ..., 1, 1/sqrt(2))
+    d = np.ones(n - k)
+    d[k:] = np.sqrt(0.5)
+    got = d[:, None] * even_kinetic_matrix(grid) / d
+    assert got.shape == (half_points(grid),) * 2
+    assert np.max(np.abs(got - block)) <= 1e-14 * np.max(np.abs(block))
+
+
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_half_weights_give_the_full_grid_norm(n_points):
+    grid = build_grid(n_points, 40.0)
+    half = np.random.default_rng(3).standard_normal(half_points(grid))
+    full = Field(grid, unfold_even(grid, half))
+    assert half_weights(grid) @ half**2 == pytest.approx(full.norm2(), rel=1e-14)
 
 
 def test_kinetic_apply_reuses_one_filter(grid, rng):

@@ -11,10 +11,14 @@ from polaron1d.grid import (
     bare_ground_state,
     box_wavenumbers,
     build_grid,
+    even_sine_filter,
     expectation_x2,
+    half_points,
+    half_weights,
     inner,
     kinetic_expectation,
     kinetic_matrix,
+    parity_odd_fraction,
     sine_filter,
 )
 from polaron1d.observables import (
@@ -26,9 +30,10 @@ from polaron1d.observables import (
 TF_MU_CLOSED_FORM = (3 * 100 * 0.5 / (4 * np.sqrt(2))) ** (2.0 / 3.0)  # 8.8923
 
 
-def dense_newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
-    """Reference for `mf._newton_step`: the whole (2n+2)^2 bordered Jacobian
-    of the coupled stationarity equations, formed and solved at once."""
+def dense_newton_step(sys, t, traps, weights, pb, pu, mu_b, mu_i, res):
+    """Reference for `mf._newton_step`: the whole (2m+2)^2 bordered Jacobian
+    of the coupled stationarity equations on m samples with quadrature
+    `weights`, formed and solved at once."""
     ni, n = pb.size, sys.n_bath
     v_b, v_u = mf._gp_potentials(sys, traps, pb, pu).T
     jac = np.zeros((2 * ni + 2, 2 * ni + 2))
@@ -38,8 +43,8 @@ def dense_newton_step(sys, t, traps, dx, pb, pu, mu_b, mu_i, res):
     jac[ni : 2 * ni, :ni] = np.diag(2.0 * sys.g_bi * n * pb * pu)
     jac[ni : 2 * ni, ni : 2 * ni] = t + np.diag(v_u - mu_i)
     jac[ni : 2 * ni, 2 * ni + 1] = -pu
-    jac[2 * ni, :ni] = pb * dx
-    jac[2 * ni + 1, ni : 2 * ni] = pu * dx
+    jac[2 * ni, :ni] = pb * weights
+    jac[2 * ni + 1, ni : 2 * ni] = pu * weights
     delta = np.linalg.solve(jac, -res)
     return delta[:ni], delta[ni : 2 * ni], delta[2 * ni], delta[2 * ni + 1]
 
@@ -131,8 +136,19 @@ class TestRelax:
         state, res = mf.relax_ground_state(sys, build_grid(450, 20.0))
         assert max(res.residual_bath, res.residual_impurity) <= mf.RELAX_TOL
         for f in (state.bath, state.up):
-            odd = np.max(np.abs(f.values - f.values[::-1]))
-            assert odd <= 1e-11 * np.max(np.abs(f.values))
+            assert np.array_equal(f.values, f.values[::-1])
+
+    @pytest.mark.parametrize(
+        "g_bi, energy",
+        [(0.0, 536.1013390145708), (1.0, 546.6768817125101), (3.0, 548.3504651549259)],
+    )
+    def test_energies_of_the_full_grid_relaxation(self, grid, g_bi, energy):
+        # the energies a relaxation and polish on all 448 interior points
+        # returned on the default bath; the half grid reaches the same state
+        sys = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=g_bi)
+        _, res = mf.relax_ground_state(sys, grid)
+        assert res.energy == pytest.approx(energy, rel=1e-10, abs=0.0)
+        assert max(res.residual_bath, res.residual_impurity) <= mf.RELAX_TOL
 
     def test_drop_radius_near_tf(self, relaxed_density):
         radius = mf.density_drop_radius(relaxed_density)
@@ -164,16 +180,25 @@ class TestRelax:
         lhs = np.sum(sine_filter(grid, half)(x.copy()) ** 2) * grid.dx
         rhs = np.dot(x, sine_filter(grid, half**2)(x.copy())) * grid.dx
         assert abs(lhs - rhs) <= 1e-14 * lhs
+        # and on the half grid the relaxation runs on, in its weighted norm
+        x = x[1 : half_points(grid) + 1]
+        weights = half_weights(grid)
+        lhs = weights @ even_sine_filter(grid, half)(x.copy()) ** 2
+        rhs = weights @ (x * even_sine_filter(grid, half**2)(x.copy()))
+        assert abs(lhs - rhs) <= 1e-14 * lhs
 
     def test_packed_column_filters_each_orbital(self, grid, rng):
         # b + i u through one filter: the real symbol keeps the parts apart
-        decay = sine_filter(grid, np.exp(-mf.RELAX_TAU * box_wavenumbers(grid) ** 2 / 2.0))
+        symbol = np.exp(-mf.RELAX_TAU * box_wavenumbers(grid) ** 2 / 2.0)
         b, u = rng.standard_normal((2, grid.n_points))
         b[[0, -1]] = u[[0, -1]] = 0.0
-        packed = decay(b + 1j * u)
-        for part, orbital in ((packed.real, b), (packed.imag, u)):
-            ref = decay(orbital.copy())
-            assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
+        h = half_points(grid)
+        for decay, rows in ((sine_filter(grid, symbol), slice(None)),
+                            (even_sine_filter(grid, symbol), slice(1, h + 1))):
+            packed = decay(b[rows] + 1j * u[rows])
+            for part, orbital in ((packed.real, b[rows]), (packed.imag, u[rows])):
+                ref = decay(orbital.copy())
+                assert np.max(np.abs(part - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_bulk_density_matches_tf(self, relaxed_density, default_system):
         tf = mf.thomas_fermi(default_system)
@@ -334,31 +359,60 @@ class TestPropagate:
 
     def test_record_interval_matches_dense_split_steps(self):
         # one record interval of 3 steps against K/2 (V K)^2 V K/2 built from
-        # eigh(T) and the GP phases written out per component
-        grid = build_grid(64, 8.0)
+        # eigh(T) of the full grid and the GP phases written out per
+        # component; the chirped Gaussians are even, complex and far from
+        # stationary (an odd n_points puts a point at the centre)
         sys_post = mf.MeanFieldSystem(n_bath=5, g_bb=0.5, g_bi=1.3)
-        kick = np.exp(0.4j * grid.x)
-        bath = Field(grid, np.exp(-0.5 * (grid.x - 0.3) ** 2) * kick).normalized()
-        up = Field(grid, np.exp(-0.6 * (grid.x + 0.5) ** 2) / kick).normalized()
-        state = mf.MeanFieldState(bath=bath, up=up, down=up)
         dt, n = 1e-3, sys_post.n_bath
-        traj, _ = mf.propagate(state, sys_post, dt=dt, t_max=3 * dt, record_every=3)
-        final = traj.snapshots[-1]
-        energies, vecs = np.linalg.eigh(kinetic_matrix(grid))
-        kin_half = (vecs * np.exp(-0.5j * dt * energies)) @ vecs.T
-        kin_full = (vecs * np.exp(-1j * dt * energies)) @ vecs.T
-        trap = 0.5 * grid.x[1:-1] ** 2
-        b, u = kin_half @ bath.values[1:-1], kin_half @ up.values[1:-1]
-        for step in range(3):
-            rho_b, rho_u = np.abs(b) ** 2, np.abs(u) ** 2
-            b = np.exp(-1j * dt * (trap + sys_post.g_bb * (n - 1) * rho_b + sys_post.g_bi * rho_u)) * b
-            u = np.exp(-1j * dt * (trap + sys_post.g_bi * n * rho_b)) * u
-            if step < 2:
-                b, u = kin_full @ b, kin_full @ u
-        b, u = kin_half @ b, kin_half @ u
-        assert final.time == pytest.approx(3 * dt, abs=1e-15)
-        assert np.max(np.abs(final.bath.values[1:-1] - b)) <= 1e-12
-        assert np.max(np.abs(final.up.values[1:-1] - u)) <= 1e-12
+        for n_points in (64, 65):
+            grid = build_grid(n_points, 8.0)
+            chirp = np.exp(0.4j * grid.x**2)
+            bath = Field(grid, np.exp(-0.5 * grid.x**2) * chirp).normalized()
+            up = Field(grid, np.exp(-0.9 * grid.x**2) / chirp**2).normalized()
+            state = mf.MeanFieldState(bath=bath, up=up, down=up)
+            traj, _ = mf.propagate(state, sys_post, dt=dt, t_max=3 * dt, record_every=3)
+            final = traj.snapshots[-1]
+            energies, vecs = np.linalg.eigh(kinetic_matrix(grid))
+            kin_half = (vecs * np.exp(-0.5j * dt * energies)) @ vecs.T
+            kin_full = (vecs * np.exp(-1j * dt * energies)) @ vecs.T
+            trap = 0.5 * grid.x[1:-1] ** 2
+            b, u = kin_half @ bath.values[1:-1], kin_half @ up.values[1:-1]
+            for step in range(3):
+                rho_b, rho_u = np.abs(b) ** 2, np.abs(u) ** 2
+                b = np.exp(-1j * dt * (trap + sys_post.g_bb * (n - 1) * rho_b + sys_post.g_bi * rho_u)) * b
+                u = np.exp(-1j * dt * (trap + sys_post.g_bi * n * rho_b)) * u
+                if step < 2:
+                    b, u = kin_full @ b, kin_full @ u
+            b, u = kin_half @ b, kin_half @ u
+            assert final.time == pytest.approx(3 * dt, abs=1e-15)
+            assert np.max(np.abs(final.bath.values[1:-1] - b)) <= 1e-12
+            assert np.max(np.abs(final.up.values[1:-1] - u)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["bath", "up", "down"])
+    def test_state_without_mirror_symmetry_is_refused(self, grid, name):
+        # the tier runs in the parity-even sector: a shifted Gaussian is
+        # refused with its odd fraction, never projected onto its even part
+        orbitals = {key: bare_ground_state(grid) for key in ("bath", "up", "down")}
+        orbitals[name] = Field(grid, np.exp(-0.5 * (grid.x - 0.3) ** 2)).normalized()
+        state = mf.MeanFieldState(**orbitals)
+        sys_post = mf.MeanFieldSystem(n_bath=5, g_bb=0.5, g_bi=1.0)
+        refusal = rf"{name} orbital is not mirror symmetric \(odd fraction 2\.074e-01\)"
+        with pytest.raises(UsageError, match=refusal):
+            mf.propagate(state, sys_post, dt=1e-3, t_max=0.01, record_every=10)
+
+    def test_strong_quench_stays_parity_even(self, relaxed_default):
+        # in a 0 -> 4 quench on the default bath a full-grid split step let
+        # round-off grow into an odd fraction of 0.69 (spin-up) by t = 30,
+        # past 1e-3 from t = 18; the even sector carries no odd part at all
+        state, _ = relaxed_default
+        sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=4.0)
+        odd = []
+        mf.propagate(
+            state, sys_post, dt=1e-3, t_max=30.0, record_every=1000,
+            observe=lambda k, st: odd.append([parity_odd_fraction(f) for f in (st.bath, st.up)]),
+        )
+        assert len(odd) == 31
+        assert np.all(np.array(odd) == 0.0)
 
     def test_t_max_below_one_record_interval_is_refused(self, relaxed_default, default_system):
         # 100 steps are short of one 200-step record interval; the run must
