@@ -28,9 +28,10 @@ its dense kinetic matrix, `unfold_even` restores the full-grid samples and
 
 `stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
 spectrum, as two half-size parity blocks when V is mirror symmetric to the
-bit, and `evolve_coefficients` evolves a state's expansion in it; the
-mean-field spin-down branch and the effective-potential tier both evolve
-states this way.
+bit, `even_stationary_states` solves the even block alone, and
+`evolve_coefficients` evolves a state's expansion in it; the
+effective-potential tier evolves states this way in the full spectrum, the
+exactly even mean-field spin-down branch in the even states.
 
 The transforms are numpy.fft's. The DCT-I is the rfft of the even extension,
 and the spectrum of a real kernel is its rfft with the Hermitian half filled
@@ -393,39 +394,64 @@ def is_mirror_symmetric(values):
     return bool(np.array_equal(values, values[::-1]))
 
 
-def _parity_eigh(h, out):
-    """Eigenvalues, ascending, of a real symmetric matrix that commutes with
-    the mirror J (J h J = h), from its even and odd blocks h11 +- h12 J on the
-    first half of the points; for an odd size the centre point joins the even
-    block, coupled to the half by sqrt(2) h[i, c]. The unit eigenvectors,
-    exactly even or odd, are written in the same order to the columns of
-    `out`, which must hold zeros."""
+def _even_block(h):
+    """The even block h11 + h12 J of a real symmetric matrix that commutes
+    with the mirror J (J h J = h), on the first half of the points; for an
+    odd size the centre point joins it, coupled to the half by
+    sqrt(2) h[i, c]."""
     m = h.shape[0]
     k = m // 2
-    near = h[:k, :k]
-    fold = h[:k, m - k :][:, ::-1]
     even = np.empty((m - k, m - k))
-    even[:k, :k] = near + fold
+    even[:k, :k] = h[:k, :k] + h[:k, m - k :][:, ::-1]
     if m % 2:
         even[:k, k] = even[k, :k] = np.sqrt(2.0) * h[:k, k]
         even[k, k] = h[k, k]
-    e_even, a_even = np.linalg.eigh(even)
-    e_odd, a_odd = np.linalg.eigh(near - fold)
+    return even
+
+
+def _unfold_even_vectors(a_even, m, out, cols):
+    """Write the full-size unit vectors of even-block eigenvectors (the
+    columns of a_even) to the columns `cols` of `out` (m rows, zeros)."""
+    k = m // 2
+    half = np.sqrt(0.5) * a_even[:k]
+    out[:k, cols] = half
+    out[m - k :, cols] = half[::-1]
+    if m % 2:
+        out[k, cols] = a_even[k]
+
+
+def _parity_eigh(h, out):
+    """Eigenvalues, ascending, of a real symmetric matrix that commutes with
+    the mirror J (J h J = h), from its even block (`_even_block`) and its odd
+    block h11 - h12 J on the first half of the points. The unit
+    eigenvectors, exactly even or odd, are written in the same order to the
+    columns of `out`, which must hold zeros."""
+    m = h.shape[0]
+    k = m // 2
+    e_even, a_even = np.linalg.eigh(_even_block(h))
+    e_odd, a_odd = np.linalg.eigh(h[:k, :k] - h[:k, m - k :][:, ::-1])
     energies = np.concatenate([e_even, e_odd])
     order = np.argsort(energies, kind="stable")
     # the column of each even, then each odd, state in ascending order
     col = np.empty(m, dtype=np.intp)
     col[order] = np.arange(m)
-    col_even, col_odd = col[: m - k], col[m - k :]
-    half = np.sqrt(0.5) * a_even[:k]
-    out[:k, col_even] = half
-    out[m - k :, col_even] = half[::-1]
-    if m % 2:
-        out[k, col_even] = a_even[k]
+    _unfold_even_vectors(a_even, m, out, col[: m - k])
     half = np.sqrt(0.5) * a_odd
-    out[:k, col_odd] = half
-    out[m - k :, col_odd] = -half[::-1]
+    out[:k, col[m - k :]] = half
+    out[m - k :, col[m - k :]] = -half[::-1]
     return energies[order]
+
+
+def _grid_states(grid, states, energies):
+    """Eigenvectors of the interior points as grid-normalized states, with the
+    first sizable entry of each positive."""
+    states /= np.sqrt(grid.dx)
+    # deterministic sign: first sizable entry positive (|s| > cut, tested as
+    # s > cut or s < -cut)
+    cut = 1e-8 * np.maximum(states.max(axis=0), -states.min(axis=0))
+    lead = np.argmax((states > cut) | (states < -cut), axis=0)
+    states *= np.where(states[lead, np.arange(energies.size)] < 0, -1.0, 1.0)
+    return energies, states
 
 
 def stationary_states(grid, potential):
@@ -452,13 +478,25 @@ def stationary_states(grid, potential):
         energies = _parity_eigh(h, states[1:-1])
     else:
         energies, states[1:-1] = np.linalg.eigh(h)
-    states /= np.sqrt(grid.dx)
-    # deterministic sign: first sizable entry positive (|s| > cut, tested as
-    # s > cut or s < -cut)
-    cut = 1e-8 * np.maximum(states.max(axis=0), -states.min(axis=0))
-    lead = np.argmax((states > cut) | (states < -cut), axis=0)
-    states *= np.where(states[lead, np.arange(energies.size)] < 0, -1.0, 1.0)
-    return energies, states
+    return _grid_states(grid, states, energies)
+
+
+def even_stationary_states(grid, potential):
+    """The even stationary states of a mirror-symmetric potential, from the
+    even parity block alone: the energies, ascending, and the states, the
+    same bits as the even columns of `stationary_states`. A state that is
+    exactly even has no weight on the odd ones, so this is its whole
+    expansion. A potential that is not mirror symmetric to the bit raises
+    UsageError."""
+    if not is_mirror_symmetric(potential):
+        raise UsageError("even stationary states need a mirror-symmetric potential")
+    h = kinetic_matrix(grid)
+    h[np.diag_indices_from(h)] += potential[1:-1]
+    m = h.shape[0]
+    energies, a_even = np.linalg.eigh(_even_block(h))
+    states = np.zeros((grid.n_points, energies.size))
+    _unfold_even_vectors(a_even, m, states[1:-1], slice(None))
+    return _grid_states(grid, states, energies)
 
 
 def evolve_coefficients(energies, coeffs, times):

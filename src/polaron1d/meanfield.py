@@ -35,8 +35,9 @@ The relaxation carries the real bath and spin-up orbitals as one complex
 column b + i u and merges the two half-step decay filters around each
 normalization into one filter per step. The real-time loop carries bath and
 spin-up as a two-column block; the linear spin-down branch is advanced
-exactly in the bare trap's stationary states on the grid
-(`grid.stationary_states`), at the record points only. Each record is reduced
+exactly in the bare trap's even stationary states on the grid
+(`grid.even_stationary_states`, the even parity block alone), at the record
+points only. Each record is reduced
 where it is made, to the scalar series and to its overlaps with the initial
 bath and spin-up orbitals, from which `mean_field_contrast` builds S(t); a
 propagation keeps three states (first, middle and last record), so its memory
@@ -70,6 +71,7 @@ from .grid import (
     box_wavenumbers,
     even_kinetic_matrix,
     even_sine_filter,
+    even_stationary_states,
     evolve_coefficients,
     expectation_x,
     expectation_x2,
@@ -81,7 +83,6 @@ from .grid import (
     kinetic_expectation,
     kinetic_phase_factors,
     parity_odd_fraction,
-    stationary_states,
     unfold_even,
 )
 from .observables import ENERGY_TERMS, EnergyBreakdown, TimeSeries, record_intervals
@@ -532,8 +533,9 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
 
     The spin-down orbital never couples to the bath and evolves linearly in
     the bare impurity trap of sys_post; it is advanced exactly in that
-    trap's stationary states on the grid (`grid.stationary_states`, one
-    dense eigendecomposition per call) and built only at record points.
+    trap's even stationary states on the grid (`grid.even_stationary_states`,
+    one dense eigendecomposition of the even parity block per call) and
+    built only at record points.
     Records every record_every steps (t_max is trimmed to a whole number of
     record intervals; a t_max shorter than one interval raises
     ConfigurationError). Aborts with a step-size advisory when a norm
@@ -567,8 +569,9 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 2, axis=1)
     kin_half = even_sine_filter(grid, kin_phases)
     kin_full = even_sine_filter(grid, kin_phases**2)
-    # the spin-down expansion; real states, so every product is by parts
-    down_energies, down_states = stationary_states(grid, _trap(grid, sys_post.omega_i))
+    # the spin-down expansion, in the even states only (the orbital is even
+    # to the bit); real states, so every product is by parts
+    down_energies, down_states = even_stationary_states(grid, _trap(grid, sys_post.omega_i))
     down0 = state.down.values
     down_coeffs = (down0.real @ down_states + 1j * (down0.imag @ down_states)) * grid.dx
 

@@ -377,9 +377,11 @@ def _quench_ed(cfg, out, grid):
     h_pre = ed.build_hamiltonian(
         fock, cfg.g_bb, cfg.g_bi_initial, omega_i=cfg.omega_i_initial, basis=basis
     )
-    v0, e0 = ed.ground_state(h_pre)
-    # under the quench contract only g_bi changes: the bath block is shared
-    h_post = ed.with_impurity_coupling(h_pre, cfg.g_bi_final)
+    ground = ed.ground_state(h_pre)
+    v0, e0 = ground.vector, ground.energy
+    # under the quench contract only g_bi changes: the bath block is shared,
+    # and H conserves parity, so the run stays in the ground state's sector
+    h_post = ed.with_impurity_coupling(ground.hamiltonian, cfg.g_bi_final)
     # each record is reduced as it comes; only the latest state is held, for
     # the final densities (the first state is v0)
     overlaps, lambdas, breakdowns = [], [], []
@@ -388,7 +390,7 @@ def _quench_ed(cfg, out, grid):
     def observe(k, v):
         nonlocal v_final
         overlaps.append(np.vdot(v0, v))
-        lambdas.append(ed.schmidt(v, cfg.n_modes))
+        lambdas.append(ed.schmidt(v, h_post))
         breakdowns.append(ed.energy_breakdown(v, h_post))
         v_final = v
 
@@ -435,7 +437,15 @@ def _quench_ed(cfg, out, grid):
         }
     )
     out.diagnostics.update(
-        {"norm_drift": traj.max_norm_drift, "energy_drift": summary["energy_drift"]}
+        {
+            "norm_drift": traj.max_norm_drift,
+            "energy_drift": summary["energy_drift"],
+            "parity_sector": {
+                "parity": ("even", "odd")[ground.sector],
+                "dimension": h_post.sector_dim,
+                "other_energy": ground.other_energy,
+            },
+        }
     )
     return summary
 

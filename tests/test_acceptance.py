@@ -33,23 +33,21 @@ def effpot_spectrum_peaks(density, g_bi, threshold=0.05):
 @pytest.fixture(scope="module")
 def ed_setup(grid, basis10):
     fock = ed.build_fock_basis(4, 10)
-    h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-    v0, e0 = ed.ground_state(h0)
-    return fock, v0, e0
+    return ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
 
 
 @pytest.fixture(scope="module")
 def ed_quench_runs(ed_setup, basis10):
     """Shared N_B=4, M=10 quench runs to t=50 for criteria 8 and 10."""
-    fock, v0, e0 = ed_setup
+    v0, e0 = ed_setup.vector, ed_setup.energy
     runs = {}
     for g in (0.2, 1.0, 3.0):
-        h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
+        h1 = ed.with_impurity_coupling(ed_setup.hamiltonian, g)
         overlaps, lambdas = [], []
 
         def observe(k, v):
             overlaps.append(np.vdot(v0, v))
-            lambdas.append(ed.schmidt(v, fock.n_modes))
+            lambdas.append(ed.schmidt(v, h1))
 
         traj = ed.propagate_krylov(
             h1, v0, dt=0.05, t_max=50.0, record_every=2, observe=observe
@@ -187,8 +185,8 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
     # g_bi = 0 implies |S| == 1 (ED quench with unchanged Hamiltonian)
     basis6 = ho_mode_basis(grid, 6)
     fock = ed.build_fock_basis(2, 6)
-    h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis6)
-    v0, e0 = ed.ground_state(h0)
+    ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis6))
+    h0, v0, e0 = ground.hamiltonian, ground.vector, ground.energy
     traj, states = ed_oracle.propagate_states(h0, v0, dt=0.1, t_max=10.0, record_every=10)
     s_un = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
     dev = float(np.max(np.abs(np.abs(s_un.values) - 1.0)))
@@ -231,14 +229,15 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
     )
 
     # Schmidt normalization, product and Bell entropies
-    lambdas = ed.schmidt(v0, fock.n_modes)
+    lambdas = ed.schmidt(v0, h0)
     lam_sum = float(np.sum(lambdas))
     s_product = ed.entanglement_entropy(lambdas)
     fock_bell = ed.build_fock_basis(1, 2)
     amps = np.zeros((2, 2), dtype=complex)
     amps[fock_bell.index([1, 0]), 1] = 1 / np.sqrt(2)
     amps[fock_bell.index([0, 1]), 0] = 1 / np.sqrt(2)
-    s_bell = ed.entanglement_entropy(ed.schmidt(amps.reshape(-1), fock_bell.n_modes))
+    h_bell = ed.build_hamiltonian(fock_bell, 0.0, 0.0).in_sector(1)
+    s_bell = ed.entanglement_entropy(ed.schmidt(h_bell.restrict(amps), h_bell))
     checks.append(
         (
             "Schmidt identities",
@@ -274,10 +273,11 @@ def test_criterion_9_ed_oracles(grid):
     basis8 = ho_mode_basis(grid, 8)
     fock8 = ed.build_fock_basis(2, 8)
     h2 = ed.build_hamiltonian(fock8, 0.5, 0.0, basis=basis8)
-    v_g, e_g = ed.ground_state(h2)
-    w2, vec2 = np.linalg.eigh(h2.to_dense())
-    ground_err = abs(e_g - w2[0])
-    overlap_err = abs(abs(np.vdot(vec2[:, 0], v_g)) - 1.0)
+    ground = ed.ground_state(h2)
+    w2, vec2 = np.linalg.eigh(ground.hamiltonian.to_dense())
+    w_other = np.linalg.eigvalsh(h2.in_sector(1 - ground.sector).to_dense())
+    ground_err = abs(ground.energy - min(w2[0], w_other[0]))
+    overlap_err = abs(abs(np.vdot(vec2[:, 0], ground.vector)) - 1.0)
     details.append(f"ground energy diff {ground_err:.1e}, overlap defect {overlap_err:.1e}")
 
     # two-atom transcendental oracle at g = 1e3, M = 14
@@ -288,7 +288,7 @@ def test_criterion_9_ed_oracles(grid):
     basis14 = ho_mode_basis(grid, 14)
     fock14 = ed.build_fock_basis(1, 14)
     h3 = ed.build_hamiltonian(fock14, 0.0, 1e3, basis=basis14)
-    _, e3 = ed.ground_state(h3)
+    e3 = ed.ground_state(h3).energy
     exact = pair_energy(1e3)
     pair_rel = abs(e3 / exact - 1.0)
     details.append(f"strong-coupling E {e3:.5f} vs exact {exact:.5f} ({pair_rel:.2%})")

@@ -377,6 +377,20 @@ class TestRunnerPipelines:
         assert os.path.exists(os.path.join(outdir, "entropy.csv"))
         assert summary["norm_drift"] < 1e-9
 
+    def test_ed_quench_records_its_parity_sector(self, tmp_path):
+        outdir = str(tmp_path / "ed")
+        cfg = validate_config(
+            "[system]\nn_bath = 2\ng_bb = 0.5\ng_bi_final = 1.0\n"
+            "[time]\ndt = 0.1\nt_max = 1\nrecord_every = 5\n"
+            f"[solver]\ntier = ed\n[solver.ed]\nn_modes = 6\n[output]\ndirectory = {outdir}\n"
+        )
+        summary = runner.run_quench(cfg)
+        with open(os.path.join(outdir, "manifest.json")) as fh:
+            sector = json.load(fh)["diagnostics"]["parity_sector"]
+        # 21 bath states of 2 bosons in 6 modes, 3 impurity modes of each parity
+        assert sector["parity"] == "even" and sector["dimension"] == 63
+        assert sector["other_energy"] > summary["energy_reference"] + 0.5
+
     def test_meanfield_quench_unquenched_contrast(self, tmp_path):
         outdir = str(tmp_path / "mf")
         cfg = validate_config(

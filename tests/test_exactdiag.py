@@ -29,6 +29,23 @@ def trapped_pair_ground_energy(g):
     return 0.5 + (nu + 0.5)
 
 
+def random_sector_vector(h, rng):
+    """A normalized complex sector vector of h with random amplitudes in its
+    valid slots and exact zeros in the invalid ones."""
+    w = (rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)) * (h.full_index >= 0)
+    return w / np.linalg.norm(w)
+
+
+def full_dense(h):
+    """H on the full space (bath Fock state x impurity mode), assembled from
+    the dense matrices of its two parity sectors."""
+    dense = np.zeros((h.fock.total_dim, h.fock.total_dim))
+    for hs in (h.in_sector(0), h.in_sector(1)):
+        full = hs.full_index[hs.slots]
+        dense[np.ix_(full, full)] = hs.to_dense()
+    return dense
+
+
 def one_body_operator(fock, hops, coeffs):
     """sum_il coeffs[i, l] a_i^+ a_l on the bath Fock space: the occupations on
     the diagonal and the oracle's hop table (i, l) -> (src, dst, amp) off it."""
@@ -124,18 +141,20 @@ class TestOracleParity:
     @pytest.mark.parametrize("size", SIZES, ids=["3x6", "4x10"])
     def test_matvec_matches_oracle(self, oracle_unit_blocks, size, g_bb, g_bi):
         basis, fock, (bb_unit, bi_unit) = oracle_unit_blocks[size]
-        h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
+        h0 = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
         blocks = (g_bb * bb_unit, g_bi * bi_unit)
         rng = np.random.default_rng(7)
-        for _ in range(2):
-            v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-            expected = ed_oracle.oracle_matvec(h, blocks, v)
-            assert np.linalg.norm(h.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+        for h in (h0, h0.in_sector(1)):
+            for _ in range(2):
+                w = random_sector_vector(h, rng)
+                expected = h.restrict(ed_oracle.oracle_matvec(h, blocks, h.embed(w)))
+                assert np.linalg.norm(h.matvec(w) - expected) <= 1e-12 * np.linalg.norm(expected)
+            if size == (3, 6):
+                full = h.full_index[h.slots]
+                dense = ed_oracle.oracle_dense(h, blocks)[np.ix_(full, full)]
+                assert np.max(np.abs(h.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
         if g_bb > 0:
-            assert (h.bb_factor.T @ h.bb_factor).nnz == bb_unit.nnz
-        if size == (3, 6):
-            dense = ed_oracle.oracle_dense(h, blocks)
-            assert np.max(np.abs(h.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
+            assert (h0.bb_factor.T @ h0.bb_factor).nnz == bb_unit.nnz
 
 
 class TestAssemblyProperties:
@@ -152,12 +171,15 @@ class TestAssemblyProperties:
     def test_matvec_matches_oracle(self, grid, n_bath, n_modes, g_bb, g_bi):
         basis = ho_mode_basis(grid, n_modes)
         fock = ed.build_fock_basis(n_bath, n_modes)
-        h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
+        h0 = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
         blocks = ed_oracle.oracle_blocks(fock, basis, g_bb, g_bi)
         rng = np.random.default_rng(11)
-        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        expected = ed_oracle.oracle_matvec(h, blocks, v)
-        assert np.linalg.norm(h.matvec(v) - expected) <= 1e-12 * np.linalg.norm(expected)
+        for h in (h0, h0.in_sector(1)):
+            if h.sector_dim == 0:
+                continue
+            w = random_sector_vector(h, rng)
+            expected = h.restrict(ed_oracle.oracle_matvec(h, blocks, h.embed(w)))
+            assert np.linalg.norm(h.matvec(w) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -205,26 +227,24 @@ class TestHamiltonian:
     def test_noninteracting_two_particles(self, basis10):
         fock = ed.build_fock_basis(1, 10)
         h = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
-        _, e = ed.ground_state(h)
-        assert e == pytest.approx(1.0, abs=1e-10)
+        assert ed.ground_state(h).energy == pytest.approx(1.0, abs=1e-10)
 
     def test_hermitian(self, basis10, rng):
         fock = ed.build_fock_basis(3, 10)
-        h = ed.build_hamiltonian(fock, 0.5, 1.2, basis=basis10)
-        for _ in range(3):
-            a = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-            b = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-            a /= np.linalg.norm(a)
-            b /= np.linalg.norm(b)
-            assert np.vdot(a, h.matvec(b)) == pytest.approx(
-                np.conj(np.vdot(b, h.matvec(a))), abs=1e-10
-            )
+        h0 = ed.build_hamiltonian(fock, 0.5, 1.2, basis=basis10)
+        for h in (h0, h0.in_sector(1)):
+            for _ in range(3):
+                a = random_sector_vector(h, rng)
+                b = random_sector_vector(h, rng)
+                assert np.vdot(a, h.matvec(b)) == pytest.approx(
+                    np.conj(np.vdot(b, h.matvec(a))), abs=1e-10
+                )
 
     def test_strong_coupling_fermionization(self, grid):
         basis14 = ho_mode_basis(grid, 14)
         fock = ed.build_fock_basis(1, 14)
         h = ed.build_hamiltonian(fock, 0.0, 1e3, basis=basis14)
-        _, e = ed.ground_state(h)
+        e = ed.ground_state(h).energy
         exact = trapped_pair_ground_energy(1e3)
         assert exact < 2.0  # approaches the fermionized value from below
         assert e == pytest.approx(exact, rel=0.05)
@@ -233,7 +253,7 @@ class TestHamiltonian:
         basis14 = ho_mode_basis(grid, 14)
         fock = ed.build_fock_basis(1, 14)
         h = ed.build_hamiltonian(fock, 0.0, 2.0, basis=basis14)
-        _, e = ed.ground_state(h)
+        e = ed.ground_state(h).energy
         # cusp convergence is slow (~M^-1/2); the M=14 truncation error is ~2.7%
         assert e == pytest.approx(trapped_pair_ground_energy(2.0), rel=0.04)
         assert e > trapped_pair_ground_energy(2.0)  # variational upper bound
@@ -244,17 +264,17 @@ class TestHamiltonian:
             basis = ho_mode_basis(grid, m)
             fock = ed.build_fock_basis(2, m)
             h = ed.build_hamiltonian(fock, 0.5, 0.5, basis=basis)
-            energies.append(ed.ground_state(h)[1])
+            energies.append(ed.ground_state(h).energy)
         assert energies[0] >= energies[1] >= energies[2]
 
     def test_ground_state_matches_dense(self, grid):
         basis = ho_mode_basis(grid, 8)
         fock = ed.build_fock_basis(2, 8)  # dim 288
         h = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis)
-        v, e = ed.ground_state(h)
-        w, vecs = np.linalg.eigh(h.to_dense())
-        assert e == pytest.approx(w[0], abs=1e-10)
-        overlap = abs(np.vdot(vecs[:, 0], v))
+        ground = ed.ground_state(h)
+        w, vecs = np.linalg.eigh(full_dense(h))
+        assert ground.energy == pytest.approx(w[0], abs=1e-10)
+        overlap = abs(np.vdot(vecs[:, 0], ground.hamiltonian.embed(ground.vector)))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -269,21 +289,27 @@ class TestHamiltonian:
     def test_lanczos_matches_dense_eigh(self, grid, n_bath, n_modes, g_bb, g_bi, parity):
         fock = ed.build_fock_basis(n_bath, n_modes)
         h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=ho_mode_basis(grid, n_modes))
-        v, e = ed.ground_state(h)
-        w, vecs = np.linalg.eigh(h.to_dense())
-        assert abs(e - w[0]) <= 1e-10
+        ground = ed.ground_state(h)
+        v = ground.hamiltonian.embed(ground.vector)
+        w, vecs = np.linalg.eigh(full_dense(h))
+        assert abs(ground.energy - w[0]) <= 1e-10
         assert abs(abs(np.vdot(vecs[:, 0], v)) - 1.0) <= 1e-8
+        assert ground.sector == parity
         bath_quanta = fock.occupations @ np.arange(n_modes)
         sector = (bath_quanta[:, None] + np.arange(n_modes)[None, :]).reshape(-1) % 2
         assert np.sum(np.abs(v[sector == parity]) ** 2) == pytest.approx(1.0, abs=1e-12)
+        # the other sector's lowest energy is the lowest of the other parity
+        other = w[np.argmax([np.sum(np.abs(x[sector != parity]) ** 2) > 0.5 for x in vecs.T])]
+        assert abs(ground.other_energy - other) <= 1e-10
 
     def test_real_vectors_stay_real(self, basis10, rng):
         fock = ed.build_fock_basis(3, 10)
-        h = ed.build_hamiltonian(fock, 0.5, 1.2, basis=basis10)
-        x = rng.standard_normal(h.dim)
-        hx = h.matvec(x)
-        assert hx.dtype == np.float64
-        assert np.max(np.abs(hx - h.matvec(x.astype(complex)))) <= 1e-12 * np.max(np.abs(hx))
+        h0 = ed.build_hamiltonian(fock, 0.5, 1.2, basis=basis10)
+        for h in (h0, h0.in_sector(1)):
+            x = rng.standard_normal(h.dim)
+            hx = h.matvec(x)
+            assert hx.dtype == np.float64
+            assert np.max(np.abs(hx - h.matvec(x.astype(complex)))) <= 1e-12 * np.max(np.abs(hx))
 
     def test_step_cap_raises_convergence_error(self, basis10, monkeypatch):
         fock = ed.build_fock_basis(2, 10)
@@ -300,14 +326,14 @@ class TestHamiltonian:
 class TestKrylov:
     def test_diagonal_evolution_phases(self, basis10):
         fock = ed.build_fock_basis(2, 10)
-        h = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
-        diag = h.bath_onebody[:, None] + np.diag(h.h_imp)[None, :]
+        h0 = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
+        diag = (h0.bath_onebody[:, None] + np.diag(h0.h_imp)[None, :]).reshape(-1)
         rng = np.random.default_rng(11)
-        v0 = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        v0 /= np.linalg.norm(v0)
-        traj, states = ed_oracle.propagate_states(h, v0, dt=0.1, t_max=7.3, record_every=73)
-        exact = np.exp(-1j * diag.reshape(-1) * 7.3) * v0
-        assert np.linalg.norm(states[-1] - exact) < 1e-10
+        for h in (h0, h0.in_sector(1)):
+            v0 = random_sector_vector(h, rng)
+            traj, states = ed_oracle.propagate_states(h, v0, dt=0.1, t_max=7.3, record_every=73)
+            exact = np.exp(-1j * diag[h.full_index] * 7.3) * v0
+            assert np.linalg.norm(states[-1] - exact) < 1e-10
 
     def test_matches_dense_expm(self, grid):
         basis = ho_mode_basis(grid, 6)
@@ -367,7 +393,7 @@ class TestKrylov:
     @pytest.mark.parametrize("dt, t_max, record_every", [(0.1, 2.0, 3), (0.05, 3.0, 2), (0.07, 1.0, 1)])
     def test_record_times_accumulate_dt(self, system126, dt, t_max, record_every):
         h, _ = system126
-        v0, _ = ed.ground_state(h)
+        v0 = ed.ground_state(h).vector
         traj, states = ed_oracle.propagate_states(
             h, v0, dt=dt, t_max=t_max, record_every=record_every
         )
@@ -384,7 +410,7 @@ class TestKrylov:
         # 0.06 / 0.05 rounds to one step, short of one 4-step record interval;
         # the run must not go on to t = 0.2
         h, _ = system126
-        v0, _ = ed.ground_state(h)
+        v0 = ed.ground_state(h).vector
         with pytest.raises(ConfigurationError, match=r"time\.t_max.*time\.dt \* time\.record_every"):
             ed_oracle.propagate_states(h, v0, dt=0.05, t_max=0.06, record_every=4)
         # a record_every that is no whole number >= 1 is refused, not coerced
@@ -396,8 +422,8 @@ class TestKrylov:
         # the perfbench ed-quench point at g_bi = 1.8; matvec counts repeat
         # exactly, so this bounds the cost without a timing assertion
         fock = ed.build_fock_basis(4, 10)
-        v0, _ = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
-        h1 = ed.build_hamiltonian(fock, 0.5, 1.8, basis=basis10)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        v0, h1 = ground.vector, ed.with_impurity_coupling(ground.hamiltonian, 1.8)
         calls = self.count_matvecs(monkeypatch, h1)
         traj, states = ed_oracle.propagate_states(h1, v0, dt=0.05, t_max=3.0, record_every=2)
         assert traj.times.size == 31
@@ -405,9 +431,8 @@ class TestKrylov:
 
     def test_unitarity(self, basis10):
         fock = ed.build_fock_basis(2, 10)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, _ = ed.ground_state(h0)
-        h1 = ed.build_hamiltonian(fock, 0.5, 0.8, basis=basis10)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        v0, h1 = ground.vector, ed.with_impurity_coupling(ground.hamiltonian, 0.8)
         traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=5.0, record_every=5)
         norms = np.linalg.norm(states, axis=1)
         assert np.max(np.abs(norms - 1.0)) < 1e-10
@@ -415,9 +440,8 @@ class TestKrylov:
 
     def test_energy_conserved(self, basis10):
         fock = ed.build_fock_basis(2, 10)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, _ = ed.ground_state(h0)
-        h1 = ed.build_hamiltonian(fock, 0.5, 1.0, basis=basis10)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        v0, h1 = ground.vector, ed.with_impurity_coupling(ground.hamiltonian, 1.0)
         traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=10.0, record_every=20)
         energies = [
             float(np.real(np.vdot(states[k], h1.matvec(states[k]))))
@@ -430,19 +454,19 @@ class TestKrylov:
 class TestContrast:
     def test_unquenched_is_unity(self, basis10):
         fock = ed.build_fock_basis(2, 10)
-        h = ed.build_hamiltonian(fock, 0.5, 0.3, basis=basis10)
-        v0, e0 = ed.ground_state(h)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.3, basis=basis10))
+        h, v0, e0 = ground.hamiltonian, ground.vector, ground.energy
         traj, states = ed_oracle.propagate_states(h, v0, dt=0.1, t_max=5.0, record_every=5)
         s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
         assert np.max(np.abs(s.values - 1.0)) < 1e-8
 
     def test_min_contrast_decreases_with_coupling(self, basis10):
         fock = ed.build_fock_basis(4, 10)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, e0 = ed.ground_state(h0)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        v0, e0 = ground.vector, ground.energy
         minima = []
         for g in (0.1, 0.5, 1.0, 2.0):
-            h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
+            h1 = ed.with_impurity_coupling(ground.hamiltonian, g)
             traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=20.0, record_every=2)
             s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
             assert np.max(np.abs(s.values)) <= 1.0 + 1e-10
@@ -455,11 +479,11 @@ class TestSpectralShift:
         from polaron1d.observables import find_peaks, spectral_function
 
         fock = ed.build_fock_basis(2, 10)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, e0 = ed.ground_state(h0)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        v0, e0 = ground.vector, ground.energy
         first_peaks = []
         for g in (0.3, 0.6, 1.0):
-            h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
+            h1 = ed.with_impurity_coupling(ground.hamiltonian, g)
             traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=40.0, record_every=1)
             s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
             spec = spectral_function(s, window="hann")
@@ -471,9 +495,8 @@ class TestSpectralShift:
 class TestSchmidt:
     def test_product_state(self, basis10):
         fock = ed.build_fock_basis(2, 10)
-        h = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, _ = ed.ground_state(h)
-        lambdas = ed.schmidt(v0, fock.n_modes)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        lambdas = ed.schmidt(ground.vector, ground.hamiltonian)
         assert lambdas[0] == pytest.approx(1.0, abs=1e-12)
         assert np.sum(lambdas) == pytest.approx(1.0, abs=1e-12)
         assert ed.entanglement_entropy(lambdas) == pytest.approx(0.0, abs=1e-10)
@@ -481,12 +504,13 @@ class TestSchmidt:
     def test_bell_state(self):
         fock = ed.build_fock_basis(1, 2)
         amps = np.zeros((2, 2), dtype=complex)
-        # (|bath mode 0, imp mode 1> + |bath mode 1, imp mode 0>)/sqrt(2)
+        # (|bath mode 0, imp mode 1> + |bath mode 1, imp mode 0>)/sqrt(2), odd
         i0 = fock.index([1, 0])
         i1 = fock.index([0, 1])
         amps[i0, 1] = 1 / np.sqrt(2)
         amps[i1, 0] = 1 / np.sqrt(2)
-        lambdas = ed.schmidt(amps.reshape(-1), fock.n_modes)
+        h = ed.build_hamiltonian(fock, 0.0, 0.0).in_sector(1)
+        lambdas = ed.schmidt(h.restrict(amps), h)
         assert np.allclose(lambdas[:2], [0.5, 0.5], atol=1e-12)
         assert ed.entanglement_entropy(lambdas) == pytest.approx(np.log(2), abs=1e-12)
 
@@ -503,26 +527,27 @@ class TestSchmidt:
         assert got[2] == 0.0
 
     def test_requires_normalization(self, basis10):
+        h = ed.build_hamiltonian(ed.build_fock_basis(1, 2), 0.0, 0.0)
         with pytest.raises(UsageError):
-            ed.schmidt(np.array([1.0, 1.0, 0, 0], dtype=complex), 2)
+            ed.schmidt(np.array([1.0, 1.0], dtype=complex), h)
 
     def test_population_stays_condensed_without_coupling(self, basis10):
         fock = ed.build_fock_basis(3, 10)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, _ = ed.ground_state(h0)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        h0, v0 = ground.hamiltonian, ground.vector
         traj, states = ed_oracle.propagate_states(h0, v0, dt=0.1, t_max=3.0, record_every=10)
         for vec in states:
-            assert ed.schmidt(vec, fock.n_modes)[0] == pytest.approx(1.0, abs=1e-10)
+            assert ed.schmidt(vec, h0)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_entropy_grows_with_coupling(self, basis10):
         fock = ed.build_fock_basis(4, 10)
-        h0 = ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10)
-        v0, _ = ed.ground_state(h0)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+        v0 = ground.vector
         averages = []
         for g in (0.25, 0.5, 1.0, 2.0):
-            h1 = ed.build_hamiltonian(fock, 0.5, g, basis=basis10)
+            h1 = ed.with_impurity_coupling(ground.hamiltonian, g)
             traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=20.0, record_every=4)
-            lambdas = np.array([ed.schmidt(vec, fock.n_modes) for vec in states])
+            lambdas = np.array([ed.schmidt(vec, h1) for vec in states])
             averages.append(float(np.mean(ed.entanglement_entropy(lambdas))))
         assert all(a <= b + 1e-12 for a, b in zip(averages, averages[1:]))
 
@@ -534,17 +559,18 @@ class TestBathDensityMatrix:
     @pytest.fixture(scope="class")
     def vectors(self, grid):
         fock = ed.build_fock_basis(3, 6)
-        h = ed.build_hamiltonian(fock, 0.5, 1.8, basis=ho_mode_basis(grid, 6))
-        ground, _ = ed.ground_state(h)
-        rng = np.random.default_rng(5)
-        rand = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        return h, {"ground": ground, "random": rand / np.linalg.norm(rand)}
+        ground = ed.ground_state(
+            ed.build_hamiltonian(fock, 0.5, 1.8, basis=ho_mode_basis(grid, 6))
+        )
+        h = ground.hamiltonian
+        rand = random_sector_vector(h, np.random.default_rng(5))
+        return h, {"ground": ground.vector, "random": rand}
 
     @pytest.mark.parametrize("kind", ["ground", "random"])
     def test_matches_loop_oracle(self, vectors, kind):
         h, vecs = vectors
-        got = ed._bath_rdm(h.annihilators, h.fock.n_modes, vecs[kind])
-        want = ed_oracle.bath_rdm(h.fock, vecs[kind])
+        got = h.bath_rdm(vecs[kind])
+        want = ed_oracle.bath_rdm(h.fock, h.embed(vecs[kind]))
         assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["ground", "random"])
@@ -552,7 +578,7 @@ class TestBathDensityMatrix:
         h, vecs = vectors
         fock, m = h.fock, h.fock.n_modes
         hops = ed_oracle.one_body_transitions(fock)
-        vmat = vecs[kind].reshape(fock.bath_dim, m)
+        vmat = h.embed(vecs[kind]).reshape(fock.bath_dim, m)
         kinetic, potential = (
             float(np.real(np.vdot(vmat, one_body_operator(fock, hops, coeffs) @ vmat)))
             for coeffs in (0.5 * ed._quadratic_matrix(m, -1.0), 0.5 * ed._quadratic_matrix(m, 1.0))
@@ -569,31 +595,165 @@ class TestEnergyBreakdown:
         g_bb, g_bi = 0.5, 1.8
         h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=basis)
         bb_unit, bi_unit = ed_oracle.oracle_blocks(fock, basis, 1.0, 1.0)
-        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        v /= np.linalg.norm(v)
-        vmat = v.reshape(fock.bath_dim, fock.n_modes)
-        bd = ed.energy_breakdown(v, h)
-        assert bd.intra_bb == pytest.approx(
-            float(np.real(np.vdot(vmat, g_bb * (bb_unit @ vmat)))), abs=1e-12
-        )
-        assert bd.inter_bi == pytest.approx(
-            float(np.real(np.vdot(v, g_bi * (bi_unit @ v)))), abs=1e-12
-        )
+        for hs in (h, h.in_sector(1)):
+            w = random_sector_vector(hs, rng)
+            v = hs.embed(w)
+            vmat = v.reshape(fock.bath_dim, fock.n_modes)
+            bd = ed.energy_breakdown(w, hs)
+            assert bd.intra_bb == pytest.approx(
+                float(np.real(np.vdot(vmat, g_bb * (bb_unit @ vmat)))), abs=1e-12
+            )
+            assert bd.inter_bi == pytest.approx(
+                float(np.real(np.vdot(v, g_bi * (bi_unit @ v)))), abs=1e-12
+            )
 
     def test_sum_matches_hamiltonian_expectation(self, basis10, rng):
         fock = ed.build_fock_basis(2, 10)
-        h = ed.build_hamiltonian(fock, 0.5, 0.7, basis=basis10)
-        v = rng.standard_normal(h.dim) + 1j * rng.standard_normal(h.dim)
-        v /= np.linalg.norm(v)
-        bd = ed.energy_breakdown(v, h)
-        direct = float(np.real(np.vdot(v, h.matvec(v))))
-        assert bd.total == pytest.approx(direct, abs=1e-10)
+        h0 = ed.build_hamiltonian(fock, 0.5, 0.7, basis=basis10)
+        for h in (h0, h0.in_sector(1)):
+            v = random_sector_vector(h, rng)
+            bd = ed.energy_breakdown(v, h)
+            direct = float(np.real(np.vdot(v, h.matvec(v))))
+            assert bd.total == pytest.approx(direct, abs=1e-10)
 
     def test_noninteracting_virial(self, basis10):
         from polaron1d.observables import virial_check
 
         fock = ed.build_fock_basis(2, 10)
-        h = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
-        v0, _ = ed.ground_state(h)
-        bd = ed.energy_breakdown(v0, h)
+        ground = ed.ground_state(ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10))
+        bd = ed.energy_breakdown(ground.vector, ground.hamiltonian)
         assert virial_check(bd) == pytest.approx(0.0, abs=1e-8)
+
+
+class TestParitySectors:
+    """The sector layout against the full-space oracle (tests/ed_oracle.py):
+    H maps each total-parity sector into itself, the sector matvec is the
+    oracle's matrix action restricted to the sector, and the two sectors
+    together carry the whole spectrum. omega_i = 0.8 keeps the impurity band
+    (modes i <-> i + 2) in play."""
+
+    SIZES = [(0, 3), (1, 2), (1, 14), (2, 3), (3, 7), (4, 10)]
+    G_BB, G_BI, OMEGA_I = 0.5, 1.8, 0.8
+
+    @pytest.fixture(scope="class")
+    def systems(self, grid):
+        out = {}
+        for n_bath, n_modes in self.SIZES:
+            basis = ho_mode_basis(grid, n_modes)
+            fock = ed.build_fock_basis(n_bath, n_modes)
+            h = ed.build_hamiltonian(fock, self.G_BB, self.G_BI, omega_i=self.OMEGA_I, basis=basis)
+            out[n_bath, n_modes] = (h, ed_oracle.oracle_blocks(fock, basis, self.G_BB, self.G_BI))
+        return out
+
+    @staticmethod
+    def sectors(h):
+        return [hs for hs in (h.in_sector(0), h.in_sector(1)) if hs.sector_dim]
+
+    @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_sector_matvec_is_the_oracle_restricted(self, systems, size):
+        h, blocks = systems[size]
+        rng = np.random.default_rng(3)
+        for hs in self.sectors(h):
+            w = random_sector_vector(hs, rng)
+            full = ed_oracle.oracle_matvec(hs, blocks, hs.embed(w))
+            got = hs.matvec(w)
+            want = full[hs.full_index[hs.slots]]
+            assert np.linalg.norm(got[hs.slots] - want) <= 1e-12 * np.linalg.norm(want)
+            # invalid slots (odd M) hold exact zeros, in and out
+            assert np.all(got[hs.full_index < 0] == 0.0)
+            assert np.all(hs.matvec(w.real.copy())[hs.full_index < 0] == 0.0)
+
+    @pytest.mark.parametrize("size", SIZES, ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_oracle_maps_each_sector_into_itself(self, systems, size):
+        h, blocks = systems[size]
+        rng = np.random.default_rng(4)
+        for hs in self.sectors(h):
+            full = ed_oracle.oracle_matvec(hs, blocks, hs.embed(random_sector_vector(hs, rng)))
+            outside = np.ones(full.size, dtype=bool)
+            outside[hs.full_index[hs.slots]] = False
+            # the oracle's grid quadrature leaves parity-forbidden integrals
+            # at round-off, not at exact zero
+            assert np.linalg.norm(full[outside]) <= 1e-13 * np.linalg.norm(full)
+
+    # the dense oracle at 4 x 10 (dim 7150) would take 400 MB
+    @pytest.mark.parametrize("size", SIZES[:-1], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_sector_spectra_make_the_full_spectrum(self, systems, size):
+        h, blocks = systems[size]
+        full = np.linalg.eigvalsh(ed_oracle.oracle_dense(h, blocks))
+        sectors = np.sort(np.concatenate([np.linalg.eigvalsh(hs.to_dense()) for hs in self.sectors(h)]))
+        assert sectors.size == full.size == h.fock.total_dim
+        assert np.max(np.abs(sectors - full)) <= 1e-11 * max(1.0, np.max(np.abs(full)))
+
+    def test_propagation_refuses_a_mixed_parity_start(self, systems):
+        h, _ = systems[3, 7]
+        even, odd = h.in_sector(0), h.in_sector(1)
+        rng = np.random.default_rng(8)
+        v_even = even.embed(random_sector_vector(even, rng))
+        v_odd = odd.embed(random_sector_vector(odd, rng))
+        mixed = np.sqrt(1.0 - 1e-6) * v_even + np.sqrt(1e-6) * v_odd
+        with pytest.raises(UsageError, match=r"minority weight 1\.000e-06"):
+            ed.propagate_krylov(even, mixed, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+        with pytest.raises(UsageError, match=r"minority weight 1\.000e-06"):
+            ed.propagate_krylov(odd, mixed, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+        with pytest.raises(UsageError, match="lies in the odd parity sector"):
+            ed.propagate_krylov(even, v_odd, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+        # a full-space start of definite parity runs as its sector vector
+        _, from_full = ed_oracle.propagate_states(odd, v_odd, dt=0.1, t_max=0.5)
+        _, from_sector = ed_oracle.propagate_states(odd, odd.restrict(v_odd), dt=0.1, t_max=0.5)
+        assert np.array_equal(from_full, from_sector)
+        bad = odd.restrict(v_odd)
+        bad[np.flatnonzero(odd.full_index < 0)[0]] = 1e-3
+        with pytest.raises(UsageError, match="invalid sector slots"):
+            ed.propagate_krylov(odd, bad, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+
+    @pytest.mark.parametrize("size", [(2, 3), (3, 7)], ids=["2x3", "3x7"])
+    def test_invalid_slots_stay_zero(self, systems, size):
+        h, _ = systems[size]
+        ground = ed.ground_state(h)
+        rng = np.random.default_rng(9)
+        for hs in self.sectors(h):
+            invalid = hs.full_index < 0
+            assert np.any(invalid)
+            v0 = ground.vector if hs.sector == ground.sector else random_sector_vector(hs, rng)
+            assert np.all(v0[invalid] == 0.0)
+            _, states = ed_oracle.propagate_states(hs, v0, dt=0.1, t_max=3.0, record_every=3)
+            assert np.all(states[:, invalid] == 0.0)
+
+    @pytest.mark.parametrize("size", [(1, 14), (3, 7), (4, 10)], ids=["1x14", "3x7", "4x10"])
+    def test_expect_bi_from_node_amplitudes(self, systems, size):
+        h, _ = systems[size]
+        rng = np.random.default_rng(10)
+        for hs in self.sectors(h):
+            v = random_sector_vector(hs, rng)
+            bi_v = hs.matvec(v) - ed.with_impurity_coupling(hs, 0.0).matvec(v)
+            want = float(np.real(np.vdot(v, bi_v)))
+            assert abs(hs.expect_bi(v) - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("size", [(1, 2), (3, 7), (4, 10)], ids=["1x2", "3x7", "4x10"])
+    def test_schmidt_and_impurity_rdm_match_the_full_amplitudes(self, systems, size):
+        h, _ = systems[size]
+        rng = np.random.default_rng(12)
+        for hs in self.sectors(h):
+            w = random_sector_vector(hs, rng)
+            vmat = hs.embed(w).reshape(h.fock.bath_dim, h.fock.n_modes)
+            sigma = np.linalg.svd(vmat, compute_uv=False)
+            assert np.max(np.abs(ed.schmidt(w, hs) - sigma**2)) <= 1e-14
+            assert np.max(np.abs(hs.impurity_rdm(w) - vmat.conj().T @ vmat)) <= 1e-14
+
+    def test_ground_state_tie_goes_to_the_even_sector(self, systems, monkeypatch):
+        h, _ = systems[3, 7]
+        energies = {}
+        real = ed._sector_ground_state
+
+        def fake(hs):
+            vec, _ = real(hs)
+            return vec, energies[hs.sector]
+
+        monkeypatch.setattr(ed, "_sector_ground_state", fake)
+        energies.update({0: 2.0, 1: 2.0})
+        tie = ed.ground_state(h)
+        assert (tie.sector, tie.energy, tie.other_energy) == (0, 2.0, 2.0)
+        energies.update({1: 2.0 - 3 * ed.GROUND_STATE_TOL})
+        lower = ed.ground_state(h)
+        assert (lower.sector, lower.other_energy) == (1, 2.0)
+        assert lower.hamiltonian.sector == 1

@@ -16,6 +16,7 @@ from polaron1d.grid import (
     build_grid,
     even_kinetic_matrix,
     even_sine_filter,
+    even_stationary_states,
     half_points,
     half_weights,
     ho_mode_basis,
@@ -229,6 +230,20 @@ def test_parity_blocks_match_the_full_eigh(n_points):
         else:
             diff = (got @ got.T - want @ want.T) * grid.dx
             assert np.max(np.abs(diff)) < 1e-9
+
+
+@pytest.mark.parametrize("n_points", [450, 451])
+def test_even_stationary_states_are_the_even_columns(n_points):
+    grid = build_grid(n_points, 40.0)
+    potential = _double_well(grid)
+    energies, states = stationary_states(grid, potential)
+    even = np.all(states == states[::-1], axis=0)
+    e_even, s_even = even_stationary_states(grid, potential)
+    assert np.array_equal(e_even, energies[even])
+    assert np.array_equal(s_even, states[:, even])
+    potential[100] += 1e-12
+    with pytest.raises(UsageError, match="mirror-symmetric"):
+        even_stationary_states(grid, potential)
 
 
 def test_asymmetric_potential_takes_the_full_eigh(grid):

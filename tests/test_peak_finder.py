@@ -120,8 +120,9 @@ def test_effpot_spectrum(grid, default_system, peak_calls):
 
 def test_ed_spectrum(basis10, peak_calls):
     fock = ed.build_fock_basis(2, 10)
-    v0, e0 = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
-    h1 = ed.build_hamiltonian(fock, 0.5, 1.0, basis=basis10)
+    ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis10))
+    v0, e0 = ground.vector, ground.energy
+    h1 = ed.with_impurity_coupling(ground.hamiltonian, 1.0)
     traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=40.0, record_every=1)
     s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
     assert_spectrum_parity(obs.spectral_function(s, window="hann"), peak_calls)
