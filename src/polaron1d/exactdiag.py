@@ -17,11 +17,10 @@ row class of bath Fock state b and p_b = sum_l l n_l mod 2 its parity. For
 odd M the slots with 2j + c_b = M are invalid; they hold exactly 0 and every
 operation keeps them so. `ground_state` solves both sectors and returns the
 lower state with H in its sector, `propagate_krylov` takes a sector vector
-(or a full-space one of definite parity, which it restricts) and hands the
-caller's observer one per record time, in order, without keeping any, and
-`schmidt`, `one_body_density` and `energy_breakdown` read one. H is real
-symmetric, so the matvec keeps a float64 vector real and the ground state is
-found in real arithmetic.
+and hands the caller's observer one per record time, in order, without
+keeping any, and `schmidt`, `one_body_density` and `energy_breakdown` read
+one. H is real symmetric, so the matvec keeps a float64 vector real and the
+ground state is found in real arithmetic.
 
 The bath-bath contact term carries the conventional 1/2 prefactor,
 H_BB = (g_bb/2) int Psi+ Psi+ Psi Psi; the bath-impurity term has no such
@@ -96,9 +95,6 @@ GROUND_STATE_MAX_STEPS = 300
 # step (a dense eigh of T_m each), which may run up to that many steps past
 # the first one that passes
 GROUND_STATE_CHECK_EVERY = 4
-# propagate_krylov: the most weight a full-space start may have outside the
-# sector of H (an amplitude of 1e-10)
-PARITY_LEAK_TOL = 1e-20
 
 
 @dataclass(frozen=True)
@@ -320,41 +316,6 @@ class EDHamiltonian:
             node_tables=self.node_tables[::-1],
             **_sector_rows(self.fock, self.bath_onebody, self.h_imp, sector),
         )
-
-    def embed(self, w):
-        """The full-space vector (bath Fock state x impurity mode) of a sector
-        vector."""
-        w = np.asarray(w).reshape(-1)
-        keep = self.full_index >= 0
-        v = np.zeros(self.fock.total_dim, dtype=w.dtype)
-        v[self.full_index[keep]] = w[keep]
-        return v
-
-    def restrict(self, v):
-        """The sector vector of a full-space vector v. A v whose weight outside
-        the sector exceeds PARITY_LEAK_TOL is refused with UsageError, naming
-        the weight of its minority sector."""
-        v = np.asarray(v).reshape(-1)
-        if v.size != self.fock.total_dim:
-            raise UsageError(f"state of length {v.size}, expected {self.fock.total_dim}")
-        keep = self.full_index >= 0
-        outside = np.ones(v.size, dtype=bool)
-        outside[self.full_index[keep]] = False
-        w = np.zeros(self.dim, dtype=v.dtype)
-        w[keep] = v[self.full_index[keep]]
-        w_out = float(np.vdot(v[outside], v[outside]).real)
-        if w_out > PARITY_LEAK_TOL:
-            w_in = float(np.vdot(w, w).real)
-            names = ("even", "odd")
-            if w_in > PARITY_LEAK_TOL:
-                raise UsageError(
-                    f"state mixes the parity sectors: minority weight {min(w_in, w_out):.3e}"
-                )
-            raise UsageError(
-                f"state lies in the {names[1 - self.sector]} parity sector, "
-                f"H in the {names[self.sector]} one"
-            )
-        return w
 
     def _bath_block_apply(self, mat_csr, vmat):
         """A real sparse matrix applied to the bath (row) index of an
@@ -742,19 +703,18 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1, *, observe):
     fixed-step loop would; a t_max shorter than one record interval raises
     ConfigurationError.
 
-    v0 is a sector vector of h, whose invalid slots hold 0, or a full-space
-    vector (bath Fock state x impurity mode), which is restricted to the
-    sector: one with more than PARITY_LEAK_TOL of weight outside it is
-    refused (`EDHamiltonian.restrict`). `observe(k, v)` is called with the
-    sector vector v at record k, for k = 0 .. n_rec in order; only the
-    current state is held, and the propagator never writes into a state it
-    has passed on, so the observer may keep it. Returns the record times and
+    v0 is a normalized sector vector of h, of length h.dim, whose invalid
+    slots hold 0; any other length, a full-space vector (bath Fock state x
+    impurity mode) included, raises UsageError. `observe(k, v)` is called
+    with the sector vector v at record k, for k = 0 .. n_rec in order; only
+    the current state is held, and the propagator never writes into a state
+    it has passed on, so the observer may keep it. Returns the record times and
     the run's diagnostics."""
     n_rec = record_intervals(dt, t_max, record_every)
     v = np.asarray(v0, dtype=np.complex128).reshape(-1)
     if v.size != h.dim:
-        v = h.restrict(v)
-    elif np.any(v[h.full_index < 0]):
+        raise UsageError(f"v0 has length {v.size}; a sector vector of h has h.dim = {h.dim}")
+    if np.any(v[h.full_index < 0]):
         raise UsageError("v0 holds amplitudes in invalid sector slots")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise UsageError("v0 must be normalized")

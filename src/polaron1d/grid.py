@@ -117,14 +117,6 @@ def inner(f, g):
     return complex(np.sum(np.conj(f.values) * g.values) * f.grid.dx)
 
 
-def expectation_x(f):
-    return float(np.real(np.sum(np.abs(f.values) ** 2 * f.grid.x) * f.grid.dx))
-
-
-def expectation_x2(f):
-    return float(np.real(np.sum(np.abs(f.values) ** 2 * f.grid.x**2) * f.grid.dx))
-
-
 def parity_odd_fraction(f):
     """||f - J f|| / (2 ||f||), J the mirror x -> -x: the norm of the odd
     part of f relative to f (0 for an even field, 1 for an odd one)."""
@@ -369,10 +361,6 @@ def even_kinetic_matrix(grid):
     if n % 2:
         block[:, -1] *= 0.5
     return block
-
-
-def kinetic_expectation(f):
-    return float(np.real(inner(f, kinetic_apply(f))))
 
 
 def kinetic_phase_factors(grid, dt):

@@ -22,9 +22,15 @@ propagation therefore run in the even sector on the half grid: an even
 orbital is carried by its h = ceil(n/2) interior samples with x <= 0
 (`grid.half_points`, quadrature weights `grid.half_weights`), where the
 sine-spectral steps need only the odd sine modes and run on half-length FFTs
-(`grid.even_sine_filter`), and it is unfolded into an exactly even
-full-grid Field (`grid.unfold_even`) wherever it is read: at each residual
-check, each record and each snapshot. `propagate` refuses a state whose
+(`grid.even_sine_filter`), and it is read there too. One half-grid GP
+residual (`_gp_residual`, on the even kinetic block
+`grid.even_kinetic_matrix`) sets the relaxation step, makes each residual
+check, drives the Newton polish and gates its result, and
+`energy_breakdown` and every record reduction (norms, energies, overlaps,
+<x^2>, <p^2>) are half-grid sums; <x> of an even orbital is 0 by parity. An
+orbital is unfolded into an exactly even full-grid Field (`grid.unfold_even`)
+only for the returned ground state, the kept snapshots and the states handed
+to `propagate`'s observer. `propagate` refuses a state whose
 orbitals are not mirror symmetric to the bit; it never projects one. Where
 the impurity is expelled from the bath the even stationary state is a
 saddle, and a broken-parity one lies lower (E = 546.53354 against 546.67688
@@ -53,11 +59,10 @@ elimination, never formed as one (2h+2)^2 matrix.
 The GP potentials of bath and spin-up, V_b = trap_b + g_BB (N_B - 1) |b|^2 +
 g_BI |u|^2 and V_u = trap_u + g_BI N_B |b|^2, are [|b|^2, |u|^2] C plus the
 stacked traps, with C the 2x2 coupling matrix (`_coupling_matrix`).
-`_gp_potentials` evaluates them for the stationarity checks and the Newton
-polish. Both loops take the potential step of bath and spin-up in that same
-form in one pass over the float parts of their columns, which gives the
-exponent of both factors at once, and every step writes into preallocated
-buffers.
+`_gp_potentials` evaluates them for the GP residual and the Newton polish.
+Both loops take the potential step of bath and spin-up in that same form in
+one pass over the float parts of their columns, which gives the exponent of
+both factors at once, and every step writes into preallocated buffers.
 """
 
 from dataclasses import dataclass, field
@@ -73,14 +78,9 @@ from .grid import (
     even_sine_filter,
     even_stationary_states,
     evolve_coefficients,
-    expectation_x,
-    expectation_x2,
     half_points,
     half_weights,
-    inner,
     is_mirror_symmetric,
-    kinetic_apply,
-    kinetic_expectation,
     kinetic_phase_factors,
     parity_odd_fraction,
     unfold_even,
@@ -141,41 +141,47 @@ def _gp_potentials(sys, traps, b, u):
     return np.stack([np.abs(b) ** 2, np.abs(u) ** 2], axis=1) @ _coupling_matrix(sys) + traps
 
 
-def _quartic(values, dx):
-    return float(np.sum(np.abs(values) ** 4) * dx)
+def _gp_residual(sys, t, traps, weights, pb, pu, mu_b, mu_i):
+    """The coupled GP stationarity equations of the real, parity-even
+    orbitals pb and pu, given by their half-grid samples (`grid.half_points`),
+    at chemical potentials mu_b and mu_i: [(h_b - mu_b) b, (h_u - mu_i) u,
+    (|b|^2 - 1)/2, (|u|^2 - 1)/2], with `t` the even kinetic block
+    (`grid.even_kinetic_matrix`), `traps` the stacked traps on the half-grid
+    points and `weights` their quadrature weights (`grid.half_weights`)."""
+    v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
+    hb = t @ pb + (v_b - mu_b) * pb
+    hu = t @ pu + (v_u - mu_i) * pu
+    cb = 0.5 * (weights @ pb**2 - 1.0)
+    cu = 0.5 * (weights @ pu**2 - 1.0)
+    return np.concatenate([hb, hu, [cb, cu]])
 
 
-def _cross_density(a, b, dx):
-    return float(np.sum(np.abs(a) ** 2 * np.abs(b) ** 2) * dx)
+def _gp_check(sys, t, traps, weights, pb, pu):
+    """GP eigenvalues (mu_bath, mu_impurity) of the normalized half-grid
+    orbitals pb and pu and the L2 norms (r_bath, r_impurity) of their
+    `_gp_residual` at those eigenvalues."""
+    ni = pb.size
+    h_phi = _gp_residual(sys, t, traps, weights, pb, pu, 0.0, 0.0)[: 2 * ni].reshape(2, ni)
+    phi = np.stack([pb, pu])
+    mu = (phi * h_phi) @ weights
+    r = np.sqrt((h_phi - mu[:, None] * phi) ** 2 @ weights)
+    return tuple(mu.tolist()), tuple(r.tolist())
 
 
-def energy_breakdown(state, sys):
-    """Six-term decomposition of the spin-up branch energy."""
-    grid = state.bath.grid
-    dx = grid.dx
+def energy_breakdown(sys, t, traps, weights, cols):
+    """Six-term decomposition of the spin-up branch energy of the parity-even
+    bath and spin-up orbitals whose half-grid samples are the columns of the
+    real or complex (h, 2) block `cols`; `t`, `traps` and `weights` are as
+    for `_gp_residual`. A complex block is read through its float view, so
+    the even kinetic block acts on each part of each orbital apart."""
     n = sys.n_bath
-    b, u = state.bath, state.up
-    kin_b = n * kinetic_expectation(b)
-    pot_b = n * float(np.sum(_trap(grid, sys.omega_b) * np.abs(b.values) ** 2) * dx)
-    kin_i = kinetic_expectation(u)
-    pot_i = float(np.sum(_trap(grid, sys.omega_i) * np.abs(u.values) ** 2) * dx)
-    e_bb = 0.5 * sys.g_bb * n * (n - 1) * _quartic(b.values, dx)
-    e_bi = sys.g_bi * n * _cross_density(b.values, u.values, dx)
-    return EnergyBreakdown(kin_b, pot_b, kin_i, pot_i, e_bb, e_bi)
-
-
-def _stationarity(state, sys):
-    """GP eigenvalues (mu_bath, mu_impurity) of the current orbitals and the
-    L2 norms (r_bath, r_impurity) of (h_eff - mu) phi, from one kinetic
-    application per orbital."""
-    grid = state.bath.grid
-    dx = grid.dx
-    orbitals = np.stack([state.bath.values, state.up.values], axis=1)
-    kinetic = np.stack([kinetic_apply(state.bath).values, kinetic_apply(state.up).values], axis=1)
-    h_phi = kinetic + _gp_potentials(sys, _stacked_traps(grid, sys), *orbitals.T) * orbitals
-    mu = np.real(np.sum(np.conj(orbitals) * h_phi, axis=0)) * dx
-    r = np.sqrt(np.sum(np.abs(h_phi - mu * orbitals) ** 2, axis=0) * dx)
-    return (float(mu[0]), float(mu[1])), (float(r[0]), float(r[1]))
+    parts = cols.view(np.float64)
+    kin_b, kin_i = (weights @ (parts * (t @ parts))).reshape(2, -1).sum(axis=1).tolist()
+    rho = (parts**2).reshape(cols.shape[0], 2, -1).sum(axis=2)
+    pot_b, pot_i = (weights @ (traps * rho)).tolist()
+    e_bb = 0.5 * sys.g_bb * n * (n - 1) * float(weights @ rho[:, 0] ** 2)
+    e_bi = sys.g_bi * n * float(weights @ (rho[:, 0] * rho[:, 1]))
+    return EnergyBreakdown(n * kin_b, n * pot_b, kin_i, pot_i, e_bb, e_bi)
 
 
 @dataclass(frozen=True)
@@ -315,8 +321,8 @@ def _bordered(t, shift, p, weights):
 
 def _newton_step(sys, t, traps, weights, pb, pu, mu_b, mu_i, res):
     """The Newton update (db, du, dmu_b, dmu_i) that solves J delta = -res,
-    J the bordered Jacobian of `_newton_polish`'s residual, by block
-    elimination. `t` is the kinetic matrix on the samples of pb and pu and
+    J the bordered Jacobian of `_gp_residual`, by block elimination. `t`
+    is the kinetic matrix on the samples of pb and pu and
     `weights` their quadrature weights (the norm is sum(weights p^2)).
 
     J is the bath block [[T + diag(V_b + 2 g_BB (N_B - 1) b^2 - mu_b), -b],
@@ -346,48 +352,36 @@ def _newton_step(sys, t, traps, weights, pb, pu, mu_b, mu_i, res):
     return xb[:ni], xu[:ni], xb[ni], xu[ni]
 
 
-def _newton_polish(sys, grid, pb, pu):
-    """Newton iteration on the coupled stationarity equations for the real,
-    positive, parity-even orbitals pb and pu, given by their half-grid samples
-    (`grid.half_points`), with the norm constraints and the chemical
-    potentials as unknowns; each update comes from `_newton_step`, which
-    solves the bordered Jacobian as two coupled (h+1)^2 blocks on the even
-    kinetic block (`grid.even_kinetic_matrix`) and never forms it. Returns
-    the normalized half-grid (b, u) of the smallest residual reached, the
-    inputs when Newton does not reduce it (e.g. near-singular Jacobian);
-    `relax_ground_state` gates the result against RELAX_TOL."""
+def _newton_polish(gp, pb, pu):
+    """Newton iteration on the coupled stationarity equations `_gp_residual`
+    of the GP operator gp = (sys, t, traps, weights) for the real, positive,
+    parity-even orbitals pb and pu, given by their half-grid samples, with
+    the norm constraints and the chemical potentials as unknowns; each update
+    comes from `_newton_step`, which solves the bordered Jacobian as two
+    coupled (h+1)^2 blocks and never forms it. Returns the normalized
+    half-grid (b, u) of the smallest residual reached, the inputs when Newton
+    does not reduce it (e.g. near-singular Jacobian); `relax_ground_state`
+    gates the result against RELAX_TOL."""
     ni = pb.size
-    weights = half_weights(grid)
+    weights = gp[3]
     both = np.concatenate([weights, weights])
-    t = even_kinetic_matrix(grid)
-    traps = _stacked_traps(grid, sys)[1 : ni + 1]
-
-    def residual(pb, pu, mu_b, mu_i):
-        v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
-        hb = t @ pb + (v_b - mu_b) * pb
-        hu = t @ pu + (v_u - mu_i) * pu
-        cb = 0.5 * (weights @ pb**2 - 1.0)
-        cu = 0.5 * (weights @ pu**2 - 1.0)
-        return np.concatenate([hb, hu, [cb, cu]])
 
     def norm(res):
         # the L2 norm of the full-grid stationarity residual
         return float(np.sqrt(both @ res[: 2 * ni] ** 2))
 
-    v_b, v_u = _gp_potentials(sys, traps, pb, pu).T
-    mu_b = float(weights @ (pb * (t @ pb) + v_b * pb**2))
-    mu_i = float(weights @ (pu * (t @ pu) + v_u * pu**2))
-    res = residual(pb, pu, mu_b, mu_i)
+    (mu_b, mu_i), _ = _gp_check(*gp, pb, pu)
+    res = _gp_residual(*gp, pb, pu, mu_b, mu_i)
     for _ in range(POLISH_MAX_ITERATIONS):
         rnorm = norm(res)
         if rnorm < POLISH_TARGET:
             break
         try:
-            db, du, dmu_b, dmu_i = _newton_step(sys, t, traps, weights, pb, pu, mu_b, mu_i, res)
+            db, du, dmu_b, dmu_i = _newton_step(*gp, pb, pu, mu_b, mu_i, res)
         except np.linalg.LinAlgError:
             break
         new = (pb + db, pu + du, mu_b + dmu_b, mu_i + dmu_i)
-        new_res = residual(*new)
+        new_res = _gp_residual(*gp, *new)
         # a step is kept only when it cuts the residual, so the current
         # iterate is always the best one reached
         if not norm(new_res) <= 0.9 * rnorm:
@@ -413,10 +407,11 @@ def relax_ground_state(sys, grid):
     Every stage runs in the even sector on the half grid (see the module
     docstring): the result is the parity-even ground state, exactly even, a
     saddle where an expelled impurity would sit lower off-centre.
-    The relaxation stops when the GP stationarity residual stops improving
-    (it stalls at the O(tau^2) splitting bias); `_newton_polish` then solves
-    the stationarity equations. A polished residual above RELAX_TOL raises
-    ConvergenceError carrying the energy trace. The spin-down orbital of the
+    The relaxation stops when the GP stationarity residual (`_gp_check`)
+    stops improving (it stalls at the O(tau^2) splitting bias);
+    `_newton_polish` then solves the stationarity equations. A polished
+    residual above RELAX_TOL raises ConvergenceError carrying the energy
+    trace. The spin-down orbital of the
     returned state is the relaxed spin-up orbital, which is the bare trap
     ground state only when sys.g_bi = 0; a relax run reports the spin-down
     impurity as `grid.bare_ground_state` instead.
@@ -426,15 +421,12 @@ def relax_ground_state(sys, grid):
     bath, imp = _initial_guess(sys, grid)
     h = half_points(grid)
     weights = half_weights(grid)
+    traps = _stacked_traps(grid, sys)[1 : h + 1]
+    gp = (sys, even_kinetic_matrix(grid), traps, weights)
     b = bath.values.real[1 : h + 1].copy()
     u = imp.values.real[1 : h + 1].copy()
 
-    def current_state():
-        fb = Field(grid, unfold_even(grid, b).astype(np.complex128))
-        fu = Field(grid, unfold_even(grid, u).astype(np.complex128))
-        return MeanFieldState(bath=fb, up=fu, down=fu)
-
-    tau = min(RELAX_TAU, RELAX_TAU_MU / max(_stationarity(current_state(), sys)[0]))
+    tau = min(RELAX_TAU, RELAX_TAU_MU / max(_gp_check(*gp, b, u)[0]))
     # one check per ~0.6 units of imaginary time so the slowest O(1) mode
     # decays noticeably between residual checks at any tau
     check_every = max(RELAX_CHECK_EVERY, int(round(0.6 / tau)))
@@ -442,7 +434,7 @@ def relax_ground_state(sys, grid):
     kin_half = even_sine_filter(grid, decay_half)
     kin = even_sine_filter(grid, decay_half**2)
     coupling = -tau * _coupling_matrix(sys)
-    traps = -tau * _stacked_traps(grid, sys)[1 : h + 1]
+    decay_traps = -tau * traps
     trace = []
     iterations = 0
     r_prev = np.inf
@@ -461,7 +453,7 @@ def relax_ground_state(sys, grid):
             # w = exp(-tau (y^2 C + traps)) y, part by part
             np.square(y_parts, out=squares)
             np.matmul(squares, coupling, out=decay)
-            np.add(decay, traps, out=decay)
+            np.add(decay, decay_traps, out=decay)
             np.exp(decay, out=decay)
             np.multiply(y_parts, decay, out=w_parts)
             y[:] = w
@@ -474,9 +466,8 @@ def relax_ground_state(sys, grid):
         x = kin_half(w.copy())
         b = x.real / np.sqrt(weights @ x.real**2)
         u = x.imag / np.sqrt(weights @ x.imag**2)
-        state = current_state()
-        trace.append(energy_breakdown(state, sys).total)
-        resid = max(_stationarity(state, sys)[1])
+        trace.append(energy_breakdown(*gp, np.stack([b, u], axis=1)).total)
+        resid = max(_gp_check(*gp, b, u)[1])
         # the residual stalls at the O(tau^2) splitting bias; Newton takes over
         if resid > 0.7 * r_prev:
             break
@@ -487,10 +478,10 @@ def relax_ground_state(sys, grid):
                 trace=np.asarray(trace),
             )
 
-    b, u = _newton_polish(sys, grid, b, u)
-    state = current_state()
-    breakdown = energy_breakdown(state, sys)
-    (mu_b, mu_i), (r_b, r_u) = _stationarity(state, sys)
+    b, u = _newton_polish(gp, b, u)
+    orbitals = np.stack([b, u], axis=1)
+    breakdown = energy_breakdown(*gp, orbitals)
+    (mu_b, mu_i), (r_b, r_u) = _gp_check(*gp, b, u)
     trace.append(breakdown.total)
     if not max(r_b, r_u) <= RELAX_TOL:
         raise ConvergenceError(
@@ -498,6 +489,9 @@ def relax_ground_state(sys, grid):
             f"above {RELAX_TOL:.0e}",
             trace=np.asarray(trace),
         )
+    full = unfold_even(grid, orbitals.astype(np.complex128))
+    up = Field(grid, full[:, 1])
+    state = MeanFieldState(bath=Field(grid, full[:, 0]), up=up, down=up)
     result = RelaxResult(
         energy=breakdown.total,
         mu_bath=mu_b,
@@ -535,17 +529,18 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     the bare impurity trap of sys_post; it is advanced exactly in that
     trap's even stationary states on the grid (`grid.even_stationary_states`,
     one dense eigendecomposition of the even parity block per call) and
-    built only at record points.
+    built, on the half grid, only at record points.
     Records every record_every steps (t_max is trimmed to a whole number of
     record intervals; a t_max shorter than one interval raises
     ConfigurationError). Aborts with a step-size advisory when a norm
     drifts by more than 1e-6 or the energy by more than 1e-6 relative.
 
-    Each record is reduced as it is produced: to the series, to its two
-    overlaps with the initial orbitals, and, for the first, middle and last
-    record, to a kept state. `observe(k, state)`, when given, also sees
-    record k's MeanFieldState, for k = 0, 1, ... in order. Memory held does
-    not grow with the number of records beyond the scalar series.
+    Each record is reduced on the half-grid block as it is produced: to the
+    series, with x_mean_up exactly 0.0 by parity, to its two overlaps with
+    the initial orbitals, and, for the first, middle and last record, to a
+    kept full-grid state. `observe(k, state)`, when given, also sees record
+    k's full-grid MeanFieldState, for k = 0, 1, ... in order. Memory held
+    does not grow with the number of records beyond the scalar series.
 
     Returns (trajectory, series) where trajectory is a MeanFieldTrajectory
     and series a dict of TimeSeries; the energy series are keyed by
@@ -562,23 +557,29 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
                 f"runs in the parity-even sector"
             )
     h = half_points(grid)
+    weights = half_weights(grid)
+    # the spin-down expansion in the half-grid rows of the even states only
+    # (the orbital is even to the bit); real states, so every product is by parts
+    down_energies, down_states = even_stationary_states(grid, _trap(grid, sys_post.omega_i))
+    down_states = down_states[1 : h + 1].copy()  # frees the full-grid rows
+    down0 = weights * state.down.values[1 : h + 1]
+    down_coeffs = down0.real @ down_states + 1j * (down0.imag @ down_states)
+    x2 = grid.x[1 : h + 1] ** 2
+    traps = _stacked_traps(grid, sys_post)[1 : h + 1]
+    gp = (sys_post, even_kinetic_matrix(grid), traps, weights)
     # -dt (|cols|^2 C + traps) from the float view of cols: its columns are
     # (Re b, Im b, Re u, Im u), so the rows of C repeat for each part
     coupling = -dt * np.repeat(_coupling_matrix(sys_post), 2, axis=0)
-    traps = -dt * _stacked_traps(grid, sys_post)[1 : h + 1]
+    phase_traps = -dt * traps
     kin_phases = np.repeat(kinetic_phase_factors(grid, 0.5 * dt)[:, None], 2, axis=1)
     kin_half = even_sine_filter(grid, kin_phases)
     kin_full = even_sine_filter(grid, kin_phases**2)
-    # the spin-down expansion, in the even states only (the orbital is even
-    # to the bit); real states, so every product is by parts
-    down_energies, down_states = even_stationary_states(grid, _trap(grid, sys_post.omega_i))
-    down0 = state.down.values
-    down_coeffs = (down0.real @ down_states + 1j * (down0.imag @ down_states)) * grid.dx
 
     # the half-grid samples of bath and spin-up
     cols = np.empty((h, 2), dtype=np.complex128)
     cols[:, 0] = state.bath.values[1 : h + 1]
     cols[:, 1] = state.up.values[1 : h + 1]
+    initial = np.conj(cols) * weights[:, None]
     keys = ("norm_bath", "norm_up", "norm_down", *ENERGY_TERMS, "x_mean_up", "x2_up", "p2_up")
     records = {key: [] for key in keys}
     times, overlaps = [], []
@@ -587,26 +588,27 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
 
     def record(k, t):
         amp = evolve_coefficients(down_energies, down_coeffs, t - state.time)
-        down = Field(grid, down_states @ amp.real + 1j * (down_states @ amp.imag))
-        full = unfold_even(grid, cols)
-        st = MeanFieldState(
-            bath=Field(grid, full[:, 0]), up=Field(grid, full[:, 1]), down=down, time=t
-        )
-        bd = energy_breakdown(st, sys_post)
+        down = down_states @ amp.real + 1j * (down_states @ amp.imag)
+        bd = energy_breakdown(*gp, cols)
+        rho_b, rho_u = (np.abs(cols) ** 2).T
         times.append(t)
-        overlaps.append((inner(state.bath, st.bath), inner(state.up, st.up)))
-        if k in snapshot_at:
-            kept[k] = st
-        if observe is not None:
-            observe(k, st)
-        records["norm_bath"].append(st.bath.norm2())
-        records["norm_up"].append(st.up.norm2())
-        records["norm_down"].append(down.norm2())
+        overlaps.append(tuple(np.sum(initial * cols, axis=0).tolist()))
+        if k in snapshot_at or observe is not None:
+            full = unfold_even(grid, np.column_stack([cols, down]))
+            st = MeanFieldState(*(Field(grid, orbital) for orbital in full.T), time=t)
+            if k in snapshot_at:
+                kept[k] = st
+            if observe is not None:
+                observe(k, st)
+        records["norm_bath"].append(float(weights @ rho_b))
+        records["norm_up"].append(float(weights @ rho_u))
+        records["norm_down"].append(float(weights @ np.abs(down) ** 2))
         for key in ENERGY_TERMS:
             records[key].append(getattr(bd, key))
-        records["x_mean_up"].append(expectation_x(st.up))
-        records["x2_up"].append(expectation_x2(st.up))
-        # <p^2> = 2 <T>, which energy_breakdown has computed on this state
+        # <x> of an even orbital is zero by parity
+        records["x_mean_up"].append(0.0)
+        records["x2_up"].append(float(weights @ (x2 * rho_u)))
+        # <p^2> = 2 <T>, which energy_breakdown has computed on this record
         records["p2_up"].append(2.0 * bd.kinetic_i)
         return bd.total
 
@@ -622,7 +624,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
         for sub in range(record_every):
             np.square(parts, out=squares)
             np.matmul(squares, coupling, out=angle)
-            np.add(angle, traps, out=angle)
+            np.add(angle, phase_traps, out=angle)
             # exp(i angle) by parts: cheaper than the complex exp
             np.cos(angle, out=phase.real)
             np.sin(angle, out=phase.imag)

@@ -6,7 +6,10 @@ states, the bath-impurity block from explicit COO triplets, and Fock states
 are looked up in a bytes-keyed dict. Slow; keep the sizes small.
 
 `propagate_states` is the test-side collector of whole trajectories: the
-package streams Krylov records to an observer and keeps none of them."""
+package streams Krylov records to an observer and keeps none of them.
+`embed` and `restrict` are the bridge between a sector vector and the full
+space (bath Fock state x impurity mode) the oracle works in; the package
+itself reads sector vectors only."""
 
 from dataclasses import dataclass, field
 
@@ -14,6 +17,25 @@ import numpy as np
 import scipy.sparse as sp
 
 from polaron1d import exactdiag as ed
+
+
+def embed(h, w):
+    """The full-space vector of the sector vector w of h."""
+    keep = h.full_index >= 0
+    v = np.zeros(h.fock.total_dim, dtype=w.dtype)
+    v[h.full_index[keep]] = w[keep]
+    return v
+
+
+def restrict(h, v):
+    """The sector vector of h holding the entries of the full-space vector
+    (or (bath_dim, n_modes) amplitude matrix) v in the sector of h; entries
+    outside the sector are dropped."""
+    v = np.asarray(v).reshape(-1)
+    keep = h.full_index >= 0
+    w = np.zeros(h.dim, dtype=v.dtype)
+    w[keep] = v[h.full_index[keep]]
+    return w
 
 
 def propagate_states(h, v0, **kwargs):
@@ -238,3 +260,9 @@ def oracle_dense(h, blocks):
     s, m = h.fock.bath_dim, h.fock.n_modes
     dense = np.kron(np.diag(h.bath_onebody), np.eye(m)) + np.kron(np.eye(s), h.h_imp)
     return dense + np.kron(bb.toarray(), np.eye(m)) + bi.toarray()
+
+
+def sector_matvec(h, blocks, w):
+    """The oracle's matrix action on the sector vector w of h, restricted
+    to the sector of h."""
+    return restrict(h, oracle_matvec(h, blocks, embed(h, w)))

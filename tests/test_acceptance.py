@@ -237,7 +237,7 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
     amps[fock_bell.index([1, 0]), 1] = 1 / np.sqrt(2)
     amps[fock_bell.index([0, 1]), 0] = 1 / np.sqrt(2)
     h_bell = ed.build_hamiltonian(fock_bell, 0.0, 0.0).in_sector(1)
-    s_bell = ed.entanglement_entropy(ed.schmidt(h_bell.restrict(amps), h_bell))
+    s_bell = ed.entanglement_entropy(ed.schmidt(ed_oracle.restrict(h_bell, amps), h_bell))
     checks.append(
         (
             "Schmidt identities",

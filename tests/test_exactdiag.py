@@ -147,7 +147,7 @@ class TestOracleParity:
         for h in (h0, h0.in_sector(1)):
             for _ in range(2):
                 w = random_sector_vector(h, rng)
-                expected = h.restrict(ed_oracle.oracle_matvec(h, blocks, h.embed(w)))
+                expected = ed_oracle.sector_matvec(h, blocks, w)
                 assert np.linalg.norm(h.matvec(w) - expected) <= 1e-12 * np.linalg.norm(expected)
             if size == (3, 6):
                 full = h.full_index[h.slots]
@@ -178,7 +178,7 @@ class TestAssemblyProperties:
             if h.sector_dim == 0:
                 continue
             w = random_sector_vector(h, rng)
-            expected = h.restrict(ed_oracle.oracle_matvec(h, blocks, h.embed(w)))
+            expected = ed_oracle.sector_matvec(h, blocks, w)
             assert np.linalg.norm(h.matvec(w) - expected) <= 1e-12 * np.linalg.norm(expected)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -274,7 +274,7 @@ class TestHamiltonian:
         ground = ed.ground_state(h)
         w, vecs = np.linalg.eigh(full_dense(h))
         assert ground.energy == pytest.approx(w[0], abs=1e-10)
-        overlap = abs(np.vdot(vecs[:, 0], ground.hamiltonian.embed(ground.vector)))
+        overlap = abs(np.vdot(vecs[:, 0], ed_oracle.embed(ground.hamiltonian, ground.vector)))
         assert overlap == pytest.approx(1.0, abs=1e-10)
 
     @pytest.mark.parametrize(
@@ -290,7 +290,7 @@ class TestHamiltonian:
         fock = ed.build_fock_basis(n_bath, n_modes)
         h = ed.build_hamiltonian(fock, g_bb, g_bi, basis=ho_mode_basis(grid, n_modes))
         ground = ed.ground_state(h)
-        v = ground.hamiltonian.embed(ground.vector)
+        v = ed_oracle.embed(ground.hamiltonian, ground.vector)
         w, vecs = np.linalg.eigh(full_dense(h))
         assert abs(ground.energy - w[0]) <= 1e-10
         assert abs(abs(np.vdot(vecs[:, 0], v)) - 1.0) <= 1e-8
@@ -510,7 +510,7 @@ class TestSchmidt:
         amps[i0, 1] = 1 / np.sqrt(2)
         amps[i1, 0] = 1 / np.sqrt(2)
         h = ed.build_hamiltonian(fock, 0.0, 0.0).in_sector(1)
-        lambdas = ed.schmidt(h.restrict(amps), h)
+        lambdas = ed.schmidt(ed_oracle.restrict(h, amps), h)
         assert np.allclose(lambdas[:2], [0.5, 0.5], atol=1e-12)
         assert ed.entanglement_entropy(lambdas) == pytest.approx(np.log(2), abs=1e-12)
 
@@ -570,7 +570,7 @@ class TestBathDensityMatrix:
     def test_matches_loop_oracle(self, vectors, kind):
         h, vecs = vectors
         got = h.bath_rdm(vecs[kind])
-        want = ed_oracle.bath_rdm(h.fock, h.embed(vecs[kind]))
+        want = ed_oracle.bath_rdm(h.fock, ed_oracle.embed(h, vecs[kind]))
         assert np.max(np.abs(got - want)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["ground", "random"])
@@ -578,7 +578,7 @@ class TestBathDensityMatrix:
         h, vecs = vectors
         fock, m = h.fock, h.fock.n_modes
         hops = ed_oracle.one_body_transitions(fock)
-        vmat = h.embed(vecs[kind]).reshape(fock.bath_dim, m)
+        vmat = ed_oracle.embed(h, vecs[kind]).reshape(fock.bath_dim, m)
         kinetic, potential = (
             float(np.real(np.vdot(vmat, one_body_operator(fock, hops, coeffs) @ vmat)))
             for coeffs in (0.5 * ed._quadratic_matrix(m, -1.0), 0.5 * ed._quadratic_matrix(m, 1.0))
@@ -597,7 +597,7 @@ class TestEnergyBreakdown:
         bb_unit, bi_unit = ed_oracle.oracle_blocks(fock, basis, 1.0, 1.0)
         for hs in (h, h.in_sector(1)):
             w = random_sector_vector(hs, rng)
-            v = hs.embed(w)
+            v = ed_oracle.embed(hs, w)
             vmat = v.reshape(fock.bath_dim, fock.n_modes)
             bd = ed.energy_breakdown(w, hs)
             assert bd.intra_bb == pytest.approx(
@@ -655,7 +655,7 @@ class TestParitySectors:
         rng = np.random.default_rng(3)
         for hs in self.sectors(h):
             w = random_sector_vector(hs, rng)
-            full = ed_oracle.oracle_matvec(hs, blocks, hs.embed(w))
+            full = ed_oracle.oracle_matvec(hs, blocks, ed_oracle.embed(hs, w))
             got = hs.matvec(w)
             want = full[hs.full_index[hs.slots]]
             assert np.linalg.norm(got[hs.slots] - want) <= 1e-12 * np.linalg.norm(want)
@@ -668,7 +668,8 @@ class TestParitySectors:
         h, blocks = systems[size]
         rng = np.random.default_rng(4)
         for hs in self.sectors(h):
-            full = ed_oracle.oracle_matvec(hs, blocks, hs.embed(random_sector_vector(hs, rng)))
+            w = random_sector_vector(hs, rng)
+            full = ed_oracle.oracle_matvec(hs, blocks, ed_oracle.embed(hs, w))
             outside = np.ones(full.size, dtype=bool)
             outside[hs.full_index[hs.slots]] = False
             # the oracle's grid quadrature leaves parity-forbidden integrals
@@ -685,26 +686,35 @@ class TestParitySectors:
         assert np.max(np.abs(sectors - full)) <= 1e-11 * max(1.0, np.max(np.abs(full)))
 
     def test_propagation_refuses_a_mixed_parity_start(self, systems):
+        # a start that mixes the sectors has no sector vector: in the full
+        # space it is refused by either sector for its length
         h, _ = systems[3, 7]
         even, odd = h.in_sector(0), h.in_sector(1)
         rng = np.random.default_rng(8)
-        v_even = even.embed(random_sector_vector(even, rng))
-        v_odd = odd.embed(random_sector_vector(odd, rng))
+        v_even = ed_oracle.embed(even, random_sector_vector(even, rng))
+        v_odd = ed_oracle.embed(odd, random_sector_vector(odd, rng))
         mixed = np.sqrt(1.0 - 1e-6) * v_even + np.sqrt(1e-6) * v_odd
-        with pytest.raises(UsageError, match=r"minority weight 1\.000e-06"):
-            ed.propagate_krylov(even, mixed, dt=0.1, t_max=0.2, observe=lambda k, v: None)
-        with pytest.raises(UsageError, match=r"minority weight 1\.000e-06"):
-            ed.propagate_krylov(odd, mixed, dt=0.1, t_max=0.2, observe=lambda k, v: None)
-        with pytest.raises(UsageError, match="lies in the odd parity sector"):
-            ed.propagate_krylov(even, v_odd, dt=0.1, t_max=0.2, observe=lambda k, v: None)
-        # a full-space start of definite parity runs as its sector vector
-        _, from_full = ed_oracle.propagate_states(odd, v_odd, dt=0.1, t_max=0.5)
-        _, from_sector = ed_oracle.propagate_states(odd, odd.restrict(v_odd), dt=0.1, t_max=0.5)
-        assert np.array_equal(from_full, from_sector)
-        bad = odd.restrict(v_odd)
+        for hs in (even, odd):
+            refusal = rf"length {h.fock.total_dim}; .* h\.dim = {hs.dim}"
+            with pytest.raises(UsageError, match=refusal):
+                ed.propagate_krylov(hs, mixed, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+        bad = ed_oracle.restrict(odd, v_odd)
         bad[np.flatnonzero(odd.full_index < 0)[0]] = 1e-3
         with pytest.raises(UsageError, match="invalid sector slots"):
             ed.propagate_krylov(odd, bad, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+
+    def test_propagation_refuses_a_full_space_vector(self, systems):
+        # a full-space start of definite parity is refused too, naming the
+        # sector length; its sector vector runs
+        h, _ = systems[3, 7]
+        odd = h.in_sector(1)
+        w = random_sector_vector(odd, np.random.default_rng(13))
+        v = ed_oracle.embed(odd, w)
+        assert v.size == h.fock.total_dim == 588 and odd.dim == 336
+        with pytest.raises(UsageError, match=r"length 588; a sector vector of h has h\.dim = 336"):
+            ed.propagate_krylov(odd, v, dt=0.1, t_max=0.2, observe=lambda k, v: None)
+        _, states = ed_oracle.propagate_states(odd, ed_oracle.restrict(odd, v), dt=0.1, t_max=0.2)
+        assert np.array_equal(states[0], w)
 
     @pytest.mark.parametrize("size", [(2, 3), (3, 7)], ids=["2x3", "3x7"])
     def test_invalid_slots_stay_zero(self, systems, size):
@@ -735,7 +745,7 @@ class TestParitySectors:
         rng = np.random.default_rng(12)
         for hs in self.sectors(h):
             w = random_sector_vector(hs, rng)
-            vmat = hs.embed(w).reshape(h.fock.bath_dim, h.fock.n_modes)
+            vmat = ed_oracle.embed(hs, w).reshape(h.fock.bath_dim, h.fock.n_modes)
             sigma = np.linalg.svd(vmat, compute_uv=False)
             assert np.max(np.abs(ed.schmidt(w, hs) - sigma**2)) <= 1e-14
             assert np.max(np.abs(hs.impurity_rdm(w) - vmat.conj().T @ vmat)) <= 1e-14

@@ -12,16 +12,15 @@ from polaron1d.grid import (
     box_wavenumbers,
     build_grid,
     even_sine_filter,
-    expectation_x2,
     half_points,
     half_weights,
     inner,
-    kinetic_expectation,
     kinetic_matrix,
     parity_odd_fraction,
     sine_filter,
 )
 from polaron1d.observables import (
+    ENERGY_TERMS,
     dominant_frequency,
     general_weights_contrast,
     virial_check,
@@ -61,6 +60,37 @@ def traced_peak_and_held(fn):
     finally:
         tracemalloc.stop()
     return out, peak - before, held - before
+
+
+def full_grid_kinetic(f):
+    """<f|T|f> on the full grid, from the dense `kinetic_matrix`."""
+    v = f.values[1:-1]
+    return float(np.real(np.vdot(v, kinetic_matrix(f.grid) @ v))) * f.grid.dx
+
+
+def full_grid_record(st, sys):
+    """The record series of one full-grid MeanFieldState, summed point by
+    point over the whole grid: the oracle of `propagate`'s half-grid
+    reductions."""
+    grid, n = st.bath.grid, sys.n_bath
+    dx, x = grid.dx, grid.x
+    rho_b, rho_u, rho_d = (np.abs(f.values) ** 2 for f in (st.bath, st.up, st.down))
+    kin_i = full_grid_kinetic(st.up)
+    out = {
+        "norm_bath": np.sum(rho_b) * dx,
+        "norm_up": np.sum(rho_u) * dx,
+        "norm_down": np.sum(rho_d) * dx,
+        "kinetic_b": n * full_grid_kinetic(st.bath),
+        "potential_b": n * np.sum(0.5 * sys.omega_b**2 * x**2 * rho_b) * dx,
+        "kinetic_i": kin_i,
+        "potential_i": np.sum(0.5 * sys.omega_i**2 * x**2 * rho_u) * dx,
+        "intra_bb": 0.5 * sys.g_bb * n * (n - 1) * np.sum(rho_b**2) * dx,
+        "inter_bi": sys.g_bi * n * np.sum(rho_b * rho_u) * dx,
+        "x2_up": np.sum(x**2 * rho_u) * dx,
+        "p2_up": 2.0 * kin_i,
+    }
+    out["total"] = sum(out[key] for key in ENERGY_TERMS[:-1])
+    return out
 
 
 class TestThomasFermi:
@@ -278,7 +308,8 @@ class TestPropagate:
         states = [st for _, st in seen]
         assert np.array_equal(traj.times, [st.time for st in states])
         direct = [(inner(state.bath, st.bath), inner(state.up, st.up)) for st in states]
-        assert np.array_equal(traj.overlaps, direct)
+        # reduced on the half grid, so equal to the full-grid sums to round-off
+        assert np.max(np.abs(traj.overlaps - np.array(direct))) <= 1e-13
         assert [st.time for st in traj.snapshots] == [states[k].time for k in (0, 3, 5)]
         for snap, k in zip(traj.snapshots, (0, 3, 5)):
             for name in ("bath", "up", "down"):
@@ -340,8 +371,8 @@ class TestPropagate:
         c2, s2 = np.cos(omega * t) ** 2, np.sin(omega * t) ** 2
         x2 = c2 / (2 * omega0) + omega0 * s2 / (2 * omega**2)
         p2 = 0.5 * omega0 * c2 + omega**2 * s2 / (2 * omega0)
-        got_x2 = [expectation_x2(st.down) for st in traj]
-        got_p2 = [2.0 * kinetic_expectation(st.down) for st in traj]
+        got_x2 = [np.sum(grid.x**2 * np.abs(st.down.values) ** 2) * grid.dx for st in traj]
+        got_p2 = [2.0 * full_grid_kinetic(st.down) for st in traj]
         assert t[-1] == pytest.approx(4.0)
         assert np.max(np.abs(got_x2 - x2)) < 1e-11
         assert np.max(np.abs(got_p2 - p2)) < 1e-11
@@ -353,9 +384,36 @@ class TestPropagate:
         direct = []
         _, series = mf.propagate(
             state, sys_post, dt=5e-4, t_max=0.2, record_every=100,
-            observe=lambda k, st: direct.append(2.0 * kinetic_expectation(st.up)),
+            observe=lambda k, st: direct.append(2.0 * full_grid_kinetic(st.up)),
         )
-        assert np.array_equal(series["p2_up"].values, direct)
+        got = np.asarray(series["p2_up"].values)
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    def test_records_match_the_full_grid_sums(self, relaxed_default):
+        # every series and overlap is reduced on the half grid; the full-grid
+        # point sums over the states `observe` sees agree to round-off, and
+        # <x> of the even spin-up orbital is exactly zero. The bath's <T> is
+        # ~0.05 against kinetic diagonal entries of ~50, and the even block
+        # and `kinetic_matrix` come from two DCTs whose entries differ by
+        # ~1e-14, so kinetic_b agrees to 1.5e-13 only (3e-13 allowed); the
+        # narrower spin-up orbital's kinetic terms agree to 5e-15
+        state, _ = relaxed_default
+        sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.5)
+        seen = []
+        traj, series = mf.propagate(
+            state, sys_post, dt=5e-4, t_max=0.2, record_every=100,
+            observe=lambda k, st: seen.append(st),
+        )
+        assert len(seen) == 5
+        want = [full_grid_record(st, sys_post) for st in seen]
+        for key in want[0]:
+            got = np.asarray(series[key].values)
+            ref = np.array([w[key] for w in want])
+            rtol = 3e-13 if key == "kinetic_b" else 1e-13
+            assert np.max(np.abs(got - ref)) <= rtol * np.max(np.abs(ref)), key
+        ref = np.array([(inner(state.bath, st.bath), inner(state.up, st.up)) for st in seen])
+        assert np.max(np.abs(traj.overlaps - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.all(np.asarray(series["x_mean_up"].values) == 0.0)
 
     def test_record_interval_matches_dense_split_steps(self):
         # one record interval of 3 steps against K/2 (V K)^2 V K/2 built from
