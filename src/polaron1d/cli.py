@@ -54,11 +54,32 @@ def _load(args):
     return cfg
 
 
+def _refuse_unrunnable(cfg):
+    """Raises ConfigurationError for a config that no pipeline can run: one
+    the sweep contract refuses when the config sets sweep.parameter, else one
+    that every pipeline with a body for its tier refuses, with each
+    pipeline's messages."""
+    if cfg.sweep_parameter:
+        refusals = {"sweep": runner.contract_errors(cfg, "sweep")}
+    else:
+        refusals = {
+            pipeline: runner.contract_errors(cfg, pipeline)
+            for pipeline, bodies in runner.BODIES.items()
+            if cfg.tier in bodies
+        }
+    if all(refusals.values()):
+        errors = [f"{pipeline}: {msg}" for pipeline, msgs in refusals.items() for msg in msgs]
+        raise ConfigurationError(
+            "no pipeline can run this config:\n  " + "\n  ".join(errors), errors=errors
+        )
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "validate":
             cfg = _load(args)
+            _refuse_unrunnable(cfg)
             json.dump(cfg.echo(), sys.stdout, indent=2, sort_keys=True)
             print()
             return 0

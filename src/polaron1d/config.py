@@ -15,7 +15,7 @@ Sections and keys:
 """
 
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -199,18 +199,35 @@ def _semantic_checks(cfg, errors):
         errors.append(f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
     if cfg.sweep_pipeline not in ("quench", "breathing"):
         errors.append("sweep.pipeline must be 'quench' or 'breathing'")
-    errors.extend(sweep_value_errors(cfg.sweep_parameter, cfg.sweep_values))
+    errors.extend(sweep_value_errors(cfg))
 
 
-def sweep_value_errors(parameter, values):
-    """Messages for sweep values an integer parameter cannot take exactly
-    (n_bath = 2.7 must not run as 2)."""
-    if parameter not in INTEGER_SWEEP_PARAMETERS:
+def sweep_value_errors(cfg):
+    """Messages for sweep values the swept key cannot take, each prefixed
+    with sweep.values: a fraction for an integer key (n_bath = 2.7 must not
+    run as 2), and every message of the key's own checks on the config with
+    the value substituted that the config itself does not already give."""
+    parameter = cfg.sweep_parameter
+    if parameter not in SWEEP_PARAMETERS:
         return []
-    bad = [v for v in values if not float(v).is_integer()]
-    if not bad:
-        return []
-    return [f"sweep.values must be whole numbers for {parameter}, got {bad}"]
+    errors = []
+    if parameter in INTEGER_SWEEP_PARAMETERS:
+        bad = [v for v in cfg.sweep_values if not float(v).is_integer()]
+        if bad:
+            errors.append(f"sweep.values must be whole numbers for {parameter}, got {bad}")
+    # the checks run without the sweep, which is what stops the recursion
+    base = replace(cfg, sweep_parameter="")
+    known = []
+    _semantic_checks(base, known)
+    refused = {}
+    for value in cfg.sweep_values:
+        point = []
+        _semantic_checks(replace(base, **{parameter: type(getattr(cfg, parameter))(value)}), point)
+        for message in point:
+            if message not in known:
+                refused.setdefault(message, []).append(value)
+    errors += [f"sweep.values {vals} for {parameter}: {msg}" for msg, vals in refused.items()]
+    return errors
 
 
 def load_config(path):

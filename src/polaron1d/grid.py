@@ -8,23 +8,20 @@ operator exact for hard-wall boundary conditions.
 
 A sine-spectral operator S diag(sigma) S, with S the orthonormal DST-I on the
 n interior points, has entries g(i - j) - g(i + j), where g is one DCT-I of
-the zero-padded symbol sigma: a Toeplitz minus a Hankel matrix. `sine_filter`
-applies both as circular convolutions on one FFT of length
-L = next_fast_len(2n - 1), the smallest 2-3-5-7-11-smooth integer >= 2n - 1
-(896 on the 450-point reference grid), so a prime n + 1 (449 there) costs
-nothing extra, where a DST-I pair would run on an FFT of size 2(n + 1). The
-Hankel part acts on the reversed column, whose spectrum is the frequency
-reversal C[-k mod L] of the column's own spectrum C times the phase
-exp(-2 pi i (n-1) k/L), so one forward FFT serves both parts.
+the zero-padded symbol sigma: a Toeplitz minus a Hankel matrix.
+`kinetic_matrix` is that matrix for sigma = k^2/2 (`_sine_kernel`).
 
-`even_sine_filter` is the same operator on parity-even fields, carried by
-their h = ceil(n/2) interior samples with x <= 0 (`half_points`): folding
-each column with its mirror image gives Toeplitz minus Hankel again, on h
-points with the even kernel G(m) = g(m) - g(n + 1 - m), so both filters run
-through one convolution core, the even one on an FFT of length
-next_fast_len(2h - 1) (448 on the reference grid). `even_kinetic_matrix` is
-its dense kinetic matrix, `unfold_even` restores the full-grid samples and
-`half_weights` gives the full-grid norm.
+Every field a solver filters by FFT is parity even (the impurity sits at the
+centre of a mirror-symmetric trap), so there is one FFT filter,
+`even_sine_filter`: folded onto the h = ceil(n/2) interior samples with
+x <= 0 (`half_points`), the operator is Toeplitz minus Hankel again, with
+the even kernel G(m) = g(m) - g(n + 1 - m), on one FFT of length
+next_fast_len(2h - 1) (448 on the 450-point reference grid, where a DST-I
+pair would need 2(n + 1) = 898). `even_kinetic_matrix` is its dense kinetic
+matrix, `unfold_even` restores the full-grid samples and `half_weights`
+gives the full-grid norm. `kinetic_apply`, the dense full-grid product, has
+no caller in the package; it remains only because the benchmark's tracer
+keys two per-layer metrics on it.
 
 `stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
 spectrum, as two half-size parity blocks when V is mirror symmetric to the
@@ -38,7 +35,6 @@ and the spectrum of a real kernel is its rfft with the Hermitian half filled
 in, which gives the same bits as scipy.fft's real-input transforms.
 """
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,11 +51,8 @@ class Grid:
     x: np.ndarray = field(repr=False, compare=False)
     dx: float
 
-    def same_as(self, other):
-        return self.n_points == other.n_points and self.x_max == other.x_max
-
     def require_same(self, other):
-        if not self.same_as(other):
+        if (self.n_points, self.x_max) != (other.n_points, other.x_max):
             raise UsageError(
                 f"grid mismatch: ({self.n_points}, {self.x_max}) vs "
                 f"({other.n_points}, {other.x_max})"
@@ -173,86 +166,6 @@ def _sine_kernel(n, symbol):
     return np.concatenate([half, half[-2:0:-1]])
 
 
-def _toeplitz_minus_hankel(size, kernel, halve_last=False):
-    """The operator y_i = sum_j [K(i - j) - K(i + j)] c_j, i, j = 1..size,
-    with K the periodic `kernel` (one period along axis 0, even:
-    K(-m) = K(m)), as a function that overwrites a (size, ...) block of
-    columns c in place and returns it; with `halve_last` the last entry of
-    each column enters with weight 1/2. The kernel's trailing axes, if any,
-    give each column its own taps.
-
-    Both parts run as circular convolutions of length
-    L = next_fast_len(2 size - 1), which holds their 2 size - 1 lags without
-    wrap-around. The Toeplitz taps K(m), m = 1-size..size-1, sit at slot
-    m mod L. The Hankel part is the same convolution of the reversed column
-    with taps K(m + size + 1); the reversed column's spectrum is
-    w^((size-1)k) C[-k mod L], w = exp(-2 pi i/L), with C the spectrum of the
-    column itself, so both parts share one forward FFT and the phase
-    w^((size-1)k) is folded into the Hankel spectrum here, once. Each call is
-    one forward FFT, two spectral products read from C and its frequency
-    reversal, a subtraction and one inverse FFT.
-    """
-    fft_size = next_fast_len(2 * size - 1)
-    lags = np.arange(1 - size, size)
-    slots, period = lags % fft_size, kernel.shape[0]
-    toeplitz = np.zeros((fft_size,) + kernel.shape[1:], dtype=kernel.dtype)
-    hankel = np.zeros_like(toeplitz)
-    toeplitz[slots] = kernel[lags % period]
-    hankel[slots] = kernel[(lags + size + 1) % period]
-    toeplitz, hankel = (
-        np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
-        for taps in (toeplitz, hankel)
-    )
-    # the integer product (size-1)k is reduced mod L before the exponential
-    shift = np.exp(-2j * np.pi * ((size - 1) * np.arange(fft_size) % fft_size) / fft_size)
-    hankel *= shift.reshape((fft_size,) + (1,) * (hankel.ndim - 1))
-    ext = np.zeros((fft_size,) + kernel.shape[1:], dtype=np.complex128)
-    fwd = np.empty_like(ext)
-    rev = np.empty_like(ext)
-    negated = -np.arange(fft_size)
-
-    def apply(cols):
-        ext[:size] = cols
-        if halve_last:
-            ext[size - 1] *= 0.5
-        np.fft.fft(ext, axis=0, out=fwd)
-        # rev = C[-k mod L]: a gather into a contiguous buffer is cheaper
-        # than multiplying through a row-reversed view of an (L, n_cols) block
-        np.take(fwd, negated, axis=0, out=rev, mode="wrap")
-        np.multiply(rev, hankel, out=rev)
-        np.multiply(fwd, toeplitz, out=fwd)
-        np.subtract(fwd, rev, out=fwd)
-        out = np.fft.ifft(fwd, axis=0, out=fwd)[:size]
-        cols[...] = out if np.iscomplexobj(cols) else out.real
-        return cols
-
-    return apply
-
-
-def sine_filter(grid, symbol):
-    """The operator S diag(symbol) S on the interior points, S the orthonormal
-    DST-I, as a function that overwrites the interior rows of a column block
-    in place (wall rows untouched) and returns the block.
-
-    `symbol` has shape (n_interior,) for a single field or
-    (n_interior, n_cols) for an (n_points, n_cols) block, so each column can
-    carry its own symbol.
-
-    The operator is Toeplitz minus Hankel, y_i = sum_j [g(i - j) - g(i + j)] c_j
-    with g the kernel of `_sine_kernel`, run by `_toeplitz_minus_hankel` on
-    an FFT of length next_fast_len(2n - 1).
-    """
-    symbol = np.asarray(symbol)
-    n = grid.n_points - 2
-    interior = _toeplitz_minus_hankel(n, _sine_kernel(n, symbol))
-
-    def apply(cols):
-        interior(cols[1:-1])
-        return cols
-
-    return apply
-
-
 def half_points(grid):
     """h = ceil(n/2), the number of interior points with x <= 0 (n interior
     points in all): the samples that carry a parity-even field."""
@@ -295,39 +208,64 @@ def _even_kernel(n, symbol):
 
 
 def even_sine_filter(grid, symbol):
-    """`sine_filter` restricted to parity-even fields, on their first h
-    interior samples (`half_points`): a function that overwrites an
-    (h,) or (h, n_cols) block in place and returns it, with `symbol` shaped
-    as for `sine_filter` (only its odd modes act).
+    """S diag(symbol) S on parity-even fields, carried by their first h
+    interior samples (`half_points`): a function that overwrites an (h,) or
+    (h, n_cols) block in place and returns it. `symbol` has shape
+    (n_interior,), or (n_interior, n_cols) to give each column its own taps.
 
-    An even field has c_{N-j} = c_j, N = n + 1, so the pair j, N - j of the
-    full operator's columns folds into Toeplitz minus Hankel on h points,
-    y_i = sum_j w_j [G(i - j) - G(i + j)] c_j with the kernel G of
-    `_even_kernel` and w_j = 1, except w = 1/2 for the centre point of an
-    odd n (its own mirror image). It runs through the same
-    `_toeplitz_minus_hankel` as `sine_filter`, on an FFT of length
-    next_fast_len(2h - 1): 448 on the 450-point reference grid, against 896.
+    An even field has c_{N-j} = c_j, N = n + 1, so the full operator folds
+    into y_i = sum_j w_j [G(i - j) - G(i + j)] c_j on h points, with G the
+    `_even_kernel` and w_j = 1, except 1/2 for the centre point of an odd n
+    (its own mirror image). Both parts are circular convolutions of length
+    L = next_fast_len(2h - 1), which holds their 2h - 1 lags: the Toeplitz
+    taps G(m), m = 1-h..h-1, sit at slot m mod L, and the Hankel part is the
+    same convolution of the reversed column with taps G(m + h + 1). The
+    reversed column's spectrum is w^((h-1)k) C[-k mod L], w = exp(-2 pi i/L),
+    C the column's own spectrum, so the phase is folded into the Hankel
+    spectrum once and each call is one forward FFT, two spectral products
+    read from C and its frequency reversal, a subtraction and one inverse FFT.
     """
-    n = grid.n_points - 2
+    n, size = grid.n_points - 2, half_points(grid)
     kernel = _even_kernel(n, np.asarray(symbol))
-    return _toeplitz_minus_hankel(half_points(grid), kernel, halve_last=n % 2 == 1)
+    fft_size = next_fast_len(2 * size - 1)
+    lags = np.arange(1 - size, size)
+    slots, period = lags % fft_size, kernel.shape[0]
+    toeplitz = np.zeros((fft_size,) + kernel.shape[1:], dtype=kernel.dtype)
+    hankel = np.zeros_like(toeplitz)
+    toeplitz[slots] = kernel[lags % period]
+    hankel[slots] = kernel[(lags + size + 1) % period]
+    toeplitz, hankel = (
+        np.fft.fft(taps, axis=0) if np.iscomplexobj(taps) else _real_fft(taps)
+        for taps in (toeplitz, hankel)
+    )
+    # the integer product (h-1)k is reduced mod L before the exponential
+    shift = np.exp(-2j * np.pi * ((size - 1) * np.arange(fft_size) % fft_size) / fft_size)
+    hankel *= shift.reshape((fft_size,) + (1,) * (hankel.ndim - 1))
+    ext = np.zeros((fft_size,) + kernel.shape[1:], dtype=np.complex128)
+    fwd = np.empty_like(ext)
+    rev = np.empty_like(ext)
+    negated = -np.arange(fft_size)
+
+    def apply(cols):
+        ext[:size] = cols
+        if n % 2:
+            ext[size - 1] *= 0.5
+        np.fft.fft(ext, axis=0, out=fwd)
+        # rev = C[-k mod L]: a gather into a contiguous buffer is cheaper
+        # than multiplying through a row-reversed view of an (L, n_cols) block
+        np.take(fwd, negated, axis=0, out=rev, mode="wrap")
+        np.multiply(rev, hankel, out=rev)
+        np.multiply(fwd, toeplitz, out=fwd)
+        np.subtract(fwd, rev, out=fwd)
+        out = np.fft.ifft(fwd, axis=0, out=fwd)[:size]
+        cols[...] = out if np.iscomplexobj(cols) else out.real
+        return cols
+
+    return apply
 
 
 def _kinetic_symbol(grid):
     return box_wavenumbers(grid) ** 2 / 2.0
-
-
-@functools.lru_cache(maxsize=8)
-def _kinetic_filter(grid):
-    # built once per (hashable) grid; a filter keeps its scratch buffers, so
-    # calls must not overlap (the package runs them in one thread)
-    return sine_filter(grid, _kinetic_symbol(grid))
-
-
-def kinetic_apply(f):
-    """-(1/2) d^2/dx^2 under hard-wall (sine-spectral) semantics."""
-    values = _kinetic_filter(f.grid)(f.values.copy())
-    return Field(f.grid, values)
 
 
 def _toeplitz_minus_hankel_matrix(size, kernel):
@@ -341,18 +279,28 @@ def _toeplitz_minus_hankel_matrix(size, kernel):
 
 
 def kinetic_matrix(grid):
-    """Dense sine-DVR matrix of -(1/2) d^2/dx^2 on the interior points:
-    kinetic_matrix(grid) @ f.values[1:-1] is kinetic_apply(f).values[1:-1]."""
+    """Dense sine-DVR matrix S diag(k^2/2) S of -(1/2) d^2/dx^2 on the
+    interior points, S the orthonormal DST-I and k the `box_wavenumbers`."""
     n = grid.n_points - 2
     return _toeplitz_minus_hankel_matrix(n, _sine_kernel(n, _kinetic_symbol(grid)))
+
+
+def kinetic_apply(f):
+    """-(1/2) d^2/dx^2 under hard-wall (sine-DVR) semantics, as the dense
+    product with `kinetic_matrix` on the interior points. No solver calls it:
+    it stays public because the benchmark's tracer (perfbench/spans.py) keys
+    two per-layer metrics on it."""
+    values = np.zeros_like(f.values)
+    values[1:-1] = kinetic_matrix(f.grid) @ f.values[1:-1]
+    return Field(f.grid, values)
 
 
 def even_kinetic_matrix(grid):
     """Dense matrix of -(1/2) d^2/dx^2 on parity-even fields, acting on their
     first h interior samples (`half_points`), built from the even kernel as
     `kinetic_matrix` is from the sine kernel: for an even f,
-    even_kinetic_matrix(grid) @ f.values[1:h+1] is
-    kinetic_apply(f).values[1:h+1]. For an odd n the centre column carries
+    even_kinetic_matrix(grid) @ f.values[1:h+1] is the first h rows of
+    kinetic_matrix(grid) @ f.values[1:-1]. For an odd n the centre column carries
     weight 1/2 (`even_sine_filter`); conjugated by diag(1, ..., 1, 1/sqrt(2))
     it is the symmetric even block of `kinetic_matrix`."""
     n = grid.n_points - 2
@@ -361,12 +309,6 @@ def even_kinetic_matrix(grid):
     if n % 2:
         block[:, -1] *= 0.5
     return block
-
-
-def kinetic_phase_factors(grid, dt):
-    """exp(-i dt k^2 / 2) on the interior sine modes (split-step use)."""
-    k = box_wavenumbers(grid)
-    return np.exp(-1j * dt * k**2 / 2.0)
 
 
 def bare_ground_state(grid, omega=1.0):

@@ -2,10 +2,11 @@
 deterministic CSV/JSON outputs and a manifest of checksums and diagnostics.
 
 Each single-run pipeline runs in one frame (`_run`) that calls its tier's
-body from `_BODIES`: relax runs in the meanfield tier only, quench in the
+body from `BODIES`: relax runs in the meanfield tier only, quench in the
 meanfield, effpot and ed tiers, breathing in the meanfield and effpot
 tiers. A tier a pipeline has no body for is refused, naming solver.tier.
-A sweep runs quench or breathing points.
+A sweep runs quench or breathing points. `contract_errors` states which
+configs each pipeline, and a sweep, can run.
 
 CSV files carry one header row and 17-significant-digit decimals so a
 read-back reproduces the in-memory values exactly. The manifest is written
@@ -514,15 +515,17 @@ def _breathing_effpot(cfg, out, grid):
 
 # --- the pipeline frame --------------------------------------------------------
 
-_BODIES = {
+BODIES = {
     "relax": {"meanfield": _relax_meanfield},
     "quench": {"meanfield": _quench_meanfield, "effpot": _quench_effpot, "ed": _quench_ed},
     "breathing": {"meanfield": _breathing_meanfield, "effpot": _breathing_effpot},
 }
 
 
-def _contract_errors(cfg, pipeline):
-    """Messages for a config the pipeline cannot run, each naming the key.
+def contract_errors(cfg, pipeline):
+    """Messages for a config the pipeline cannot run, each naming the key:
+    the one statement of the run contract, read by every pipeline and by
+    `polaron1d validate`.
 
     A pipeline runs only the tiers it has a body for. A breathing run needs a
     trap change. A quench changes the coupling only: every tier evolves the
@@ -530,9 +533,22 @@ def _contract_errors(cfg, pipeline):
     ED tier evolves the spin-down branch as the pure phase exp(-i E0 t),
     exact only for a stationary initial state, and builds the bath in the
     unit-frequency oscillator basis. The effpot tier starts the impurity in
-    the bare trap ground state.
+    the bare trap ground state. A sweep needs a parameter, a non-empty list
+    of values its key accepts (`sweep_value_errors`), and a config that its
+    sweep.pipeline, quench or breathing, can run; that pipeline's contract
+    reads none of the sweep parameters, so its refusal would fail every
+    point alike.
     """
-    tiers = _BODIES[pipeline]
+    if pipeline == "sweep":
+        errors = []
+        if not cfg.sweep_parameter:
+            errors.append("sweep needs a parameter (sweep.parameter)")
+        if not cfg.sweep_values:
+            errors.append("sweep needs a non-empty value list (sweep.values)")
+        if cfg.sweep_pipeline not in _SWEEP_COLUMNS:
+            return errors + ["sweep.pipeline must be 'quench' or 'breathing'"]
+        return errors + sweep_value_errors(cfg) + contract_errors(cfg, cfg.sweep_pipeline)
+    tiers = BODIES[pipeline]
     errors = []
     if cfg.tier not in tiers:
         errors.append(
@@ -558,11 +574,11 @@ def _run(cfg, directory, pipeline, summary_name="summary.json", **header):
     run, builds the grid, calls the tier's body and writes its entries, with
     the schema version, pipeline, tier and `header`, to `summary_name`."""
     with OutputSet(directory or cfg.directory, cfg) as out:
-        errors = _contract_errors(cfg, pipeline)
+        errors = contract_errors(cfg, pipeline)
         if errors:
             raise ConfigurationError("; ".join(errors), errors=errors)
         grid = build_grid(cfg.n_points, cfg.x_max)
-        summary = _BODIES[pipeline][cfg.tier](cfg, out, grid)
+        summary = BODIES[pipeline][cfg.tier](cfg, out, grid)
         summary.update(
             schema_version=SUMMARY_SCHEMA_VERSION, pipeline=pipeline, tier=cfg.tier, **header
         )
@@ -624,29 +640,23 @@ def _sweep_point(task):
         return None, str(exc)
 
 
-def run_sweep(cfg, parameter=None, values=None, pipeline=None, jobs=1, directory=None):
-    """Independent runs over a parameter list plus a deterministic aggregate.
+def run_sweep(cfg, jobs=1, directory=None):
+    """Independent runs of sweep.pipeline, one per value of sweep.parameter
+    in sweep.values, plus a deterministic aggregate.
 
-    Individual failures are recorded in the aggregate (manifest status
-    "partial") and the sweep continues.
+    A config the sweep contract refuses (`contract_errors`) fails before any
+    point runs. Individual failures are recorded in the aggregate (manifest
+    status "partial") and the sweep continues.
     """
     base_dir = directory or cfg.directory
     with OutputSet(base_dir, cfg) as out:
         if jobs < 1:
             raise ConfigurationError(f"sweep needs jobs >= 1, got {jobs}")
-        parameter = parameter or cfg.sweep_parameter
-        values = list(values if values is not None else cfg.sweep_values)
-        pipeline = pipeline or cfg.sweep_pipeline
-        if not parameter:
-            raise ConfigurationError("sweep needs a parameter")
-        if not values:
-            raise ConfigurationError("sweep needs a non-empty value list")
-        if pipeline not in _SWEEP_COLUMNS:
-            raise ConfigurationError("sweep.pipeline must be 'quench' or 'breathing'")
-        # the contract reads no sweep parameter: every point would fail alike
-        problems = sweep_value_errors(parameter, values) + _contract_errors(cfg, pipeline)
-        if problems:
-            raise ConfigurationError("; ".join(problems), errors=problems)
+        errors = contract_errors(cfg, "sweep")
+        if errors:
+            raise ConfigurationError("; ".join(errors), errors=errors)
+        parameter, values = cfg.sweep_parameter, list(cfg.sweep_values)
+        pipeline = cfg.sweep_pipeline
         tasks = [
             (replace(cfg, sweep_values=()), parameter, value, pipeline,
              os.path.join(base_dir, f"{parameter}_{k:03d}"))

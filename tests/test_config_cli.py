@@ -219,6 +219,22 @@ class TestValidateConfig:
             validate_config(text)
 
     @pytest.mark.parametrize(
+        "parameter, values, error",
+        [
+            ("g_bi_final", "-1.0, 0.5",
+             "[-1.0] for g_bi_final: system.g_bi_final must be >= 0 (repulsive model)"),
+            ("n_modes", "4, 50", "[50.0] for n_modes: solver.ed.n_modes must be in 1..40"),
+        ],
+        ids=["g_bi_final", "n_modes"],
+    )
+    def test_sweep_values_meet_their_keys_checks(self, parameter, values, error):
+        text = MINIMAL + f"[sweep]\nparameter = {parameter}\nvalues = {values}\n"
+        with pytest.raises(ConfigurationError) as raised:
+            validate_config(text)
+        # only the value the key refuses is named, under sweep.values
+        assert raised.value.errors == [f"sweep.values {error}"]
+
+    @pytest.mark.parametrize(
         "text, line",
         [
             ("[system]\ng_bb = nan\n", 2),
@@ -608,15 +624,17 @@ class TestRunnerPipelines:
     def test_sweep_requires_values(self, tmp_path):
         outdir = str(tmp_path / "s")
         cfg = validate_config(MINIMAL + f"[output]\ndirectory = {outdir}\n")
+        cfg.sweep_parameter = "g_bi_final"
         with pytest.raises(ConfigurationError, match="value"):
-            runner.run_sweep(cfg, parameter="g_bi_final", values=[])
+            runner.run_sweep(cfg)
         assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
     def test_sweep_rejects_non_integral_values(self, tmp_path):
         outdir = str(tmp_path / "swi")
         cfg = validate_config(EFFPOT_FAST.format(outdir=outdir))
+        cfg.sweep_parameter, cfg.sweep_values = "n_bath", (2.0, 2.7)
         with pytest.raises(ConfigurationError, match="sweep.values"):
-            runner.run_sweep(cfg, parameter="n_bath", values=[2.0, 2.7])
+            runner.run_sweep(cfg)
         assert not os.path.exists(os.path.join(outdir, "n_bath_000"))
         assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
@@ -973,13 +991,31 @@ class TestCli:
             assert code == 2
             assert "solver.tier" in capsys.readouterr().err
 
+    def test_validate_refuses_what_no_pipeline_can_run(self, tmp_path, capsys):
+        # the ED tier runs quench only, and its quench starts from g_bi = 0
+        path = self._write_cfg(
+            tmp_path, ED_SMALL.format(extra="g_bi_initial = 0.3", outdir=tmp_path / "v")
+        )
+        assert cli.main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "quench: tier ed quench needs system.g_bi_initial = 0.0, got 0.3" in err
+        assert cli.main(["quench", "--config", path]) == 2
+        # an effpot config that quench refuses and breathing runs stays valid
+        path = self._write_cfg(
+            tmp_path, BREATHING_TF.format(g_bi=0.25, outdir=tmp_path / "b")
+            .replace("[time]", "g_bi_initial = 0.3\n[time]")
+        )
+        assert cli.main(["validate", "--config", path]) == 0
+        assert cli.main(["quench", "--config", path]) == 2
+
     def test_sweep_refused_when_its_pipeline_contract_fails(self, tmp_path, capsys):
         outdir = str(tmp_path / "sw")
         text = ED_SMALL.format(extra="g_bi_initial = 0.3", outdir=outdir)
         path = self._write_cfg(
             tmp_path, text + "[sweep]\nparameter = g_bi_final\nvalues = 0.5, 1.0\n"
         )
-        assert cli.main(["validate", "--config", path]) == 0
+        assert cli.main(["validate", "--config", path]) == 2
+        assert "system.g_bi_initial" in capsys.readouterr().err
         assert cli.main(["sweep", "--config", path]) == 2
         assert "tier ed quench needs system.g_bi_initial" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(outdir, "g_bi_final_000"))

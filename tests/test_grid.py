@@ -26,7 +26,6 @@ from polaron1d.grid import (
     kinetic_matrix,
     next_fast_len,
     parity_odd_fraction,
-    sine_filter,
     stationary_states,
     unfold_even,
 )
@@ -151,9 +150,9 @@ def test_kinetic_symmetric(grid, rng):
 def test_kinetic_matrix_matches_kinetic_apply(grid):
     rng = np.random.default_rng(11)  # local: the shared rng fixture feeds other tests
     f = Field(grid, rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points))
-    ref = kinetic_apply(f).values[1:-1]
-    out = kinetic_matrix(grid) @ f.values[1:-1]
-    assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
+    ref = _dst_pair(f.values, box_wavenumbers(grid) ** 2 / 2.0)[1:-1]
+    for out in (kinetic_matrix(grid) @ f.values[1:-1], kinetic_apply(f).values[1:-1]):
+        assert np.max(np.abs(out - ref)) < 1e-12 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n_points", [16, 450, 451])
@@ -273,8 +272,9 @@ def _dst_pair(cols, symbol):
 
 
 def _filter_case(n_points, n_cols, kind):
-    """A random column block with zero walls and a per-column-mass symbol;
-    n_cols = 1 gives a single field and a 1-D symbol."""
+    """A random block of half-grid samples of even fields (`half_points`
+    rows) and a per-column-mass symbol; n_cols = 1 gives a single field and a
+    1-D symbol."""
     grid = build_grid(n_points, 40.0)
     masses = np.array([1.0, 0.7, 1.9])[:n_cols]
     k2m = box_wavenumbers(grid)[:, None] ** 2 / (2.0 * masses)
@@ -284,14 +284,19 @@ def _filter_case(n_points, n_cols, kind):
         "kinetic": k2m,
     }[kind]
     rng = np.random.default_rng(n_points * 10 + n_cols)
-    cols = rng.standard_normal((n_points, n_cols)) + 1j * rng.standard_normal((n_points, n_cols))
-    cols[0] = cols[-1] = 0.0
+    h = half_points(grid)
+    half = rng.standard_normal((h, n_cols)) + 1j * rng.standard_normal((h, n_cols))
     if n_cols == 1:
-        return grid, symbol[:, 0], cols[:, 0]
-    return grid, symbol, cols
+        return grid, symbol[:, 0], half[:, 0]
+    return grid, symbol, half
 
 
-# interior sizes 14, 448, 449 and 512 run on FFTs of 27, 896, 900 and 1024
+def _even_oracle(grid, half, symbol):
+    """The DST-I pair on the unfolded even field, read on the half grid."""
+    return _dst_pair(unfold_even(grid, half), symbol)[1 : half.shape[0] + 1]
+
+
+# half-grid sizes 7, 224, 225 and 256 run on FFTs of 14, 448, 450 and 512
 FILTER_SIZES = [16, 450, 451, 514]
 
 
@@ -299,29 +304,31 @@ FILTER_SIZES = [16, 450, 451, 514]
 @pytest.mark.parametrize("n_cols", [1, 3])
 @pytest.mark.parametrize("n_points", FILTER_SIZES)
 def test_sine_filter_matches_dst_pair(n_points, n_cols, kind):
-    grid, symbol, cols = _filter_case(n_points, n_cols, kind)
-    ref = _dst_pair(cols, symbol)
-    out = sine_filter(grid, symbol)(cols.copy())
+    grid, symbol, half = _filter_case(n_points, n_cols, kind)
+    ref = _even_oracle(grid, half, symbol)
+    out = even_sine_filter(grid, symbol)(half.copy())
+    assert out.shape == half.shape
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert np.all(out[0] == 0.0) and np.all(out[-1] == 0.0)
 
 
 @pytest.mark.parametrize("n_points", FILTER_SIZES)
 def test_sine_filter_phase_symbol_is_unitary(n_points):
-    grid, symbol, cols = _filter_case(n_points, 3, "phase")
-    apply = sine_filter(grid, symbol)
-    out = cols.copy()
+    grid, symbol, half = _filter_case(n_points, 3, "phase")
+    apply = even_sine_filter(grid, symbol)
+    out = half.copy()
     for _ in range(5):
         apply(out)
-    norms = np.linalg.norm(cols, axis=0)
-    assert np.max(np.abs(np.linalg.norm(out, axis=0) - norms) / norms) < 1e-13
+    weights = half_weights(grid)[:, None]
+    norms = np.sqrt(np.sum(weights * np.abs(half) ** 2, axis=0))
+    after = np.sqrt(np.sum(weights * np.abs(out) ** 2, axis=0))
+    assert np.max(np.abs(after - norms) / norms) < 1e-13
 
 
 def test_sine_filter_keeps_real_blocks_real(grid):
-    _, symbol, cols = _filter_case(grid.n_points, 3, "decay")
-    out = sine_filter(grid, symbol)(cols.real.copy())
+    _, symbol, half = _filter_case(grid.n_points, 3, "decay")
+    out = even_sine_filter(grid, symbol)(half.real.copy())
     assert out.dtype == np.float64
-    ref = _dst_pair(cols.real, symbol)
+    ref = _even_oracle(grid, half.real, symbol)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -342,7 +349,7 @@ def test_even_sine_filter_is_sine_filter_on_even_fields(n_points, kind):
     full = unfold_even(grid, half)
     assert is_mirror_symmetric(full)
     assert np.array_equal(full[1 : h + 1], half)
-    ref = sine_filter(grid, symbol)(full.copy())
+    ref = _dst_pair(full, symbol)
     out = even_sine_filter(grid, symbol)(half.copy())
     assert out.dtype == half.dtype
     assert np.max(np.abs(out - ref[1 : h + 1])) <= 1e-14 * np.max(np.abs(ref))
@@ -376,22 +383,6 @@ def test_half_weights_give_the_full_grid_norm(n_points):
     half = np.random.default_rng(3).standard_normal(half_points(grid))
     full = Field(grid, unfold_even(grid, half))
     assert half_weights(grid) @ half**2 == pytest.approx(full.norm2(), rel=1e-14)
-
-
-def test_kinetic_apply_reuses_one_filter(grid, rng):
-    # the cached filter gives what a fresh one gives, and a later call leaves
-    # an earlier result untouched
-    fields = [
-        Field(grid, rng.standard_normal(grid.n_points) + 1j * rng.standard_normal(grid.n_points))
-        for _ in range(2)
-    ]
-    fresh = sine_filter(grid, box_wavenumbers(grid) ** 2 / 2.0)
-    first = kinetic_apply(fields[0])
-    kept = first.values.copy()
-    second = kinetic_apply(fields[1])
-    assert np.array_equal(first.values, kept)
-    for f, out in zip(fields, (first, second)):
-        assert np.array_equal(out.values, fresh(f.values.copy()))
 
 
 def test_mode_completeness_projection(grid):
