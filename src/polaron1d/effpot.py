@@ -30,7 +30,7 @@ from .grid import (
     kinetic_matrix,
     stationary_states,
 )
-from .observables import TimeSeries, dominant_frequency
+from .observables import TimeSeries, dominant_frequency, record_times
 
 
 @dataclass(frozen=True)
@@ -147,10 +147,6 @@ def _expansion(spec, initial, tol=1e-3):
     return coeffs
 
 
-def _sample_times(t_max, dt):
-    return dt * np.arange(int(round(t_max / dt)) + 1)
-
-
 def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
     """Contrast from the stationary-state expansion:
     S(t) = sum_n |<psi_n|initial>|^2 exp(-i (E_n - E_ho) t), with E_ho = omega/2
@@ -168,7 +164,7 @@ def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
     if initial is None:
         initial = bare_ground_state(spec.potential.grid, omega)
     weights = np.abs(_expansion(spec, initial, tol=1e-6)) ** 2
-    n_t = _sample_times(t_max, dt).size
+    n_t = record_times(dt, t_max, 1).size
     block = math.isqrt(n_t - 1) + 1
     levels = spec.energies - 0.5 * omega
     starts = dt * (block * np.arange(-(-n_t // block)))
@@ -191,7 +187,7 @@ def stationary_moments(spec, initial, t_max, dt):
         "x2": s.T @ (grid.x[:, None] ** 2 * s),
         "p2": 2.0 * (s[1:-1].T @ (kinetic_matrix(grid) @ s[1:-1])),
     }
-    amps = evolve_coefficients(spec.energies, coeffs, _sample_times(t_max, dt))
+    amps = evolve_coefficients(spec.energies, coeffs, record_times(dt, t_max, 1))
     series = {}
     for key, mat in moments.items():
         vals = np.sum(np.conj(amps) * (amps @ (mat * grid.dx)), axis=1)

@@ -79,7 +79,7 @@ from .errors import (
     UsageError,
 )
 from .grid import Field, hermite_functions
-from .observables import EnergyBreakdown, TimeSeries, record_intervals
+from .observables import EnergyBreakdown, TimeSeries, record_times
 
 DIM_GUARD_DEFAULT = 5_000_000
 # Krylov propagation: bound on the error estimate of every state a Lanczos
@@ -210,14 +210,14 @@ def _parities(occupations):
     return (occupations @ np.arange(occupations.shape[-1])) % 2
 
 
-def _sector_rows(fock, bath_onebody, h_imp, sector):
+def _sector_rows(fock, bath_onebody, t_imp, v_imp, sector):
     """The parts of an EDHamiltonian that follow the bath rows of sector
     `sector`: the row class c_b = (p_b + sector) mod 2 of each bath state,
     the bath states of each class, the one-body energy of each slot (b, j)
     (bath one-body plus the impurity diagonal at mode i = 2j + c_b), the
     impurity band coupling slot j to j + 1 (modes i and i + 2, the only
-    off-diagonal entries of the quadratic h_imp; None when it vanishes, as at
-    omega_i = 1) and the full-space index b M + i of each
+    off-diagonal entries of the quadratic h_imp = t_imp + v_imp; None when it
+    vanishes, as at omega_i = 1) and the full-space index b M + i of each
     slot. Slots with i >= M (odd M, class 1, last column) are invalid: their
     one-body energy and band entries are 0 and their index is -1."""
     m, k = fock.n_modes, (fock.n_modes + 1) // 2
@@ -225,6 +225,7 @@ def _sector_rows(fock, bath_onebody, h_imp, sector):
     modes = 2 * np.arange(k)[None, :] + row_class[:, None]
     valid = modes < m
     safe = np.minimum(modes, m - 1)
+    h_imp = t_imp + v_imp
     band = np.where(valid[:, 1:], h_imp[safe[:, :-1], safe[:, 1:]], 0.0)
     return dict(
         sector=sector,
@@ -267,12 +268,11 @@ class EDHamiltonian:
     `creators` is their transpose, built once and shared by every matvec.
     H_BB acts as B^T (B W) through the pair factor `bb_factor` and its
     transposed view `bb_factor_t`, shared the same way (None at g_bb = 0).
-    `bath_onebody` and `h_imp` are the one-body terms of the full space."""
+    `bath_onebody`, `t_imp` and `v_imp` are the one-body terms of the full space."""
 
     fock: FockBasis
     basis: object
     bath_onebody: np.ndarray
-    h_imp: np.ndarray
     t_imp: np.ndarray
     v_imp: np.ndarray
     bb_factor: object
@@ -314,7 +314,7 @@ class EDHamiltonian:
         return replace(
             self,
             node_tables=self.node_tables[::-1],
-            **_sector_rows(self.fock, self.bath_onebody, self.h_imp, sector),
+            **_sector_rows(self.fock, self.bath_onebody, self.t_imp, self.v_imp, sector),
         )
 
     def _bath_block_apply(self, mat_csr, vmat):
@@ -456,14 +456,14 @@ def _annihilators(fock):
     return sp.csr_matrix((amp, (rows, src)), shape=(m * s_less, fock.bath_dim))
 
 
-def _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb):
+def _bath_contact_csr(fock, fock_less, annihilators, x, weights, phi, g_bb):
     """The CSR pair factor B with B^T B = (g_bb/2) sum_q W_q psi_q^+ psi_q^+
     psi_q psi_q on the bath Fock space. The pair annihilators a_k a_l =
     (A' (x) 1) A, rows (b'', k, l), come from the stacked annihilators A' and
-    A at N_B - 1 and N_B bosons; B stacks their node sums sqrt(2 W_q) P_q and
-    sqrt(2 W_q) R_q over the nodes x_q > 0 and sqrt(W_0) P_0 at the centre,
-    with P_q and R_q the parts of psi_q psi_q with k + l even and odd, times
-    sqrt(g_bb/2). Below two bosons B has no rows."""
+    A at N_B - 1 (basis `fock_less`) and N_B bosons; B stacks their node sums
+    sqrt(2 W_q) P_q and sqrt(2 W_q) R_q over the nodes x_q > 0 and sqrt(W_0)
+    P_0 at the centre, with P_q and R_q the parts of psi_q psi_q with k + l
+    even and odd, times sqrt(g_bb/2). Below two bosons B has no rows."""
     n, m = fock.n_bath, fock.n_modes
     if n < 2:
         return sp.csr_matrix((0, fock.bath_dim))
@@ -473,7 +473,7 @@ def _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb):
     scale = np.sqrt(np.where(x[half] > 0.0, 2.0, 1.0) * weights[half])
     pair = np.einsum("q,kq,lq->qkl", scale, phi[:, half], phi[:, half])
     coeffs = sp.csr_matrix(np.concatenate([pair * even, pair * ~even]).reshape(-1, m * m))
-    lower = _annihilators(build_fock_basis(n - 1, m))
+    lower = _annihilators(fock_less)
     pairs = sp.kron(lower, sp.identity(m), format="csr") @ annihilators
     b = sp.kron(sp.identity(lower.shape[0] // m), coeffs, format="csr") @ pairs
     b.data *= np.sqrt(0.5 * g_bb)
@@ -513,17 +513,19 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
     v_imp = 0.5 * omega_i**2 * _quadratic_matrix(m, 1.0)
     x, weights, phi = contact_rule(m)
     annihilators = _annihilators(fock)
-    bb = _bath_contact_csr(fock, annihilators, x, weights, phi, g_bb) if g_bb > 0 else None
+    fock_less = build_fock_basis(n - 1, m) if n > 0 else None
+    bb = None
+    if g_bb > 0:
+        bb = _bath_contact_csr(fock, fock_less, annihilators, x, weights, phi, g_bb)
     # rows (b', l) of A grouped by the parity of b', even first, so that the
     # node products of each class apply to one contiguous block
-    lowered = _parities(build_fock_basis(n - 1, m).occupations) if n > 0 else np.zeros(0, int)
+    lowered = _parities(fock_less.occupations) if n > 0 else np.zeros(0, int)
     order = np.argsort(lowered, kind="stable")
     annihilators = annihilators[(m * order[:, None] + np.arange(m)).reshape(-1)]
     h = EDHamiltonian(
         fock=fock,
         basis=basis,
         bath_onebody=bath_onebody,
-        h_imp=t_imp + v_imp,
         t_imp=t_imp,
         v_imp=v_imp,
         bb_factor=bb,
@@ -533,7 +535,7 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
         lowered_even=int(np.count_nonzero(lowered == 0)),
         node_tables=_node_tables(phi, m),
         bi_weights=None,
-        **_sector_rows(fock, bath_onebody, t_imp + v_imp, 0),
+        **_sector_rows(fock, bath_onebody, t_imp, v_imp, 0),
     )
     return with_impurity_coupling(h, g_bi)
 
@@ -699,18 +701,19 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1, *, observe):
     error estimate stays below KRYLOV_LOCAL_TOL, and the next step starts
     from the last of them; a step that reaches no record ends at an internal
     time, halved until the estimate passes. States are renormalized and the
-    largest norm defect is reported. Record times accumulate t += dt as a
-    fixed-step loop would; a t_max shorter than one record interval raises
+    largest norm defect is reported. The record times are
+    `observables.record_times(dt, t_max, record_every)`, record k at
+    k dt record_every; a t_max shorter than one record interval raises
     ConfigurationError.
 
     v0 is a normalized sector vector of h, of length h.dim, whose invalid
     slots hold 0; any other length, a full-space vector (bath Fock state x
     impurity mode) included, raises UsageError. `observe(k, v)` is called
-    with the sector vector v at record k, for k = 0 .. n_rec in order; only
+    with the sector vector v at record k, for k = 0, 1, ... in order; only
     the current state is held, and the propagator never writes into a state
     it has passed on, so the observer may keep it. Returns the record times and
     the run's diagnostics."""
-    n_rec = record_intervals(dt, t_max, record_every)
+    times = record_times(dt, t_max, record_every)
     v = np.asarray(v0, dtype=np.complex128).reshape(-1)
     if v.size != h.dim:
         raise UsageError(f"v0 has length {v.size}; a sector vector of h has h.dim = {h.dim}")
@@ -718,12 +721,10 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1, *, observe):
         raise UsageError("v0 holds amplitudes in invalid sector slots")
     if abs(np.linalg.norm(v) - 1.0) > 1e-8:
         raise UsageError("v0 must be normalized")
-    clock = itertools.accumulate(itertools.repeat(dt, n_rec * record_every))
-    times = np.array([0.0, *itertools.islice(clock, record_every - 1, None, record_every)])
     basis = np.empty((KRYLOV_MAX_DIM, v.size), dtype=np.complex128)
     observe(0, v)
     t_start, k, drift, max_used = 0.0, 1, 0.0, 0
-    while k <= n_rec:
+    while k < times.size:
         vm, w, u, beta = _lanczos(h.matvec, v, basis)
         max_used = max(max_used, vm.shape[0])
         taus = times[k:] - t_start

@@ -84,7 +84,7 @@ from .grid import (
     parity_odd_fraction,
     unfold_even,
 )
-from .observables import ENERGY_TERMS, EnergyBreakdown, TimeSeries, record_intervals
+from .observables import ENERGY_TERMS, EnergyBreakdown, TimeSeries, record_times
 
 
 @dataclass(frozen=True)
@@ -529,10 +529,13 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     trap's even stationary states on the grid (`grid.even_stationary_states`,
     one dense eigendecomposition of the even parity block per call) and
     built, on the half grid, only at record points.
-    Records every record_every steps (t_max is trimmed to a whole number of
-    record intervals; a t_max shorter than one interval raises
-    ConfigurationError). Aborts with a step-size advisory when a norm
-    drifts by more than 1e-6 or the energy by more than 1e-6 relative.
+    Records every record_every steps: record k is labelled with, and its
+    spin-down orbital evaluated at, time k of
+    `observables.record_times(dt, t_max, record_every, state.time)` (t_max
+    is trimmed to a whole number of record intervals; a t_max shorter than
+    one interval raises ConfigurationError). Aborts with a step-size
+    advisory when a norm drifts by more than 1e-6 or the energy by more than
+    1e-6 relative.
 
     Each record is reduced on the half-grid block as it is produced: to the
     series, with x_mean_up exactly 0.0 by parity, to its two overlaps with
@@ -545,7 +548,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     and series a dict of TimeSeries; the energy series are keyed by
     observables.ENERGY_TERMS.
     """
-    n_records = record_intervals(dt, t_max, record_every)
+    times = record_times(dt, t_max, record_every, state.time)
     grid = state.bath.grid
     for name in ("bath", "up", "down"):
         orbital = getattr(state, name)
@@ -585,20 +588,19 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     initial = np.conj(cols) * weights[:, None]
     keys = ("norm_bath", "norm_up", "norm_down", *ENERGY_TERMS, "x_mean_up", "x2_up", "p2_up")
     records = {key: [] for key in keys}
-    times, overlaps = [], []
-    snapshot_at = sorted({0, (n_records + 1) // 2, n_records})
+    overlaps = []
+    snapshot_at = sorted({0, times.size // 2, times.size - 1})
     kept = {}
 
-    def record(k, t):
-        amp = evolve_coefficients(down_energies, down_coeffs, t - state.time)
+    def record(k):
+        amp = evolve_coefficients(down_energies, down_coeffs, times[k] - state.time)
         down = down_states @ amp.real + 1j * (down_states @ amp.imag)
         bd = energy_breakdown(*gp, cols)
         rho_b, rho_u = (np.abs(cols) ** 2).T
-        times.append(t)
         overlaps.append(tuple(np.sum(initial * cols, axis=0).tolist()))
         if k in snapshot_at or observe is not None:
             full = unfold_even(grid, np.column_stack([cols, down]))
-            st = MeanFieldState(*(Field(grid, orbital) for orbital in full.T), time=t)
+            st = MeanFieldState(*(Field(grid, orbital) for orbital in full.T), time=float(times[k]))
             if k in snapshot_at:
                 kept[k] = st
             if observe is not None:
@@ -615,13 +617,12 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
         records["p2_up"].append(2.0 * bd.kinetic_i)
         return bd.total
 
-    e0 = record(0, state.time)
-    t = state.time
+    e0 = record(0)
     parts = cols.view(np.float64)
     squares = np.empty_like(parts)
     angle = np.empty(cols.shape)
     phase = np.empty_like(cols)
-    for k in range(1, n_records + 1):
+    for k in range(1, times.size):
         # merged Strang block: K/2 (V K)^{m-1} V K/2
         kin_half(cols)
         for sub in range(record_every):
@@ -635,8 +636,7 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
             if sub < record_every - 1:
                 kin_full(cols)
         kin_half(cols)
-        t += record_every * dt
-        e_now = record(k, t)
+        e_now = record(k)
         norm_drift = max(
             abs(records["norm_bath"][-1] - 1.0),
             abs(records["norm_up"][-1] - 1.0),
@@ -644,22 +644,21 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
         )
         if norm_drift > 1e-6:
             raise StepSizeError(
-                f"norm drift {norm_drift:.2e} at t={t:.3f}; reduce dt",
+                f"norm drift {norm_drift:.2e} at t={times[k]:.3f}; reduce dt",
                 suggested_dt=dt / 2,
             )
         if abs(e_now - e0) > 1e-6 * max(abs(e0), 1e-12):
             raise StepSizeError(
-                f"energy drift {abs(e_now - e0):.2e} at t={t:.3f}; reduce dt",
+                f"energy drift {abs(e_now - e0):.2e} at t={times[k]:.3f}; reduce dt",
                 suggested_dt=dt / 2,
             )
 
-    dt_sample = record_every * dt
     series = {
-        key: TimeSeries(state.time, dt_sample, np.asarray(vals))
+        key: TimeSeries(state.time, dt * record_every, np.asarray(vals))
         for key, vals in records.items()
     }
     trajectory = MeanFieldTrajectory(
-        times=np.array(times),
+        times=times,
         overlaps=np.array(overlaps),
         snapshots=tuple(kept[k] for k in snapshot_at),
     )

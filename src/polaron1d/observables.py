@@ -49,11 +49,12 @@ class TimeSeries:
         return TimeSeries(float(t[idx[0]]), self.dt_sample, self.values[idx])
 
 
-def record_intervals(dt, t_max, record_every):
-    """The number of whole record intervals of record_every steps of dt
-    in a run to t_max (t_max is trimmed to a whole number of them). A
-    t_max shorter than one interval is refused, not run past, and so is a
-    record_every that is not a whole number >= 1."""
+def record_times(dt, t_max, record_every, t0=0.0):
+    """Record k of a run from t0 in steps of dt, recorded every record_every
+    steps, sits at t0 + (dt * record_every) * k, to the bit the times of a
+    TimeSeries(t0, dt * record_every, ...) of the records. t_max is trimmed to
+    whole record intervals; a t_max shorter than one interval is refused, not
+    run past, and so is a record_every that is not a whole number >= 1."""
     if not isinstance(record_every, numbers.Integral) or record_every < 1:
         raise ConfigurationError(
             f"time.record_every = {record_every!r} must be a whole number >= 1"
@@ -67,7 +68,7 @@ def record_intervals(dt, t_max, record_every):
             f"time.dt * time.record_every = {dt:g} * {record_every} = "
             f"{dt * record_every:g}"
         )
-    return n_records
+    return t0 + (dt * record_every) * np.arange(n_records + 1)
 
 
 @dataclass(frozen=True)

@@ -251,14 +251,14 @@ def oracle_matvec(h, blocks, v):
     """H v with the one-body parts of `h` and the oracle interaction blocks."""
     bb, bi = blocks
     vmat = v.reshape(h.fock.bath_dim, h.fock.n_modes)
-    out = h.bath_onebody[:, None] * vmat + vmat @ h.h_imp.T + bb @ vmat
+    out = h.bath_onebody[:, None] * vmat + vmat @ (h.t_imp + h.v_imp).T + bb @ vmat
     return out.reshape(-1) + bi @ v
 
 
 def oracle_dense(h, blocks):
     bb, bi = blocks
     s, m = h.fock.bath_dim, h.fock.n_modes
-    dense = np.kron(np.diag(h.bath_onebody), np.eye(m)) + np.kron(np.eye(s), h.h_imp)
+    dense = np.kron(np.diag(h.bath_onebody), np.eye(m)) + np.kron(np.eye(s), h.t_imp + h.v_imp)
     return dense + np.kron(bb.toarray(), np.eye(m)) + bi.toarray()
 
 

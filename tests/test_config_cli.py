@@ -949,6 +949,20 @@ class TestCli:
         assert all(key in err for key in ("time.t_max", "time.dt", "time.record_every"))
         assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
 
+    def test_ed_quench_files_share_one_record_clock(self, tmp_path):
+        # 4285 records of 7 steps of dt = 1e-3: a running sum of dt drifts
+        # off 0.007 k by round-off, so every file must read the one clock
+        outdir = str(tmp_path / "out")
+        text = ED_SMALL.format(extra="", outdir=outdir).replace(
+            "dt = 0.1\nt_max = 2", "dt = 1e-3\nt_max = 30\nrecord_every = 7"
+        )
+        path = self._write_cfg(tmp_path, text.replace("n_modes = 6", "n_modes = 4"))
+        assert cli.main(["quench", "--config", path]) == 0
+        clock = 0.0 + (1e-3 * 7) * np.arange(4286)
+        for name in ("contrast.csv", "entropy.csv", "energies.csv"):
+            header, data = runner.read_csv(os.path.join(outdir, name))
+            assert np.array_equal(data[:, header.index("t")], clock), name
+
     def test_jobs_is_a_sweep_option_only(self, tmp_path, capsys):
         path = self._write_cfg(tmp_path, MINIMAL)
         with pytest.raises(SystemExit) as exc:

@@ -327,7 +327,7 @@ class TestKrylov:
     def test_diagonal_evolution_phases(self, basis10):
         fock = ed.build_fock_basis(2, 10)
         h0 = ed.build_hamiltonian(fock, 0.0, 0.0, basis=basis10)
-        diag = (h0.bath_onebody[:, None] + np.diag(h0.h_imp)[None, :]).reshape(-1)
+        diag = (h0.bath_onebody[:, None] + np.diag(h0.t_imp + h0.v_imp)[None, :]).reshape(-1)
         rng = np.random.default_rng(11)
         for h in (h0, h0.in_sector(1)):
             v0 = random_sector_vector(h, rng)
@@ -391,19 +391,14 @@ class TestKrylov:
         assert traj.max_norm_drift < 1e-12
 
     @pytest.mark.parametrize("dt, t_max, record_every", [(0.1, 2.0, 3), (0.05, 3.0, 2), (0.07, 1.0, 1)])
-    def test_record_times_accumulate_dt(self, system126, dt, t_max, record_every):
+    def test_record_k_sits_at_k_record_spacings(self, system126, dt, t_max, record_every):
         h, _ = system126
         v0 = ed.ground_state(h).vector
         traj, states = ed_oracle.propagate_states(
             h, v0, dt=dt, t_max=t_max, record_every=record_every
         )
-        expected, t = [0.0], 0.0
         n_rec = int(round(t_max / dt)) // record_every
-        for k in range(n_rec * record_every):
-            t += dt
-            if (k + 1) % record_every == 0:
-                expected.append(t)
-        assert np.array_equal(traj.times, np.asarray(expected))
+        assert np.array_equal(traj.times, (dt * record_every) * np.arange(n_rec + 1))
         assert states.shape == (n_rec + 1, h.dim)
 
     def test_t_max_below_one_record_interval_is_refused(self, system126):

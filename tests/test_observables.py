@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from polaron1d import effpot as ep
+from polaron1d import exactdiag as ed
 from polaron1d import meanfield as mf
 from polaron1d.errors import ConfigurationError, ExtractionError, UsageError
 from polaron1d.grid import Field, build_grid
@@ -14,6 +15,7 @@ from polaron1d.observables import (
     find_peaks,
     general_weights_contrast,
     miscibility_overlap,
+    record_times,
     spectral_function,
     virial_check,
 )
@@ -33,6 +35,31 @@ class TestTimeSeries:
         s = TimeSeries(1.0, 0.5, np.arange(4.0))
         assert np.allclose(s.times, [1.0, 1.5, 2.0, 2.5])
         assert s.t_max == pytest.approx(2.5)
+
+
+class TestRecordTimes:
+    def test_record_times_are_the_time_series_times(self):
+        # 0.7 / 0.1 rounds to 7 steps: two whole 3-step intervals from t0
+        times = record_times(0.1, 0.7, 3, t0=2.0)
+        assert np.array_equal(times, TimeSeries(2.0, 0.1 * 3, np.zeros(3)).times)
+
+    @pytest.mark.parametrize("tier", ["meanfield", "ed"])
+    def test_propagators_record_on_the_one_clock(self, request, tier):
+        # 100 records of 7 steps of dt = 1e-3: a running sum of dt or of
+        # 7 dt drifts off 0.007 k by round-off
+        dt, record_every, t_max = 1e-3, 7, 0.7
+        if tier == "meanfield":
+            state, _ = request.getfixturevalue("relaxed_default")
+            post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.0)
+            times = mf.propagate(state, post, dt, t_max, record_every)[0].times
+        else:
+            ground = ed.ground_state(ed.build_hamiltonian(ed.build_fock_basis(2, 4), 0.5, 0.0))
+            h1 = ed.with_impurity_coupling(ground.hamiltonian, 1.0)
+            times = ed.propagate_krylov(
+                h1, ground.vector, dt, t_max, record_every, observe=lambda k, v: None
+            ).times
+        series = TimeSeries(0.0, dt * record_every, np.zeros(101))
+        assert np.array_equal(times, series.times)
 
 
 class TestGeneralWeights:
