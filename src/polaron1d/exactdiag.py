@@ -38,19 +38,24 @@ phi_l(x_q). With psi_q = sum_l phi_l(x_q) a_l both terms are in normal order:
     H_BI = g_bi sum_q W_q psi_q+ psi_q (x) |phi(x_q)><phi(x_q)|
     H_BB = (g_bb/2) sum_q W_q psi_q+ psi_q+ psi_q psi_q
 
-Every Fock-space operator comes from one sparse matrix, the stacked
-annihilators a_l (about 2 k nonzeros at N_B = 4, M = 10). H_BI is applied
-matrix-free: A lowers W once, small dense products carry the node sums
-W -> psi_q -> (g_bi W_q) psi_q back, and A^T raises the result. H_BB = B^T B
-is kept as its pair factor B and applied as B^T (B W), B stacking the node
-sums of the pair annihilators a_k a_l built from A at N_B - 1 and N_B
-bosons. The nodes come in pairs +-x_q with psi_{+-q} psi_{+-q} = P_q +- R_q,
-the parts with k + l even and odd, so a pair contributes g_bb W_q (P_q^T P_q
-+ R_q^T R_q) and no parity-forbidden entry is ever formed. H_BB is positive
-semidefinite by construction (<V|H_BB|V> = ||B V||^2) and exactly zero for
-N_B <= 1, where B has no rows.
+Every Fock-space operator comes from two sparse matrices with one nonzero
+per row, built from the lexicographic rank: the stacked annihilators a_l
+(about 2 k nonzeros at N_B = 4, M = 10) and the stacked pair annihilators
+a_k a_l, k <= l (about 3 k). H_BI is applied matrix-free: A lowers W once,
+small dense products carry the node sums W -> psi_q -> (g_bi W_q) psi_q
+back, and A^T raises the result. H_BB is applied in the same way, through
+the pair annihilators P. The nodes come in pairs +-x_q with
+psi_{+-q} psi_{+-q} = E_q +- O_q, the parts with k + l even and odd, so a
+node pair contributes g_bb W_q (E_q^+ E_q + O_q^+ O_q) and the centre
+(g_bb/2) W_0 E_0^+ E_0. With the pairs even first and the node factors
+D[p, q] = (2 - delta_kl) phi_k(x_q) phi_l(x_q) sqrt(g_bb/2 * 2 W_q)
+(sqrt(g_bb/2 * W_0) at the centre, where the odd products vanish),
+H_BB W = P^T [D_e D_e^T X_e; D_o D_o^T X_o] on the pair amplitudes X = P W.
+The factor B = (D^T (x) 1) P is never formed, no parity-forbidden entry is
+either, and H_BB is positive semidefinite by construction (<V|H_BB|V> =
+||D^T P W||^2) and exactly zero for N_B <= 1, where P has no rows.
 
-In the sector layout A, A^T, B and B^T apply unchanged, to ceil(M/2) columns
+In the sector layout A, A^T, P and P^T apply unchanged, to ceil(M/2) columns
 instead of M: H_BB conserves the bath parity and so each row class, and a
 row (b', l) of A collects from bath states of one class, those of b' + e_l.
 Only two small tables follow the row class. The impurity one-body term is
@@ -266,8 +271,11 @@ class EDHamiltonian:
     n_q = psi_q^+ psi_q and psi_q = sum_l phi_l(x_q) a_l. The annihilators
     also give the bath density matrix, so they are kept at every g_bi;
     `creators` is their transpose, built once and shared by every matvec.
-    H_BB acts as B^T (B W) through the pair factor `bb_factor` and its
-    transposed view `bb_factor_t`, shared the same way (None at g_bb = 0).
+    H_BB acts through the stacked pair annihilators a_k a_l, k <= l,
+    `pair_annihilators` (rows p s'' + b'', the pairs with k + l even first)
+    with their transpose `pair_creators`, and the node factors
+    `pair_nodes` = (D_e, D_o) of the even and the odd pairs, all shared the
+    same way (None at g_bb = 0).
     `bath_onebody`, `t_imp` and `v_imp` are the one-body terms of the full space."""
 
     fock: FockBasis
@@ -275,8 +283,9 @@ class EDHamiltonian:
     bath_onebody: np.ndarray
     t_imp: np.ndarray
     v_imp: np.ndarray
-    bb_factor: object
-    bb_factor_t: object
+    pair_annihilators: object
+    pair_creators: object
+    pair_nodes: tuple
     annihilators: object
     creators: object
     lowered_even: int
@@ -321,10 +330,29 @@ class EDHamiltonian:
         """A real sparse matrix applied to the bath (row) index of an
         amplitude matrix; a complex one is taken on its float64 view (real
         and imaginary parts as interleaved columns)."""
-        if vmat.dtype == np.float64:
-            return mat_csr @ vmat
-        flat = np.ascontiguousarray(vmat).view(np.float64)
-        return (mat_csr @ flat).view(np.complex128)
+        out = mat_csr @ _float_view(vmat)
+        return out if vmat.dtype == np.float64 else out.view(np.complex128)
+
+    def _pair_node_sums(self, flat):
+        """The pair amplitudes X = P W of a float64 amplitude matrix (or
+        view), one row of s'' w entries per pair, and the node sums D_e^T X_e
+        and D_o^T X_o of its even and odd pairs."""
+        d_e, d_o = self.pair_nodes
+        x = (self.pair_annihilators @ flat).reshape(len(d_e) + len(d_o), -1)
+        return x, (d_e.T @ x[: len(d_e)], d_o.T @ x[len(d_e) :])
+
+    def _bb_apply(self, wmat):
+        """H_BB W = P^T [D_e D_e^T X_e; D_o D_o^T X_o] on the pair
+        amplitudes X = P W: four small GEMMs between two sparse products, on
+        the float64 view of a complex W."""
+        flat = _float_view(wmat)
+        x, sums = self._pair_node_sums(flat)
+        d_e, d_o = self.pair_nodes
+        y = np.empty_like(x)
+        np.matmul(d_e, sums[0], out=y[: len(d_e)])
+        np.matmul(d_o, sums[1], out=y[len(d_e) :])
+        out = self.pair_creators @ y.reshape(-1, flat.shape[1])
+        return out if wmat.dtype == np.float64 else out.view(np.complex128)
 
     def _lower(self, wmat):
         """A W with rows b' and columns (l, j): slot j of b' + e_l lowered by
@@ -367,9 +395,8 @@ class EDHamiltonian:
         if self.imp_band is not None:
             out[:, :-1] += self.imp_band * wmat[:, 1:]
             out[:, 1:] += self.imp_band * wmat[:, :-1]
-        if self.bb_factor is not None:
-            paired = self._bath_block_apply(self.bb_factor, wmat)
-            out += self._bath_block_apply(self.bb_factor_t, paired)
+        if self.pair_nodes is not None:
+            out += self._bb_apply(wmat)
         if self.bi_weights is not None:
             out += self._bi_apply(wmat)
         return out.reshape(-1)
@@ -425,11 +452,12 @@ class EDHamiltonian:
         return rdm
 
     def expect_bb(self, v):
-        """<V|H_BB|V> = ||B W||^2."""
-        if self.bb_factor is None:
+        """<V|H_BB|V> = ||D^T P W||^2 from the node sums, with no raise
+        back."""
+        if self.pair_nodes is None:
             return 0.0
-        wmat = self._amplitudes(v)
-        return float(np.linalg.norm(self._bath_block_apply(self.bb_factor, wmat)) ** 2)
+        _, sums = self._pair_node_sums(_float_view(self._amplitudes(v)))
+        return float(sum(np.vdot(s, s) for s in sums))
 
     def expect_bi(self, v):
         """<V|H_BI|V> = sum_q g_bi W_q sum_b' |psi_q[b']|^2 from the node
@@ -439,6 +467,12 @@ class EDHamiltonian:
         wmat = self._amplitudes(v)
         psi = self._node_amplitudes(self._lower(wmat))
         return float(self.bi_weights @ np.sum(psi.real**2 + psi.imag**2, axis=0))
+
+
+def _float_view(mat):
+    """A float64 amplitude matrix itself, a complex128 one as its float64
+    view (real and imaginary parts as interleaved columns)."""
+    return mat if mat.dtype == np.float64 else np.ascontiguousarray(mat).view(np.float64)
 
 
 def _annihilators(fock):
@@ -456,28 +490,51 @@ def _annihilators(fock):
     return sp.csr_matrix((amp, (rows, src)), shape=(m * s_less, fock.bath_dim))
 
 
-def _bath_contact_csr(fock, fock_less, annihilators, x, weights, phi, g_bb):
-    """The CSR pair factor B with B^T B = (g_bb/2) sum_q W_q psi_q^+ psi_q^+
-    psi_q psi_q on the bath Fock space. The pair annihilators a_k a_l =
-    (A' (x) 1) A, rows (b'', k, l), come from the stacked annihilators A' and
-    A at N_B - 1 (basis `fock_less`) and N_B bosons; B stacks their node sums
-    sqrt(2 W_q) P_q and sqrt(2 W_q) R_q over the nodes x_q > 0 and sqrt(W_0)
-    P_0 at the centre, with P_q and R_q the parts of psi_q psi_q with k + l
-    even and odd, times sqrt(g_bb/2). Below two bosons B has no rows."""
-    n, m = fock.n_bath, fock.n_modes
+def _mode_pairs(n_modes):
+    """The mode pairs k <= l as arrays (k, l), grouped by the separation
+    l - k with the even separations (k + l even) first."""
+    seps = [*range(0, n_modes, 2), *range(1, n_modes, 2)]
+    k = np.concatenate([np.arange(n_modes - d) for d in seps])
+    return k, k + np.repeat(seps, [n_modes - d for d in seps])
+
+
+def _pair_annihilators(fock, k, l):
+    """The pair annihilators a_k a_l of the mode pairs (k, l) as one CSR
+    matrix of shape (n_pairs s'', s), row p s'' + b'' holding <b''| a_k a_l,
+    with s'' states of N_B - 2 bosons: one nonzero, sqrt(n_l (n_k -
+    delta_kl)) at the state b = b'' + e_k + e_l of occupations n. Below two
+    bosons it has no rows."""
+    n = fock.n_bath
     if n < 2:
         return sp.csr_matrix((0, fock.bath_dim))
-    modes = np.arange(m)
-    even = (modes[:, None] + modes[None, :]) % 2 == 0
+    less = build_fock_basis(n - 2, fock.n_modes).occupations
+    src = np.empty((k.size, less.shape[0]), dtype=np.int64)
+    amp = np.empty(src.shape)
+    # one separation at a time bounds the rank's temporaries
+    for d in np.unique(l - k):
+        pairs = np.flatnonzero(l - k == d)
+        each = np.arange(pairs.size)
+        up = np.repeat(less[None], pairs.size, axis=0)
+        up[each, :, k[pairs]] += 1
+        up[each, :, l[pairs]] += 1
+        src[pairs] = _rank(fock.binomials, n, up)
+        amp[pairs] = np.sqrt(up[each, :, l[pairs]] * (up[each, :, k[pairs]] - (d == 0)))
+    return sp.csr_matrix(
+        (amp.reshape(-1), src.reshape(-1), np.arange(src.size + 1)),
+        shape=(src.size, fock.bath_dim),
+    )
+
+
+def _pair_nodes(k, l, x, weights, phi, g_bb):
+    """The node factors (D_e, D_o) of the mode pairs (k, l), the pairs with
+    k + l even first: D[p, q] = (2 - delta_kl) phi_k(x_q) phi_l(x_q)
+    sqrt(g_bb/2 * 2 W_q) on the nodes x_q > 0, and for the even pairs
+    sqrt(g_bb/2 * W_0) at the centre node, where the odd products vanish."""
     half = x >= 0.0
-    scale = np.sqrt(np.where(x[half] > 0.0, 2.0, 1.0) * weights[half])
-    pair = np.einsum("q,kq,lq->qkl", scale, phi[:, half], phi[:, half])
-    coeffs = sp.csr_matrix(np.concatenate([pair * even, pair * ~even]).reshape(-1, m * m))
-    lower = _annihilators(fock_less)
-    pairs = sp.kron(lower, sp.identity(m), format="csr") @ annihilators
-    b = sp.kron(sp.identity(lower.shape[0] // m), coeffs, format="csr") @ pairs
-    b.data *= np.sqrt(0.5 * g_bb)
-    return b
+    scale = np.sqrt(0.5 * g_bb * np.where(x[half] > 0.0, 2.0, 1.0) * weights[half])
+    d = np.where(k == l, 1.0, 2.0)[:, None] * phi[k][:, half] * phi[l][:, half] * scale
+    n_even = int(np.count_nonzero((k + l) % 2 == 0))
+    return d[:n_even], d[n_even:, x[half] > 0.0]
 
 
 def _verify_hermitian(h):
@@ -514,9 +571,11 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
     x, weights, phi = contact_rule(m)
     annihilators = _annihilators(fock)
     fock_less = build_fock_basis(n - 1, m) if n > 0 else None
-    bb = None
+    pairs, pair_nodes = None, None
     if g_bb > 0:
-        bb = _bath_contact_csr(fock, fock_less, annihilators, x, weights, phi, g_bb)
+        k, l = _mode_pairs(m)
+        pairs = _pair_annihilators(fock, k, l)
+        pair_nodes = _pair_nodes(k, l, x, weights, phi, g_bb)
     # rows (b', l) of A grouped by the parity of b', even first, so that the
     # node products of each class apply to one contiguous block
     lowered = _parities(fock_less.occupations) if n > 0 else np.zeros(0, int)
@@ -528,8 +587,11 @@ def build_hamiltonian(fock, g_bb, g_bi, omega_i=1.0, basis=None):
         bath_onebody=bath_onebody,
         t_imp=t_imp,
         v_imp=v_imp,
-        bb_factor=bb,
-        bb_factor_t=bb.T if bb is not None else None,
+        pair_annihilators=pairs,
+        # a CSR copy: its row-wise gather runs about twice as fast as the
+        # transposed (CSC) view's scatter
+        pair_creators=pairs.T.tocsr() if pairs is not None else None,
+        pair_nodes=pair_nodes,
         annihilators=annihilators,
         creators=annihilators.T,
         lowered_even=int(np.count_nonzero(lowered == 0)),
@@ -748,11 +810,12 @@ def propagate_krylov(h, v0, dt, t_max, record_every=1, *, observe):
     return EDTrajectory(times=times, max_norm_drift=drift, max_krylov_dim=max_used)
 
 
-def ed_contrast(times, overlaps, e0):
+def ed_contrast(times, overlaps, e0, dt_sample):
     """Exact overlap series S(t) = e^{i E0 t} <v0 | v(t)> from the overlaps
-    <v0 | v(t)> at the record times."""
+    <v0 | v(t)> at the record times of a propagation from t = 0, whose record
+    spacing dt * record_every is `dt_sample`."""
     s = np.exp(1j * e0 * times) * np.asarray(overlaps)
-    return TimeSeries(0.0, float(times[1] - times[0]), s)
+    return TimeSeries(0.0, dt_sample, s)
 
 
 def schmidt(v, h):

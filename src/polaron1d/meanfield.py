@@ -665,11 +665,13 @@ def propagate(state, sys_post, dt, t_max, record_every=100, *, observe=None):
     return trajectory, series
 
 
-def mean_field_contrast(times, overlaps, e0, n_bath):
+def mean_field_contrast(times, overlaps, e0, n_bath, dt_sample):
     """Ramsey contrast S(t) = e^{i E0 t} <phi_B^0|phi_B(t)>^{N_B} <phi_up^0|phi_up(t)>
     from the record times and the overlaps (<phi_B^0|phi_B(t)>,
     <phi_up^0|phi_up(t)>) that `propagate` reduces each record to; E0 is the
-    pre-quench energy (RelaxResult.energy). The alpha, beta reweighting is a
+    pre-quench energy (RelaxResult.energy). `dt_sample` is the record spacing
+    dt * record_every of the run, so the series' times are the record times
+    to the bit from any start time. The alpha, beta reweighting is a
     separate exact identity (observables.general_weights_contrast)."""
     times = np.asarray(times)
     # Python complex arithmetic, record by record: for an exponent of 100 or
@@ -681,4 +683,4 @@ def mean_field_contrast(times, overlaps, e0, n_bath):
         ],
         dtype=np.complex128,
     )
-    return TimeSeries(float(times[0]), float(times[1] - times[0]), s_vals)
+    return TimeSeries(float(times[0]), dt_sample, s_vals)

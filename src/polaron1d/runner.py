@@ -6,7 +6,9 @@ body from `BODIES`: relax runs in the meanfield tier only, quench in the
 meanfield, effpot and ed tiers, breathing in the meanfield and effpot
 tiers. A tier a pipeline has no body for is refused, naming solver.tier.
 A sweep runs quench or breathing points. `contract_errors` states which
-configs each pipeline, and a sweep, can run.
+configs each pipeline, and a sweep, can run. A body imports its tier's
+module (and meanfield for a mean-field density source) when it runs, so a
+run loads no other tier.
 
 CSV files carry one header row and 17-significant-digit decimals so a
 read-back reproduces the in-memory values exactly. The manifest is written
@@ -25,8 +27,6 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from . import effpot as ep
-from . import meanfield as mf
 from . import observables as obs
 from .config import sweep_value_errors
 from .errors import ConfigurationError, PolaronError, UsageError, exit_code
@@ -160,6 +160,8 @@ def _json_scrub(value):
 
 
 def _mf_system(cfg, g_bi, omega_i=None):
+    from . import meanfield as mf
+
     return mf.MeanFieldSystem(
         n_bath=cfg.n_bath,
         g_bb=cfg.g_bb,
@@ -177,6 +179,8 @@ def _relaxed(system, grid):
     Cached on the hashable (system, grid) pair, so a sweep whose parameter
     leaves both unchanged relaxes once per process.
     """
+    from . import meanfield as mf
+
     state, res = mf.relax_ground_state(system, grid)
     for orbital in (state.bath, state.up, state.down):
         orbital.values.flags.writeable = False
@@ -191,6 +195,9 @@ def _density_source(cfg, grid):
     other sources); `diagnostics` carries the relaxation telemetry of a
     relaxed source.
     """
+    from . import effpot as ep
+    from . import meanfield as mf
+
     if cfg.source == "tf":
         return mf.thomas_fermi(_mf_system(cfg, 0.0)).density(grid), "TF-analytic", 1.0, {}
     if cfg.source == "relaxed":
@@ -245,6 +252,8 @@ def _contrast_files(out, s_series, cfg):
 
 
 def _relax_meanfield(cfg, out, grid):
+    from . import meanfield as mf
+
     sys_pre = _mf_system(cfg, cfg.g_bi_initial)
     state, res = _relaxed(sys_pre, grid)
     dens_b = state.bath.density(cfg.n_bath)
@@ -284,12 +293,16 @@ def _relax_meanfield(cfg, out, grid):
 
 
 def _quench_meanfield(cfg, out, grid):
+    from . import meanfield as mf
+
     state, res = _relaxed(_mf_system(cfg, cfg.g_bi_initial), grid)
     sys_post = _mf_system(cfg, cfg.g_bi_final)
     traj, series = mf.propagate(
         state, sys_post, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every
     )
-    s_series = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
+    s_series = mf.mean_field_contrast(
+        traj.times, traj.overlaps, res.energy, sys_post.n_bath, cfg.dt * cfg.record_every
+    )
     summary = _contrast_files(out, s_series, cfg)
     _write_csv(
         out.path("energies.csv"),
@@ -337,6 +350,8 @@ def _quench_meanfield(cfg, out, grid):
 
 
 def _quench_effpot(cfg, out, grid):
+    from . import effpot as ep
+
     source, source_tag, scale, telemetry = _density_source(cfg, grid)
     out.diagnostics.update(telemetry)
     pot = ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=cfg.omega_i_initial)
@@ -369,8 +384,8 @@ def _quench_effpot(cfg, out, grid):
 
 
 def _quench_ed(cfg, out, grid):
-    # the only exactdiag user: mean-field and effpot runs never load scipy,
-    # and an ED run loads scipy.sparse only
+    # the only exactdiag user: mean-field and effpot runs never load scipy;
+    # an ED run loads scipy.sparse and neither meanfield nor effpot
     from . import exactdiag as ed
 
     basis = ho_mode_basis(grid, cfg.n_modes)
@@ -399,7 +414,7 @@ def _quench_ed(cfg, out, grid):
         h_post, v0, dt=cfg.dt, t_max=cfg.t_max, record_every=cfg.record_every,
         observe=observe,
     )
-    s_series = ed.ed_contrast(traj.times, overlaps, e0)
+    s_series = ed.ed_contrast(traj.times, overlaps, e0, cfg.dt * cfg.record_every)
     summary = _contrast_files(out, s_series, cfg)
 
     lambdas = np.array(lambdas)
@@ -466,6 +481,8 @@ def _variance_file(out, x_mean, x2, p2):
 
 
 def _breathing_meanfield(cfg, out, grid):
+    from . import meanfield as mf
+
     state, _ = _relaxed(_mf_system(cfg, cfg.g_bi_final), grid)
     sys_post = _mf_system(cfg, cfg.g_bi_final, omega_i=cfg.omega_i_final)
     _, series = mf.propagate(
@@ -481,6 +498,8 @@ def _breathing_effpot(cfg, out, grid):
     impurity released into the effective potential built with the pre-quench
     trap) where the closed-form model applies; a fit failure is surfaced in
     the summary, not raised."""
+    from . import effpot as ep
+
     source, source_tag, scale, telemetry = _density_source(cfg, grid)
     out.diagnostics.update(telemetry)
 

@@ -101,6 +101,18 @@ def contact_tensor(basis):
     return InteractionTensor(n_modes=m, pair_gram=gram, _tri=tri)
 
 
+def gauss_hermite_tensor(n_modes):
+    """The contact integrals of `exactdiag.contact_rule`, exact for the
+    oscillator basis, in the oracle's pair storage."""
+    _, weights, phi = ed.contact_rule(n_modes)
+    tri, n_pairs = _pair_index(n_modes)
+    pairs = np.empty((n_pairs, weights.size))
+    for (i, j), a in tri.items():
+        pairs[a] = phi[i] * phi[j]
+    gram = (pairs * weights) @ pairs.T
+    return InteractionTensor(n_modes=n_modes, pair_gram=gram, _tri=tri)
+
+
 def index_map(fock):
     return {row.tobytes(): i for i, row in enumerate(fock.occupations)}
 

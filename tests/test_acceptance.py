@@ -52,7 +52,7 @@ def ed_quench_runs(ed_setup, basis10):
         traj = ed.propagate_krylov(
             h1, v0, dt=0.05, t_max=50.0, record_every=2, observe=observe
         )
-        s = ed.ed_contrast(traj.times, overlaps, e0)
+        s = ed.ed_contrast(traj.times, overlaps, e0, 0.05 * 2)
         svn = ed.entanglement_entropy(np.array(lambdas))
         runs[g] = {"s": s, "svn": svn}
     return runs
@@ -188,7 +188,7 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
     ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.0, basis=basis6))
     h0, v0, e0 = ground.hamiltonian, ground.vector, ground.energy
     traj, states = ed_oracle.propagate_states(h0, v0, dt=0.1, t_max=10.0, record_every=10)
-    s_un = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
+    s_un = ed.ed_contrast(traj.times, states @ np.conj(v0), e0, 0.1 * 10)
     dev = float(np.max(np.abs(np.abs(s_un.values) - 1.0)))
     checks.append(("g=0 => |S|=1", dev < 1e-8, f"max deviation {dev:.1e}"))
 

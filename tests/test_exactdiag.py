@@ -46,6 +46,19 @@ def full_dense(h):
     return dense
 
 
+def bath_contact_matrix(h):
+    """The H_BB that h applies, as a sparse matrix on the bath Fock space:
+    P^T (G (x) 1) P from the pair annihilators P (rows p s'' + b'') and the
+    pair-space block G = diag(D_e D_e^T, D_o D_o^T) of the node factors."""
+    d_e, d_o = h.pair_nodes
+    gram = np.zeros((len(d_e) + len(d_o),) * 2)
+    gram[: len(d_e), : len(d_e)] = d_e @ d_e.T
+    gram[len(d_e) :, len(d_e) :] = d_o @ d_o.T
+    s_less = h.pair_annihilators.shape[0] // gram.shape[0]
+    middle = sp.kron(gram, sp.identity(s_less), format="csr")
+    return (h.pair_creators @ middle @ h.pair_annihilators).tocsr()
+
+
 def one_body_operator(fock, hops, coeffs):
     """sum_il coeffs[i, l] a_i^+ a_l on the bath Fock space: the occupations on
     the diagonal and the oracle's hop table (i, l) -> (src, dst, amp) off it."""
@@ -154,7 +167,28 @@ class TestOracleParity:
                 dense = ed_oracle.oracle_dense(h, blocks)[np.ix_(full, full)]
                 assert np.max(np.abs(h.to_dense() - dense)) <= 1e-12 * np.max(np.abs(dense))
         if g_bb > 0:
-            assert (h0.bb_factor.T @ h0.bb_factor).nnz == bb_unit.nnz
+            assert bath_contact_matrix(h0).nnz == bb_unit.nnz
+
+    @pytest.mark.parametrize("size", [(2, 3), (3, 7), (4, 10)], ids=["2x3", "3x7", "4x10"])
+    def test_bath_block_matches_gauss_hermite_oracle(self, size):
+        # the oracle's loop assembly on the Gauss-Hermite integrals: the
+        # operator that the pair annihilators and node factors apply, to
+        # round-off
+        fock = ed.build_fock_basis(*size)
+        g_bb = 0.7
+        bb = ed_oracle.bath_interaction_csr(fock, ed_oracle.gauss_hermite_tensor(size[1]), g_bb)
+        h0 = ed.build_hamiltonian(fock, g_bb, 0.0)
+        rng = np.random.default_rng(3)
+        for h in (h0, h0.in_sector(1)):
+            w = random_sector_vector(h, rng).reshape(fock.bath_dim, h.n_cols)
+            for wmat in (w, np.ascontiguousarray(w.real)):
+                expected = bb @ wmat
+                got = h._bb_apply(wmat)
+                assert got.dtype == wmat.dtype
+                assert np.linalg.norm(got - expected) <= 1e-14 * np.linalg.norm(expected)
+                assert h.expect_bb(wmat) == pytest.approx(
+                    float(np.real(np.vdot(wmat, expected))), rel=1e-14
+                )
 
 
 class TestAssemblyProperties:
@@ -190,7 +224,7 @@ class TestAssemblyProperties:
     @example(n_bath=1, n_modes=10, g_bb=1.0)
     def test_bath_block_is_positive_semidefinite(self, n_bath, n_modes, g_bb):
         h = ed.build_hamiltonian(ed.build_fock_basis(n_bath, n_modes), g_bb, 0.0)
-        bb = h.bb_factor.T @ h.bb_factor
+        bb = bath_contact_matrix(h)
         if n_bath <= 1:
             assert bb.nnz == 0
             return
@@ -213,16 +247,38 @@ class TestHamiltonian:
         finally:
             tracemalloc.stop()
         assert peak <= 5_000_000
-        # the bath-bath block is kept as its pair factor, not as B^T B
+        # the bath-bath block is kept as its pair annihilators and node
+        # factors, not as B^T B
         assert kept <= 600_000
-        assert h.bb_factor is not None
+        assert h.pair_annihilators is not None and h.pair_nodes is not None
+
+    def test_large_build_allocation_budget(self):
+        # N_B = 6, M = 12 (bath_dim 12 376): measured 34.7 MB peak and 5.6 MB
+        # held, against 75.8 and 17.0 MB when an identity kron assembled the
+        # stored pair factor B; the bounds leave about 15 % for other numpy
+        # and scipy versions
+        fock = ed.build_fock_basis(6, 12)
+        ed.build_hamiltonian(ed.build_fock_basis(2, 3), 0.5, 1.8)
+        tracemalloc.start()
+        try:
+            h = ed.build_hamiltonian(fock, 0.5, 1.8)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40_000_000
+        assert kept <= 6_500_000
+        assert h.pair_annihilators.shape == (78 * 1365, fock.bath_dim)
 
     def test_creators_are_built_once_per_bath_block(self):
         fock = ed.build_fock_basis(3, 8)
         h = ed.build_hamiltonian(fock, 0.5, 1.2)
         assert (h.creators != h.annihilators.T).nnz == 0
         assert ed.with_impurity_coupling(h, 2.0).creators is h.creators
-        assert ed.with_impurity_coupling(h, 2.0).bb_factor_t is h.bb_factor_t
+        h2 = ed.with_impurity_coupling(h, 2.0)
+        assert h2.pair_annihilators is h.pair_annihilators
+        assert h2.pair_creators is h.pair_creators
+        assert h2.pair_nodes is h.pair_nodes
+        assert h.in_sector(1).pair_nodes is h.pair_nodes
 
     def test_noninteracting_two_particles(self, basis10):
         fock = ed.build_fock_basis(1, 10)
@@ -452,7 +508,7 @@ class TestContrast:
         ground = ed.ground_state(ed.build_hamiltonian(fock, 0.5, 0.3, basis=basis10))
         h, v0, e0 = ground.hamiltonian, ground.vector, ground.energy
         traj, states = ed_oracle.propagate_states(h, v0, dt=0.1, t_max=5.0, record_every=5)
-        s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
+        s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0, 0.1 * 5)
         assert np.max(np.abs(s.values - 1.0)) < 1e-8
 
     def test_min_contrast_decreases_with_coupling(self, basis10):
@@ -463,7 +519,7 @@ class TestContrast:
         for g in (0.1, 0.5, 1.0, 2.0):
             h1 = ed.with_impurity_coupling(ground.hamiltonian, g)
             traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=20.0, record_every=2)
-            s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
+            s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0, 0.1 * 2)
             assert np.max(np.abs(s.values)) <= 1.0 + 1e-10
             minima.append(float(np.min(np.abs(s.values))))
         assert all(a >= b for a, b in zip(minima, minima[1:]))
@@ -480,7 +536,7 @@ class TestSpectralShift:
         for g in (0.3, 0.6, 1.0):
             h1 = ed.with_impurity_coupling(ground.hamiltonian, g)
             traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=40.0, record_every=1)
-            s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
+            s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0, 0.1)
             spec = spectral_function(s, window="hann")
             peaks = [p for p in find_peaks(spec, 0.2) if p["omega"] > spec.resolution]
             first_peaks.append(min(p["omega"] for p in peaks))

@@ -1,13 +1,15 @@
 """Start-up guard: importing the CLI and the runner, and a mean-field or
 effpot quench, load no scipy module. grid.py runs on numpy.fft, effpot solves
-with numpy.linalg.eigh, and the runner imports exactdiag, the one module with
-a module-level scipy import, when an ED run starts. exactdiag imports
-scipy.sparse only: its ground state and its Krylov steps run on the package's
-own Lanczos recurrence, so an ED quench loads neither scipy.linalg nor
-scipy.sparse.linalg, and no package module imports either. The least-squares
-fits, which only breathing runs and the merged-lobe fallback reach, import
-scipy.optimize inside the function. The sweep's process pool, and with it
-multiprocessing, loads only when a sweep runs with more than one job."""
+with numpy.linalg.eigh, and the runner imports a tier's module only when a
+run of that tier starts, so an ED quench loads neither meanfield nor effpot
+and a mean-field quench does not load effpot. exactdiag, the one module with
+a module-level scipy import, imports scipy.sparse only: its ground state and
+its Krylov steps run on the package's own Lanczos recurrence, so an ED quench
+loads neither scipy.linalg nor scipy.sparse.linalg, and no package module
+imports either. The least-squares fits, which only breathing runs and the
+merged-lobe fallback reach, import scipy.optimize inside the function. The
+sweep's process pool, and with it multiprocessing, loads only when a sweep
+runs with more than one job."""
 
 import os
 import subprocess
@@ -115,6 +117,16 @@ def test_ed_quench_loads_exactdiag_when_it_starts(tmp_path):
     )
     assert _fresh_process(code).split() == ["False", "True"]
     assert (tmp_path / "run" / "entropy.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "tier, unloaded",
+    [("ed", ["polaron1d.effpot", "polaron1d.meanfield"]), ("meanfield", ["polaron1d.effpot"])],
+)
+def test_quench_loads_only_its_tier(tier, unloaded, tmp_path):
+    loaded = f"print(*[m in sys.modules for m in {unloaded!r}])\n"
+    code = _quench_code(tier, tmp_path / "run") + loaded
+    assert _fresh_process(code).split() == ["False"] * len(unloaded)
 
 
 def test_ed_quench_loads_scipy_sparse_only(tmp_path):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -463,6 +464,21 @@ class TestPropagate:
         assert len(odd) == 31
         assert np.all(np.array(odd) == 0.0)
 
+    def test_contrast_keeps_the_record_clock_from_a_later_start(
+        self, relaxed_default, default_system
+    ):
+        # from t0 = 0.37, times[1] - times[0] differs from dt * record_every in
+        # the last bits, and a series spaced by it drifts off the record times
+        state, res = relaxed_default
+        dt, every = 1e-3, 7
+        later = replace(state, time=0.37)
+        traj, _ = mf.propagate(later, default_system, dt=dt, t_max=0.07, record_every=every)
+        s = mf.mean_field_contrast(
+            traj.times, traj.overlaps, res.energy, default_system.n_bath, dt * every
+        )
+        assert traj.times[0] == 0.37
+        assert np.array_equal(s.times, traj.times)
+
     def test_t_max_below_one_record_interval_is_refused(self, relaxed_default, default_system):
         # 100 steps are short of one 200-step record interval; the run must
         # not go on to t = 0.1
@@ -479,7 +495,9 @@ class TestPropagate:
         traj, _ = mf.propagate(
             state, default_system, dt=5e-4, t_max=2.0, record_every=400
         )
-        s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, default_system.n_bath)
+        s = mf.mean_field_contrast(
+            traj.times, traj.overlaps, res.energy, default_system.n_bath, 5e-4 * 400
+        )
         assert s.values[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(np.abs(s.values) - 1.0)) < 1e-8
 
@@ -503,7 +521,7 @@ class TestPropagate:
         for g in (0.1, 1.0):
             sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=g)
             traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=5.0, record_every=500)
-            s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
+            s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath, 5e-4 * 500)
             mags[g] = abs(s.values[-1])
         assert mags[1.0] <= mags[0.1]
 
@@ -511,7 +529,7 @@ class TestPropagate:
         state, res = relaxed_default
         sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.5)
         traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=3.0, record_every=500)
-        s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
+        s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath, 5e-4 * 500)
         a, b = 0.6, 0.8
         out = general_weights_contrast(s, a, b)
         svals = s.values

@@ -105,7 +105,7 @@ def test_meanfield_spectrum(relaxed_default, peak_calls):
     state, res = relaxed_default
     sys_post = mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=1.0)
     traj, _ = mf.propagate(state, sys_post, dt=2e-3, t_max=10.0, record_every=25)
-    s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath)
+    s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath, 2e-3 * 25)
     assert_spectrum_parity(obs.spectral_function(s, window="hann"), peak_calls)
 
 
@@ -124,7 +124,7 @@ def test_ed_spectrum(basis10, peak_calls):
     v0, e0 = ground.vector, ground.energy
     h1 = ed.with_impurity_coupling(ground.hamiltonian, 1.0)
     traj, states = ed_oracle.propagate_states(h1, v0, dt=0.1, t_max=40.0, record_every=1)
-    s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0)
+    s = ed.ed_contrast(traj.times, states @ np.conj(v0), e0, 0.1)
     assert_spectrum_parity(obs.spectral_function(s, window="hann"), peak_calls)
 
 
