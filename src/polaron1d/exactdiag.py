@@ -348,10 +348,10 @@ class EDHamiltonian:
         flat = _float_view(wmat)
         x, sums = self._pair_node_sums(flat)
         d_e, d_o = self.pair_nodes
-        y = np.empty_like(x)
-        np.matmul(d_e, sums[0], out=y[: len(d_e)])
-        np.matmul(d_o, sums[1], out=y[len(d_e) :])
-        out = self.pair_creators @ y.reshape(-1, flat.shape[1])
+        # X is not read again: its buffer takes the pair-space image
+        np.matmul(d_e, sums[0], out=x[: len(d_e)])
+        np.matmul(d_o, sums[1], out=x[len(d_e) :])
+        out = self.pair_creators @ x.reshape(-1, flat.shape[1])
         return out if wmat.dtype == np.float64 else out.view(np.complex128)
 
     def _lower(self, wmat):
