@@ -104,13 +104,13 @@ def eigensolve(pot, n_eig=40):
     """Lowest n_eig eigenpairs of -(1/2) d^2/dx^2 + V_eff under hard walls.
     The full spectrum is solved (`grid.stationary_states`, by parity blocks
     when V_eff is mirror symmetric, so each state is then exactly even or
-    odd) and the lowest n_eig pairs are kept. States whose energy exceeds
-    V_eff(+-0.9 x_max) are flagged as contaminated by box (wall) states."""
+    odd), and only the lowest n_eig states are unfolded onto the grid and
+    kept. States whose energy exceeds V_eff(+-0.9 x_max) are flagged as
+    contaminated by box (wall) states."""
     if not 1 <= n_eig <= 60:
         raise ConfigurationError("n_eig must be in 1..60")
     grid = pot.grid
-    energies, states = stationary_states(grid, pot.values)
-    energies, states = energies[:n_eig], states[:, :n_eig].copy()
+    energies, states = stationary_states(grid, pot.values, n_eig)
     wall = 0.9 * grid.x_max
     v_wall = min(
         float(np.interp(-wall, grid.x, pot.values)),

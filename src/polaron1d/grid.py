@@ -25,7 +25,8 @@ keys two per-layer metrics on it.
 
 `stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
 spectrum, as two half-size parity blocks when V is mirror symmetric to the
-bit, `even_stationary_states` solves the even block alone, and
+bit, and unfolds only the lowest states a caller keeps;
+`even_stationary_states` solves the even block alone, and
 `evolve_coefficients` evolves a state's expansion in it; the
 effective-potential tier evolves states this way in the full spectrum, the
 exactly even mean-field spin-down branch in the even states.
@@ -354,8 +355,9 @@ def _parity_eigh(h, out):
     """Eigenvalues, ascending, of a real symmetric matrix that commutes with
     the mirror J (J h J = h), from its even block (`_even_block`) and its odd
     block h11 - h12 J on the first half of the points. The unit
-    eigenvectors, exactly even or odd, are written in the same order to the
-    columns of `out`, which must hold zeros."""
+    eigenvectors of the lowest out.shape[1] states, exactly even or odd, are
+    written in the same order to the columns of `out`, which must hold
+    zeros; no other state is unfolded."""
     m = h.shape[0]
     k = m // 2
     e_even, a_even = np.linalg.eigh(_even_block(h))
@@ -365,10 +367,13 @@ def _parity_eigh(h, out):
     # the column of each even, then each odd, state in ascending order
     col = np.empty(m, dtype=np.intp)
     col[order] = np.arange(m)
-    _unfold_even_vectors(a_even, m, out, col[: m - k])
-    half = np.sqrt(0.5) * a_odd
-    out[:k, col[m - k :]] = half
-    out[m - k :, col[m - k :]] = -half[::-1]
+    even_col, odd_col = col[: m - k], col[m - k :]
+    keep = even_col < out.shape[1]
+    _unfold_even_vectors(a_even[:, keep], m, out, even_col[keep])
+    keep = odd_col < out.shape[1]
+    half = np.sqrt(0.5) * a_odd[:, keep]
+    out[:k, odd_col[keep]] = half
+    out[m - k :, odd_col[keep]] = -half[::-1]
     return energies[order]
 
 
@@ -384,31 +389,36 @@ def _grid_states(grid, states, energies):
     return energies, states
 
 
-def stationary_states(grid, potential):
-    """Full eigensystem of -(1/2) d^2/dx^2 + V under hard walls, from the
-    dense matrix kinetic_matrix(grid) + diag(V[1:-1]), where `potential`
-    holds V on every grid point.
+def stationary_states(grid, potential, n_states=None):
+    """The lowest n_states stationary states (all of them by default) of
+    -(1/2) d^2/dx^2 + V under hard walls, from the dense matrix
+    kinetic_matrix(grid) + diag(V[1:-1]), where `potential` holds V on every
+    grid point.
 
     The kinetic matrix commutes with the mirror x -> -x, so a potential that
     does too (`is_mirror_symmetric`) is solved as two half-size parity blocks,
     which together cost about a third of one full `eigh` on the 450-point
     grid, and its states come out exactly even or odd; any other potential
-    takes one full `eigh`. The states are written into the returned array in
-    place, so no second (n_points, n_interior) array is held.
+    takes one full `eigh`. Every eigenpair is solved either way, but only the
+    kept states are unfolded onto the grid, written into the returned array
+    in place, so no (n_points, n_interior) array is held for fewer states.
+    The kept states are the same bits as the leading columns of the full set.
 
-    Returns (energies, states): the energies in ascending order and the
-    states as the columns of one real (n_points, n_interior) array, zero at
-    the walls, normalized on the grid (sum psi^2 dx = 1), with the first
-    sizable entry of each state positive.
+    Returns (energies, states): the n_states lowest energies in ascending
+    order and their states as the columns of one real (n_points, n_states)
+    array, zero at the walls, normalized on the grid (sum psi^2 dx = 1), with
+    the first sizable entry of each state positive.
     """
     h = kinetic_matrix(grid)
     h[np.diag_indices_from(h)] += potential[1:-1]
-    states = np.zeros((grid.n_points, h.shape[0]))
+    n_states = h.shape[0] if n_states is None else n_states
+    states = np.zeros((grid.n_points, n_states))
     if is_mirror_symmetric(potential):
         energies = _parity_eigh(h, states[1:-1])
     else:
-        energies, states[1:-1] = np.linalg.eigh(h)
-    return _grid_states(grid, states, energies)
+        energies, vectors = np.linalg.eigh(h)
+        states[1:-1] = vectors[:, :n_states]
+    return _grid_states(grid, states, energies[:n_states])
 
 
 def even_stationary_states(grid, potential):

@@ -48,19 +48,43 @@ SUMMARY_SCHEMA_VERSION = 1
 # that a block's Python floats and text stay small next to the data
 CSV_BLOCK_ROWS = 4096
 
+# axes held by `_axis_text`: a run writes at most four distinct first columns
+# (t, omega, x and effpot's level index n), so a sweep's later points find
+# all of theirs; an effpot sweep's four hold about 1.3 MB of text and keys,
+# most of it the 40 008-row omega
+CSV_AXIS_MEMO = 4
+
+
+@functools.lru_cache(maxsize=CSV_AXIS_MEMO)
+def _axis_text(axis_bytes):
+    """The `%.17g` text of a CSV's first column, given as its float64 bytes
+    (so a hit is exact), one string per CSV_BLOCK_ROWS block: each value
+    followed by a `%s` slot for the rest of its row and a newline."""
+    axis = np.frombuffer(axis_bytes)
+    return tuple(
+        ("%.17g%%s\n" * block.size) % tuple(block.tolist())
+        for block in np.split(axis, range(CSV_BLOCK_ROWS, axis.size, CSV_BLOCK_ROWS))
+    )
+
 
 def _write_csv(path, header, columns):
     columns = [np.asarray(c, dtype=float) for c in columns]
     lengths = [len(c) for c in columns]
     if len(set(lengths)) > 1:
         raise UsageError(f"{path}: columns differ in length {lengths}")
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    n_rows = lengths[0] if columns else 0
+    cells = ",%.17g" * (len(columns) - 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, n_rows, CSV_BLOCK_ROWS):
-            block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in columns])
-            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
+        if not columns:
+            return
+        axis, rest = columns[0], columns[1:]
+        # a sweep writes the same axes at every point: their text comes from
+        # the memo, and each row's other values fill its slot
+        blocks = _axis_text(axis.tobytes())
+        for start, text in zip(range(0, axis.size, CSV_BLOCK_ROWS), blocks):
+            stop = min(start + CSV_BLOCK_ROWS, axis.size)
+            values = np.column_stack([c[start:stop] for c in rest]).ravel().tolist() if rest else ()
+            fh.write(text % ((cells,) * (stop - start)) % tuple(values))
 
 
 def read_csv(path):
@@ -250,6 +274,11 @@ def _contrast_files(out, s_series, cfg):
 
 # --- pipeline bodies: (cfg, out, grid) -> summary entries ------------------------
 
+# the effpot tier samples its expansion at every step of max(time.dt, this),
+# whatever time.record_every says: the floor keeps it from sampling at a raw
+# propagation dt (ROADMAP item 2)
+EFFPOT_DT_FLOOR = 0.02
+
 
 def _relax_meanfield(cfg, out, grid):
     from . import meanfield as mf
@@ -357,7 +386,7 @@ def _quench_effpot(cfg, out, grid):
     pot = ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=cfg.omega_i_initial)
     spec = ep.eigensolve(pot, n_eig=cfg.n_eig)
     out.diagnostics["mirror_symmetric"] = is_mirror_symmetric(pot.values)
-    contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=max(cfg.dt, 0.02))
+    contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=max(cfg.dt, EFFPOT_DT_FLOOR))
     summary = _contrast_files(out, contrast.series, cfg)
     _write_csv(
         out.path("energies.csv"),
@@ -508,7 +537,7 @@ def _breathing_effpot(cfg, out, grid):
 
     br = ep.breathing_run(
         builder, cfg.omega_i_initial, cfg.omega_i_final,
-        t_max=min(cfg.t_max, 120.0), dt=max(cfg.dt, 0.02), n_eig=cfg.n_eig,
+        t_max=min(cfg.t_max, 120.0), dt=max(cfg.dt, EFFPOT_DT_FLOOR), n_eig=cfg.n_eig,
     )
     out.diagnostics["mirror_symmetric"] = is_mirror_symmetric(
         br.initial_spectrum.potential.values
@@ -552,11 +581,13 @@ def contract_errors(cfg, pipeline):
     ED tier evolves the spin-down branch as the pure phase exp(-i E0 t),
     exact only for a stationary initial state, and builds the bath in the
     unit-frequency oscillator basis. The effpot tier starts the impurity in
-    the bare trap ground state. A sweep needs a parameter, a non-empty list
-    of values its key accepts (`sweep_value_errors`), and a config that its
-    sweep.pipeline, quench or breathing, can run; that pipeline's contract
-    reads none of the sweep parameters, so its refusal would fail every
-    point alike.
+    the bare trap ground state. A quench or breathing run records at least
+    once: its t_max is at least one record interval, dt * record_every, or
+    for the effpot tier, which reads no record_every, max(dt, 0.02). A sweep
+    needs a parameter, a non-empty list of values its key accepts
+    (`sweep_value_errors`), and a config that its sweep.pipeline, quench or
+    breathing, can run; that pipeline's contract reads none of the sweep
+    parameters, so its refusal would fail every point alike.
     """
     if pipeline == "sweep":
         errors = []
@@ -575,6 +606,19 @@ def contract_errors(cfg, pipeline):
         )
     if pipeline == "breathing" and cfg.omega_i_initial == cfg.omega_i_final:
         errors.append("breathing run needs omega_i_initial != omega_i_final")
+    # the rule of `observables.record_times`, at the spacing the tier uses
+    effpot = cfg.tier == "effpot"
+    step, every = (max(cfg.dt, EFFPOT_DT_FLOOR), 1) if effpot else (cfg.dt, cfg.record_every)
+    if pipeline != "relax" and round(cfg.t_max / step) < every:
+        interval = (
+            f"max(time.dt, {EFFPOT_DT_FLOOR:g}) = {step:g} with time.dt = {cfg.dt:g} "
+            f"(tier effpot does not read time.record_every = {cfg.record_every})"
+            if effpot else
+            f"time.dt * time.record_every = {step:g} * {every} = {step * every:g}"
+        )
+        errors.append(
+            f"time.t_max = {cfg.t_max:g} is shorter than one record interval {interval}"
+        )
     if pipeline == "quench":
         required = {"g_bi_initial": 0.0} if cfg.tier in ("ed", "effpot") else {}
         required["omega_i_final"] = cfg.omega_i_initial

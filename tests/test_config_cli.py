@@ -1,8 +1,12 @@
+import contextlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polaron1d import cli, runner
 from polaron1d import effpot as ep
@@ -318,6 +322,66 @@ class TestCsvRoundTrip:
         runner._write_csv(str(got), ["a", "b", "c"], columns)
         self._per_element_csv(str(want), ["a", "b", "c"], columns)
         assert got.read_bytes() == want.read_bytes()
+
+    # float64 values the %.17g formatter treats specially; 2**53 + 1 reads as 2**53
+    SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 7,
+               2**53 + 1, -(2.0**53), 1.0 / 3.0, 1e308]
+
+    @staticmethod
+    def _columns(n_rows, n_columns):
+        value = st.one_of(st.floats(allow_subnormal=True), st.sampled_from(
+            TestCsvRoundTrip.SPECIAL))
+        column = st.lists(value, min_size=n_rows, max_size=n_rows)
+        return st.lists(column, min_size=n_columns, max_size=n_columns)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def _small_blocks():
+        # blocks of 3 rows put block edges inside a few-row column; the memo
+        # is emptied on both sides so that no entry of another block size is read
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runner, "CSV_BLOCK_ROWS", 3)
+            runner._axis_text.cache_clear()
+            try:
+                yield
+            finally:
+                runner._axis_text.cache_clear()
+
+    def _assert_oracle_bytes(self, tables):
+        """Writes each (axis, other columns) table in turn, in one process,
+        and compares every file with the per-element formatter."""
+        with tempfile.TemporaryDirectory() as tmp, self._small_blocks():
+            got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+            for axis, rest in tables:
+                header = [f"c{k}" for k in range(1 + len(rest))]
+                runner._write_csv(got, header, [axis, *rest])
+                self._per_element_csv(want, header, [axis, *rest])
+                with open(got, "rb") as g, open(want, "rb") as w:
+                    assert g.read() == w.read()
+            return runner._axis_text.cache_info()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n_rows=st.integers(0, 10))
+    def test_axis_memo_hit_bytes_match_per_element_formatter(self, data, n_rows):
+        axis = data.draw(self._columns(n_rows, 1))[0]
+        tables = [(axis, data.draw(self._columns(n_rows, k))) for k in (1, 3, 0, 1)]
+        info = self._assert_oracle_bytes(tables)
+        assert info.misses == 1 and info.hits == 3
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), n_rows=st.integers(1, 10))
+    def test_alternating_axes_bytes_match_per_element_formatter(self, data, n_rows):
+        first, second = data.draw(self._columns(n_rows, 2))
+        rest = data.draw(self._columns(n_rows, 2))
+        self._assert_oracle_bytes([(first, rest), (second, rest)] * 3)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(data=st.data(), n_rows=st.integers(1, 7))
+    def test_axes_beyond_the_memo_bound_bytes_match_per_element_formatter(self, data, n_rows):
+        axes = data.draw(self._columns(n_rows, runner.CSV_AXIS_MEMO + 2))
+        rest = data.draw(self._columns(n_rows, 1))
+        info = self._assert_oracle_bytes([(axis, rest) for axis in axes * 2])
+        assert info.maxsize == runner.CSV_AXIS_MEMO
 
     def test_unequal_column_lengths_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -948,6 +1012,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert all(key in err for key in ("time.t_max", "time.dt", "time.record_every"))
         assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
+
+    def test_validate_refuses_a_t_max_the_effpot_run_refuses(self, tmp_path, capsys):
+        # the effpot tier floors dt = 5e-4 at 0.02, so t_max = 0.005 records nothing
+        outdir = str(tmp_path / "out")
+        text = EFFPOT_FAST.format(outdir=outdir).replace(
+            "dt = 0.05\nt_max = 60", "dt = 5e-4\nt_max = 0.005"
+        )
+        path = self._write_cfg(tmp_path, text)
+        assert cli.main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        for key in ("time.t_max = 0.005", "time.dt = 0.0005", "time.record_every = 1", "0.02"):
+            assert key in err
+        assert cli.main(["quench", "--config", path]) == 2
+        assert "time.dt = 0.0005" in capsys.readouterr().err
+        assert json.load(open(os.path.join(outdir, "manifest.json")))["status"] == "failed"
+
+    def test_validate_refuses_a_t_max_the_meanfield_sweep_refuses(self, tmp_path, capsys):
+        # a sweep validates against its quench points: t_max = 0.01 is short
+        # of one record interval 5e-4 * 100; a lone mean-field config stays
+        # valid, because relax reads no time key
+        outdir = str(tmp_path / "out")
+        text = (
+            "[system]\nn_bath = 10\n[time]\ndt = 5e-4\nt_max = 0.01\nrecord_every = 100\n"
+            f"[output]\ndirectory = {outdir}\n"
+        )
+        assert cli.main(["validate", "--config", self._write_cfg(tmp_path, text)]) == 0
+        path = self._write_cfg(
+            tmp_path, text + "[sweep]\nparameter = g_bi_final\nvalues = 0.5, 1.0\n"
+        )
+        assert cli.main(["validate", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert "time.dt * time.record_every = 0.0005 * 100 = 0.05" in err
+        assert cli.main(["sweep", "--config", path]) == 2
+        assert "time.t_max = 0.01" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(outdir, "g_bi_final_000"))
 
     def test_ed_quench_files_share_one_record_clock(self, tmp_path):
         # 4285 records of 7 steps of dt = 1e-3: a running sum of dt drifts

@@ -8,8 +8,10 @@ from polaron1d.grid import (
     Field,
     bare_ground_state,
     inner,
+    build_grid,
     is_mirror_symmetric,
     kinetic_matrix,
+    stationary_states,
 )
 from polaron1d.observables import TimeSeries, find_peaks, spectral_function
 
@@ -114,9 +116,35 @@ class TestEigensolve:
         with pytest.raises(ConfigurationError):
             ep.eigensolve(tf_pot_weak, n_eig=61)
 
-    def test_box_contamination_flagged(self):
-        from polaron1d.grid import build_grid
+    @pytest.mark.parametrize("source", ["relaxed", "tf-narrow-odd-grid", "asymmetric-file"])
+    def test_kept_states_are_the_leading_full_states(
+        self, tmp_path, grid, relaxed_density, tf_profile, source
+    ):
+        # only the kept states are unfolded: their energies, states and box
+        # flags are the bits of the full solve's leading ones
+        if source == "relaxed":
+            density = relaxed_density
+        elif source == "tf-narrow-odd-grid":
+            # V(0.9 x_max) = 25.9 on x_max = 8: the upper kept levels are flagged
+            density = tf_profile.density(build_grid(121, 8.0))
+        else:
+            xs = np.linspace(-7.0, 6.5, 301)
+            path = tmp_path / "density.txt"
+            np.savetxt(path, np.column_stack([xs, tf_profile.density_values(xs - 0.3)]))
+            density = ep.load_density_file(str(path), grid)
+        pot = ep.build_effective_potential(density, 2.5)
+        assert is_mirror_symmetric(pot.values) == (source != "asymmetric-file")
+        energies, states = stationary_states(pot.grid, pot.values)
+        x, wall = pot.grid.x, 0.9 * pot.grid.x_max
+        v_wall = min(np.interp(-wall, x, pot.values), np.interp(wall, x, pot.values))
+        for n_eig in (1, 2, 7, 60):
+            spec = ep.eigensolve(pot, n_eig)
+            assert np.array_equal(spec.energies, energies[:n_eig])
+            assert np.array_equal(spec.states, states[:, :n_eig])
+            assert np.array_equal(spec.box_contaminated, energies[:n_eig] > v_wall)
+        assert spec.box_contaminated.any() == (source == "tf-narrow-odd-grid")
 
+    def test_box_contamination_flagged(self):
         narrow = build_grid(120, 8.0)
         pot = ep.EffectivePotential(grid=narrow, values=0.5 * narrow.x**2)
         spec = ep.eigensolve(pot, n_eig=40)

@@ -1,15 +1,16 @@
-"""Start-up guard: importing the CLI and the runner, and a mean-field or
-effpot quench, load no scipy module. grid.py runs on numpy.fft, effpot solves
-with numpy.linalg.eigh, and the runner imports a tier's module only when a
-run of that tier starts, so an ED quench loads neither meanfield nor effpot
-and a mean-field quench does not load effpot. exactdiag, the one module with
-a module-level scipy import, imports scipy.sparse only: its ground state and
-its Krylov steps run on the package's own Lanczos recurrence, so an ED quench
-loads neither scipy.linalg nor scipy.sparse.linalg, and no package module
-imports either. The least-squares fits, which only breathing runs and the
-merged-lobe fallback reach, import scipy.optimize inside the function. The
-sweep's process pool, and with it multiprocessing, loads only when a sweep
-runs with more than one job."""
+"""Start-up guard: importing the CLI and the runner, a mean-field or effpot
+quench, and an effpot sweep load no scipy module. grid.py runs on numpy.fft,
+effpot solves with numpy.linalg.eigh, and the runner imports a tier's module
+only when a run of that tier starts, so an ED quench loads neither meanfield
+nor effpot, a mean-field quench does not load effpot, and an effpot quench
+does not load exactdiag. exactdiag, the one module with a module-level scipy
+import, imports scipy.sparse only: its ground state and its Krylov steps run
+on the package's own Lanczos recurrence, so an ED quench loads neither
+scipy.linalg nor scipy.sparse.linalg, and no package module imports either.
+The least-squares fits, which only breathing runs and the merged-lobe
+fallback reach, import scipy.optimize inside the function. The sweep's
+process pool, and with it multiprocessing, loads only when a sweep runs with
+more than one job."""
 
 import os
 import subprocess
@@ -121,12 +122,28 @@ def test_ed_quench_loads_exactdiag_when_it_starts(tmp_path):
 
 @pytest.mark.parametrize(
     "tier, unloaded",
-    [("ed", ["polaron1d.effpot", "polaron1d.meanfield"]), ("meanfield", ["polaron1d.effpot"])],
+    [
+        ("ed", ["polaron1d.effpot", "polaron1d.meanfield"]),
+        ("meanfield", ["polaron1d.effpot"]),
+        ("effpot", ["polaron1d.exactdiag"]),
+    ],
 )
 def test_quench_loads_only_its_tier(tier, unloaded, tmp_path):
     loaded = f"print(*[m in sys.modules for m in {unloaded!r}])\n"
     code = _quench_code(tier, tmp_path / "run") + loaded
     assert _fresh_process(code).split() == ["False"] * len(unloaded)
+
+
+def test_effpot_sweep_loads_no_scipy(tmp_path):
+    text = QUENCH.format(tier="effpot", outdir=tmp_path / "sweep", **TINY["effpot"])
+    text += "[sweep]\nparameter = g_bi_final\nvalues = 0.5, 1.0\n"
+    code = (
+        "from polaron1d import config, runner\n"
+        f"agg, _ = runner.run_sweep(config.validate_config({text!r}))\n"
+        "assert agg['failures'] == {}\n"
+        + LOADED_SCIPY
+    )
+    assert _fresh_process(code).split() == []
 
 
 def test_ed_quench_loads_scipy_sparse_only(tmp_path):
