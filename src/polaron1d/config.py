@@ -1,21 +1,17 @@
 """Experiment configuration: a flat `key = value` text format with bracketed
 section headers, validated with line-anchored messages and echoed defaults.
 
-Sections and keys:
-
-    [system]  n_bath, g_bb, g_bi_initial, g_bi_final, omega_b,
-              omega_i_initial, omega_i_final, alpha, beta
-    [grid]    n_points, x_max
-    [time]    dt, t_max, record_every
-    [solver]  tier (meanfield | effpot | ed)
-    [solver.ed]      n_modes, dim_guard
-    [solver.effpot]  source (tf | relaxed | <path>), n_eig
-    [sweep]   parameter, values (comma list), pipeline (quench | breathing)
-    [output]  directory
+Each key is declared once, as a field of `ExperimentConfig`: the field's
+metadata holds its `section.key` and its rule, a test of (value, config)
+with the message that states it; its annotation picks the parser and its
+default is the value of an omitted key. The sections, the key lookup, the
+parsers and the checks all read those fields. Every error starts with the
+line that set the key, `line N:`, or with `default:` when the key was
+omitted (a default of beta that does not pair with a configured alpha).
 """
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -23,74 +19,70 @@ from .errors import ConfigurationError
 
 TIERS = ("meanfield", "effpot", "ed")
 SWEEP_PARAMETERS = ("g_bi_final", "g_bb", "n_bath", "n_modes")
-INTEGER_SWEEP_PARAMETERS = ("n_bath", "n_modes")
+
+
+def _key(key, default, rule=None):
+    """A config field: its `section.key`, its default and its rule, a pair
+    (test(value, cfg), message) whose message may name {value} and {cfg}."""
+    return field(default=default, metadata={"key": key, "rule": rule})
+
+
+def _at_least(lo, note=""):
+    return (lambda v, cfg: v >= lo), f"must be >= {lo}{note}"
+
+
+def _in_range(lo, hi):
+    return (lambda v, cfg: lo <= v <= hi), f"must be in {lo}..{hi}"
+
+
+def _one_of(choices):
+    return (lambda v, cfg: v in choices), f"must be one of {choices}, got {{value!r}}"
+
+
+_POSITIVE = (lambda v, cfg: v > 0), "must be > 0"
+_REPULSIVE = _at_least(0, " (repulsive model)")
+_NORMALISED = (
+    (lambda v, cfg: abs(cfg.alpha**2 + v**2 - 1.0) <= 1e-10),
+    "must satisfy alpha^2 + beta^2 = 1 with system.alpha = {cfg.alpha:.12g}, got {value:.12g}",
+)
+_NON_EMPTY = (lambda v, cfg: v != ""), "must not be empty"
+_SOURCE = (
+    (lambda v, cfg: v in ("tf", "relaxed") or os.path.isfile(v)),
+    "must be tf, relaxed or a density file; no file {value!r}",
+)
 
 
 @dataclass
 class ExperimentConfig:
-    # system
-    n_bath: int = 100
-    g_bb: float = 0.5
-    g_bi_initial: float = 0.0
-    g_bi_final: float = 0.25
-    omega_b: float = 1.0
-    omega_i_initial: float = 1.0
-    omega_i_final: float = 1.0
-    alpha: float = 1.0 / np.sqrt(2.0)
-    beta: float = 1.0 / np.sqrt(2.0)
-    # grid
-    n_points: int = 450
-    x_max: float = 40.0
-    # time
-    dt: float = 5e-4
-    t_max: float = 100.0
-    record_every: int = 100
-    # solver
-    tier: str = "meanfield"
-    n_modes: int = 10
-    dim_guard: int = 5_000_000
-    source: str = "relaxed"
-    n_eig: int = 40
-    # sweep
-    sweep_parameter: str = ""
-    sweep_values: tuple = ()
-    sweep_pipeline: str = "quench"
-    # output
-    directory: str = "output"
+    n_bath: int = _key("system.n_bath", 100, _at_least(1))
+    g_bb: float = _key("system.g_bb", 0.5, _REPULSIVE)
+    g_bi_initial: float = _key("system.g_bi_initial", 0.0, _REPULSIVE)
+    g_bi_final: float = _key("system.g_bi_final", 0.25, _REPULSIVE)
+    omega_b: float = _key("system.omega_b", 1.0, _POSITIVE)
+    omega_i_initial: float = _key("system.omega_i_initial", 1.0, _POSITIVE)
+    omega_i_final: float = _key("system.omega_i_final", 1.0, _POSITIVE)
+    alpha: float = _key("system.alpha", 1.0 / np.sqrt(2.0))
+    beta: float = _key("system.beta", 1.0 / np.sqrt(2.0), _NORMALISED)
+    n_points: int = _key("grid.n_points", 450, _at_least(16))
+    x_max: float = _key("grid.x_max", 40.0, _POSITIVE)
+    dt: float = _key("time.dt", 5e-4, _POSITIVE)
+    t_max: float = _key("time.t_max", 100.0, _POSITIVE)
+    record_every: int = _key("time.record_every", 100, _at_least(1))
+    tier: str = _key("solver.tier", "meanfield", _one_of(TIERS))
+    n_modes: int = _key("solver.ed.n_modes", 10, _in_range(1, 40))
+    dim_guard: int = _key("solver.ed.dim_guard", 5_000_000, _at_least(1))
+    source: str = _key("solver.effpot.source", "relaxed", _SOURCE)
+    n_eig: int = _key("solver.effpot.n_eig", 40, _in_range(1, 60))
+    # empty for no sweep; each value meets the swept key's rule (sweep_value_errors)
+    sweep_parameter: str = _key("sweep.parameter", "", _one_of(("",) + SWEEP_PARAMETERS))
+    sweep_values: tuple = _key("sweep.values", ())
+    sweep_pipeline: str = _key("sweep.pipeline", "quench", _one_of(("quench", "breathing")))
+    directory: str = _key("output.directory", "output", _NON_EMPTY)
 
     def echo(self):
         d = asdict(self)
         d["sweep_values"] = list(self.sweep_values)
         return d
-
-
-_SCHEMA = {
-    ("system", "n_bath"): ("n_bath", int),
-    ("system", "g_bb"): ("g_bb", float),
-    ("system", "g_bi_initial"): ("g_bi_initial", float),
-    ("system", "g_bi_final"): ("g_bi_final", float),
-    ("system", "omega_b"): ("omega_b", float),
-    ("system", "omega_i_initial"): ("omega_i_initial", float),
-    ("system", "omega_i_final"): ("omega_i_final", float),
-    ("system", "alpha"): ("alpha", float),
-    ("system", "beta"): ("beta", float),
-    ("grid", "n_points"): ("n_points", int),
-    ("grid", "x_max"): ("x_max", float),
-    ("time", "dt"): ("dt", float),
-    ("time", "t_max"): ("t_max", float),
-    ("time", "record_every"): ("record_every", int),
-    ("solver", "tier"): ("tier", str),
-    ("solver.ed", "n_modes"): ("n_modes", int),
-    ("solver.ed", "dim_guard"): ("dim_guard", int),
-    ("solver.effpot", "source"): ("source", str),
-    ("solver.effpot", "n_eig"): ("n_eig", int),
-    ("sweep", "parameter"): ("sweep_parameter", str),
-    ("sweep", "values"): ("sweep_values", "floats"),
-    ("sweep", "pipeline"): ("sweep_pipeline", str),
-    ("output", "directory"): ("directory", str),
-}
-
-_SECTIONS = sorted({sec for sec, _ in _SCHEMA})
 
 
 def _finite(raw):
@@ -100,18 +92,23 @@ def _finite(raw):
     return value
 
 
-def _parse_value(raw, kind, where, errors):
-    try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return _finite(raw)
-        if kind is str:
-            return raw
-        if kind == "floats":
-            return tuple(_finite(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError:
-        errors.append(f"{where}: cannot parse {raw!r} as {getattr(kind, '__name__', kind)}")
+# annotation -> (parser, what the parser reads)
+_PARSERS = {
+    int: (int, "int"),
+    float: (_finite, "float"),
+    str: (str, "str"),
+    tuple: (lambda raw: tuple(_finite(tok) for tok in raw.split(",") if tok.strip()), "floats"),
+}
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_KEYS = {f.metadata["key"]: f for f in _FIELDS.values()}
+_SECTIONS = {key.rpartition(".")[0] for key in _KEYS}
+
+
+def _refusal(f, value, cfg):
+    """The message of the field's rule refusing `value`, or None."""
+    rule = f.metadata["rule"]
+    if rule and not rule[0](value, cfg):
+        return f"{f.metadata['key']} " + rule[1].format(value=value, cfg=cfg)
     return None
 
 
@@ -121,7 +118,7 @@ def validate_config(text):
     cfg = ExperimentConfig()
     errors = []
     section = None
-    seen = set()
+    lines = {}  # field name -> the line that set it
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -140,19 +137,28 @@ def validate_config(text):
             continue
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if (section, key) not in _SCHEMA:
+        f = _KEYS.get(f"{section}.{key}")
+        if f is None:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
-        if (section, key) in seen:
+        if f.name in lines:
             errors.append(f"line {lineno}: duplicate key {key!r} in section [{section}]")
             continue
-        seen.add((section, key))
-        attr, kind = _SCHEMA[(section, key)]
-        value = _parse_value(raw, kind, f"line {lineno}", errors)
-        if value is not None:
-            setattr(cfg, attr, value)
+        lines[f.name] = lineno
+        parse, kind = _PARSERS[f.type]
+        try:
+            setattr(cfg, f.name, parse(raw))
+        except ValueError:
+            errors.append(f"line {lineno}: cannot parse {raw!r} as {kind}")
 
-    _semantic_checks(cfg, errors)
+    def anchor(name):
+        return f"line {lines[name]}" if name in lines else "default"
+
+    for f in _FIELDS.values():
+        message = _refusal(f, getattr(cfg, f.name), cfg)
+        if message:
+            errors.append(f"{anchor(f.name)}: {message}")
+    errors += [f"{anchor('sweep_values')}: {m}" for m in sweep_value_errors(cfg)]
     if errors:
         raise ConfigurationError(
             "invalid configuration:\n  " + "\n  ".join(errors), errors=errors
@@ -162,70 +168,24 @@ def validate_config(text):
     return cfg
 
 
-def _semantic_checks(cfg, errors):
-    if cfg.tier not in TIERS:
-        errors.append(f"solver.tier must be one of {TIERS}, got {cfg.tier!r}")
-    for name in ("g_bb", "g_bi_initial", "g_bi_final"):
-        if getattr(cfg, name) < 0:
-            errors.append(f"system.{name} must be >= 0 (repulsive model)")
-    for name in ("omega_b", "omega_i_initial", "omega_i_final"):
-        if getattr(cfg, name) <= 0:
-            errors.append(f"system.{name} must be > 0")
-    if cfg.n_bath < 1:
-        errors.append("system.n_bath must be >= 1")
-    if abs(cfg.alpha**2 + cfg.beta**2 - 1.0) > 1e-10:
-        errors.append(
-            f"system.alpha/beta must satisfy alpha^2 + beta^2 = 1 "
-            f"(got {cfg.alpha**2 + cfg.beta**2:.12g})"
-        )
-    if cfg.n_points < 16:
-        errors.append("grid.n_points must be >= 16")
-    if cfg.x_max <= 0:
-        errors.append("grid.x_max must be > 0")
-    if cfg.dt <= 0 or cfg.t_max <= 0:
-        errors.append("time.dt and time.t_max must be > 0")
-    if cfg.record_every < 1:
-        errors.append("time.record_every must be >= 1")
-    if not 1 <= cfg.n_modes <= 40:
-        errors.append("solver.ed.n_modes must be in 1..40")
-    if cfg.n_eig < 1 or cfg.n_eig > 60:
-        errors.append("solver.effpot.n_eig must be in 1..60")
-    if cfg.source not in ("tf", "relaxed") and not os.path.isfile(cfg.source):
-        errors.append(
-            f"solver.effpot.source must be tf, relaxed or a density file; "
-            f"no file {cfg.source!r}"
-        )
-    if cfg.sweep_parameter and cfg.sweep_parameter not in SWEEP_PARAMETERS:
-        errors.append(f"sweep.parameter must be one of {SWEEP_PARAMETERS}")
-    if cfg.sweep_pipeline not in ("quench", "breathing"):
-        errors.append("sweep.pipeline must be 'quench' or 'breathing'")
-    errors.extend(sweep_value_errors(cfg))
-
-
 def sweep_value_errors(cfg):
     """Messages for sweep values the swept key cannot take, each prefixed
     with sweep.values: a fraction for an integer key (n_bath = 2.7 must not
-    run as 2), and every message of the key's own checks on the config with
-    the value substituted that the config itself does not already give."""
+    run as 2), and the refusal of each value by the key's own rule."""
     parameter = cfg.sweep_parameter
     if parameter not in SWEEP_PARAMETERS:
         return []
+    f = _FIELDS[parameter]
     errors = []
-    if parameter in INTEGER_SWEEP_PARAMETERS:
+    if f.type is int:
         bad = [v for v in cfg.sweep_values if not float(v).is_integer()]
         if bad:
             errors.append(f"sweep.values must be whole numbers for {parameter}, got {bad}")
-    # the checks run without the sweep, which is what stops the recursion
-    base = replace(cfg, sweep_parameter="")
-    known = []
-    _semantic_checks(base, known)
     refused = {}
     for value in cfg.sweep_values:
-        point = []
-        _semantic_checks(replace(base, **{parameter: type(getattr(cfg, parameter))(value)}), point)
-        for message in point:
-            if message not in known:
-                refused.setdefault(message, []).append(value)
+        message = _refusal(f, f.type(value), cfg)
+        if message:
+            refused.setdefault(message, []).append(value)
     errors += [f"sweep.values {vals} for {parameter}: {msg}" for msg, vals in refused.items()]
     return errors
 

@@ -453,7 +453,6 @@ class HOBasis:
     grid: Grid
     n_modes: int
     mode_functions: np.ndarray = field(repr=False, compare=False)
-    mode_energies: np.ndarray = field(repr=False, compare=False)
 
 
 def hermite_functions(x, n_modes):
@@ -484,5 +483,4 @@ def ho_mode_basis(grid, n_modes):
         )
     modes[:, 0] = 0.0
     modes[:, -1] = 0.0
-    energies = np.arange(n_modes) + 0.5
-    return HOBasis(grid=grid, n_modes=n_modes, mode_functions=modes, mode_energies=energies)
+    return HOBasis(grid=grid, n_modes=n_modes, mode_functions=modes)

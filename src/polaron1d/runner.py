@@ -35,7 +35,6 @@ from .grid import (
     build_grid,
     ho_mode_basis,
     is_mirror_symmetric,
-    parity_odd_fraction,
 )
 
 SUMMARY_SCHEMA_VERSION = 1
@@ -368,11 +367,6 @@ def _quench_meanfield(cfg, out, grid):
         {
             "norm_drift": summary["norm_drift"],
             "energy_drift": summary["energy_drift"],
-            # round-off seeds an odd part that real time can amplify
-            "parity_odd_fraction": {
-                "bath": parity_odd_fraction(final.bath),
-                "up": parity_odd_fraction(final.up),
-            },
         }
     )
     return summary

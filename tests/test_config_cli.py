@@ -1,5 +1,7 @@
 import contextlib
+import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from polaron1d import cli, runner
 from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
-from polaron1d.config import validate_config
+from polaron1d.config import SWEEP_PARAMETERS, TIERS, ExperimentConfig, validate_config
 from polaron1d.errors import ConfigurationError, UsageError
 from polaron1d.grid import bare_ground_state, build_grid
 
@@ -172,6 +174,66 @@ directory = {outdir}
 """
 
 
+# one refused value for each key that has a rule
+REFUSED = [
+    ("system.n_bath", "0"),
+    ("system.g_bb", "-0.5"),
+    ("system.g_bi_initial", "-1"),
+    ("system.g_bi_final", "-1"),
+    ("system.omega_b", "0"),
+    ("system.omega_i_initial", "0"),
+    ("system.omega_i_final", "-1"),
+    ("system.beta", "0.8"),
+    ("grid.n_points", "15"),
+    ("grid.x_max", "0"),
+    ("time.dt", "0"),
+    ("time.t_max", "-1"),
+    ("time.record_every", "0"),
+    ("solver.tier", "gp"),
+    ("solver.ed.n_modes", "41"),
+    ("solver.ed.dim_guard", "0"),
+    ("solver.effpot.source", "no-such-density.txt"),
+    ("solver.effpot.n_eig", "61"),
+    ("sweep.parameter", "omega_b"),
+    ("sweep.pipeline", "relax"),
+    ("output.directory", ""),
+]
+
+# values each key accepts; alpha, beta and sweep.values are drawn together
+_POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
+_COUPLING = st.floats(0.0, 1e6)
+VALID = {
+    "n_bath": st.integers(1, 10**6),
+    "g_bb": _COUPLING,
+    "g_bi_initial": _COUPLING,
+    "g_bi_final": _COUPLING,
+    "omega_b": _POSITIVE,
+    "omega_i_initial": _POSITIVE,
+    "omega_i_final": _POSITIVE,
+    "n_points": st.integers(16, 10**6),
+    "x_max": _POSITIVE,
+    "dt": _POSITIVE,
+    "t_max": _POSITIVE,
+    "record_every": st.integers(1, 10**6),
+    "tier": st.sampled_from(TIERS),
+    "n_modes": st.integers(1, 40),
+    "dim_guard": st.integers(1, 10**9),
+    "source": st.sampled_from(("tf", "relaxed")),
+    "n_eig": st.integers(1, 60),
+    "sweep_parameter": st.sampled_from(("",) + SWEEP_PARAMETERS),
+    "sweep_pipeline": st.sampled_from(("quench", "breathing")),
+    "directory": st.text(
+        st.characters(blacklist_characters="#", blacklist_categories=("Cs",)), min_size=1
+    ).filter(lambda s: s == s.strip() and s.splitlines() == [s]),
+}
+SWEEP_VALUES = {
+    "g_bi_final": _COUPLING,
+    "g_bb": _COUPLING,
+    "n_bath": st.integers(1, 10**6).map(float),
+    "n_modes": st.integers(1, 40).map(float),
+}
+
+
 class TestValidateConfig:
     def test_minimal_defaults(self):
         cfg = validate_config(MINIMAL)
@@ -235,8 +297,48 @@ class TestValidateConfig:
         text = MINIMAL + f"[sweep]\nparameter = {parameter}\nvalues = {values}\n"
         with pytest.raises(ConfigurationError) as raised:
             validate_config(text)
-        # only the value the key refuses is named, under sweep.values
-        assert raised.value.errors == [f"sweep.values {error}"]
+        # only the value the key refuses is named, under sweep.values, on its line
+        assert raised.value.errors == [f"line 6: sweep.values {error}"]
+
+    def test_every_rule_is_covered(self):
+        fields = dataclasses.fields(ExperimentConfig)
+        ruled = {f.metadata["key"] for f in fields if f.metadata["rule"]}
+        assert ruled == {key for key, _ in REFUSED}
+
+    @pytest.mark.parametrize("key, value", REFUSED, ids=[key for key, _ in REFUSED])
+    def test_refusal_is_anchored_to_its_line(self, key, value):
+        section, _, name = key.rpartition(".")
+        text = f"# refused values\n\n[{section}]\n{name} = {value}\n"
+        with pytest.raises(ConfigurationError) as raised:
+            validate_config(text)
+        (error,) = raised.value.errors
+        assert error.startswith(f"line 4: {key} ")
+
+    def test_omitted_key_is_anchored_to_its_default(self):
+        with pytest.raises(ConfigurationError) as raised:
+            validate_config("[system]\nalpha = 0.8\n")
+        (error,) = raised.value.errors
+        assert error.startswith("default: system.beta must satisfy alpha^2 + beta^2 = 1")
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_round_trip(self, data):
+        drawn = {name: data.draw(strategy, label=name) for name, strategy in VALID.items()}
+        angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
+        drawn["alpha"], drawn["beta"] = math.cos(angle), math.sin(angle)
+        parameter = drawn["sweep_parameter"]
+        values = SWEEP_VALUES.get(parameter, st.floats(-1e6, 1e6))
+        drawn["sweep_values"] = tuple(data.draw(st.lists(values, max_size=4), label="values"))
+        sections = {}
+        for f in dataclasses.fields(ExperimentConfig):
+            section, _, key = f.metadata["key"].rpartition(".")
+            value = drawn[f.name]
+            raw = ", ".join(map(repr, value)) if f.type is tuple else value
+            sections.setdefault(section, []).append(f"{key} = {raw}")
+        text = "".join(f"[{sec}]\n" + "\n".join(lines) + "\n" for sec, lines in sections.items())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.delenv("OUTPUT_DIR", raising=False)
+            assert validate_config(text).echo() == ExperimentConfig(**drawn).echo()
 
     @pytest.mark.parametrize(
         "text, line",
@@ -784,16 +886,6 @@ class TestRunnerPipelines:
         runner.run_breathing(validate_config(BREATHING_TF.format(g_bi=0.25, outdir=outdir)))
         manifest = json.load(open(os.path.join(outdir, "manifest.json")))
         assert manifest["diagnostics"]["mirror_symmetric"] is True
-
-    def test_meanfield_quench_reports_parity(self, tmp_path):
-        cfg = validate_config(MF_SWEEP.format(outdir=str(tmp_path / "run")))
-        cfg.g_bi_final = 0.6
-        runner.run_quench(cfg)
-        manifest = json.load(open(os.path.join(cfg.directory, "manifest.json")))
-        odd = manifest["diagnostics"]["parity_odd_fraction"]
-        assert set(odd) == {"bath", "up"}
-        # the tier propagates in the parity-even sector: no odd part at all
-        assert all(v == 0.0 for v in odd.values())
 
     def test_relaxed_source_reports_relaxation(self, tmp_path):
         cfg = validate_config(RELAXED_SWEEP.format(outdir=str(tmp_path / "sw")))

@@ -67,11 +67,6 @@ def test_ho_mode_ground_state_value(odd_grid):
     assert b.mode_functions[0, i0] == pytest.approx(np.pi ** -0.25, rel=1e-12)
 
 
-def test_ho_mode_energies(grid):
-    b = ho_mode_basis(grid, 4)
-    assert np.allclose(b.mode_energies, [0.5, 1.5, 2.5, 3.5])
-
-
 def test_ho_modes_orthonormal(grid):
     b = ho_mode_basis(grid, 40)
     overlaps = b.mode_functions @ b.mode_functions.T * grid.dx

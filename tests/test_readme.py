@@ -1,16 +1,18 @@
 """The README's python blocks run as printed: the effpot sketch, the
-mean-field quench and the exactdiag quench."""
+mean-field quench and the exactdiag quench; its ini block is a valid config."""
 
 import pathlib
 import re
 
 import numpy as np
 
+from polaron1d.config import validate_config
+
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
-def blocks():
-    return re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+def blocks(language="python"):
+    return re.findall(rf"```{language}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
 
 
 def run_snippet(marker):
@@ -50,3 +52,9 @@ def test_exactdiag_snippet_runs():
     assert abs(s_t.values[0] - 1.0) <= 1e-12
     assert np.all(np.abs(s_t.values) <= 1.0 + 1e-12)
     assert s_vn[0] <= 1e-10 < s_vn[-1]
+
+
+def test_ini_block_is_a_valid_config():
+    (block,) = blocks("ini")
+    cfg = validate_config(block)
+    assert (cfg.tier, cfg.directory) == ("effpot", "runs/example")
