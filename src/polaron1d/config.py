@@ -2,12 +2,13 @@
 section headers, validated with line-anchored messages and echoed defaults.
 
 Each key is declared once, as a field of `ExperimentConfig`: the field's
-metadata holds its `section.key` and its rule, a test of (value, config)
+metadata holds its `section.key` and its rule, a test of the value alone
 with the message that states it; its annotation picks the parser and its
-default is the value of an omitted key. The sections, the key lookup, the
-parsers and the checks all read those fields. Every error starts with the
-line that set the key, `line N:`, or with `default:` when the key was
-omitted (a default of beta that does not pair with a configured alpha).
+default, which meets its own rule, is the value of an omitted key. The
+sections, the key lookup, the parsers and the checks all read those fields.
+So only a key that is set can be refused, and every error starts with the
+line that set it, `line N:`, or with `OUTPUT_DIR:` when that environment
+variable set `output.directory`.
 """
 
 import os
@@ -23,31 +24,27 @@ SWEEP_PARAMETERS = ("g_bi_final", "g_bb", "n_bath", "n_modes")
 
 def _key(key, default, rule=None):
     """A config field: its `section.key`, its default and its rule, a pair
-    (test(value, cfg), message) whose message may name {value} and {cfg}."""
+    (test(value), message) whose message may name {value}."""
     return field(default=default, metadata={"key": key, "rule": rule})
 
 
 def _at_least(lo, note=""):
-    return (lambda v, cfg: v >= lo), f"must be >= {lo}{note}"
+    return (lambda v: v >= lo), f"must be >= {lo}{note}"
 
 
 def _in_range(lo, hi):
-    return (lambda v, cfg: lo <= v <= hi), f"must be in {lo}..{hi}"
+    return (lambda v: lo <= v <= hi), f"must be in {lo}..{hi}"
 
 
 def _one_of(choices):
-    return (lambda v, cfg: v in choices), f"must be one of {choices}, got {{value!r}}"
+    return (lambda v: v in choices), f"must be one of {choices}, got {{value!r}}"
 
 
-_POSITIVE = (lambda v, cfg: v > 0), "must be > 0"
+_POSITIVE = (lambda v: v > 0), "must be > 0"
 _REPULSIVE = _at_least(0, " (repulsive model)")
-_NORMALISED = (
-    (lambda v, cfg: abs(cfg.alpha**2 + v**2 - 1.0) <= 1e-10),
-    "must satisfy alpha^2 + beta^2 = 1 with system.alpha = {cfg.alpha:.12g}, got {value:.12g}",
-)
-_NON_EMPTY = (lambda v, cfg: v != ""), "must not be empty"
+_NON_EMPTY = (lambda v: v != ""), "must not be empty"
 _SOURCE = (
-    (lambda v, cfg: v in ("tf", "relaxed") or os.path.isfile(v)),
+    (lambda v: v in ("tf", "relaxed") or os.path.isfile(v)),
     "must be tf, relaxed or a density file; no file {value!r}",
 )
 
@@ -61,8 +58,8 @@ class ExperimentConfig:
     omega_b: float = _key("system.omega_b", 1.0, _POSITIVE)
     omega_i_initial: float = _key("system.omega_i_initial", 1.0, _POSITIVE)
     omega_i_final: float = _key("system.omega_i_final", 1.0, _POSITIVE)
-    alpha: float = _key("system.alpha", 1.0 / np.sqrt(2.0))
-    beta: float = _key("system.beta", 1.0 / np.sqrt(2.0), _NORMALISED)
+    # the impurity starts in alpha |down> + beta |up>, beta^2 = 1 - alpha^2
+    alpha: float = _key("system.alpha", 1.0 / np.sqrt(2.0), _in_range(-1, 1))
     n_points: int = _key("grid.n_points", 450, _at_least(16))
     x_max: float = _key("grid.x_max", 40.0, _POSITIVE)
     dt: float = _key("time.dt", 5e-4, _POSITIVE)
@@ -72,7 +69,8 @@ class ExperimentConfig:
     n_modes: int = _key("solver.ed.n_modes", 10, _in_range(1, 40))
     dim_guard: int = _key("solver.ed.dim_guard", 5_000_000, _at_least(1))
     source: str = _key("solver.effpot.source", "relaxed", _SOURCE)
-    n_eig: int = _key("solver.effpot.n_eig", 40, _in_range(1, 60))
+    # at most grid.n_points - 2, the grid's levels (runner.contract_errors)
+    n_eig: int = _key("solver.effpot.n_eig", 40, _at_least(1))
     # empty for no sweep; each value meets the swept key's rule (sweep_value_errors)
     sweep_parameter: str = _key("sweep.parameter", "", _one_of(("",) + SWEEP_PARAMETERS))
     sweep_values: tuple = _key("sweep.values", ())
@@ -104,11 +102,11 @@ _KEYS = {f.metadata["key"]: f for f in _FIELDS.values()}
 _SECTIONS = {key.rpartition(".")[0] for key in _KEYS}
 
 
-def _refusal(f, value, cfg):
+def _refusal(f, value):
     """The message of the field's rule refusing `value`, or None."""
     rule = f.metadata["rule"]
-    if rule and not rule[0](value, cfg):
-        return f"{f.metadata['key']} " + rule[1].format(value=value, cfg=cfg)
+    if rule and not rule[0](value):
+        return f"{f.metadata['key']} " + rule[1].format(value=value)
     return None
 
 
@@ -118,7 +116,7 @@ def validate_config(text):
     cfg = ExperimentConfig()
     errors = []
     section = None
-    lines = {}  # field name -> the line that set it
+    anchors = {}  # field name -> what set it: "line N" or "OUTPUT_DIR"
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -141,30 +139,28 @@ def validate_config(text):
         if f is None:
             errors.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
-        if f.name in lines:
+        if f.name in anchors:
             errors.append(f"line {lineno}: duplicate key {key!r} in section [{section}]")
             continue
-        lines[f.name] = lineno
+        anchors[f.name] = f"line {lineno}"
         parse, kind = _PARSERS[f.type]
         try:
             setattr(cfg, f.name, parse(raw))
         except ValueError:
             errors.append(f"line {lineno}: cannot parse {raw!r} as {kind}")
-
-    def anchor(name):
-        return f"line {lines[name]}" if name in lines else "default"
-
+    if "OUTPUT_DIR" in os.environ:
+        cfg.directory = os.environ["OUTPUT_DIR"]
+        anchors["directory"] = "OUTPUT_DIR"
+    # a default meets its rule, so each refused value has an anchor
     for f in _FIELDS.values():
-        message = _refusal(f, getattr(cfg, f.name), cfg)
+        message = _refusal(f, getattr(cfg, f.name))
         if message:
-            errors.append(f"{anchor(f.name)}: {message}")
-    errors += [f"{anchor('sweep_values')}: {m}" for m in sweep_value_errors(cfg)]
+            errors.append(f"{anchors[f.name]}: {message}")
+    errors += [f"{anchors['sweep_values']}: {m}" for m in sweep_value_errors(cfg)]
     if errors:
         raise ConfigurationError(
             "invalid configuration:\n  " + "\n  ".join(errors), errors=errors
         )
-    if "OUTPUT_DIR" in os.environ:
-        cfg.directory = os.environ["OUTPUT_DIR"]
     return cfg
 
 
@@ -183,7 +179,7 @@ def sweep_value_errors(cfg):
             errors.append(f"sweep.values must be whole numbers for {parameter}, got {bad}")
     refused = {}
     for value in cfg.sweep_values:
-        message = _refusal(f, f.type(value), cfg)
+        message = _refusal(f, f.type(value))
         if message:
             refused.setdefault(message, []).append(value)
     errors += [f"sweep.values {vals} for {parameter}: {msg}" for msg, vals in refused.items()]

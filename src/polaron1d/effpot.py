@@ -106,10 +106,14 @@ def eigensolve(pot, n_eig=40):
     when V_eff is mirror symmetric, so each state is then exactly even or
     odd), and only the lowest n_eig states are unfolded onto the grid and
     kept. States whose energy exceeds V_eff(+-0.9 x_max) are flagged as
-    contaminated by box (wall) states."""
-    if not 1 <= n_eig <= 60:
-        raise ConfigurationError("n_eig must be in 1..60")
+    contaminated by box (wall) states. n_eig is at most n_points - 2, the
+    number of levels of the grid."""
     grid = pot.grid
+    if not 1 <= n_eig <= grid.n_points - 2:
+        raise ConfigurationError(
+            f"n_eig must be in 1..{grid.n_points - 2} on a {grid.n_points}-point grid, "
+            f"got {n_eig}"
+        )
     energies, states = stationary_states(grid, pot.values, n_eig)
     wall = 0.9 * grid.x_max
     v_wall = min(
@@ -202,20 +206,23 @@ class BreathingResult:
     initial_spectrum: PotentialSpectrum = field(repr=False, compare=False)
 
 
-def breathing_run(pot_builder, omega_i_initial, omega_i_final, t_max=80.0, dt=0.02, n_eig=40):
-    """Trap-frequency quench of a single particle in the effective potential.
+def breathing_run(bath_density, g_bi, omega_i_initial, omega_i_final, t_max, dt, n_eig=40):
+    """Trap-frequency quench of a single particle in the effective potential
+    of `bath_density` at coupling g_bi (`build_effective_potential`).
 
-    pot_builder(omega) must return the EffectivePotential whose trap part uses
-    that frequency. The particle starts in the ground state of
-    pot_builder(omega_i_initial) and evolves in pot_builder(omega_i_final);
-    the breathing frequency is the dominant line of the position variance
-    (the mean-position record is kept alongside). The spectrum of
-    pot_builder(omega_i_initial) is returned as `initial_spectrum`.
+    The particle starts in the ground state of the potential with trap
+    frequency omega_i_initial and evolves in the one with omega_i_final,
+    sampled every dt up to t_max; the breathing frequency is the dominant
+    line of the position variance (the mean-position record is kept
+    alongside). The spectrum of the initial potential is returned as
+    `initial_spectrum`.
     """
     if omega_i_initial <= 0 or omega_i_final <= 0:
         raise ConfigurationError("trap frequencies must be > 0")
-    spec0 = eigensolve(pot_builder(omega_i_initial), n_eig=n_eig)
-    spec1 = eigensolve(pot_builder(omega_i_final), n_eig=n_eig)
+    spec0, spec1 = (
+        eigensolve(build_effective_potential(bath_density, g_bi, omega_trap=om), n_eig=n_eig)
+        for om in (omega_i_initial, omega_i_final)
+    )
     ground = Field(spec0.potential.grid, spec0.states[:, 0])
     series = stationary_moments(spec1, ground, t_max, dt)
     x_t = series["x_mean"].values

@@ -110,15 +110,14 @@ class EnergyBreakdown:
 ENERGY_TERMS = tuple(f.name for f in fields(EnergyBreakdown)) + ("total",)
 
 
-def general_weights_contrast(s, alpha, beta):
-    """Spin polarization magnitude for unequal superposition weights:
-    sqrt(4 a^2 b^2 |S|^2 + (a^2 - b^2)^2), with S from the equal-weight case."""
-    if abs(alpha**2 + beta**2 - 1.0) > 1e-10:
-        raise ConfigurationError(
-            f"weights must satisfy alpha^2+beta^2=1, got {alpha**2 + beta**2!r}"
-        )
-    mag = np.abs(s.values)
-    out = np.sqrt(4.0 * alpha**2 * beta**2 * mag**2 + (alpha**2 - beta**2) ** 2)
+def general_weights_contrast(s, alpha):
+    """Spin polarization magnitude for the initial state alpha |down> +
+    beta |up>, beta^2 = 1 - alpha^2: sqrt(4 a^2 b^2 |S|^2 + (a^2 - b^2)^2),
+    with S from the equal-weight case."""
+    if not -1.0 <= alpha <= 1.0:
+        raise ConfigurationError(f"alpha must be in -1..1, got {alpha!r}")
+    a2, b2 = alpha**2, 1.0 - alpha**2
+    out = np.sqrt(4.0 * a2 * b2 * np.abs(s.values) ** 2 + (a2 - b2) ** 2)
     return TimeSeries(s.t0, s.dt_sample, out)
 
 

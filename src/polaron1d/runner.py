@@ -249,14 +249,14 @@ def _contrast_files(out, s_series, cfg):
     spec = obs.spectral_function(s_series, window="hann")
     _write_csv(out.path("spectrum.csv"), ["omega", "a"], [spec.omegas, spec.values])
     peaks = obs.find_peaks(spec, threshold_frac=0.05)
-    weighted = obs.general_weights_contrast(s_series, cfg.alpha, cfg.beta)
+    weighted = obs.general_weights_contrast(s_series, cfg.alpha)
     summary = {
         "peaks": peaks,
         "frequency_resolution": spec.resolution,
         "min_contrast": float(np.min(np.abs(svals))),
         "min_weighted_contrast": float(np.min(weighted.values)),
         "alpha": cfg.alpha,
-        "beta": cfg.beta,
+        "beta": float(np.sqrt(1.0 - cfg.alpha**2)),
     }
     if s_series.t_max >= obs.REGION_WINDOW:
         summary["region"] = obs.classify_region(
@@ -275,8 +275,20 @@ def _contrast_files(out, s_series, cfg):
 
 # the effpot tier samples its expansion at every step of max(time.dt, this),
 # whatever time.record_every says: the floor keeps it from sampling at a raw
-# propagation dt (ROADMAP item 2)
+# propagation dt (ROADMAP item 2). `_record_clock` alone applies it.
 EFFPOT_DT_FLOOR = 0.02
+
+
+def _record_clock(cfg):
+    """(step, every): a quench or breathing run of cfg records every `every`
+    steps of `step`, so its record spacing, which each manifest reports as
+    diagnostics.record_spacing, is step * every. The meanfield and ed tiers
+    step by time.dt and record every time.record_every steps. The effpot
+    tier's expansion is exact at any t: it samples every step of
+    max(time.dt, EFFPOT_DT_FLOOR) and reads no time.record_every."""
+    if cfg.tier == "effpot":
+        return max(cfg.dt, EFFPOT_DT_FLOOR), 1
+    return cfg.dt, cfg.record_every
 
 
 def _relax_meanfield(cfg, out, grid):
@@ -380,7 +392,8 @@ def _quench_effpot(cfg, out, grid):
     pot = ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=cfg.omega_i_initial)
     spec = ep.eigensolve(pot, n_eig=cfg.n_eig)
     out.diagnostics["mirror_symmetric"] = is_mirror_symmetric(pot.values)
-    contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=max(cfg.dt, EFFPOT_DT_FLOOR))
+    step, _ = _record_clock(cfg)
+    contrast = ep.effpot_contrast(spec, t_max=cfg.t_max, dt=step)
     summary = _contrast_files(out, contrast.series, cfg)
     _write_csv(
         out.path("energies.csv"),
@@ -519,19 +532,16 @@ def _breathing_meanfield(cfg, out, grid):
 def _breathing_effpot(cfg, out, grid):
     """The m_eff fit runs on an interaction-quench companion series (bare
     impurity released into the effective potential built with the pre-quench
-    trap) where the closed-form model applies; a fit failure is surfaced in
-    the summary, not raised."""
+    trap), on the run's own records, where the closed-form model applies; a
+    fit failure is surfaced in the summary, not raised."""
     from . import effpot as ep
 
     source, source_tag, scale, telemetry = _density_source(cfg, grid)
     out.diagnostics.update(telemetry)
-
-    def builder(omega):
-        return ep.build_effective_potential(source, cfg.g_bi_final, omega_trap=omega)
-
+    step, _ = _record_clock(cfg)
     br = ep.breathing_run(
-        builder, cfg.omega_i_initial, cfg.omega_i_final,
-        t_max=min(cfg.t_max, 120.0), dt=max(cfg.dt, EFFPOT_DT_FLOOR), n_eig=cfg.n_eig,
+        source, cfg.g_bi_final, cfg.omega_i_initial, cfg.omega_i_final,
+        t_max=cfg.t_max, dt=step, n_eig=cfg.n_eig,
     )
     out.diagnostics["mirror_symmetric"] = is_mirror_symmetric(
         br.initial_spectrum.potential.values
@@ -542,7 +552,7 @@ def _breathing_effpot(cfg, out, grid):
     om = cfg.omega_i_initial
     try:
         moments = ep.stationary_moments(
-            br.initial_spectrum, bare_ground_state(grid, omega=om), t_max=80.0, dt=0.02
+            br.initial_spectrum, bare_ground_state(grid, omega=om), t_max=cfg.t_max, dt=step
         )
         fit = ep.fit_effective_mass(
             moments["x2"], moments["p2"], {"x2_0": 1.0 / (2.0 * om), "p2_0": om / 2.0}
@@ -575,9 +585,9 @@ def contract_errors(cfg, pipeline):
     ED tier evolves the spin-down branch as the pure phase exp(-i E0 t),
     exact only for a stationary initial state, and builds the bath in the
     unit-frequency oscillator basis. The effpot tier starts the impurity in
-    the bare trap ground state. A quench or breathing run records at least
-    once: its t_max is at least one record interval, dt * record_every, or
-    for the effpot tier, which reads no record_every, max(dt, 0.02). A sweep
+    the bare trap ground state and keeps at most n_points - 2 levels, all
+    the grid has. A quench or breathing run records at least once: its t_max
+    is at least one record interval of `_record_clock`. A sweep
     needs a parameter, a non-empty list of values its key accepts
     (`sweep_value_errors`), and a config that its sweep.pipeline, quench or
     breathing, can run; that pipeline's contract reads none of the sweep
@@ -602,7 +612,7 @@ def contract_errors(cfg, pipeline):
         errors.append("breathing run needs omega_i_initial != omega_i_final")
     # the rule of `observables.record_times`, at the spacing the tier uses
     effpot = cfg.tier == "effpot"
-    step, every = (max(cfg.dt, EFFPOT_DT_FLOOR), 1) if effpot else (cfg.dt, cfg.record_every)
+    step, every = _record_clock(cfg)
     if pipeline != "relax" and round(cfg.t_max / step) < every:
         interval = (
             f"max(time.dt, {EFFPOT_DT_FLOOR:g}) = {step:g} with time.dt = {cfg.dt:g} "
@@ -612,6 +622,11 @@ def contract_errors(cfg, pipeline):
         )
         errors.append(
             f"time.t_max = {cfg.t_max:g} is shorter than one record interval {interval}"
+        )
+    if effpot and cfg.n_eig > cfg.n_points - 2:
+        errors.append(
+            f"solver.effpot.n_eig = {cfg.n_eig} exceeds the {cfg.n_points - 2} levels "
+            f"of grid.n_points = {cfg.n_points} (n_points - 2)"
         )
     if pipeline == "quench":
         required = {"g_bi_initial": 0.0} if cfg.tier in ("ed", "effpot") else {}
@@ -634,6 +649,9 @@ def _run(cfg, directory, pipeline, summary_name="summary.json", **header):
         errors = contract_errors(cfg, pipeline)
         if errors:
             raise ConfigurationError("; ".join(errors), errors=errors)
+        if pipeline != "relax":
+            step, every = _record_clock(cfg)
+            out.diagnostics["record_spacing"] = step * every
         grid = build_grid(cfg.n_points, cfg.x_max)
         summary = BODIES[pipeline][cfg.tier](cfg, out, grid)
         summary.update(

@@ -111,22 +111,17 @@ def test_criterion_3_multiplet(relaxed_density):
 
 
 def test_criterion_4_breathing_curve(grid, relaxed_density):
-    def builder_for(g):
-        return lambda om: ep.build_effective_potential(
-            relaxed_density, g, omega_trap=om
-        )
-
     details = []
     ok = True
     for g in (0.0, 0.1, 0.2, 0.25):
-        out = ep.breathing_run(builder_for(g), 0.95, 1.0, t_max=80.0, dt=0.02)
+        out = ep.breathing_run(relaxed_density, g, 0.95, 1.0, t_max=80.0, dt=0.02)
         target = 2.0 * np.sqrt(1.0 - g / 0.5)
         rel = abs(out.omega_br / target - 1.0)
         ok = ok and rel <= 0.05
         details.append(f"g={g}: {out.omega_br:.4f} vs {target:.4f} ({rel:.2%})")
     sweep = np.arange(0.0, 1.2001, 0.1)
     omegas = [
-        ep.breathing_run(builder_for(g), 0.95, 1.0, t_max=80.0, dt=0.02).omega_br
+        ep.breathing_run(relaxed_density, g, 0.95, 1.0, t_max=80.0, dt=0.02).omega_br
         for g in sweep
     ]
     g_min = float(sweep[int(np.argmin(omegas))])
@@ -195,7 +190,7 @@ def test_criterion_8_exact_identities(grid, ed_quench_runs, relaxed_density):
     # general-weights identity vs explicit spin construction
     svals = ed_quench_runs[1.0]["s"]
     a, b = 0.6, 0.8
-    weighted = obs.general_weights_contrast(svals, a, b)
+    weighted = obs.general_weights_contrast(svals, a)
     direct = np.sqrt(
         (2 * a * b * svals.values.real) ** 2
         + (2 * a * b * svals.values.imag) ** 2

@@ -1,7 +1,6 @@
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import tempfile
 
@@ -183,7 +182,7 @@ REFUSED = [
     ("system.omega_b", "0"),
     ("system.omega_i_initial", "0"),
     ("system.omega_i_final", "-1"),
-    ("system.beta", "0.8"),
+    ("system.alpha", "1.5"),
     ("grid.n_points", "15"),
     ("grid.x_max", "0"),
     ("time.dt", "0"),
@@ -193,13 +192,13 @@ REFUSED = [
     ("solver.ed.n_modes", "41"),
     ("solver.ed.dim_guard", "0"),
     ("solver.effpot.source", "no-such-density.txt"),
-    ("solver.effpot.n_eig", "61"),
+    ("solver.effpot.n_eig", "0"),
     ("sweep.parameter", "omega_b"),
     ("sweep.pipeline", "relax"),
     ("output.directory", ""),
 ]
 
-# values each key accepts; alpha, beta and sweep.values are drawn together
+# values each key accepts; sweep.values are drawn for the drawn parameter
 _POSITIVE = st.floats(0.0, 1e6, exclude_min=True)
 _COUPLING = st.floats(0.0, 1e6)
 VALID = {
@@ -210,6 +209,7 @@ VALID = {
     "omega_b": _POSITIVE,
     "omega_i_initial": _POSITIVE,
     "omega_i_final": _POSITIVE,
+    "alpha": st.floats(-1.0, 1.0),
     "n_points": st.integers(16, 10**6),
     "x_max": _POSITIVE,
     "dt": _POSITIVE,
@@ -219,7 +219,7 @@ VALID = {
     "n_modes": st.integers(1, 40),
     "dim_guard": st.integers(1, 10**9),
     "source": st.sampled_from(("tf", "relaxed")),
-    "n_eig": st.integers(1, 60),
+    "n_eig": st.integers(1, 10**6),
     "sweep_parameter": st.sampled_from(("",) + SWEEP_PARAMETERS),
     "sweep_pipeline": st.sampled_from(("quench", "breathing")),
     "directory": st.text(
@@ -245,9 +245,16 @@ class TestValidateConfig:
         assert cfg.alpha == pytest.approx(1 / np.sqrt(2))
 
     def test_unnormalized_weights_rejected(self):
-        text = MINIMAL + "alpha = 0.8\nbeta = 0.8\n"
-        with pytest.raises(ConfigurationError, match="alpha"):
+        # beta^2 = 1 - alpha^2, so an alpha outside -1..1 has no partner
+        text = MINIMAL + "alpha = 1.5\n"
+        with pytest.raises(ConfigurationError) as raised:
             validate_config(text)
+        assert raised.value.errors == ["line 4: system.alpha must be in -1..1"]
+
+    def test_beta_key_rejected(self):
+        with pytest.raises(ConfigurationError) as raised:
+            validate_config("[system]\nalpha = 0.6\nbeta = 0.8\n")
+        assert raised.value.errors == ["line 3: unknown key 'beta' in section [system]"]
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ConfigurationError, match="g_bb"):
@@ -314,18 +321,16 @@ class TestValidateConfig:
         (error,) = raised.value.errors
         assert error.startswith(f"line 4: {key} ")
 
-    def test_omitted_key_is_anchored_to_its_default(self):
-        with pytest.raises(ConfigurationError) as raised:
-            validate_config("[system]\nalpha = 0.8\n")
-        (error,) = raised.value.errors
-        assert error.startswith("default: system.beta must satisfy alpha^2 + beta^2 = 1")
+    def test_every_default_meets_its_rule(self):
+        # so only a key that is set can be refused, and each refusal has a line
+        for f in dataclasses.fields(ExperimentConfig):
+            rule = f.metadata["rule"]
+            assert rule is None or rule[0](f.default), f.metadata["key"]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_round_trip(self, data):
         drawn = {name: data.draw(strategy, label=name) for name, strategy in VALID.items()}
-        angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
-        drawn["alpha"], drawn["beta"] = math.cos(angle), math.sin(angle)
         parameter = drawn["sweep_parameter"]
         values = SWEEP_VALUES.get(parameter, st.floats(-1e6, 1e6))
         drawn["sweep_values"] = tuple(data.draw(st.lists(values, max_size=4), label="values"))
@@ -346,10 +351,10 @@ class TestValidateConfig:
             ("[system]\ng_bb = nan\n", 2),
             ("[grid]\nx_max = inf\n", 2),
             ("[time]\ndt = nan\n", 2),
-            ("[system]\nalpha = nan\nbeta = nan\n", 3),
+            ("[system]\nalpha = nan\n", 2),
             ("[sweep]\nparameter = g_bi_final\nvalues = 0.5, nan\n", 3),
         ],
-        ids=["g_bb", "x_max", "dt", "alpha-beta", "sweep-values"],
+        ids=["g_bb", "x_max", "dt", "alpha", "sweep-values"],
     )
     def test_non_finite_values_rejected(self, text, line):
         with pytest.raises(ConfigurationError, match=f"line {line}: cannot parse"):
@@ -372,6 +377,17 @@ class TestValidateConfig:
         monkeypatch.setenv("OUTPUT_DIR", "/tmp/envdir")
         cfg = validate_config(MINIMAL)
         assert cfg.directory == "/tmp/envdir"
+
+    def test_empty_output_dir_env_is_refused(self, tmp_path, monkeypatch, capsys):
+        # the override meets output.directory's rule, anchored to the variable
+        monkeypatch.setenv("OUTPUT_DIR", "")
+        with pytest.raises(ConfigurationError) as raised:
+            validate_config(MINIMAL)
+        assert raised.value.errors == ["OUTPUT_DIR: output.directory must not be empty"]
+        path = tmp_path / "ok.cfg"
+        path.write_text(BREATHING_TF.format(g_bi=0.0, outdir=tmp_path / "br"))
+        assert cli.main(["breathing", "--config", str(path)]) == 2
+        assert "OUTPUT_DIR: output.directory must not be empty" in capsys.readouterr().err
 
     def test_comments_and_blank_lines(self):
         cfg = validate_config("# comment\n\n[system]\nn_bath = 7  # inline\n")
@@ -574,31 +590,24 @@ class TestRunnerPipelines:
         assert sector["other_energy"] > summary["energy_reference"] + 0.5
 
     def test_meanfield_quench_unquenched_contrast(self, tmp_path):
-        outdir = str(tmp_path / "mf")
-        cfg = validate_config(
-            "\n".join(
-                [
-                    "[system]",
-                    "n_bath = 100",
-                    "g_bb = 0.5",
-                    "g_bi_final = 0.0",
-                    "[time]",
-                    "dt = 5e-4",
-                    "t_max = 2",
-                    "record_every = 400",
-                    "[solver]",
-                    "tier = meanfield",
-                    "[output]",
-                    f"directory = {outdir}",
-                ]
+        # g_bi_final = g_bi_initial = 0: nothing is quenched, so |S| = 1 in every tier
+        runs = {
+            "meanfield": ("n_bath = 100", "dt = 5e-4\nt_max = 2\nrecord_every = 400"),
+            "ed": ("n_bath = 4\n[solver.ed]\nn_modes = 10", "dt = 0.05\nt_max = 3\nrecord_every = 2"),
+            "effpot": ("n_bath = 100", "dt = 0.02\nt_max = 100"),
+        }
+        for tier, (system, time) in runs.items():
+            outdir = str(tmp_path / tier)
+            cfg = validate_config(
+                f"[system]\ng_bb = 0.5\ng_bi_final = 0.0\n{system}\n[time]\n{time}\n"
+                f"[solver]\ntier = {tier}\n[output]\ndirectory = {outdir}\n"
             )
-        )
-        summary = runner.run_quench(cfg)
-        header, data = runner.read_csv(os.path.join(outdir, "contrast.csv"))
-        abs_col = data[:, header.index("abs_s")]
-        assert np.max(np.abs(abs_col - 1.0)) < 1e-8
-        assert summary["norm_drift"] < 1e-10
-        assert os.path.exists(os.path.join(outdir, "energies.csv"))
+            summary = runner.run_quench(cfg)
+            header, data = runner.read_csv(os.path.join(outdir, "contrast.csv"))
+            abs_col = data[:, header.index("abs_s")]
+            assert np.max(np.abs(abs_col - 1.0)) < 1e-8, tier
+            assert summary.get("norm_drift", 0.0) < 1e-10, tier
+            assert os.path.exists(os.path.join(outdir, "energies.csv")), tier
 
     def test_meanfield_quench_one_record_interval(self, tmp_path):
         # one interval has two records, 0 and 1: the middle state is the last,
@@ -683,9 +692,10 @@ class TestRunnerPipelines:
         grid = build_grid(cfg.n_points, cfg.x_max)
         tf = mf.thomas_fermi(mf.MeanFieldSystem(n_bath=100, g_bb=0.5, g_bi=0.0))
         pot = ep.build_effective_potential(tf.density(grid), 0.25, omega_trap=0.95)
+        # on the run's own records: t <= time.t_max = 60, every time.dt = 0.02
         moments = ep.stationary_moments(
             solve(pot, n_eig=cfg.n_eig), bare_ground_state(grid, omega=0.95),
-            t_max=80.0, dt=0.02,
+            t_max=60.0, dt=0.02,
         )
         fit = ep.fit_effective_mass(
             moments["x2"], moments["p2"], {"x2_0": 1.0 / 1.9, "p2_0": 0.475}
@@ -694,6 +704,61 @@ class TestRunnerPipelines:
             saved = json.load(fh)
         assert saved["fit_valid"]
         assert (saved["m_eff"], saved["omega_eff"]) == (fit.m_eff, fit.omega_eff)
+
+    def test_breathing_effpot_runs_to_its_t_max(self, tmp_path):
+        outdir = str(tmp_path / "br")
+        cfg = validate_config(
+            BREATHING_TF.format(g_bi=0.25, outdir=outdir).replace("t_max = 60", "t_max = 200")
+        )
+        runner.run_breathing(cfg)
+        header, data = runner.read_csv(os.path.join(outdir, "variance.csv"))
+        t = data[:, header.index("t")]
+        assert (t[0], t[-1], t.size) == (0.0, pytest.approx(200.0), 10001)
+
+    @pytest.mark.parametrize(
+        "pipeline, tier, time, csv, spacing",
+        [
+            ("quench", "meanfield", "dt = 1e-3\nt_max = 0.2\nrecord_every = 50", "contrast.csv",
+             0.05),
+            ("quench", "ed", "dt = 1e-3\nt_max = 0.2\nrecord_every = 50", "contrast.csv", 0.05),
+            ("quench", "effpot", "dt = 1e-3\nt_max = 1\nrecord_every = 7", "contrast.csv", 0.02),
+            ("breathing", "meanfield", "dt = 1e-3\nt_max = 0.2\nrecord_every = 50",
+             "variance.csv", 0.05),
+            ("breathing", "effpot", "dt = 0.03\nt_max = 1\nrecord_every = 7", "variance.csv",
+             0.03),
+        ],
+        ids=["quench-meanfield", "quench-ed", "quench-effpot", "breathing-meanfield",
+             "breathing-effpot"],
+    )
+    def test_manifest_reports_the_record_spacing(self, tmp_path, pipeline, tier, time, csv,
+                                                 spacing):
+        outdir = str(tmp_path / "run")
+        text = TIER_MATRIX.format(omega_i_final=1.2 if pipeline == "breathing" else 1.0,
+                                  outdir=outdir)
+        text = text.replace("dt = 1e-3\nt_max = 0.2\nrecord_every = 50", time)
+        cfg = validate_config(text + f"[solver]\ntier = {tier}\n")
+        (runner.run_breathing if pipeline == "breathing" else runner.run_quench)(cfg)
+        with open(os.path.join(outdir, "manifest.json"), encoding="utf-8") as fh:
+            reported = json.load(fh)["diagnostics"]["record_spacing"]
+        header, data = runner.read_csv(os.path.join(outdir, csv))
+        t = data[:, header.index("t")]
+        assert reported == pytest.approx(spacing, rel=1e-15)
+        assert np.allclose(np.diff(t), reported, rtol=1e-12, atol=0)
+        assert t[1] - t[0] == reported
+
+    def test_effpot_quench_keeps_levels_past_sixty(self, tmp_path):
+        # on the default bath the first 60 levels hold 0.99175 of the weight at
+        # g_bi = 4; the 1e-6 gate of effpot_contrast needs 71
+        outdir = tmp_path / "ep"
+        path = tmp_path / "ep.cfg"
+        path.write_text(
+            "[system]\nn_bath = 100\ng_bb = 0.5\ng_bi_final = 4.0\n"
+            "[time]\ndt = 0.02\nt_max = 20\n[solver]\ntier = effpot\n"
+            f"[solver.effpot]\nsource = relaxed\nn_eig = 100\n[output]\ndirectory = {outdir}\n"
+        )
+        assert cli.main(["quench", "--config", str(path)]) == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert abs(summary["weights_sum"] - 1.0) <= 1e-6
 
     def test_relax_pipeline(self, tmp_path):
         outdir = str(tmp_path / "rx")

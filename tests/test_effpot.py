@@ -3,6 +3,8 @@ import pytest
 
 from polaron1d import effpot as ep
 from polaron1d import meanfield as mf
+from polaron1d import runner
+from polaron1d.config import validate_config
 from polaron1d.errors import AnalysisError, ConfigurationError, FitQualityError
 from polaron1d.grid import (
     Field,
@@ -113,8 +115,10 @@ class TestEigensolve:
                 assert ov > 1e-6
 
     def test_n_eig_bound(self, tf_pot_weak):
-        with pytest.raises(ConfigurationError):
-            ep.eigensolve(tf_pot_weak, n_eig=61)
+        # the 450-point grid has 448 levels
+        for n_eig in (0, 449):
+            with pytest.raises(ConfigurationError, match="1..448"):
+                ep.eigensolve(tf_pot_weak, n_eig=n_eig)
 
     @pytest.mark.parametrize("source", ["relaxed", "tf-narrow-odd-grid", "asymmetric-file"])
     def test_kept_states_are_the_leading_full_states(
@@ -301,19 +305,57 @@ class TestStationaryMoments:
 
 class TestBreathing:
     def test_bare_trap_frequency(self, grid, tf_profile):
-        def builder(om):
-            return ep.build_effective_potential(tf_profile.density(grid), 0.0, omega_trap=om)
-
-        out = ep.breathing_run(builder, 0.95, 1.0, t_max=60.0, dt=0.02)
+        out = ep.breathing_run(tf_profile.density(grid), 0.0, 0.95, 1.0, t_max=60.0, dt=0.02)
         assert out.omega_br == pytest.approx(2.0, rel=0.01)
         assert np.max(np.abs(out.series["x_mean"].values)) < 1e-8
 
     def test_tf_regime_frequency(self, grid, relaxed_density):
-        def builder(om):
-            return ep.build_effective_potential(relaxed_density, 0.25, omega_trap=om)
-
-        out = ep.breathing_run(builder, 0.95, 1.0, t_max=80.0, dt=0.02)
+        out = ep.breathing_run(relaxed_density, 0.25, 0.95, 1.0, t_max=80.0, dt=0.02)
         assert out.omega_br == pytest.approx(2.0 * np.sqrt(1 - 0.25 / 0.5), rel=0.05)
+
+
+def double_well_onset(density):
+    """The coupling at which V_eff'' at x = 0 changes sign. The curvature is
+    c(g) = c(0) + g c_rho, linear in g_bi, so the onset is -c(0)/(c(1) - c(0))."""
+    c0, c1 = (ep.build_effective_potential(density, g).curvature_at_origin() for g in (0.0, 1.0))
+    return -c0 / (c1 - c0)
+
+
+class TestDoubleWellOnset:
+    @pytest.fixture(scope="class")
+    def onsets(self, grid):
+        # N_B = 100, relaxed at g_bi = 0 on the default grid, omega_I = omega_B = 1
+        return {
+            g_bb: double_well_onset(
+                mf.relax_ground_state(mf.MeanFieldSystem(n_bath=100, g_bb=g_bb, g_bi=0.0), grid)[0]
+                .bath.density(100)
+            )
+            for g_bb in (0.25, 0.5, 1.0)
+        }
+
+    def test_onset_matches_thomas_fermi_estimate(self, onsets):
+        # Thomas-Fermi: rho'' (0) = -omega_B^2 / g_bb, so the onset is
+        # g_bb omega_I^2 / omega_B^2; the kinetic term of the relaxed bath
+        # rounds the profile and moves the onset below it
+        gaps = {g_bb: 1.0 - onset / g_bb for g_bb, onset in onsets.items()}
+        assert 0.0 < gaps[0.5] < 0.03
+        assert 0.0 < gaps[1.0] < 0.03
+        assert gaps[0.25] > gaps[0.5] > gaps[1.0]
+
+    def test_region_crossing_brackets_the_onset(self, tmp_path, relaxed_density):
+        # effpot quenches on the default relaxed bath, one each side of the onset
+        onset = double_well_onset(relaxed_density)
+        found = {}
+        for g_bi in (0.45, 0.6):
+            summary = runner.run_quench(validate_config(
+                f"[system]\nn_bath = 100\ng_bb = 0.5\ng_bi_final = {g_bi}\n"
+                "[time]\ndt = 0.02\nt_max = 50\n[solver]\ntier = effpot\n"
+                "[solver.effpot]\nsource = relaxed\nn_eig = 60\n"
+                f"[output]\ndirectory = {tmp_path / str(g_bi)}\n"
+            ))
+            found[g_bi] = (summary["region"]["region"], np.sign(summary["curvature_at_origin"]))
+        assert found == {0.45: ("R_I", 1.0), 0.6: ("R_II", -1.0)}
+        assert 0.45 < onset < 0.6
 
 
 class TestEffectiveMassFit:
@@ -332,10 +374,7 @@ class TestEffectiveMassFit:
         assert fit.omega_eff == pytest.approx(1.3, abs=1e-6)
 
     def test_bare_particle_from_trap_quench(self, grid, tf_profile):
-        def builder(om):
-            return ep.build_effective_potential(tf_profile.density(grid), 0.0, omega_trap=om)
-
-        out = ep.breathing_run(builder, 0.95, 1.0, t_max=60.0, dt=0.02)
+        out = ep.breathing_run(tf_profile.density(grid), 0.0, 0.95, 1.0, t_max=60.0, dt=0.02)
         fit = ep.fit_effective_mass(
             out.series["x2"], out.series["p2"],
             {"x2_0": 1.0 / (2 * 0.95), "p2_0": 0.95 / 2.0},
@@ -361,10 +400,7 @@ class TestEffectiveMassFit:
 
     def test_invalid_regime_raises(self, grid, relaxed_density):
         # trap quench with g_bi > 0: bare-moment model does not describe the data
-        def builder(om):
-            return ep.build_effective_potential(relaxed_density, 0.3, omega_trap=om)
-
-        out = ep.breathing_run(builder, 0.95, 1.0, t_max=60.0, dt=0.02)
+        out = ep.breathing_run(relaxed_density, 0.3, 0.95, 1.0, t_max=60.0, dt=0.02)
         with pytest.raises(FitQualityError):
             ep.fit_effective_mass(
                 out.series["x2"], out.series["p2"],

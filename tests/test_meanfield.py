@@ -531,7 +531,7 @@ class TestPropagate:
         traj, _ = mf.propagate(state, sys_post, dt=5e-4, t_max=3.0, record_every=500)
         s = mf.mean_field_contrast(traj.times, traj.overlaps, res.energy, sys_post.n_bath, 5e-4 * 500)
         a, b = 0.6, 0.8
-        out = general_weights_contrast(s, a, b)
+        out = general_weights_contrast(s, a)
         svals = s.values
         direct = np.sqrt(
             (2 * a * b * svals.real) ** 2

@@ -66,23 +66,24 @@ class TestGeneralWeights:
     def test_equal_weights_reduce_to_magnitude(self):
         s = phase_signal(2.0, t_max=10.0)
         s = TimeSeries(s.t0, s.dt_sample, s.values * np.exp(-0.05 * s.times))
-        out = general_weights_contrast(s, 1 / np.sqrt(2), 1 / np.sqrt(2))
+        out = general_weights_contrast(s, 1 / np.sqrt(2))
         assert np.allclose(out.values, np.abs(s.values), atol=1e-14)
 
     def test_beta_zero_gives_unity(self):
         s = phase_signal(3.0, t_max=5.0)
-        out = general_weights_contrast(s, 1.0, 0.0)
+        out = general_weights_contrast(s, 1.0)
         assert np.allclose(out.values, 1.0, atol=1e-14)
 
     def test_vanishing_contrast_value(self):
         s = TimeSeries(0.0, 1.0, np.array([1.0 + 0j, 0.0 + 0j]))
-        out = general_weights_contrast(s, 0.6, 0.8)
+        out = general_weights_contrast(s, 0.6)
         assert out.values[1] == pytest.approx(abs(0.36 - 0.64), abs=1e-15)
 
     def test_rejects_unnormalized_weights(self):
         s = phase_signal(1.0, t_max=5.0)
+        # beta^2 = 1 - alpha^2 < 0: no normalized pair has this alpha
         with pytest.raises(ConfigurationError):
-            general_weights_contrast(s, 0.8, 0.8)
+            general_weights_contrast(s, 1.2)
 
     def test_matches_two_branch_construction(self):
         # explicit spin components: Sx = 2ab Re S, Sy = 2ab Im S, Sz = a^2-b^2
@@ -97,7 +98,7 @@ class TestGeneralWeights:
             + (2 * a * b * vals.imag) ** 2
             + (a**2 - b**2) ** 2
         )
-        out = general_weights_contrast(s, a, b)
+        out = general_weights_contrast(s, a)
         assert np.max(np.abs(out.values - direct)) < 1e-12
 
 
