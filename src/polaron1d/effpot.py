@@ -5,11 +5,13 @@ externally supplied sample). Eigensolve, quench/breathing dynamics, contrast
 and the m_eff fit all live here.
 
 A relaxed or Thomas-Fermi bath is exactly even, so its potential is mirror
-symmetric to the bit and the eigensolve runs as two parity blocks
-(`grid.stationary_states`); a density file that is not symmetric takes one
-full eigendecomposition. The contrast sums the expansion with factored
-phases, one complex matrix product, without forming the samples-by-levels
-array of phases.
+symmetric to the bit and the eigensolve runs as two half-size parity blocks
+read straight off the sine kernel (`grid.stationary_states`); only a density
+file that is not symmetric gets the n x n matrix and one full
+eigendecomposition. No other part of the tier forms the n x n kinetic
+matrix: the <p^2> moment is read off the energies and the potential. The
+contrast sums the expansion with factored phases, one complex matrix
+product, without forming the samples-by-levels array of phases.
 """
 
 import math
@@ -27,7 +29,6 @@ from .grid import (
     Field,
     bare_ground_state,
     evolve_coefficients,
-    kinetic_matrix,
     stationary_states,
 )
 from .observables import TimeSeries, dominant_frequency, record_times
@@ -181,20 +182,22 @@ def effpot_contrast(spec, initial=None, t_max=100.0, dt=0.05):
 def stationary_moments(spec, initial, t_max, dt):
     """Evolve `initial` in the stationary states of `spec` and return the
     <x>, <x^2> and <p^2> series (keys x_mean, x2, p2). The moment matrices
-    are S^T diag(f) S dx over the real grid-sampled states S; <p^2> uses the
-    sine-DVR kinetic matrix."""
+    are S^T diag(f) S dx over the real grid-sampled states S. The states are
+    eigenvectors of the sine-DVR Hamiltonian T + diag(V), so the <p^2>
+    matrix 2 S^T T S dx is 2 (diag(E) - S^T diag(V) S dx), formed without
+    the n x n kinetic matrix."""
     coeffs = _expansion(spec, initial)
     grid = initial.grid
     s = spec.states
     moments = {
-        "x_mean": s.T @ (grid.x[:, None] * s),
-        "x2": s.T @ (grid.x[:, None] ** 2 * s),
-        "p2": 2.0 * (s[1:-1].T @ (kinetic_matrix(grid) @ s[1:-1])),
+        "x_mean": s.T @ (grid.x[:, None] * s) * grid.dx,
+        "x2": s.T @ (grid.x[:, None] ** 2 * s) * grid.dx,
+        "p2": 2.0 * (np.diag(spec.energies) - s.T @ (spec.potential.values[:, None] * s) * grid.dx),
     }
     amps = evolve_coefficients(spec.energies, coeffs, record_times(dt, t_max, 1))
     series = {}
     for key, mat in moments.items():
-        vals = np.sum(np.conj(amps) * (amps @ (mat * grid.dx)), axis=1)
+        vals = np.sum(np.conj(amps) * (amps @ mat), axis=1)
         series[key] = TimeSeries(0.0, dt, np.real(vals))
     return series
 

@@ -24,12 +24,13 @@ no caller in the package; it remains only because the benchmark's tracer
 keys two per-layer metrics on it.
 
 `stationary_states` solves -(1/2) d^2/dx^2 + V on the same grid for its full
-spectrum, as two half-size parity blocks when V is mirror symmetric to the
-bit, and unfolds only the lowest states a caller keeps;
-`even_stationary_states` solves the even block alone, and
-`evolve_coefficients` evolves a state's expansion in it; the
-effective-potential tier evolves states this way in the full spectrum, the
-exactly even mean-field spin-down branch in the even states.
+spectrum and unfolds only the lowest states a caller keeps. A V that is
+mirror symmetric to the bit is solved as two half-size parity blocks, read
+straight off the sine kernel's Toeplitz and Hankel views (`_parity_blocks`);
+any other V still gets the n x n matrix. `even_stationary_states` solves the
+even block alone, and `evolve_coefficients` evolves a state's expansion in
+it; the effective-potential tier evolves states this way in the full
+spectrum, the exactly even mean-field spin-down branch in the even states.
 
 The transforms are numpy.fft's. The DCT-I is the rfft of the even extension,
 and the spectrum of a real kernel is its rfft with the Hermitian half filled
@@ -269,21 +270,24 @@ def _kinetic_symbol(grid):
     return box_wavenumbers(grid) ** 2 / 2.0
 
 
-def _toeplitz_minus_hankel_matrix(size, kernel):
-    """Dense [K(i - j) - K(i + j)], i, j = 1..size, for an even kernel K."""
+def _toeplitz_hankel(size, kernel):
+    """The Toeplitz part [K(i - j)] and the Hankel part [K(i + j)], i, j =
+    1..size, of an even kernel K, as read-only views: no size x size array
+    is allocated."""
     # the rows of the Toeplitz part K(|i - j|) are windows of K(|m|),
     # m = 1-size..size-1, taken in reverse order; the rows of the Hankel
     # part K(i + j) are windows of K(m), m = 2..2 size
     windows = np.lib.stride_tricks.sliding_window_view
     toeplitz = windows(np.concatenate([kernel[size - 1 : 0 : -1], kernel[:size]]), size)[::-1]
-    return toeplitz - windows(kernel[2 : 2 * size + 1], size)
+    return toeplitz, windows(kernel[2 : 2 * size + 1], size)
 
 
 def kinetic_matrix(grid):
     """Dense sine-DVR matrix S diag(k^2/2) S of -(1/2) d^2/dx^2 on the
     interior points, S the orthonormal DST-I and k the `box_wavenumbers`."""
     n = grid.n_points - 2
-    return _toeplitz_minus_hankel_matrix(n, _sine_kernel(n, _kinetic_symbol(grid)))
+    toeplitz, hankel = _toeplitz_hankel(n, _sine_kernel(n, _kinetic_symbol(grid)))
+    return toeplitz - hankel
 
 
 def kinetic_apply(f):
@@ -305,8 +309,8 @@ def even_kinetic_matrix(grid):
     weight 1/2 (`even_sine_filter`); conjugated by diag(1, ..., 1, 1/sqrt(2))
     it is the symmetric even block of `kinetic_matrix`."""
     n = grid.n_points - 2
-    kernel = _even_kernel(n, _kinetic_symbol(grid))
-    block = _toeplitz_minus_hankel_matrix(half_points(grid), kernel)
+    toeplitz, hankel = _toeplitz_hankel(half_points(grid), _even_kernel(n, _kinetic_symbol(grid)))
+    block = toeplitz - hankel
     if n % 2:
         block[:, -1] *= 0.5
     return block
@@ -325,19 +329,34 @@ def is_mirror_symmetric(values):
     return bool(np.array_equal(values, values[::-1]))
 
 
-def _even_block(h):
-    """The even block h11 + h12 J of a real symmetric matrix that commutes
-    with the mirror J (J h J = h), on the first half of the points; for an
-    odd size the centre point joins it, coupled to the half by
-    sqrt(2) h[i, c]."""
-    m = h.shape[0]
-    k = m // 2
-    even = np.empty((m - k, m - k))
-    even[:k, :k] = h[:k, :k] + h[:k, m - k :][:, ::-1]
-    if m % 2:
-        even[:k, k] = even[k, :k] = np.sqrt(2.0) * h[:k, k]
-        even[k, k] = h[k, k]
-    return even
+def _parity_blocks(grid, potential):
+    """The even block h11 + h12 J and the odd block h11 - h12 J of h =
+    kinetic_matrix(grid) + diag(V[1:-1]), which commutes with the mirror J
+    when `potential` (V on every grid point) is mirror symmetric, on the first
+    k = n // 2 of the n interior points; for an odd n the centre point joins
+    the even block, coupled to the half by sqrt(2) h[i, c].
+
+    Every entry is read off the half-size corners of the sine kernel's
+    Toeplitz and Hankel views with the float operations that form and fold h
+    (Toeplitz minus Hankel, V added on the diagonal of h11, then h11 plus or
+    minus h12 J), so the blocks are the bits of that fold and no n x n array
+    is allocated."""
+    n = grid.n_points - 2
+    k = n // 2
+    toeplitz, hankel = _toeplitz_hankel(n, _sine_kernel(n, _kinetic_symbol(grid)))
+    even = np.empty((n - k, n - k))
+    # h12 J, h's first k rows in its last k columns reversed (none of them on
+    # h's diagonal), is formed in the even block's corner and h11 added to it
+    far = even[:k, :k]
+    np.subtract(toeplitz[:k, n - k :][:, ::-1], hankel[:k, n - k :][:, ::-1], out=far)
+    near = toeplitz[:k, :k] - hankel[:k, :k]
+    near[np.diag_indices(k)] += potential[1 : k + 1]
+    odd = near - far
+    far += near
+    if n % 2:
+        even[:k, k] = even[k, :k] = np.sqrt(2.0) * (toeplitz[:k, k] - hankel[:k, k])
+        even[k, k] = toeplitz[k, k] - hankel[k, k] + potential[k + 1]
+    return even, odd
 
 
 def _unfold_even_vectors(a_even, m, out, cols):
@@ -351,17 +370,16 @@ def _unfold_even_vectors(a_even, m, out, cols):
         out[k, cols] = a_even[k]
 
 
-def _parity_eigh(h, out):
+def _parity_eigh(even, odd, out):
     """Eigenvalues, ascending, of a real symmetric matrix that commutes with
-    the mirror J (J h J = h), from its even block (`_even_block`) and its odd
-    block h11 - h12 J on the first half of the points. The unit
+    the mirror J, from its even and odd blocks (`_parity_blocks`). The unit
     eigenvectors of the lowest out.shape[1] states, exactly even or odd, are
     written in the same order to the columns of `out`, which must hold
     zeros; no other state is unfolded."""
-    m = h.shape[0]
-    k = m // 2
-    e_even, a_even = np.linalg.eigh(_even_block(h))
-    e_odd, a_odd = np.linalg.eigh(h[:k, :k] - h[:k, m - k :][:, ::-1])
+    k = odd.shape[0]
+    m = even.shape[0] + k
+    e_even, a_even = np.linalg.eigh(even)
+    e_odd, a_odd = np.linalg.eigh(odd)
     energies = np.concatenate([e_even, e_odd])
     order = np.argsort(energies, kind="stable")
     # the column of each even, then each odd, state in ascending order
@@ -390,32 +408,40 @@ def _grid_states(grid, states, energies):
 
 
 def stationary_states(grid, potential, n_states=None):
-    """The lowest n_states stationary states (all of them by default) of
-    -(1/2) d^2/dx^2 + V under hard walls, from the dense matrix
+    """The lowest n_states stationary states (all n_points - 2 of them by
+    default) of -(1/2) d^2/dx^2 + V under hard walls, the eigenpairs of
     kinetic_matrix(grid) + diag(V[1:-1]), where `potential` holds V on every
     grid point.
 
     The kinetic matrix commutes with the mirror x -> -x, so a potential that
-    does too (`is_mirror_symmetric`) is solved as two half-size parity blocks,
-    which together cost about a third of one full `eigh` on the 450-point
-    grid, and its states come out exactly even or odd; any other potential
-    takes one full `eigh`. Every eigenpair is solved either way, but only the
-    kept states are unfolded onto the grid, written into the returned array
-    in place, so no (n_points, n_interior) array is held for fewer states.
-    The kept states are the same bits as the leading columns of the full set.
+    does too (`is_mirror_symmetric`) is solved as two half-size parity blocks
+    read straight off the sine kernel (`_parity_blocks`), which together cost
+    about a third of one full `eigh` on the 450-point grid and never form the
+    n x n matrix; its states come out exactly even or odd. Any other
+    potential takes one full `eigh` of the n x n matrix. Every eigenpair is
+    solved either way, but only the kept states are unfolded onto the grid,
+    written into the returned array in place, so no (n_points, n_interior)
+    array is held for fewer states. The kept states are the same bits as the
+    leading columns of the full set. n_states outside 1..n_points - 2 raises
+    UsageError.
 
     Returns (energies, states): the n_states lowest energies in ascending
     order and their states as the columns of one real (n_points, n_states)
     array, zero at the walls, normalized on the grid (sum psi^2 dx = 1), with
     the first sizable entry of each state positive.
     """
-    h = kinetic_matrix(grid)
-    h[np.diag_indices_from(h)] += potential[1:-1]
-    n_states = h.shape[0] if n_states is None else n_states
+    n = grid.n_points - 2
+    n_states = n if n_states is None else n_states
+    if not 1 <= n_states <= n:
+        raise UsageError(
+            f"n_states must be in 1..{n} on a {grid.n_points}-point grid, got {n_states}"
+        )
     states = np.zeros((grid.n_points, n_states))
     if is_mirror_symmetric(potential):
-        energies = _parity_eigh(h, states[1:-1])
+        energies = _parity_eigh(*_parity_blocks(grid, potential), states[1:-1])
     else:
+        h = kinetic_matrix(grid)
+        h[np.diag_indices_from(h)] += potential[1:-1]
         energies, vectors = np.linalg.eigh(h)
         states[1:-1] = vectors[:, :n_states]
     return _grid_states(grid, states, energies[:n_states])
@@ -423,19 +449,16 @@ def stationary_states(grid, potential, n_states=None):
 
 def even_stationary_states(grid, potential):
     """The even stationary states of a mirror-symmetric potential, from the
-    even parity block alone: the energies, ascending, and the states, the
-    same bits as the even columns of `stationary_states`. A state that is
-    exactly even has no weight on the odd ones, so this is its whole
-    expansion. A potential that is not mirror symmetric to the bit raises
-    UsageError."""
+    even parity block alone (`_parity_blocks`): the energies, ascending, and
+    the states, the same bits as the even columns of `stationary_states`. A
+    state that is exactly even has no weight on the odd ones, so this is its
+    whole expansion. A potential that is not mirror symmetric to the bit
+    raises UsageError."""
     if not is_mirror_symmetric(potential):
         raise UsageError("even stationary states need a mirror-symmetric potential")
-    h = kinetic_matrix(grid)
-    h[np.diag_indices_from(h)] += potential[1:-1]
-    m = h.shape[0]
-    energies, a_even = np.linalg.eigh(_even_block(h))
+    energies, a_even = np.linalg.eigh(_parity_blocks(grid, potential)[0])
     states = np.zeros((grid.n_points, energies.size))
-    _unfold_even_vectors(a_even, m, states[1:-1], slice(None))
+    _unfold_even_vectors(a_even, grid.n_points - 2, states[1:-1], slice(None))
     return _grid_states(grid, states, energies)
 
 

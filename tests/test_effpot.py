@@ -9,6 +9,7 @@ from polaron1d.errors import AnalysisError, ConfigurationError, FitQualityError
 from polaron1d.grid import (
     Field,
     bare_ground_state,
+    evolve_coefficients,
     inner,
     build_grid,
     is_mirror_symmetric,
@@ -287,6 +288,22 @@ class TestStationaryMoments:
             assert series["x2"].values[k] == pytest.approx(np.sum(rho * grid.x**2), abs=1e-10)
             assert series["p2"].values[k] == pytest.approx(p2, abs=1e-10)
 
+
+    @pytest.mark.parametrize("g_bi, n_eig", [(0.2, 40), (0.5, 60), (2.0, 100)])
+    def test_p2_matches_the_dense_kinetic_form(self, grid, tf_profile, g_bi, n_eig):
+        # oracle: the <p^2> matrix 2 S^T T S dx with the dense n x n kinetic
+        # matrix T; stationary_moments reads it off the energies and the
+        # potential, which moves it by about 3e-13 on entries up to 97
+        pot = ep.build_effective_potential(tf_profile.density(grid), g_bi)
+        spec = ep.eigensolve(pot, n_eig=n_eig)
+        init = bare_ground_state(grid, omega=0.9)
+        series = ep.stationary_moments(spec, init, t_max=20.0, dt=0.05)
+        s = spec.states[1:-1]
+        p2_mat = 2.0 * (s.T @ (kinetic_matrix(grid) @ s)) * grid.dx
+        coeffs = np.array([inner(level(spec, n), init) for n in range(n_eig)])
+        amps = evolve_coefficients(spec.energies, coeffs, series["p2"].times)
+        want = np.real(np.sum(np.conj(amps) * (amps @ p2_mat), axis=1))
+        assert np.max(np.abs(series["p2"].values - want)) < 1e-12
 
     @pytest.mark.parametrize("omega0, omega", [(0.95, 1.0), (1.0, 0.7)])
     def test_released_gaussian_matches_closed_form(self, grid, omega0, omega):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -9,6 +11,7 @@ from polaron1d.grid import (
     Field,
     _dct1,
     _kinetic_symbol,
+    _parity_blocks,
     _real_fft,
     _sine_kernel,
     bare_ground_state,
@@ -188,6 +191,24 @@ def _full_eigh_states(grid, potential):
     return energies, states
 
 
+def _folded_blocks(grid, potential):
+    """Oracle: the even block h11 + h12 J and the odd block h11 - h12 J of
+    h = kinetic_matrix(grid) + diag(V[1:-1]), J the mirror, folded from the
+    full matrix h; for an odd n the centre point joins the even block,
+    coupled to the half by sqrt(2) h[i, c]."""
+    h = kinetic_matrix(grid)
+    h[np.diag_indices_from(h)] += potential[1:-1]
+    n = h.shape[0]
+    k = n // 2
+    far = h[:k, n - k :][:, ::-1]
+    even = np.empty((n - k, n - k))
+    even[:k, :k] = h[:k, :k] + far
+    if n % 2:
+        even[:k, k] = even[k, :k] = np.sqrt(2.0) * h[:k, k]
+        even[k, k] = h[k, k]
+    return even, h[:k, :k] - far
+
+
 def _double_well(grid, g_bi=2.5):
     """The effective potential of a Thomas-Fermi bath at a double-well
     coupling: its low doublets are split by 1e-10 to 1e-7."""
@@ -237,6 +258,79 @@ def test_even_stationary_states_are_the_even_columns(n_points):
     potential[100] += 1e-12
     with pytest.raises(UsageError, match="mirror-symmetric"):
         even_stationary_states(grid, potential)
+
+
+@pytest.mark.parametrize("n_points", [16, 17, 450, 451])
+def test_parity_blocks_are_the_fold_of_the_full_matrix(n_points):
+    grid = build_grid(n_points, 40.0)
+    rng = np.random.default_rng(n_points)
+    noise = 10.0 * rng.standard_normal(n_points)
+    for potential in (_double_well(grid), noise + noise[::-1]):
+        assert is_mirror_symmetric(potential)
+        got = _parity_blocks(grid, potential)
+        want = _folded_blocks(grid, potential)
+        assert [b.shape for b in got] == [b.shape for b in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class _KineticMatrixFormed(Exception):
+    pass
+
+
+def test_symmetric_solves_never_form_the_kinetic_matrix(monkeypatch):
+    grid = build_grid(451, 40.0)
+    potential = _double_well(grid)
+    want = stationary_states(grid, potential, 60), even_stationary_states(grid, potential)
+
+    def refuse(grid):
+        raise _KineticMatrixFormed
+
+    monkeypatch.setattr("polaron1d.grid.kinetic_matrix", refuse)
+    got = stationary_states(grid, potential, 60), even_stationary_states(grid, potential)
+    for pair_got, pair_want in zip(got, want):
+        assert all(np.array_equal(a, b) for a, b in zip(pair_got, pair_want))
+    # an asymmetric potential still takes the full matrix
+    potential[100] += 1e-12
+    with pytest.raises(_KineticMatrixFormed):
+        stationary_states(grid, potential)
+
+
+def test_symmetric_solve_allocation_budget():
+    # 1000 points (998 interior, half blocks of 499): measured tracemalloc
+    # peaks of 8.8 MB (60 states kept) and 8.0 MB (even states, whose 1000 x
+    # 499 result alone takes 4.0 MB), against 14.4 and 15.9 MB when the
+    # 8.0 MB kinetic matrix was formed and folded; numpy's LAPACK workspace
+    # is not traced
+    grid = build_grid(1000, 40.0)
+    potential = 0.5 * grid.x**2
+    small = build_grid(16, 4.0)
+    even_stationary_states(small, 0.5 * small.x**2)
+    for solve, bound in (
+        (lambda: stationary_states(grid, potential, 60), 10_000_000),
+        (lambda: even_stationary_states(grid, potential), 9_200_000),
+    ):
+        tracemalloc.start()
+        try:
+            solve()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+@pytest.mark.parametrize("asymmetric", [False, True])
+def test_stationary_states_refuses_n_states_out_of_range(asymmetric):
+    grid = build_grid(64, 8.0)
+    potential = 0.5 * grid.x**2
+    if asymmetric:
+        potential[10] += 1e-12
+    assert is_mirror_symmetric(potential) != asymmetric
+    for n_states in (0, -1, 63):
+        with pytest.raises(UsageError, match=r"n_states must be in 1\.\.62 on a 64-point grid"):
+            stationary_states(grid, potential, n_states)
+    for n_states in (1, 62):
+        energies, states = stationary_states(grid, potential, n_states)
+        assert energies.shape == (n_states,) and states.shape == (64, n_states)
 
 
 def test_asymmetric_potential_takes_the_full_eigh(grid):
@@ -352,17 +446,12 @@ def test_even_sine_filter_is_sine_filter_on_even_fields(n_points, kind):
 
 @pytest.mark.parametrize("n_points", [450, 451])
 def test_even_kinetic_matrix_is_the_even_block(n_points):
-    # the even block of the kinetic matrix as `_parity_eigh` forms it: near +
-    # fold on the first half, the centre of an odd n coupled by sqrt(2)
+    # the even block of the kinetic matrix, folded from the full matrix as
+    # `_parity_blocks` reads it off the sine kernel
     grid = build_grid(n_points, 40.0)
-    t = kinetic_matrix(grid)
     n = n_points - 2
     k = n // 2
-    block = np.empty((n - k, n - k))
-    block[:k, :k] = t[:k, :k] + t[:k, n - k :][:, ::-1]
-    if n % 2:
-        block[:k, k] = block[k, :k] = np.sqrt(2.0) * t[:k, k]
-        block[k, k] = t[k, k]
+    block = _folded_blocks(grid, np.zeros(n_points))[0]
     # on the half-grid samples the centre column carries weight 1/2, so the
     # symmetric block is D E D^-1, D = diag(1, ..., 1, 1/sqrt(2))
     d = np.ones(n - k)
